@@ -18,7 +18,10 @@ import numpy as np
 from . import __version__, bench, files, gaussian, generators, sampler
 from .encoding import choose_scale, encode_graph
 from .errors import GbskitError, ValidationError
-from .solvers import Objective, ProposalSource, greedy_peel, random_search, simulated_annealing
+from .solvers import (
+    Objective, ProposalSource, RunTrace, greedy_peel, random_search,
+    simulated_annealing,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,12 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Desk-scale GBS simulator and graph-problem benchmark toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap (results are independent of this value)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph instance file")
@@ -179,21 +176,11 @@ def _cmd_solve(args) -> int:
 
     if args.algo == "greedy":
         subset = greedy_peel(g, args.k)
-        obj = Objective(kind=args.objective, graph=g, k=args.k)
-        value = obj.value(subset)
-        files.atomic_write_text(args.out, f"step,best_value\n1,{value!r}\n")
-        files._dump_json(
-            summary_path,
-            {
-                "format_version": files.FORMAT_VERSION,
-                "best_subset": list(subset),
-                "best_value": value,
-                "steps_used": 1,
-                "seed": args.seed,
-                "pool_wrapped": False,
-                "parameters": params,
-            },
+        value = Objective(kind=args.objective, graph=g, k=args.k).value(subset)
+        trace = RunTrace(
+            np.array([value]), tuple(subset), steps_used=1, seed=args.seed
         )
+        files.save_trace(trace, args.out, summary_path, params)
         return 0
 
     obj = Objective(kind=args.objective, graph=g, k=args.k)

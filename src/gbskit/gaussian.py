@@ -3,19 +3,23 @@
 States are zero-mean M-mode Gaussian states held as a 2M x 2M Husimi
 covariance matrix in creation/annihilation ordering, normalized so that the
 vacuum is the identity. The sampling matrix is extracted as X (I - sigma^-1)
-with X the block swap, and threshold-detection probabilities come from the
-Torontonian of its clicked submatrix.
+with X the block swap.
+
+Every threshold-detection probability comes from one kernel: the vacuum
+probability P_vac(W) = det(sigma_W)^(-1/2) of a mode subset W, read off the
+Husimi matrix and memoized on the state by W. Clicks on C with vacuum on R
+then have probability sum over Z subset of C of (-1)^|Z| P_vac(R u Z).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PhysicalityError, ValidationError
+from .errors import CostGuardError, PhysicalityError, ValidationError
 from .linalg import as_matrix, inverse, takagi
-from .matfn import torontonian
+from .matfn import TORONTONIAN_MAX_MODES
 
 __all__ = [
     "GaussianState",
@@ -27,6 +31,7 @@ __all__ = [
     "apply_loss",
     "apply_thermal",
     "pattern_probability",
+    "marginal_probability",
     "reduce_modes",
     "mode_click_probability",
     "mean_clicks",
@@ -37,6 +42,8 @@ _HERM_TOL = 1e-10
 _EIG_FLOOR_TOL = 1e-8
 _PURE_L_TOL = 1e-8
 _A_SYM_TOL = 1e-9
+_IMAG_TOL = 1e-8
+_PROB_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,10 @@ class GaussianState:
 
     modes: int
     husimi: np.ndarray
+    # P_vac(W) keyed by the bitmask of W; at most 2^modes entries
+    _vacuum: dict = field(
+        default_factory=lambda: {0: 1.0}, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         sq = as_matrix(self.husimi)
@@ -221,6 +232,40 @@ def reduce_modes(state: GaussianState, keep) -> GaussianState:
     return GaussianState(modes=len(keep), husimi=sq)
 
 
+def _vacuum_probability(state: GaussianState, w: int) -> float:
+    """P_vac(W) = det(sigma_W)^(-1/2) for the modes W of bitmask w."""
+    m = state.modes
+    modes = [i for i in range(m) if w >> i & 1]
+    idx = modes + [i + m for i in modes]
+    d = np.linalg.det(state.husimi[np.ix_(idx, idx)])
+    if d.real <= 0 or abs(d.imag) > _IMAG_TOL * abs(d):
+        raise PhysicalityError(
+            f"det of the husimi covariance on modes {modes} = {d} "
+            f"is not positive real"
+        )
+    return float(d.real) ** -0.5
+
+
+def marginal_probability(state: GaussianState, vacuum: int, clicked: int) -> float:
+    """Probability of clicks on every mode of bitmask `clicked` and vacuum on
+    every mode of bitmask `vacuum`, other modes unobserved."""
+    memo = state._vacuum
+    total = 0.0
+    z = clicked
+    while True:
+        w = vacuum | z
+        p = memo.get(w)
+        if p is None:
+            p = memo[w] = _vacuum_probability(state, w)
+        total += -p if z.bit_count() & 1 else p
+        if not z:
+            break
+        z = (z - 1) & clicked
+    if not -_PROB_TOL <= total <= 1.0 + _PROB_TOL:
+        raise PhysicalityError(f"click probability {total} outside [0, 1]")
+    return min(max(total, 0.0), 1.0)
+
+
 def pattern_probability(state: GaussianState, pattern) -> float:
     """Exact probability of a threshold-detector click pattern."""
     bits = np.asarray(pattern, dtype=int)
@@ -228,22 +273,20 @@ def pattern_probability(state: GaussianState, pattern) -> float:
     if bits.shape != (m,) or np.any((bits != 0) & (bits != 1)):
         raise ValidationError("pattern must be a 0/1 vector of length modes")
     clicked = np.flatnonzero(bits == 1)
-    o = np.eye(2 * m) - inverse(state.husimi)
-    idx = np.concatenate([clicked, clicked + m]).astype(int)
-    tor = torontonian(o[np.ix_(idx, idx)])
-    det_sq = np.linalg.det(state.husimi)
-    if det_sq.real <= 0 or abs(det_sq.imag) > 1e-8 * abs(det_sq):
-        raise PhysicalityError("det of husimi covariance is not positive real")
-    p = tor / np.sqrt(det_sq.real)
-    if p < -1e-8 or p > 1 + 1e-8:
-        raise PhysicalityError(f"pattern probability {p} outside [0, 1]")
-    return float(min(max(p, 0.0), 1.0))
+    if clicked.size > TORONTONIAN_MAX_MODES:
+        raise CostGuardError(
+            f"pattern with {clicked.size} clicks exceeds the cost cap of "
+            f"{TORONTONIAN_MAX_MODES}"
+        )
+    c = sum(1 << int(i) for i in clicked)
+    return marginal_probability(state, ((1 << m) - 1) ^ c, c)
 
 
 def mode_click_probability(state: GaussianState, mode: int) -> float:
-    """Marginal click probability of a single mode."""
-    reduced = reduce_modes(state, [mode])
-    return 1.0 - pattern_probability(reduced, [0])
+    """Marginal click probability of a single mode, 1 - P_vac({mode})."""
+    if not 0 <= mode < state.modes:
+        raise ValidationError("mode index out of range")
+    return marginal_probability(state, 0, 1 << int(mode))
 
 
 def mean_clicks(state: GaussianState) -> float:

@@ -70,10 +70,13 @@ class TakagiFactorization:
 def takagi(s, tol: float = 1e-10) -> TakagiFactorization:
     """Takagi-Autonne decomposition of a complex symmetric matrix.
 
-    Route: SVD S = U0 diag(d) Vh, then U = U0 sqrt(W) with W = U0^H Vh^T.
-    W is unitary and satisfies W diag(d) = diag(d) W^T, which makes the
-    principal square root land on a valid Takagi unitary. A final polar
-    projection pins unitarity down to machine precision.
+    Route: the real symmetric embedding H = [[Re S, Im S], [Im S, -Re S]] has
+    eigenvalues +-d_i. An eigenvector (x, y) of H for d >= 0 gives a Takagi
+    vector u = x + i y with S conj(u) = d u, and distinct or repeated d > 0
+    give orthonormal u. Values at or below tol * d_max (tol is also the
+    relative symmetry tolerance) count as zero: their vectors complete the
+    others to an orthonormal basis, as S conj(v) = 0 for every v orthogonal
+    to them.
     """
     a = as_matrix(s)
     _check_symmetric(a, tol)
@@ -82,13 +85,12 @@ def takagi(s, tol: float = 1e-10) -> TakagiFactorization:
         return TakagiFactorization(unitary=a.copy(), values=np.zeros(0))
     a = (a + a.T) / 2.0
 
-    u0, d, vh = np.linalg.svd(a)
-    w = u0.conj().T @ vh.T
-    sq = scipy.linalg.sqrtm(w)
-    q = u0 @ sq
-    # project to the nearest unitary (q is unitary up to sqrtm roundoff)
-    pu, _, pvh = np.linalg.svd(q)
-    q = pu @ pvh
-
-    vals = np.abs(d)  # svd already returns them sorted descending
+    h = np.block([[a.real, a.imag], [a.imag, -a.real]])
+    evals, evecs = np.linalg.eigh(h)  # ascending
+    vals = evals[::-1][:n]
+    vecs = evecs[:, ::-1][:, :n]
+    r = int(np.sum(vals > tol * vals[0]))
+    u = vecs[:n, :r] + 1j * vecs[n:, :r]
+    q = np.hstack([u, scipy.linalg.null_space(u.conj().T)])
+    vals = np.concatenate([vals[:r], np.zeros(n - r)])
     return TakagiFactorization(unitary=q, values=vals)

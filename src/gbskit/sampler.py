@@ -2,9 +2,10 @@
 
 Sampling works mode by mode through the chain rule: the conditional click
 probability of mode k given a prefix outcome is a ratio of two marginal
-pattern probabilities on the first k modes. Marginals only depend on the
-prefix bits, so they are memoized; pools of many samples reuse almost all of
-the expensive Torontonian evaluations.
+probabilities on the first k + 1 modes. Both come from the state's
+vacuum-probability kernel (`gaussian.marginal_probability`), whose per-state
+memo of subset determinants lets a pool of many samples reuse almost all of
+them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gaussian
-from .errors import CostGuardError, PhysicalityError, ValidationError
+from .errors import CostGuardError, ValidationError
 
 __all__ = ["SamplePool", "sample", "postselect", "save_pool", "load_pool"]
 
@@ -46,80 +47,22 @@ class SamplePool:
         return np.array([sum(p) for p in self.samples], dtype=int)
 
 
-class _ChainRuleSampler:
-    """Per-state cache of reduced-state marginals keyed by prefix bits.
-
-    The Torontonian of a prefix is an inclusion-exclusion sum over clicked
-    subsets; its per-subset determinants are shared by every prefix whose
-    clicked set is a superset, so they get their own cache layer.
-    """
-
-    def __init__(self, state: gaussian.GaussianState):
-        self.modes = state.modes
-        self._o = []
-        self._norm = []
-        for k in range(1, state.modes + 1):
-            red = gaussian.reduce_modes(state, range(k))
-            o = np.eye(2 * k) - np.linalg.inv(red.husimi)
-            det = np.linalg.det(red.husimi).real
-            self._o.append(o)
-            self._norm.append(np.sqrt(det))
-        self._cache: dict[tuple, float] = {(): 1.0}
-        self._inv_sqrt_det: dict[tuple[int, int], float] = {}
-
-    def _subset_term(self, k: int, mask: int) -> float:
-        """1/sqrt(det(I - O_Z)) for clicked-mode bitmask Z at prefix length k."""
-        val = self._inv_sqrt_det.get((k, mask))
-        if val is None:
-            clicked = [i for i in range(k) if (mask >> i) & 1]
-            idx = clicked + [i + k for i in clicked]
-            o = self._o[k - 1]
-            d = np.linalg.det(
-                np.eye(2 * len(clicked)) - o[np.ix_(idx, idx)]
-            )
-            if d.real <= 0 or abs(d.imag) > 1e-8 * abs(d):
-                raise PhysicalityError(
-                    f"det(I - O_Z) = {d} is not positive real during sampling"
-                )
-            val = 1.0 / np.sqrt(d.real)
-            self._inv_sqrt_det[(k, mask)] = val
-        return val
-
-    def prefix_probability(self, bits: tuple) -> float:
-        p = self._cache.get(bits)
-        if p is not None:
-            return p
-        k = len(bits)
-        full = 0
-        for i, b in enumerate(bits):
-            if b:
-                full |= 1 << i
-        c = bin(full).count("1")
-        # Tor(O_S) over the clicked set S: iterate submasks of S
-        tor = float((-1) ** c)  # empty subset
-        sub = full
-        while sub:
-            tor += (-1) ** (c - bin(sub).count("1")) * self._subset_term(k, sub)
-            sub = (sub - 1) & full
-        p = tor / self._norm[k - 1]
-        p = min(max(p, 0.0), 1.0)
-        self._cache[bits] = p
-        return p
-
-    def draw(self, uniforms: np.ndarray) -> tuple:
-        bits: tuple = ()
-        p_prefix = 1.0
-        for k in range(self.modes):
-            p1 = self.prefix_probability(bits + (1,))
-            cond = p1 / p_prefix if p_prefix > 0 else 0.0
-            if uniforms[k] < cond:
-                bits = bits + (1,)
-                p_prefix = p1
-            else:
-                bits = bits + (0,)
-                p_prefix = max(p_prefix - p1, 0.0)
-                self._cache.setdefault(bits, p_prefix)
-        return bits
+def _draw(state: gaussian.GaussianState, uniforms: list) -> tuple:
+    """One chain-rule sample: with p the probability of the prefix outcome and
+    p0 that of the prefix plus vacuum on mode k, mode k clicks iff
+    u_k < (p - p0) / p."""
+    vacuum = clicked = 0
+    p_prefix = 1.0
+    for k, u in enumerate(uniforms):
+        bit = 1 << k
+        p0 = gaussian.marginal_probability(state, vacuum | bit, clicked)
+        if u * p_prefix < p_prefix - p0:
+            clicked |= bit
+            p_prefix -= p0
+        else:
+            vacuum |= bit
+            p_prefix = p0
+    return tuple(clicked >> k & 1 for k in range(len(uniforms)))
 
 
 def sample(state: gaussian.GaussianState, count: int, seed: int) -> SamplePool:
@@ -136,10 +79,9 @@ def sample(state: gaussian.GaussianState, count: int, seed: int) -> SamplePool:
             f"expected click count {expected:.2f} exceeds the sampling cost "
             f"guard of {MAX_EXPECTED_CLICKS}"
         )
-    chain = _ChainRuleSampler(state)
     rng = np.random.default_rng(seed)
-    uniforms = rng.random((count, state.modes))
-    samples = tuple(chain.draw(uniforms[i]) for i in range(count))
+    uniforms = rng.random((count, state.modes)).tolist()
+    samples = tuple(_draw(state, u) for u in uniforms)
     return SamplePool(
         modes=state.modes,
         samples=samples,
@@ -166,8 +108,9 @@ def save_pool(pool: SamplePool, path) -> None:
     lines.append(f"modes={pool.modes}")
     for pat in pool.samples:
         lines.append("".join(str(int(b)) for b in pat))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    from .files import atomic_write_text  # files imports bench, which imports us
+
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_pool(path) -> SamplePool:

@@ -4,7 +4,11 @@ import pytest
 from gbskit import gaussian
 from gbskit.encoding import Graph, choose_scale, encode_graph, subgraph
 from gbskit.errors import ValidationError
-from gbskit.generators import random_complex_graph
+from gbskit.generators import (
+    planted_clique_graph,
+    random_complex_graph,
+    zero_one_graph,
+)
 from gbskit.linalg import takagi
 
 
@@ -25,6 +29,50 @@ class TestGraph:
         g = Graph(n=2, adjacency=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 1.0
+
+
+def _cycle(n):
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
+    return Graph(n=n, adjacency=a)
+
+
+def _star(n):
+    a = np.zeros((n, n))
+    a[0, 1:] = a[1:, 0] = 1.0
+    return Graph(n=n, adjacency=a)
+
+
+def _rank_two(n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    return Graph(n=n, adjacency=v @ v.T)
+
+
+# degenerate and real spectra (0/1 graphs, cycle, star) and zero singular
+# values (star, rank two) as well as generic complex graphs
+ENCODED_GRAPHS = {
+    "random-complex": random_complex_graph(16, seed=2),
+    "zero-one": zero_one_graph(16, 0.5, seed=0),
+    "zero-one-sparse": zero_one_graph(20, 0.2, seed=3),
+    "planted-clique": planted_clique_graph(16, 6, 0.2, seed=1),
+    "cycle": _cycle(8),
+    "star": _star(8),
+    "rank-two": _rank_two(10, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", ENCODED_GRAPHS)
+def test_takagi_encoding_is_exact(name):
+    g = ENCODED_GRAPHS[name]
+    f = takagi(g.adjacency)
+    scale = np.linalg.norm(g.adjacency)
+    assert np.linalg.norm(f.reconstruct() - g.adjacency) < 1e-12 * scale
+    assert np.linalg.norm(f.unitary.conj().T @ f.unitary - np.eye(g.n)) < 1e-12
+    c = 0.5 / f.values[0]
+    a = gaussian.sampling_matrix(encode_graph(g, c).build_state()).a
+    assert np.linalg.norm(a - c * g.adjacency) < 1e-12 * c * scale
 
 
 class TestEncodeGraph:

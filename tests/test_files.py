@@ -104,3 +104,16 @@ class TestReports:
         files.atomic_write_text(path, "hello")
         assert path.read_text() == "hello"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.txt"
+        path.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(files.os, "replace", fail)
+        with pytest.raises(OSError):
+            files.atomic_write_text(path, "new")
+        assert path.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [path]

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import unitary_group
 
 from gbskit import gaussian
-from gbskit.errors import PhysicalityError, ValidationError
+from gbskit.errors import CostGuardError, PhysicalityError, ValidationError
 from gbskit.gaussian import (
     GaussianState,
     NoiseConfig,
@@ -19,6 +19,7 @@ from gbskit.gaussian import (
     sampling_matrix,
     state_from_device,
 )
+from gbskit.matfn import torontonian
 
 from oracles import all_patterns
 
@@ -189,6 +190,23 @@ class TestPatternProbability:
         state = apply_loss(apply_thermal(state_from_device(r, u), 0.3), 0.7)
         total = sum(pattern_probability(state, p) for p in all_patterns(3))
         assert total == pytest.approx(1.0, abs=1e-7)
+
+    def test_matches_torontonian_reference(self):
+        # Tor(O_S) / sqrt(det sigma) with O = I - sigma^-1, on a lossy and
+        # thermal state
+        r, u = random_device(8, 41)
+        state = apply_loss(apply_thermal(state_from_device(r, u), 0.2), 0.8)
+        o = np.eye(16) - np.linalg.inv(state.husimi)
+        norm = np.sqrt(np.linalg.det(state.husimi).real)
+        for p in all_patterns(8):
+            s = [i for i, b in enumerate(p) if b]
+            idx = s + [i + 8 for i in s]
+            expected = torontonian(o[np.ix_(idx, idx)]) / norm
+            assert pattern_probability(state, p) == pytest.approx(expected, abs=1e-12)
+
+    def test_refuses_more_than_16_clicks(self):
+        with pytest.raises(CostGuardError):
+            pattern_probability(vacuum(17), [1] * 17)
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValidationError):

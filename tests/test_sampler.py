@@ -8,10 +8,9 @@ from scipy.stats import unitary_group
 from gbskit import gaussian
 from gbskit.errors import CostGuardError, ValidationError
 from gbskit.generators import random_complex_symmetric
-from gbskit.matfn import hafnian
+from gbskit.matfn import hafnian, torontonian
 from gbskit.sampler import (
     SamplePool,
-    _ChainRuleSampler,
     load_pool,
     postselect,
     sample,
@@ -42,14 +41,24 @@ class TestSample:
         state = random_state(4, 7)
         assert sample(state, 200, seed=3).samples != sample(state, 200, seed=4).samples
 
-    def test_chain_rule_matches_pattern_probability(self):
-        # marginal of a full-length prefix is the exact pattern probability
-        state = random_state(5, 12)
-        chain = _ChainRuleSampler(state)
-        for bits in itertools.product([0, 1], repeat=5):
-            assert chain.prefix_probability(bits) == pytest.approx(
-                gaussian.pattern_probability(state, bits), abs=1e-8
-            )
+    def test_prefix_probabilities_match_torontonian(self):
+        # every prefix marginal the chain rule uses, against Tor(O_S)/sqrt(det)
+        # on the reduced state of the prefix modes
+        state = gaussian.apply_thermal(random_state(5, 12), 0.3)
+        state = gaussian.apply_loss(state, 0.7)
+        for k in range(1, 6):
+            red = gaussian.reduce_modes(state, range(k))
+            o = np.eye(2 * k) - np.linalg.inv(red.husimi)
+            norm = np.sqrt(np.linalg.det(red.husimi).real)
+            for bits in itertools.product([0, 1], repeat=k):
+                s = [i for i, b in enumerate(bits) if b]
+                clicked = sum(1 << i for i in s)
+                idx = s + [i + k for i in s]
+                expected = torontonian(o[np.ix_(idx, idx)]) / norm
+                got = gaussian.marginal_probability(
+                    state, ((1 << k) - 1) ^ clicked, clicked
+                )
+                assert got == pytest.approx(expected, abs=1e-12)
 
     def test_empirical_distribution_m3(self):
         state = random_state(3, 5)
@@ -128,6 +137,19 @@ class TestPoolIO:
         assert loaded.modes == pool.modes
         assert loaded.seed == pool.seed
         assert loaded.provenance == pool.provenance
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.txt"
+        path.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", fail)
+        with pytest.raises(OSError):
+            save_pool(SamplePool(modes=2, samples=((0, 1),)), path)
+        assert path.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_save_is_byte_stable(self, tmp_path):
         pool = SamplePool(modes=2, samples=((0, 1), (1, 1)), seed=3)
