@@ -67,16 +67,12 @@ def encode_graph(g: Graph, c: float) -> DeviceParams:
     return DeviceParams(squeezing=r, interferometer=fac.unitary, scale=float(c))
 
 
-def _expected_clicks(g: Graph, c: float) -> float:
-    state = encode_graph(g, c).build_state()
-    return gaussian.mean_clicks(state)
-
-
 def choose_scale(
     g: Graph, target_mean_clicks: float, tol: float = 1e-4, max_iter: int = 200
 ) -> float:
     """Bisect the rescaling factor so the lossless device's expected click
-    count matches the target. Expected clicks is strictly increasing in c."""
+    count matches the target. Expected clicks is strictly increasing in c.
+    The graph is factorized once; each step rescales its Takagi values."""
     if not 0.0 < target_mean_clicks < g.n:
         raise ValidationError(
             f"target mean clicks must lie in (0, {g.n}), got {target_mean_clicks}"
@@ -85,8 +81,13 @@ def choose_scale(
     lam_max = fac.values[0] if fac.values.size else 0.0
     if lam_max == 0.0:
         raise ValidationError("zero graph cannot reach a positive click target")
+
+    def expected_clicks(c: float) -> float:
+        r = np.arctanh(c * fac.values)
+        return gaussian.mean_clicks(gaussian.state_from_device(r, fac.unitary))
+
     hi = (1.0 - 1e-6) / lam_max
-    reachable = _expected_clicks(g, hi)
+    reachable = expected_clicks(hi)
     if reachable < target_mean_clicks:
         raise ValidationError(
             f"target {target_mean_clicks} unreachable; supremum of expected "
@@ -95,7 +96,7 @@ def choose_scale(
     lo = 0.0
     for _ in range(max_iter):
         mid = (lo + hi) / 2.0
-        val = _expected_clicks(g, mid) if mid > 0 else 0.0
+        val = expected_clicks(mid) if mid > 0 else 0.0
         if abs(val - target_mean_clicks) < tol:
             return mid
         if val < target_mean_clicks:

@@ -5,10 +5,19 @@ covariance matrix in creation/annihilation ordering, normalized so that the
 vacuum is the identity. The sampling matrix is extracted as X (I - sigma^-1)
 with X the block swap.
 
-Every threshold-detection probability comes from one kernel: the vacuum
-probability P_vac(W) = det(sigma_W)^(-1/2) of a mode subset W, read off the
-Husimi matrix and memoized on the state by W. Clicks on C with vacuum on R
-then have probability sum over Z subset of C of (-1)^|Z| P_vac(R u Z).
+Every threshold-detection probability comes from one kernel,
+`marginal_probabilities`: the vacuum probability P_vac(W) = det(sigma_W)^(-1/2)
+of a mode subset W is read off the Husimi matrix, and clicks on C with vacuum
+on R have probability sum over Z subset of C of (-1)^|Z| P_vac(R u Z). The
+kernel takes a batch of (R, C) bitmask rows at once. Each row's 2^|C| masks
+R | Z are looked up in a dense table of 2^M float64 values on the state
+(0 = not yet computed; P_vac > 0 always), allocated on first use. Misses are
+de-duplicated and computed with stacked determinants grouped by subset size,
+and each row's signed terms are summed by one matrix-vector product. Mask
+arrays and determinant stacks are built in chunks of `_CHUNK` elements, so
+their size does not grow with the batch (a row with more than 13 clicks
+has more masks than that and is handled alone; at most 16 clicks are
+allowed).
 """
 
 from __future__ import annotations
@@ -32,11 +41,17 @@ __all__ = [
     "apply_thermal",
     "pattern_probability",
     "marginal_probability",
+    "marginal_probabilities",
     "reduce_modes",
     "mode_click_probability",
     "mean_clicks",
     "mean_photons",
 ]
+
+# the vacuum table holds 2^M float64 values: 128 MB at this many modes
+MAX_TABLE_MODES = 24
+# elements per mask array or determinant stack handled in one numpy call
+_CHUNK = 8192
 
 _HERM_TOL = 1e-10
 _EIG_FLOOR_TOL = 1e-8
@@ -52,9 +67,10 @@ class GaussianState:
 
     modes: int
     husimi: np.ndarray
-    # P_vac(W) keyed by the bitmask of W; at most 2^modes entries
-    _vacuum: dict = field(
-        default_factory=lambda: {0: 1.0}, init=False, repr=False, compare=False
+    # P_vac(W) indexed by the bitmask of W, 0 where not yet computed;
+    # allocated by the first probability query
+    _vacuum: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -232,38 +248,91 @@ def reduce_modes(state: GaussianState, keep) -> GaussianState:
     return GaussianState(modes=len(keep), husimi=sq)
 
 
-def _vacuum_probability(state: GaussianState, w: int) -> float:
-    """P_vac(W) = det(sigma_W)^(-1/2) for the modes W of bitmask w."""
+def _fill_vacuum(state: GaussianState, table: np.ndarray, masks: np.ndarray):
+    """Store P_vac(W) = det(sigma_W)^(-1/2) for each distinct mask W."""
     m = state.modes
-    modes = [i for i in range(m) if w >> i & 1]
-    idx = modes + [i + m for i in modes]
-    d = np.linalg.det(state.husimi[np.ix_(idx, idx)])
-    if d.real <= 0 or abs(d.imag) > _IMAG_TOL * abs(d):
-        raise PhysicalityError(
-            f"det of the husimi covariance on modes {modes} = {d} "
-            f"is not positive real"
+    flat = state.husimi.ravel()
+    bits = (masks[:, None] >> np.arange(m)) & 1
+    sizes = bits.sum(axis=1)
+    for s in np.unique(sizes).tolist():
+        sel = sizes == s
+        group = masks[sel]
+        modes = np.nonzero(bits[sel])[1].reshape(-1, s)
+        idx = np.concatenate([modes, modes + m], axis=1)
+        step = max(1, _CHUNK // (2 * s) ** 2)
+        for lo in range(0, group.size, step):
+            sub = idx[lo:lo + step]
+            d = np.linalg.det(flat.take(sub[:, :, None] * 2 * m + sub[:, None, :]))
+            bad = np.flatnonzero((d.real <= 0) | (abs(d.imag) > _IMAG_TOL * abs(d)))
+            if bad.size:
+                i = bad[0]
+                raise PhysicalityError(
+                    f"det of the husimi covariance on modes {sub[i, :s].tolist()} "
+                    f"= {d[i]} is not positive real"
+                )
+            # libm pow, not numpy's SIMD power, whose last bit varies by CPU
+            table[group[lo:lo + step]] = [x ** -0.5 for x in d.real.tolist()]
+
+
+def marginal_probabilities(state: GaussianState, vacuum, clicked) -> np.ndarray:
+    """For each row i, the probability of clicks on every mode of bitmask
+    `clicked[i]` and vacuum on every mode of bitmask `vacuum[i]`, other modes
+    unobserved."""
+    table = state._vacuum
+    if table is None:
+        if state.modes > MAX_TABLE_MODES:
+            raise CostGuardError(
+                f"the vacuum-probability table for {state.modes} modes exceeds "
+                f"the cap of {MAX_TABLE_MODES} modes"
+            )
+        table = np.zeros(1 << state.modes)
+        table[0] = 1.0
+        object.__setattr__(state, "_vacuum", table)
+    vacuum = np.asarray(vacuum, dtype=np.int64)
+    clicked = np.asarray(clicked, dtype=np.int64)
+    m = state.modes
+    if vacuum.ndim != 1 or vacuum.shape != clicked.shape:
+        raise ValidationError("vacuum and clicked must be 1-D arrays of one length")
+    both = vacuum | clicked
+    if np.any(both < 0) or np.any(both >> m) or np.any(vacuum & clicked):
+        raise ValidationError(
+            f"vacuum and clicked must be disjoint bitmasks of {m} modes"
         )
-    return float(d.real) ** -0.5
+    counts = ((clicked[:, None] >> np.arange(m)) & 1).sum(axis=1)
+    if counts.size and counts.max() > TORONTONIAN_MAX_MODES:
+        raise CostGuardError(
+            f"{counts.max()} clicked modes exceed the cost cap of "
+            f"{TORONTONIAN_MAX_MODES}"
+        )
+    out = np.empty(counts.size)
+    for c in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == c)
+        signs = np.ones(1)
+        for _ in range(c):
+            signs = np.concatenate([signs, -signs])
+        step = max(1, _CHUNK >> c)
+        for lo in range(0, rows.size, step):
+            r = rows[lo:lo + step]
+            masks, rest = vacuum[r, None], clicked[r]
+            for _ in range(c):
+                low = rest & -rest
+                rest = rest ^ low
+                masks = np.concatenate([masks, masks | low[:, None]], axis=1)
+            vals = table[masks]
+            if not vals.all():
+                _fill_vacuum(state, table, np.unique(masks[vals == 0]))
+                vals = table[masks]
+            out[r] = vals @ signs
+    bad = np.flatnonzero(~((out >= -_PROB_TOL) & (out <= 1.0 + _PROB_TOL)))
+    if bad.size:
+        raise PhysicalityError(f"click probability {out[bad[0]]} outside [0, 1]")
+    return np.clip(out, 0.0, 1.0)
 
 
 def marginal_probability(state: GaussianState, vacuum: int, clicked: int) -> float:
     """Probability of clicks on every mode of bitmask `clicked` and vacuum on
     every mode of bitmask `vacuum`, other modes unobserved."""
-    memo = state._vacuum
-    total = 0.0
-    z = clicked
-    while True:
-        w = vacuum | z
-        p = memo.get(w)
-        if p is None:
-            p = memo[w] = _vacuum_probability(state, w)
-        total += -p if z.bit_count() & 1 else p
-        if not z:
-            break
-        z = (z - 1) & clicked
-    if not -_PROB_TOL <= total <= 1.0 + _PROB_TOL:
-        raise PhysicalityError(f"click probability {total} outside [0, 1]")
-    return min(max(total, 0.0), 1.0)
+    return float(marginal_probabilities(state, [vacuum], [clicked])[0])
 
 
 def pattern_probability(state: GaussianState, pattern) -> float:
@@ -272,13 +341,7 @@ def pattern_probability(state: GaussianState, pattern) -> float:
     m = state.modes
     if bits.shape != (m,) or np.any((bits != 0) & (bits != 1)):
         raise ValidationError("pattern must be a 0/1 vector of length modes")
-    clicked = np.flatnonzero(bits == 1)
-    if clicked.size > TORONTONIAN_MAX_MODES:
-        raise CostGuardError(
-            f"pattern with {clicked.size} clicks exceeds the cost cap of "
-            f"{TORONTONIAN_MAX_MODES}"
-        )
-    c = sum(1 << int(i) for i in clicked)
+    c = sum(1 << int(i) for i in np.flatnonzero(bits == 1))
     return marginal_probability(state, ((1 << m) - 1) ^ c, c)
 
 
@@ -291,7 +354,8 @@ def mode_click_probability(state: GaussianState, mode: int) -> float:
 
 def mean_clicks(state: GaussianState) -> float:
     """Expected click count: sum of single-mode marginal click probabilities."""
-    return sum(mode_click_probability(state, k) for k in range(state.modes))
+    single = 1 << np.arange(state.modes, dtype=np.int64)
+    return sum(marginal_probabilities(state, np.zeros_like(single), single).tolist())
 
 
 def mean_photons(state: GaussianState) -> float:

@@ -2,10 +2,14 @@
 
 Sampling works mode by mode through the chain rule: the conditional click
 probability of mode k given a prefix outcome is a ratio of two marginal
-probabilities on the first k + 1 modes. Both come from the state's
-vacuum-probability kernel (`gaussian.marginal_probability`), whose per-state
-memo of subset determinants lets a pool of many samples reuse almost all of
-them.
+probabilities on the first k + 1 modes. All draws of a pool advance in
+lockstep, one mode at a time. At mode k a draw's click bitmask over the
+modes before k fixes its whole prefix (the vacuum modes are the complement),
+so the distinct masks are the distinct prefixes, and one call of the
+batched vacuum-probability kernel (`gaussian.marginal_probabilities`) gives
+every prefix's probability with vacuum on mode k. The kernel's table of
+subset determinants lives on the state, so later modes and later pools from
+the same state reuse almost all of them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .errors import CostGuardError, ValidationError
 
 __all__ = ["SamplePool", "sample", "postselect", "save_pool", "load_pool"]
 
-MAX_MODES = 24
 MAX_EXPECTED_CLICKS = 14
 
 
@@ -47,41 +50,34 @@ class SamplePool:
         return np.array([sum(p) for p in self.samples], dtype=int)
 
 
-def _draw(state: gaussian.GaussianState, uniforms: list) -> tuple:
-    """One chain-rule sample: with p the probability of the prefix outcome and
-    p0 that of the prefix plus vacuum on mode k, mode k clicks iff
-    u_k < (p - p0) / p."""
-    vacuum = clicked = 0
-    p_prefix = 1.0
-    for k, u in enumerate(uniforms):
-        bit = 1 << k
-        p0 = gaussian.marginal_probability(state, vacuum | bit, clicked)
-        if u * p_prefix < p_prefix - p0:
-            clicked |= bit
-            p_prefix -= p0
-        else:
-            vacuum |= bit
-            p_prefix = p0
-    return tuple(clicked >> k & 1 for k in range(len(uniforms)))
-
-
 def sample(state: gaussian.GaussianState, count: int, seed: int) -> SamplePool:
-    """Draw i.i.d. exact samples from a state's threshold-click distribution."""
+    """Draw i.i.d. exact samples from a state's threshold-click distribution.
+
+    With p the probability of a draw's prefix outcome and p0 that of the
+    prefix plus vacuum on mode k, mode k clicks iff u_k < (p - p0) / p.
+    States above `gaussian.MAX_TABLE_MODES` modes are refused by the kernel.
+    """
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
-    if state.modes > MAX_MODES:
-        raise CostGuardError(
-            f"sampling supports at most {MAX_MODES} modes, got {state.modes}"
-        )
     expected = gaussian.mean_clicks(state)
     if expected > MAX_EXPECTED_CLICKS:
         raise CostGuardError(
             f"expected click count {expected:.2f} exceeds the sampling cost "
             f"guard of {MAX_EXPECTED_CLICKS}"
         )
-    rng = np.random.default_rng(seed)
-    uniforms = rng.random((count, state.modes)).tolist()
-    samples = tuple(_draw(state, u) for u in uniforms)
+    uniforms = np.random.default_rng(seed).random((count, state.modes))
+    clicked = np.zeros(count, dtype=np.int64)
+    p = np.ones(count)
+    for k in range(state.modes):
+        prefixes, inverse = np.unique(clicked, return_inverse=True)
+        p0 = gaussian.marginal_probabilities(
+            state, ((2 << k) - 1) ^ prefixes, prefixes
+        )[inverse]
+        click = uniforms[:, k] * p < p - p0
+        clicked[click] |= 1 << k
+        p = np.where(click, p - p0, p0)
+    bits = (clicked[:, None] >> np.arange(state.modes)) & 1
+    samples = tuple(map(tuple, bits.tolist()))
     return SamplePool(
         modes=state.modes,
         samples=samples,
@@ -115,7 +111,8 @@ def save_pool(pool: SamplePool, path) -> None:
 
 def load_pool(path) -> SamplePool:
     """Read a sample file: 'modes=M' header, one 0/1 string per line,
-    '#' lines ignored (provenance/seed comments are restored if present)."""
+    '#' lines ignored except provenance/seed comments, which are restored
+    and must parse."""
     provenance: dict = {}
     seed = None
     modes = None
@@ -129,14 +126,20 @@ def load_pool(path) -> SamplePool:
                 body = line[1:].strip()
                 if body.startswith("provenance:"):
                     try:
-                        provenance = json.loads(body[len("provenance:"):].strip())
+                        provenance = json.loads(body[len("provenance:"):])
                     except json.JSONDecodeError:
-                        pass
+                        provenance = None
+                    if not isinstance(provenance, dict):
+                        raise ValidationError(
+                            f"{path}:{lineno}: provenance header is not a JSON object"
+                        )
                 elif body.startswith("seed:"):
                     try:
-                        seed = int(body[len("seed:"):].strip())
+                        seed = int(body[len("seed:"):])
                     except ValueError:
-                        pass
+                        raise ValidationError(
+                            f"{path}:{lineno}: seed header is not an integer"
+                        ) from None
                 continue
             if modes is None:
                 if not line.startswith("modes="):

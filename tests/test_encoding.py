@@ -123,6 +123,18 @@ class TestChooseScale:
         state = encode_graph(g, c).build_state()
         assert gaussian.mean_clicks(state) == pytest.approx(2.0, abs=1e-4)
 
+    def test_factorizes_once(self, monkeypatch):
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(1)
+            return takagi(a, *args, **kwargs)
+
+        monkeypatch.setattr("gbskit.encoding.takagi", counting)
+        g = planted_clique_graph(16, 6, 0.2, seed=1)
+        assert choose_scale(g, 4.0) == pytest.approx(0.1642854711448079, rel=1e-12)
+        assert len(calls) == 1
+
     def test_monotone_in_target(self):
         g = random_complex_graph(6, seed=9)
         scales = [choose_scale(g, t) for t in [0.5, 1.0, 2.0, 3.0]]

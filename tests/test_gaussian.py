@@ -208,6 +208,15 @@ class TestPatternProbability:
         with pytest.raises(CostGuardError):
             pattern_probability(vacuum(17), [1] * 17)
 
+    def test_kernel_refuses_more_than_16_clicks(self):
+        with pytest.raises(CostGuardError):
+            gaussian.marginal_probability(vacuum(17), 0, (1 << 17) - 1)
+
+    def test_kernel_rejects_bad_masks(self):
+        for vac, clk in [(1, 1), (0, 1 << 3), (-1, 0)]:
+            with pytest.raises(ValidationError):
+                gaussian.marginal_probability(vacuum(3), vac, clk)
+
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValidationError):
             pattern_probability(vacuum(2), [0, 2])

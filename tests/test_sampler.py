@@ -27,6 +27,21 @@ def random_state(m, seed, r_max=0.8):
     return gaussian.state_from_device(r, u)
 
 
+def noisy_state():
+    state = gaussian.apply_thermal(random_state(5, 12), 0.3)
+    return gaussian.apply_loss(state, 0.7)
+
+
+def torontonian_prefix(state, k, clicked):
+    """Probability of clicks on bitmask `clicked` and vacuum on the other
+    modes below k: Tor(O_S)/sqrt(det sigma) on the reduced state of modes < k."""
+    red = gaussian.reduce_modes(state, range(k))
+    o = np.eye(2 * k) - np.linalg.inv(red.husimi)
+    s = [i for i in range(k) if clicked >> i & 1]
+    idx = s + [i + k for i in s]
+    return torontonian(o[np.ix_(idx, idx)]) / np.sqrt(np.linalg.det(red.husimi).real)
+
+
 class TestSample:
     def test_vacuum_all_zero(self):
         state = gaussian.GaussianState(modes=3, husimi=np.eye(6, dtype=complex))
@@ -44,21 +59,45 @@ class TestSample:
     def test_prefix_probabilities_match_torontonian(self):
         # every prefix marginal the chain rule uses, against Tor(O_S)/sqrt(det)
         # on the reduced state of the prefix modes
-        state = gaussian.apply_thermal(random_state(5, 12), 0.3)
-        state = gaussian.apply_loss(state, 0.7)
+        state = noisy_state()
         for k in range(1, 6):
-            red = gaussian.reduce_modes(state, range(k))
-            o = np.eye(2 * k) - np.linalg.inv(red.husimi)
-            norm = np.sqrt(np.linalg.det(red.husimi).real)
             for bits in itertools.product([0, 1], repeat=k):
-                s = [i for i, b in enumerate(bits) if b]
-                clicked = sum(1 << i for i in s)
-                idx = s + [i + k for i in s]
-                expected = torontonian(o[np.ix_(idx, idx)]) / norm
+                clicked = sum(1 << i for i, b in enumerate(bits) if b)
                 got = gaussian.marginal_probability(
                     state, ((1 << k) - 1) ^ clicked, clicked
                 )
-                assert got == pytest.approx(expected, abs=1e-12)
+                assert got == pytest.approx(
+                    torontonian_prefix(state, k, clicked), abs=1e-12
+                )
+
+    def test_lockstep_draws_replay_torontonian_chain_rule(self):
+        # each draw walked on its own with its own uniforms and the reference
+        # prefix probabilities makes the same click decision at every mode
+        state = noisy_state()
+        pool = sample(state, 300, seed=23)
+        uniforms = np.random.default_rng(23).random((300, 5))
+        for u, drawn in zip(uniforms, pool.samples):
+            clicked, p = 0, 1.0
+            for k in range(5):
+                p0 = torontonian_prefix(state, k + 1, clicked)
+                if u[k] * p < p - p0:
+                    clicked |= 1 << k
+                    p -= p0
+                else:
+                    p = p0
+                assert drawn[k] == clicked >> k & 1
+
+    def test_table_holds_direct_determinants(self):
+        state = random_state(6, 14)
+        sample(state, 500, seed=2)
+        table = state._vacuum
+        filled = np.flatnonzero(table)
+        assert filled.size > 6
+        for w in filled.tolist():
+            idx = [i for i in range(6) if w >> i & 1]
+            idx += [i + 6 for i in idx]
+            d = np.linalg.det(state.husimi[np.ix_(idx, idx)]).real
+            assert table[w] == pytest.approx(d ** -0.5, abs=1e-12)
 
     def test_empirical_distribution_m3(self):
         state = random_state(3, 5)
@@ -184,6 +223,18 @@ class TestPoolIO:
         path = tmp_path / "bad.txt"
         path.write_text("modes=4\n0101\n012\n")
         with pytest.raises(ValidationError, match=":3:"):
+            load_pool(path)
+
+    def test_malformed_provenance_reports_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text('# provenance: {"kind": \n# seed: 3\nmodes=2\n10\n')
+        with pytest.raises(ValidationError, match=r"bad\.txt:1: provenance"):
+            load_pool(path)
+
+    def test_malformed_seed_reports_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text('# provenance: {}\n# seed: x3\nmodes=2\n10\n')
+        with pytest.raises(ValidationError, match=r"bad\.txt:2: seed"):
             load_pool(path)
 
     def test_empty_file_rejected(self, tmp_path):
