@@ -300,8 +300,8 @@ def noise_sweep(
             continue
         # value each pool pattern once; a resampled Pool-RS trial then reduces
         # to the first i.i.d. draw landing on a target-beating pattern
-        subsets = [tuple(i for i, b in enumerate(p) if b) for p in pool.samples]
-        good = np.array([obj.value(s) >= target for s in subsets])
+        subsets = [[i for i, b in enumerate(p) if b] for p in pool.samples]
+        good = obj.values(subsets) >= target
         steps_hit = []
         censored = 0
         for t in range(trials):

@@ -4,6 +4,11 @@ Two objectives (largest |Hafnian|^2 and largest density), two stochastic
 searchers (random search and simulated annealing) that can draw proposals
 either uniformly or from a sample pool, and the deterministic greedy-peeling
 baseline for dense subgraphs.
+
+Random search does not adapt to the values it sees, so it draws its
+proposals in chunks and values each chunk with one `Objective.values` call:
+each distinct proposal once, |Hafnian|^2 through the stacked
+`matfn.hafnians`. Its traces are bit-identical to valuing one step at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 from .encoding import Graph
 from .errors import ValidationError
-from .matfn import hafnian_sq_mod
+from .matfn import hafnian_sq_mod, hafnians
 from .sampler import SamplePool
 
 __all__ = [
@@ -26,6 +31,11 @@ __all__ = [
     "simulated_annealing",
     "greedy_peel",
 ]
+
+# |Hafnian|^2 values an Objective keeps; the oldest is evicted first
+_HAF_CACHE_MAX = 1 << 16
+# random-search steps drawn and valued together
+_RS_CHUNK = 1024
 
 
 def density(g: Graph, subset) -> float:
@@ -66,8 +76,63 @@ class Objective:
         v = self._haf_cache.get(key)
         if v is None:
             v = hafnian_sq_mod(self.graph, key)
-            self._haf_cache[key] = v
+            self._remember(key, v)
         return v
+
+    def values(self, subsets) -> np.ndarray:
+        """Values of the rows of an (N, k) vertex-index array, each distinct
+        row valued once; row i gets the bits of `value(subsets[i])`."""
+        rows = np.asarray(subsets)
+        if rows.ndim != 2 or rows.shape[1] != self.k:
+            raise ValidationError(
+                f"expected an (N, {self.k}) subset array, got shape {rows.shape}"
+            )
+        if rows.size and not np.issubdtype(rows.dtype, np.integer):
+            raise ValidationError(f"subset indices must be integers, not {rows.dtype}")
+        bad = np.flatnonzero(((rows < 0) | (rows >= self.graph.n)).any(axis=1))
+        if bad.size:
+            raise ValidationError(f"subset {bad[0]}: vertex out of range")
+        ordered = np.sort(rows, axis=1)
+        bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if bad.size:
+            raise ValidationError(f"subset {bad[0]}: vertices must be distinct")
+        # maxhaf values sorted subsets, as `value` does; density sums the
+        # submatrix in the order given
+        if self.kind == "maxhaf":
+            rows = ordered
+        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+        a = self.graph.adjacency
+        if self.kind == "density":
+            sums = a[distinct[:, :, None], distinct[:, None, :]].reshape(
+                len(distinct), self.k**2
+            ).sum(axis=1)
+            vals = [abs(z) for z in sums.tolist()]
+        else:
+            keys = [tuple(r) for r in distinct.tolist()]
+            vals = [self._haf_cache.get(key) for key in keys]
+            miss = [i for i, v in enumerate(vals) if v is None]
+            if miss:
+                sub = distinct[miss]
+                found = hafnians(a[sub[:, :, None], sub[:, None, :]]).tolist()
+                for i, h in zip(miss, found):
+                    vals[i] = float(abs(h) ** 2)
+                    self._remember(keys[i], vals[i])
+        return np.array(vals, dtype=float)[inverse.reshape(-1)]
+
+    def _swap_value(self, subset: tuple) -> float:
+        """`value` of a subset a swap made from a valid one, unchecked."""
+        if self.kind == "maxhaf":
+            return self.value(subset)
+        # the adjacency is exactly symmetric, so `a[v][:, v]` (the transposed
+        # layout of `density`'s block) sums the same terms in the same order
+        v = list(subset)
+        return float(abs(self.graph.adjacency[v][:, v].sum()))
+
+    def _remember(self, key: tuple, v: float) -> None:
+        cache = self._haf_cache
+        if len(cache) >= _HAF_CACHE_MAX:
+            del cache[next(iter(cache))]
+        cache[key] = v
 
 
 @dataclass(frozen=True)
@@ -109,25 +174,30 @@ class _PoolCursor:
     """Sequential pool consumption with wrap-around."""
 
     def __init__(self, pool: SamplePool, k: int):
-        bad = [i for i, p in enumerate(pool.samples) if sum(p) != k]
-        if bad:
+        bits = np.array(pool.samples).reshape(len(pool), pool.modes)
+        counts = bits.sum(axis=1)
+        bad = np.flatnonzero(counts != k)
+        if bad.size:
             raise ValidationError(
-                f"pool pattern {bad[0]} has {sum(pool.samples[bad[0]])} clicks, "
-                f"expected {k}"
+                f"pool pattern {bad[0]} has {counts[bad[0]]} clicks, expected {k}"
             )
-        self._subsets = [
-            tuple(i for i, b in enumerate(p) if b) for p in pool.samples
-        ]
+        bad = np.flatnonzero(np.count_nonzero(bits, axis=1) != k)
+        if bad.size:
+            raise ValidationError(f"pool pattern {bad[0]} is not a 0/1 pattern")
+        self._subsets = np.nonzero(bits)[1].reshape(len(pool), k)
         self._pos = 0
         self.wrapped = False
 
+    def take(self, count: int) -> np.ndarray:
+        """The next `count` subsets as a (count, k) array."""
+        size = len(self._subsets)
+        rows = self._subsets[(self._pos + np.arange(count)) % size]
+        self.wrapped = self.wrapped or self._pos + count >= size
+        self._pos = (self._pos + count) % size
+        return rows
+
     def next(self) -> tuple:
-        sub = self._subsets[self._pos]
-        self._pos += 1
-        if self._pos >= len(self._subsets):
-            self._pos = 0
-            self.wrapped = True
-        return sub
+        return tuple(self.take(1)[0].tolist())
 
 
 def _check_pool(obj: Objective, source: ProposalSource) -> _PoolCursor | None:
@@ -148,20 +218,34 @@ def _uniform_subset(rng: np.random.Generator, n: int, k: int) -> tuple:
 def random_search(
     obj: Objective, source: ProposalSource, steps: int, seed: int
 ) -> RunTrace:
-    """Draw one k-subset per step and keep the running best."""
+    """Draw one k-subset per step and keep the running best.
+
+    Proposals are drawn and valued `_RS_CHUNK` steps at a time; the trace
+    and the best subset (the first proposal with the best value) are those
+    of valuing each step in turn.
+    """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     cursor = _check_pool(obj, source)
     rng = np.random.default_rng(seed)
+    n, k = obj.graph.n, obj.k
     best_values = np.empty(steps)
     best_val = -np.inf
     best_sub: tuple = ()
-    for t in range(steps):
-        sub = cursor.next() if cursor else _uniform_subset(rng, obj.graph.n, obj.k)
-        v = obj.value(sub)
-        if v > best_val:
-            best_val, best_sub = v, sub
-        best_values[t] = best_val
+    for lo in range(0, steps, _RS_CHUNK):
+        count = min(_RS_CHUNK, steps - lo)
+        if cursor:
+            props = cursor.take(count)
+        else:
+            props = np.array([_uniform_subset(rng, n, k) for _ in range(count)])
+        vals = obj.values(props)
+        # fmax skips NaN, as the comparison `v > best` of one step does
+        run = np.fmax.accumulate(vals)
+        if run[-1] > best_val:
+            i = int(np.argmax(vals == run[-1]))
+            best_sub = tuple(props[i].tolist())
+        best_values[lo:lo + count] = np.fmax(run, best_val)
+        best_val = best_values[lo + count - 1]
     return RunTrace(
         best_values=best_values,
         best_subset=best_sub,
@@ -205,20 +289,27 @@ def simulated_annealing(
     best_val, best_sub = cur_val, cur
     best_values = np.empty(steps)
     temp = t0
+    outside = [v for v in range(n) if v not in cur]
     for t in range(steps):
-        if cursor and rng.random() < jump_prob:
-            prop = cursor.next()
-        else:
+        swap = not (cursor and rng.random() < jump_prob)
+        if swap:
+            i = int(rng.integers(k))
+            j = int(rng.integers(n - k))
             inside = list(cur)
-            outside = [v for v in range(n) if v not in cur]
-            i = int(rng.integers(len(inside)))
-            j = int(rng.integers(len(outside)))
             inside[i] = outside[j]
             prop = tuple(sorted(inside))
-        prop_val = obj.value(prop)
+            prop_val = obj._swap_value(prop)
+        else:
+            prop = cursor.next()
+            prop_val = obj.value(prop)
         if prop_val >= cur_val or rng.random() < np.exp(
             -(cur_val - prop_val) / temp
         ):
+            if swap:
+                outside[j] = cur[i]
+                outside.sort()
+            else:
+                outside = [v for v in range(n) if v not in prop]
             cur, cur_val = prop, prop_val
         if cur_val > best_val:
             best_val, best_sub = cur_val, cur

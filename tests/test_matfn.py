@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from gbskit import gaussian
+from gbskit import gaussian, matfn
 from gbskit.encoding import Graph
 from gbskit.errors import CostGuardError, PhysicalityError, ValidationError
-from gbskit.matfn import hafnian, hafnian_sq_mod, torontonian
+from gbskit.generators import planted_clique_graph, random_complex_graph, zero_one_graph
+from gbskit.matfn import hafnian, hafnian_sq_mod, hafnians, torontonian
 
 from oracles import matching_hafnian, perfect_matching_count
 
@@ -81,6 +82,71 @@ class TestHafnian:
     def test_cost_guard(self):
         with pytest.raises(CostGuardError):
             hafnian(np.zeros((26, 26)))
+
+
+def subgraph_stack(kind, n, count, seed):
+    """Induced n-vertex subgraphs of one 16-vertex graph of the given kind."""
+    g = {
+        "complex": random_complex_graph(16, seed),
+        "zero-one": zero_one_graph(16, 0.5, seed),
+        "planted-clique": planted_clique_graph(16, 6, 0.2, seed),
+    }[kind]
+    rng = np.random.default_rng(seed)
+    rows = [np.sort(rng.choice(16, size=n, replace=False)) for _ in range(count)]
+    return np.array([g.adjacency[np.ix_(r, r)] for r in rows]).reshape(count, n, n)
+
+
+class TestHafnians:
+    @pytest.mark.parametrize("kind", ["complex", "zero-one", "planted-clique"])
+    @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
+    def test_against_matching_enumeration(self, kind, n):
+        stack = subgraph_stack(kind, n, 12, seed=n + 1)
+        got = hafnians(stack)
+        for h, a in zip(got, stack):
+            expected = matching_hafnian(a)
+            assert abs(h - expected) <= 1e-10 * max(abs(expected), 1)
+
+    @pytest.mark.parametrize("kind", ["complex", "zero-one", "planted-clique"])
+    @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
+    def test_rows_equal_one_matrix_calls(self, kind, n):
+        stack = subgraph_stack(kind, n, 40, seed=n + 7)
+        rows = np.array([hafnian(a) for a in stack], dtype=complex)
+        assert hafnians(stack).tobytes() == rows.tobytes()
+
+    def test_row_bits_do_not_depend_on_the_stack(self, monkeypatch):
+        stack = subgraph_stack("complex", 6, 50, seed=3)
+        whole = hafnians(stack)
+        assert hafnians(stack[17:18]).tobytes() == whole[17:18].tobytes()
+        # chunks of 3 rows: the stack crosses many chunk boundaries
+        monkeypatch.setattr(matfn, "_CHUNK", 3 * 8 * 36)
+        assert hafnians(stack).tobytes() == whole.tobytes()
+
+    def test_empty_stack(self):
+        assert hafnians(np.zeros((0, 4, 4))).shape == (0,)
+
+    def test_rejects_odd_dimension(self):
+        with pytest.raises(ValidationError, match="even dimension, got 3"):
+            hafnians(np.zeros((4, 3, 3)))
+
+    def test_cost_guard(self):
+        with pytest.raises(CostGuardError, match="dimension 26"):
+            hafnians(np.zeros((2, 26, 26)))
+
+    def test_names_the_asymmetric_row(self):
+        stack = subgraph_stack("complex", 4, 5, seed=2)
+        stack[3, 0, 1] += 1.0
+        with pytest.raises(ValidationError, match="stack row 3 is not"):
+            hafnians(stack)
+
+    def test_names_the_nonfinite_row(self):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="stack row 1 contains NaN"):
+            hafnians(stack)
+
+    def test_rejects_non_stack(self):
+        with pytest.raises(ValidationError, match="stack"):
+            hafnians(np.zeros((4, 4)))
 
 
 class TestHafnianSqMod:

@@ -3,9 +3,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from gbskit import solvers
+from gbskit.bench import resampled_pool_source
 from gbskit.encoding import Graph
 from gbskit.errors import ValidationError
 from gbskit.generators import planted_clique_graph, random_complex_graph, zero_one_graph
+from gbskit.matfn import hafnians
 from gbskit.sampler import SamplePool
 from gbskit.solvers import (
     Objective,
@@ -16,6 +19,8 @@ from gbskit.solvers import (
     random_search,
     simulated_annealing,
 )
+
+from oracles import stepwise_random_search, stepwise_simulated_annealing
 
 
 def complete_graph(n):
@@ -148,6 +153,13 @@ class TestRandomSearch:
         with pytest.raises(ValidationError):
             random_search(obj, src, 10, seed=0)
 
+    def test_rejects_pool_pattern_that_is_not_zero_one(self):
+        g = complete_graph(4)
+        obj = Objective(kind="density", graph=g, k=2)
+        pool = SamplePool(modes=4, samples=((1, 1, 0, 0), (2, 0, 0, 0)))
+        with pytest.raises(ValidationError, match="pattern 1 is not a 0/1"):
+            random_search(obj, ProposalSource(kind="pool", pool=pool), 10, seed=0)
+
     def test_rejects_pool_mode_mismatch(self):
         g = complete_graph(6)
         obj = Objective(kind="density", graph=g, k=3)
@@ -237,3 +249,149 @@ class TestGreedyPeel:
     def test_rejects_bad_k(self):
         with pytest.raises(ValidationError):
             greedy_peel(complete_graph(4), 4)
+
+
+def stepwise_sources(n, k, seed):
+    """Uniform, a pool, a 7-pattern pool (wraps) and a resampled pool."""
+    rng = np.random.default_rng(seed)
+    subsets = [set(rng.choice(n, size=k, replace=False).tolist()) for _ in range(60)]
+    pool = pool_from_subsets(n, subsets)
+    return {
+        "uniform": ProposalSource(kind="uniform"),
+        "pool": ProposalSource(kind="pool", pool=pool),
+        "short-pool": ProposalSource(
+            kind="pool", pool=pool_from_subsets(n, subsets[:7])
+        ),
+        "resampled": resampled_pool_source(pool, 400, seed + 1),
+    }
+
+
+SEARCH_GRAPHS = {
+    "complex": (random_complex_graph(10, seed=4), 4),
+    # 0/1 weights: many proposals tie on the best value
+    "zero-one": (zero_one_graph(12, 0.5, seed=6), 4),
+}
+
+
+def assert_same_trace(trace, reference):
+    values, subset, wrapped = reference
+    assert trace.best_values.tobytes() == values.tobytes()
+    assert trace.best_subset == subset
+    assert all(type(v) is int for v in trace.best_subset)
+    assert trace.pool_wrapped == wrapped
+
+
+class TestMatchesStepwiseLoops:
+    @pytest.mark.parametrize("graph", sorted(SEARCH_GRAPHS))
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    @pytest.mark.parametrize("source", ["uniform", "pool", "short-pool", "resampled"])
+    def test_random_search(self, graph, kind, source):
+        g, k = SEARCH_GRAPHS[graph]
+        src = stepwise_sources(g.n, k, 3)[source]
+        for steps, seed in [(1, 0), (37, 1), (400, 2)]:
+            tr = random_search(Objective(kind, g, k), src, steps, seed)
+            ref = stepwise_random_search(Objective(kind, g, k), src, steps, seed)
+            assert_same_trace(tr, ref)
+
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    def test_random_search_across_chunks(self, kind, monkeypatch):
+        g, k = SEARCH_GRAPHS["zero-one"]
+        src = stepwise_sources(g.n, k, 5)["pool"]
+        monkeypatch.setattr(solvers, "_RS_CHUNK", 16)
+        for source in (src, ProposalSource(kind="uniform")):
+            tr = random_search(Objective(kind, g, k), source, 250, seed=9)
+            ref = stepwise_random_search(Objective(kind, g, k), source, 250, 9)
+            assert_same_trace(tr, ref)
+
+    def test_random_search_longer_than_one_chunk(self):
+        g, k = SEARCH_GRAPHS["complex"]
+        steps = solvers._RS_CHUNK + 300
+        tr = random_search(Objective("density", g, k), ProposalSource(), steps, 4)
+        ref = stepwise_random_search(
+            Objective("density", g, k), ProposalSource(), steps, 4
+        )
+        assert_same_trace(tr, ref)
+
+    @pytest.mark.parametrize("graph", sorted(SEARCH_GRAPHS))
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    @pytest.mark.parametrize("source", ["uniform", "pool", "short-pool", "resampled"])
+    def test_simulated_annealing(self, graph, kind, source):
+        g, k = SEARCH_GRAPHS[graph]
+        src = stepwise_sources(g.n, k, 3)[source]
+        for jump_prob, seed in [(0.0, 1), (0.3, 2)]:
+            args = (src, 300, 2.0, 0.99, jump_prob, seed)
+            tr = simulated_annealing(Objective(kind, g, k), *args)
+            ref = stepwise_simulated_annealing(Objective(kind, g, k), *args)
+            assert_same_trace(tr, ref)
+
+
+class TestObjectiveValues:
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    def test_rows_match_value(self, kind):
+        g = random_complex_graph(10, seed=2)
+        rng = np.random.default_rng(0)
+        rows = np.array([rng.choice(10, size=4, replace=False) for _ in range(300)])
+        obj = Objective(kind, g, 4)
+        got = obj.values(rows)
+        want = np.array([Objective(kind, g, 4).value(r.tolist()) for r in rows])
+        assert got.tobytes() == want.tobytes()
+
+    def test_values_each_distinct_subset_once(self, monkeypatch):
+        g = random_complex_graph(8, seed=1)
+        stacks = []
+
+        def counting(stack):
+            stacks.append(len(stack))
+            return hafnians(stack)
+
+        monkeypatch.setattr(solvers, "hafnians", counting)
+        obj = Objective("maxhaf", g, 4)
+        obj.values([[0, 1, 2, 3], [3, 2, 1, 0], [4, 5, 6, 7], [0, 1, 2, 3]])
+        obj.values([[4, 5, 6, 7], [0, 1, 2, 4]])
+        assert stacks == [2, 1]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1, 2]], "expected an"),
+            ([[0, 1, 2, 9], [0, 1, 2, 10]], "subset 1: vertex out of range"),
+            ([[0, 1, 2, 3], [0, 1, 1, 3]], "subset 1: vertices must be distinct"),
+            ([[0.0, 1.0, 2.0, 3.0]], "integers"),
+        ],
+    )
+    def test_rejects_bad_rows(self, rows, message):
+        obj = Objective("density", random_complex_graph(10, seed=2), 4)
+        with pytest.raises(ValidationError, match=message):
+            obj.values(rows)
+
+
+class _PeakDict(dict):
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+class TestHafCacheBound:
+    def test_run_never_holds_more_than_the_cap(self, monkeypatch):
+        g, k = SEARCH_GRAPHS["complex"]
+        src = ProposalSource(kind="uniform")
+        want = random_search(Objective("maxhaf", g, k), src, 300, seed=3)
+        sa_want = simulated_annealing(Objective("maxhaf", g, k), src, 300, seed=3)
+        monkeypatch.setattr(solvers, "_HAF_CACHE_MAX", 5)
+        obj = Objective("maxhaf", g, k, _haf_cache=_PeakDict())
+        got = random_search(obj, src, 300, seed=3)
+        sa_got = simulated_annealing(obj, src, 300, seed=3)
+        assert obj._haf_cache.peak == 5
+        assert got.best_values.tobytes() == want.best_values.tobytes()
+        assert got.best_subset == want.best_subset
+        assert sa_got.best_values.tobytes() == sa_want.best_values.tobytes()
+        assert sa_got.best_subset == sa_want.best_subset
+
+    def test_oldest_entry_is_evicted_first(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_HAF_CACHE_MAX", 2)
+        obj = Objective("maxhaf", complete_graph(6), 2)
+        for s in ([0, 1], [0, 2], [0, 3]):
+            obj.value(s)
+        assert list(obj._haf_cache) == [(0, 2), (0, 3)]
