@@ -8,7 +8,7 @@ evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -31,6 +31,7 @@ __all__ = [
     "score_advantage",
     "speed_advantage",
     "advantage_report",
+    "advantage_study",
     "geometric_fit",
     "noise_sweep",
     "resampled_pool_source",
@@ -172,6 +173,39 @@ def advantage_report(
     )
 
 
+def advantage_study(
+    graph: Graph, k_values, steps: int, trials: int, seed: int,
+    objective: str = "density", pool: SamplePool | None = None,
+    pool_size: int = 20000,
+) -> list[AdvantageReport]:
+    """Resampled Pool-RS against uniform RS, `trials` paired runs of `steps`
+    steps at each subgraph size k. Each k post-selects `pool` to k clicks
+    or, without one, a `pool_size` pool from the graph encoded at k clicks."""
+    reports = []
+    for ki, k in enumerate(k_values):
+        obj = Objective(kind=objective, graph=graph, k=k)
+        raw_pool = pool
+        if raw_pool is None:
+            state = encode_graph(graph, choose_scale(graph, float(k))).build_state()
+            pool_seed = int(np.random.default_rng([seed, ki]).integers(2**32))
+            raw_pool = sampler.sample(state, pool_size, pool_seed)
+        kept = sampler.postselect(raw_pool, k)
+        if len(kept) == 0:
+            raise ValidationError(
+                f"no pool samples left after post-selecting to {k} clicks"
+            )
+        enhanced, classical = [], []
+        for t in range(trials):
+            tseed = int(np.random.default_rng([seed, ki, t]).integers(2**32))
+            src = resampled_pool_source(kept, steps, tseed)
+            enhanced.append(random_search(obj, src, steps, seed=tseed))
+            classical.append(
+                random_search(obj, ProposalSource(kind="uniform"), steps, seed=tseed)
+            )
+        reports.append(advantage_report(k, enhanced, classical, at_step=steps))
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # geometric step-count fit
 # ---------------------------------------------------------------------------
@@ -220,11 +254,9 @@ def resampled_pool_source(pool: SamplePool, steps: int, seed: int) -> ProposalSo
         raise ValidationError("cannot resample an empty pool")
     rng = np.random.default_rng(seed)
     idx = rng.integers(len(pool), size=steps)
-    resampled = SamplePool(
-        modes=pool.modes,
-        samples=tuple(pool.samples[i] for i in idx),
-        provenance=dict(pool.provenance, resampled_steps=steps),
-        seed=seed,
+    resampled = replace(
+        pool, samples=pool.samples[idx],
+        provenance=dict(pool.provenance, resampled_steps=steps), seed=seed,
     )
     return ProposalSource(kind="pool", pool=resampled)
 
@@ -300,8 +332,7 @@ def noise_sweep(
             continue
         # value each pool pattern once; a resampled Pool-RS trial then reduces
         # to the first i.i.d. draw landing on a target-beating pattern
-        subsets = [[i for i, b in enumerate(p) if b] for p in pool.samples]
-        good = obj.values(subsets) >= target
+        good = obj.values(pool.subsets(k)) >= target
         steps_hit = []
         censored = 0
         for t in range(trials):

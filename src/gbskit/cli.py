@@ -9,6 +9,7 @@ cost-guard refusal, 4 numerical-physicality error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -145,10 +146,8 @@ def _cmd_sample(args) -> int:
         state = gaussian.apply_thermal(state, args.epsilon)
     if args.eta < 1:
         state = gaussian.apply_loss(state, args.eta)
-    pool = sampler.sample(state, args.count, args.seed)
-    pool = sampler.SamplePool(
-        modes=pool.modes,
-        samples=pool.samples,
+    pool = dataclasses.replace(
+        sampler.sample(state, args.count, args.seed),
         provenance={
             "kind": "simulated",
             "device": os.path.basename(args.device),
@@ -156,7 +155,6 @@ def _cmd_sample(args) -> int:
             "eta": args.eta,
             "epsilon": args.epsilon,
         },
-        seed=args.seed,
     )
     sampler.save_pool(pool, args.out)
     return 0
@@ -232,32 +230,13 @@ def _bench_advantage(cfg: dict, outdir: str) -> dict:
     pool_size = _field(cfg, "pool_size", int, required=False, default=20000)
 
     g = files.load_graph(graph_path)
-    reports = []
-    for ki, k in enumerate(k_values):
-        if not isinstance(k, int):
-            raise ValidationError("config field 'k_values' must hold integers")
-        obj = Objective(kind=objective, graph=g, k=k)
-        if pool_path is not None:
-            raw_pool = sampler.load_pool(pool_path)
-        else:
-            c = choose_scale(g, float(k))
-            state = encode_graph(g, c).build_state()
-            pool_seed = int(np.random.default_rng([seed, ki]).integers(2**32))
-            raw_pool = sampler.sample(state, pool_size, pool_seed)
-        pool = sampler.postselect(raw_pool, k)
-        if len(pool) == 0:
-            raise ValidationError(
-                f"no pool samples left after post-selecting to {k} clicks"
-            )
-        enhanced, classical = [], []
-        for t in range(trials):
-            tseed = int(np.random.default_rng([seed, ki, t]).integers(2**32))
-            src = bench.resampled_pool_source(pool, steps, tseed)
-            enhanced.append(random_search(obj, src, steps, seed=tseed))
-            classical.append(
-                random_search(obj, ProposalSource(kind="uniform"), steps, seed=tseed)
-            )
-        reports.append(bench.advantage_report(k, enhanced, classical, at_step=steps))
+    if not all(isinstance(k, int) for k in k_values):
+        raise ValidationError("config field 'k_values' must hold integers")
+    pool = sampler.load_pool(pool_path) if pool_path is not None else None
+    reports = bench.advantage_study(
+        g, k_values, steps, trials, seed,
+        objective=objective, pool=pool, pool_size=pool_size,
+    )
     files.save_advantage_report(
         reports,
         os.path.join(outdir, "advantage.csv"),

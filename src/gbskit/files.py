@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -125,15 +126,21 @@ def load_device(path) -> DeviceParams:
 
 # -- traces and reports -----------------------------------------------------
 
-def save_trace(trace: RunTrace, csv_path, summary_path, parameters: dict) -> None:
-    lines = ["step,best_value"]
-    for step, val in enumerate(trace.best_values, start=1):
-        lines.append(f"{step},{float(val)!r}")
+def _save_table(csv_path, header: str, rows, json_path, payload: dict) -> None:
+    """CSV of `rows` under `header` (cells by repr, None as an empty cell),
+    then `payload` with the format version as its JSON mirror."""
+    lines = [header]
+    lines += [",".join("" if v is None else repr(v) for v in row) for row in rows]
     atomic_write_text(csv_path, "\n".join(lines) + "\n")
-    _dump_json(
+    _dump_json(json_path, dict(payload, format_version=FORMAT_VERSION))
+
+
+def save_trace(trace: RunTrace, csv_path, summary_path, parameters: dict) -> None:
+    _save_table(
+        csv_path, "step,best_value",
+        [(step, float(v)) for step, v in enumerate(trace.best_values, start=1)],
         summary_path,
         {
-            "format_version": FORMAT_VERSION,
             "best_subset": list(trace.best_subset),
             "best_value": float(trace.best_values[-1]),
             "steps_used": trace.steps_used,
@@ -145,73 +152,25 @@ def save_trace(trace: RunTrace, csv_path, summary_path, parameters: dict) -> Non
 
 
 def save_correlation_table(table: CorrelationTable, csv_path, json_path) -> None:
-    lines = ["tor,haf_sq,density"]
-    for tor, haf_sq, dens in table.rows:
-        lines.append(f"{float(tor)!r},{float(haf_sq)!r},{float(dens)!r}")
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
-    _dump_json(
-        json_path,
-        {
-            "format_version": FORMAT_VERSION,
-            "rows": [list(r) for r in table.rows],
-            "spearman_tor_haf": table.spearman_tor_haf,
-            "spearman_tor_density": table.spearman_tor_density,
-            "pvalue_tor_haf": table.pvalue_tor_haf,
-            "pvalue_tor_density": table.pvalue_tor_density,
-        },
-    )
+    rows = [tuple(map(float, r)) for r in table.rows]
+    _save_table(csv_path, "tor,haf_sq,density", rows, json_path, asdict(table))
 
 
 def save_advantage_report(reports: list[AdvantageReport], csv_path, json_path) -> None:
-    lines = ["photon_click_k,score_advantage,speed_advantage,trials,standard_error"]
-    for r in reports:
-        lines.append(
-            f"{r.photon_click_k},{r.score_advantage!r},{r.speed_advantage!r},"
-            f"{r.trials},{r.standard_error!r}"
-        )
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
-    _dump_json(
-        json_path,
-        {
-            "format_version": FORMAT_VERSION,
-            "reports": [
-                {
-                    "photon_click_k": r.photon_click_k,
-                    "score_advantage": r.score_advantage,
-                    "speed_advantage": r.speed_advantage,
-                    "trials": r.trials,
-                    "standard_error": r.standard_error,
-                }
-                for r in reports
-            ],
-        },
-    )
+    header = "photon_click_k,score_advantage,speed_advantage,trials,standard_error"
+    _save_table(csv_path, header, [astuple(r) for r in reports], json_path,
+                {"reports": [asdict(r) for r in reports]})
 
 
 def save_noise_table(rows: list[NoisePoint], csv_path, json_path) -> None:
-    lines = ["eta,epsilon,p_hat,ci_lo,ci_hi,trials,censored_fraction,no_success"]
-    payload = []
-    for r in rows:
-        p = "" if r.p_hat is None else repr(r.p_hat)
-        lo = "" if r.ci95 is None else repr(r.ci95[0])
-        hi = "" if r.ci95 is None else repr(r.ci95[1])
-        lines.append(
-            f"{r.eta!r},{r.epsilon!r},{p},{lo},{hi},{r.trials},"
-            f"{r.censored_fraction!r},{int(r.no_success)}"
-        )
-        payload.append(
-            {
-                "eta": r.eta,
-                "epsilon": r.epsilon,
-                "p_hat": r.p_hat,
-                "ci95": list(r.ci95) if r.ci95 is not None else None,
-                "trials": r.trials,
-                "censored_fraction": r.censored_fraction,
-                "no_success": r.no_success,
-            }
-        )
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
-    _dump_json(json_path, {"format_version": FORMAT_VERSION, "rows": payload})
+    header = "eta,epsilon,p_hat,ci_lo,ci_hi,trials,censored_fraction,no_success"
+    cells = [
+        (r.eta, r.epsilon, r.p_hat, *(r.ci95 or (None, None)), r.trials,
+         r.censored_fraction, int(r.no_success))
+        for r in rows
+    ]
+    _save_table(csv_path, header, cells, json_path,
+                {"rows": [asdict(r) for r in rows]})
 
 
 def save_manifest(path, command: str, parameters: dict) -> None:

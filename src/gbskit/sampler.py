@@ -27,27 +27,59 @@ __all__ = ["SamplePool", "sample", "postselect", "save_pool", "load_pool"]
 MAX_EXPECTED_CLICKS = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplePool:
-    """Ordered collection of click patterns from one device or file."""
+    """Ordered click patterns from one device or file.
+
+    Any array-like of patterns is stored as a read-only (N, modes) uint8
+    array; ragged rows, rows of the wrong length and entries other than 0
+    or 1 raise ValidationError naming the first bad row.
+    """
 
     modes: int
-    samples: tuple
+    samples: np.ndarray
     provenance: dict = field(default_factory=dict)
     seed: int | None = None
 
     def __post_init__(self):
-        for pat in self.samples:
-            if len(pat) != self.modes:
-                raise ValidationError(
-                    f"pattern length {len(pat)} does not match modes={self.modes}"
-                )
+        object.__setattr__(self, "samples", _pattern_array(self.samples, self.modes))
 
     def __len__(self) -> int:
         return len(self.samples)
 
     def click_counts(self) -> np.ndarray:
-        return np.array([sum(p) for p in self.samples], dtype=int)
+        return self.samples.sum(axis=1, dtype=int)
+
+    def subsets(self, k: int) -> np.ndarray:
+        """The clicked modes of each pattern, ascending, as an (N, k) index
+        array; every pattern must have exactly k clicks."""
+        counts = self.click_counts()
+        bad = np.flatnonzero(counts != k)
+        if bad.size:
+            raise ValidationError(
+                f"pool pattern {bad[0]} has {counts[bad[0]]} clicks, expected {k}"
+            )
+        return np.nonzero(self.samples)[1].reshape(len(self), k)
+
+
+def _pattern_array(samples, modes: int) -> np.ndarray:
+    try:
+        arr = np.asarray(samples)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is not None and arr.shape == (0,):
+        arr = arr.reshape(0, modes)
+    if arr is None or arr.shape[1:] != (modes,):
+        for i, row in enumerate(samples):
+            if not hasattr(row, "__len__") or len(row) != modes:
+                raise ValidationError(f"pattern {i} does not have {modes} entries")
+        raise ValidationError(f"patterns do not form an (N, {modes}) array")
+    bad = np.flatnonzero(~np.isin(arr, (0, 1)).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"pattern {bad[0]} is not a 0/1 pattern")
+    rows = np.array(arr, dtype=np.uint8, order="C")
+    rows.flags.writeable = False
+    return rows
 
 
 def sample(state: gaussian.GaussianState, count: int, seed: int) -> SamplePool:
@@ -77,10 +109,9 @@ def sample(state: gaussian.GaussianState, count: int, seed: int) -> SamplePool:
         clicked[click] |= 1 << k
         p = np.where(click, p - p0, p0)
     bits = (clicked[:, None] >> np.arange(state.modes)) & 1
-    samples = tuple(map(tuple, bits.tolist()))
     return SamplePool(
         modes=state.modes,
-        samples=samples,
+        samples=bits.astype(np.uint8),
         provenance={"kind": "simulated", "count": count},
         seed=seed,
     )
@@ -90,10 +121,12 @@ def postselect(pool: SamplePool, k: int) -> SamplePool:
     """Keep only patterns with exactly k clicks, order preserved."""
     if not 0 <= k <= pool.modes:
         raise ValidationError(f"click count {k} out of range [0, {pool.modes}]")
-    kept = tuple(p for p in pool.samples if sum(p) == k)
-    prov = dict(pool.provenance)
-    prov["postselected_clicks"] = k
-    return SamplePool(modes=pool.modes, samples=kept, provenance=prov, seed=pool.seed)
+    return SamplePool(
+        modes=pool.modes,
+        samples=pool.samples[pool.click_counts() == k],
+        provenance=dict(pool.provenance, postselected_clicks=k),
+        seed=pool.seed,
+    )
 
 
 def save_pool(pool: SamplePool, path) -> None:
@@ -102,11 +135,11 @@ def save_pool(pool: SamplePool, path) -> None:
     if pool.seed is not None:
         lines.append(f"# seed: {pool.seed}")
     lines.append(f"modes={pool.modes}")
-    for pat in pool.samples:
-        lines.append("".join(str(int(b)) for b in pat))
+    # each row's digits and a newline, as one byte array
+    body = np.insert(pool.samples + ord("0"), pool.modes, ord("\n"), axis=1)
     from .files import atomic_write_text  # files imports bench, which imports us
 
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n" + body.tobytes().decode("ascii"))
 
 
 def load_pool(path) -> SamplePool:
@@ -116,7 +149,7 @@ def load_pool(path) -> SamplePool:
     provenance: dict = {}
     seed = None
     modes = None
-    samples = []
+    patterns = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -155,14 +188,18 @@ def load_pool(path) -> SamplePool:
                 if modes <= 0:
                     raise ValidationError(f"{path}:{lineno}: modes must be positive")
                 continue
-            if len(line) != modes or any(c not in "01" for c in line):
+            if len(line) != modes or line.strip("01"):
                 raise ValidationError(
                     f"{path}:{lineno}: expected a {modes}-character 0/1 pattern, "
                     f"got {line!r}"
                 )
-            samples.append(tuple(int(c) for c in line))
+            patterns.append(line)
     if modes is None:
         raise ValidationError(f"{path}: missing 'modes=M' header")
+    digits = np.frombuffer("".join(patterns).encode("ascii"), dtype=np.uint8)
     return SamplePool(
-        modes=modes, samples=tuple(samples), provenance=provenance, seed=seed
+        modes=modes,
+        samples=digits.reshape(-1, modes) - ord("0"),
+        provenance=provenance,
+        seed=seed,
     )

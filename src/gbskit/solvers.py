@@ -174,17 +174,7 @@ class _PoolCursor:
     """Sequential pool consumption with wrap-around."""
 
     def __init__(self, pool: SamplePool, k: int):
-        bits = np.array(pool.samples).reshape(len(pool), pool.modes)
-        counts = bits.sum(axis=1)
-        bad = np.flatnonzero(counts != k)
-        if bad.size:
-            raise ValidationError(
-                f"pool pattern {bad[0]} has {counts[bad[0]]} clicks, expected {k}"
-            )
-        bad = np.flatnonzero(np.count_nonzero(bits, axis=1) != k)
-        if bad.size:
-            raise ValidationError(f"pool pattern {bad[0]} is not a 0/1 pattern")
-        self._subsets = np.nonzero(bits)[1].reshape(len(pool), k)
+        self._subsets = pool.subsets(k)
         self._pos = 0
         self.wrapped = False
 

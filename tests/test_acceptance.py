@@ -97,7 +97,7 @@ class TestAcceptance:
         state = gaussian.state_from_device(r, u)
         pool = sampler.sample(state, 100000, seed=41)
         counts = {p: 0 for p in all_patterns(4)}
-        for p in pool.samples:
+        for p in map(tuple, pool.samples.tolist()):
             counts[p] += 1
         tvd = 0.5 * sum(
             abs(counts[p] / 100000 - gaussian.pattern_probability(state, p))

@@ -142,7 +142,7 @@ class TestResampledPoolSource:
         pool = SamplePool(modes=3, samples=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         a = bench.resampled_pool_source(pool, 10, seed=2)
         b = bench.resampled_pool_source(pool, 10, seed=2)
-        assert a.pool.samples == b.pool.samples
+        assert np.array_equal(a.pool.samples, b.pool.samples)
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValidationError):

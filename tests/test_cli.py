@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gbskit import files
+from gbskit import files, sampler
 from gbskit.cli import main
 from gbskit.encoding import encode_graph
 from gbskit.sampler import load_pool
@@ -171,6 +171,30 @@ class TestBench:
         cfg.write_text("{not json")
         assert run("bench", "correlate", "--config", cfg,
                    "--out", tmp_path / "r") == 2
+
+    def test_advantage_reads_pool_file_once(self, tmp_path, monkeypatch):
+        graph, dev, pool = (tmp_path / n for n in ("g.json", "d.json", "p.txt"))
+        assert run("gen", "--kind", "planted-clique", "--n", 8, "--seed", 1,
+                   "--clique-size", 4, "--out", graph) == 0
+        assert run("encode", graph, "--mean-clicks", 3.0, "--out", dev) == 0
+        assert run("sample", dev, "--count", 400, "--seed", 2, "--out", pool) == 0
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return load_pool(path)
+
+        monkeypatch.setattr(sampler, "load_pool", counted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": str(graph), "k_values": [2, 4], "steps": 20, "trials": 3,
+            "seed": 5, "pool": str(pool),
+        }))
+        outdir = tmp_path / "report"
+        assert run("bench", "advantage", "--config", cfg, "--out", outdir) == 0
+        assert len(calls) == 1
+        lines = (outdir / "advantage.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "4"]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -46,15 +46,19 @@ class TestSample:
     def test_vacuum_all_zero(self):
         state = gaussian.GaussianState(modes=3, husimi=np.eye(6, dtype=complex))
         pool = sample(state, 50, seed=1)
-        assert all(p == (0, 0, 0) for p in pool.samples)
+        assert all(p == [0, 0, 0] for p in pool.samples.tolist())
 
     def test_seed_determinism(self):
         state = random_state(4, 7)
-        assert sample(state, 200, seed=3).samples == sample(state, 200, seed=3).samples
+        assert np.array_equal(
+            sample(state, 200, seed=3).samples, sample(state, 200, seed=3).samples
+        )
 
     def test_different_seeds_differ(self):
         state = random_state(4, 7)
-        assert sample(state, 200, seed=3).samples != sample(state, 200, seed=4).samples
+        assert not np.array_equal(
+            sample(state, 200, seed=3).samples, sample(state, 200, seed=4).samples
+        )
 
     def test_prefix_probabilities_match_torontonian(self):
         # every prefix marginal the chain rule uses, against Tor(O_S)/sqrt(det)
@@ -103,7 +107,7 @@ class TestSample:
         state = random_state(3, 5)
         pool = sample(state, 20000, seed=9)
         counts = {p: 0 for p in all_patterns(3)}
-        for p in pool.samples:
+        for p in map(tuple, pool.samples.tolist()):
             counts[p] += 1
         tvd = 0.5 * sum(
             abs(counts[p] / 20000 - gaussian.pattern_probability(state, p))
@@ -153,7 +157,7 @@ class TestPostselect:
     def test_order_preserved(self):
         pool = SamplePool(modes=2, samples=((1, 0), (0, 1), (1, 0)))
         kept = postselect(pool, 1)
-        assert kept.samples == ((1, 0), (0, 1), (1, 0))
+        assert kept.samples.tolist() == [[1, 0], [0, 1], [1, 0]]
 
     def test_k_zero_on_vacuum_pool(self):
         pool = SamplePool(modes=3, samples=((0, 0, 0),) * 4)
@@ -172,7 +176,7 @@ class TestPoolIO:
         path = tmp_path / "pool.txt"
         save_pool(pool, path)
         loaded = load_pool(path)
-        assert loaded.samples == pool.samples
+        assert np.array_equal(loaded.samples, pool.samples)
         assert loaded.modes == pool.modes
         assert loaded.seed == pool.seed
         assert loaded.provenance == pool.provenance
@@ -197,6 +201,24 @@ class TestPoolIO:
         save_pool(pool, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_file_format_is_pinned(self, tmp_path):
+        pool = SamplePool(
+            modes=3,
+            samples=((1, 0, 1), (0, 0, 0), (0, 1, 1)),
+            provenance={"kind": "simulated", "count": 3},
+            seed=11,
+        )
+        path = tmp_path / "pool.txt"
+        save_pool(pool, path)
+        assert path.read_text() == (
+            '# provenance: {"count": 3, "kind": "simulated"}\n'
+            "# seed: 11\n"
+            "modes=3\n"
+            "101\n"
+            "000\n"
+            "011\n"
+        )
+
     def test_header_only_gives_empty_pool(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("modes=4\n")
@@ -206,12 +228,12 @@ class TestPoolIO:
         path = tmp_path / "one.txt"
         path.write_text("modes=4\n0101\n")
         pool = load_pool(path)
-        assert pool.samples == ((0, 1, 0, 1),)
+        assert pool.samples.tolist() == [[0, 1, 0, 1]]
 
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# a comment\nmodes=2\n# another\n10\n")
-        assert load_pool(path).samples == ((1, 0),)
+        assert load_pool(path).samples.tolist() == [[1, 0]]
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -252,3 +274,42 @@ class TestSamplePool:
     def test_click_counts(self):
         pool = SamplePool(modes=3, samples=((1, 1, 0), (0, 0, 0)))
         assert pool.click_counts().tolist() == [2, 0]
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ((2, 0, 0), "pattern 1 is not a 0/1 pattern"),
+            ((-1, 0, 0), "pattern 1 is not a 0/1 pattern"),
+            ((0.5, 0, 0), "pattern 1 is not a 0/1 pattern"),
+            ((0, 1), "pattern 1 does not have 3 entries"),
+        ],
+    )
+    def test_rejects_bad_row_by_index(self, bad_row, message):
+        with pytest.raises(ValidationError, match=message):
+            SamplePool(modes=3, samples=((1, 0, 1), bad_row, (0, 0, 0)))
+
+    def test_samples_are_read_only_uint8_array(self):
+        pool = SamplePool(modes=3, samples=[[1, 0, 1], [0, 1, 0]])
+        assert pool.samples.dtype == np.uint8
+        assert pool.samples.shape == (2, 3)
+        assert pool.samples.flags.c_contiguous
+        with pytest.raises(ValueError):
+            pool.samples[0, 0] = 0
+
+    def test_input_array_is_copied(self):
+        bits = np.array([[1, 0], [0, 1]])
+        pool = SamplePool(modes=2, samples=bits)
+        bits[0, 0] = 0
+        assert pool.samples.tolist() == [[1, 0], [0, 1]]
+
+    def test_empty_pool_has_mode_columns(self):
+        assert SamplePool(modes=4, samples=()).samples.shape == (0, 4)
+
+    def test_subsets(self):
+        pool = SamplePool(modes=4, samples=((1, 0, 1, 0), (0, 1, 0, 1)))
+        assert pool.subsets(2).tolist() == [[0, 2], [1, 3]]
+
+    def test_subsets_rejects_wrong_click_count(self):
+        pool = SamplePool(modes=4, samples=((1, 0, 1, 0), (1, 1, 1, 0)))
+        with pytest.raises(ValidationError, match="pattern 1 has 3 clicks"):
+            pool.subsets(2)

@@ -154,11 +154,8 @@ class TestRandomSearch:
             random_search(obj, src, 10, seed=0)
 
     def test_rejects_pool_pattern_that_is_not_zero_one(self):
-        g = complete_graph(4)
-        obj = Objective(kind="density", graph=g, k=2)
-        pool = SamplePool(modes=4, samples=((1, 1, 0, 0), (2, 0, 0, 0)))
         with pytest.raises(ValidationError, match="pattern 1 is not a 0/1"):
-            random_search(obj, ProposalSource(kind="pool", pool=pool), 10, seed=0)
+            SamplePool(modes=4, samples=((1, 1, 0, 0), (2, 0, 0, 0)))
 
     def test_rejects_pool_mode_mismatch(self):
         g = complete_graph(6)
