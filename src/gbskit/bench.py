@@ -8,6 +8,7 @@ evaluation order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,6 +182,8 @@ def advantage_study(
     """Resampled Pool-RS against uniform RS, `trials` paired runs of `steps`
     steps at each subgraph size k. Each k post-selects `pool` to k clicks
     or, without one, a `pool_size` pool from the graph encoded at k clicks."""
+    if not all(isinstance(k, int) for k in k_values):
+        raise ValidationError("k_values must hold integers")
     reports = []
     for ki, k in enumerate(k_values):
         obj = Objective(kind=objective, graph=graph, k=k)
@@ -297,7 +300,6 @@ def noise_sweep(
     classical_budget: int = 1000,
     classical_trials: int = 40,
     objective: str = "density",
-    target: float | None = None,
     mean_clicks: float | None = None,
 ) -> list[NoisePoint]:
     """Pool-enhanced random search under a grid of loss/thermal noise levels.
@@ -310,11 +312,10 @@ def noise_sweep(
     """
     etas = list(eta_grid)
     epss = list(epsilon_grid)
-    if any(not 0 <= e <= 1 for e in etas + epss):
-        raise ValidationError("noise grids must lie within [0, 1]")
+    if any(not isinstance(e, numbers.Real) or not 0 <= e <= 1 for e in etas + epss):
+        raise ValidationError("noise grids must hold real numbers within [0, 1]")
     obj = Objective(kind=objective, graph=graph, k=k)
-    if target is None:
-        target = _classical_target(obj, classical_budget, classical_trials, seed)
+    target = _classical_target(obj, classical_budget, classical_trials, seed)
     c = choose_scale(
         graph, target_mean_clicks=float(k) if mean_clicks is None else mean_clicks
     )

@@ -2,15 +2,15 @@
 
 Subcommands: gen, encode, sample, solve, bench. Every command is
 deterministic given its seed and input files; bench writes a manifest that
-makes runs replayable. Exit codes: 0 success, 2 validation error, 3
-cost-guard refusal, 4 numerical-physicality error.
+makes runs replayable. Exit codes: 0 success, 2 validation error or a file
+that cannot be read or written, 3 cost-guard refusal, 4
+numerical-physicality error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -79,37 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output report directory")
     return parser
-
-
-# -- config validation --------------------------------------------------------
-
-def _load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: malformed JSON ({exc})") from None
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    return cfg
-
-
-def _field(cfg: dict, name: str, kind, required: bool = True, default=None):
-    if name not in cfg:
-        if required:
-            raise ValidationError(f"config field {name!r} is required")
-        return default
-    value = cfg[name]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ValidationError(
-            f"config field {name!r} must be of type {kind.__name__}, "
-            f"got {type(value).__name__}"
-        )
-    return value
 
 
 # -- command implementations --------------------------------------------------
@@ -206,94 +175,80 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _bench_correlate(cfg: dict, outdir: str) -> dict:
-    n_matrices = _field(cfg, "n_matrices", int)
-    seed = _field(cfg, "seed", int)
-    mode_count = _field(cfg, "mode_count", int, required=False, default=4)
-    table = bench.correlation_study(n_matrices, seed, mode_count)
-    files.save_correlation_table(
-        table,
-        os.path.join(outdir, "correlation.csv"),
-        os.path.join(outdir, "correlation.json"),
-    )
-    return {"n_matrices": n_matrices, "seed": seed, "mode_count": mode_count}
+# Each bench study: its `bench` function, its `files` writer and output file
+# stem, and its config fields as (name, type, default), _REQUIRED marking a
+# field without one. The parsed fields are the study's keyword arguments,
+# with the graph and pool paths loaded, and the manifest's parameters.
+# Functions are named, not held, so a patched module attribute is the one
+# called.
+_REQUIRED = object()
+_STUDIES = {
+    "correlate": ("correlation_study", "save_correlation_table", "correlation", [
+        ("n_matrices", int, _REQUIRED),
+        ("seed", int, _REQUIRED),
+        ("mode_count", int, 4),
+    ]),
+    "advantage": ("advantage_study", "save_advantage_report", "advantage", [
+        ("graph", str, _REQUIRED),
+        ("objective", str, "density"),
+        ("k_values", list, _REQUIRED),
+        ("steps", int, 1000),
+        ("trials", int, 20),
+        ("seed", int, _REQUIRED),
+        ("pool", str, None),
+        ("pool_size", int, 20000),
+    ]),
+    "noise-sweep": ("noise_sweep", "save_noise_table", "noise_sweep", [
+        ("graph", str, _REQUIRED),
+        ("k", int, _REQUIRED),
+        ("eta_grid", list, (1.0,)),
+        ("epsilon_grid", list, (0.0,)),
+        ("trials", int, 200),
+        ("seed", int, _REQUIRED),
+        ("pool_size", int, 20000),
+        ("budget", int, 4000),
+        ("classical_budget", int, 1000),
+        ("classical_trials", int, 40),
+        ("objective", str, "density"),
+        ("mean_clicks", float, None),
+    ]),
+}
 
 
-def _bench_advantage(cfg: dict, outdir: str) -> dict:
-    graph_path = _field(cfg, "graph", str)
-    objective = _field(cfg, "objective", str, required=False, default="density")
-    k_values = _field(cfg, "k_values", list)
-    steps = _field(cfg, "steps", int, required=False, default=1000)
-    trials = _field(cfg, "trials", int, required=False, default=20)
-    seed = _field(cfg, "seed", int)
-    pool_path = _field(cfg, "pool", str, required=False)
-    pool_size = _field(cfg, "pool_size", int, required=False, default=20000)
-
-    g = files.load_graph(graph_path)
-    if not all(isinstance(k, int) for k in k_values):
-        raise ValidationError("config field 'k_values' must hold integers")
-    pool = sampler.load_pool(pool_path) if pool_path is not None else None
-    reports = bench.advantage_study(
-        g, k_values, steps, trials, seed,
-        objective=objective, pool=pool, pool_size=pool_size,
-    )
-    files.save_advantage_report(
-        reports,
-        os.path.join(outdir, "advantage.csv"),
-        os.path.join(outdir, "advantage.json"),
-    )
-    return {
-        "graph": graph_path, "objective": objective, "k_values": k_values,
-        "steps": steps, "trials": trials, "seed": seed,
-        "pool": pool_path, "pool_size": pool_size,
-    }
-
-
-def _bench_noise_sweep(cfg: dict, outdir: str) -> dict:
-    graph_path = _field(cfg, "graph", str)
-    k = _field(cfg, "k", int)
-    eta_grid = _field(cfg, "eta_grid", list, required=False, default=[1.0])
-    epsilon_grid = _field(cfg, "epsilon_grid", list, required=False, default=[0.0])
-    trials = _field(cfg, "trials", int, required=False, default=200)
-    seed = _field(cfg, "seed", int)
-    pool_size = _field(cfg, "pool_size", int, required=False, default=20000)
-    budget = _field(cfg, "budget", int, required=False, default=4000)
-    classical_budget = _field(cfg, "classical_budget", int, required=False, default=1000)
-    classical_trials = _field(cfg, "classical_trials", int, required=False, default=40)
-    objective = _field(cfg, "objective", str, required=False, default="density")
-    mean_clicks = _field(cfg, "mean_clicks", float, required=False)
-
-    g = files.load_graph(graph_path)
-    rows = bench.noise_sweep(
-        g, k, eta_grid, epsilon_grid, trials, seed,
-        pool_size=pool_size, budget=budget,
-        classical_budget=classical_budget, classical_trials=classical_trials,
-        objective=objective, mean_clicks=mean_clicks,
-    )
-    files.save_noise_table(
-        rows,
-        os.path.join(outdir, "noise_sweep.csv"),
-        os.path.join(outdir, "noise_sweep.json"),
-    )
-    return {
-        "graph": graph_path, "k": k, "eta_grid": eta_grid,
-        "epsilon_grid": epsilon_grid, "trials": trials, "seed": seed,
-        "pool_size": pool_size, "budget": budget,
-        "classical_budget": classical_budget,
-        "classical_trials": classical_trials, "objective": objective,
-        "mean_clicks": mean_clicks,
-    }
+def _parse_config(cfg: dict, fields) -> dict:
+    parsed = {}
+    for name, kind, default in fields:
+        if name not in cfg:
+            if default is _REQUIRED:
+                raise ValidationError(f"config field {name!r} is required")
+            parsed[name] = default
+            continue
+        value = cfg[name]
+        if kind is float and isinstance(value, int):
+            value = float(value)
+        if not isinstance(value, kind):
+            raise ValidationError(
+                f"config field {name!r} must be of type {kind.__name__}, "
+                f"got {type(value).__name__}"
+            )
+        parsed[name] = value
+    return parsed
 
 
 def _cmd_bench(args) -> int:
-    cfg = _load_config(args.config)
+    study, writer, stem, fields = _STUDIES[args.subcommand]
+    parameters = _parse_config(files.load_json(args.config), fields)
+    kwargs = dict(parameters)
+    if "graph" in kwargs:
+        kwargs["graph"] = files.load_graph(kwargs["graph"])
+    if kwargs.get("pool") is not None:
+        kwargs["pool"] = sampler.load_pool(kwargs["pool"])
     os.makedirs(args.out, exist_ok=True)
-    runners = {
-        "correlate": _bench_correlate,
-        "advantage": _bench_advantage,
-        "noise-sweep": _bench_noise_sweep,
-    }
-    parameters = runners[args.subcommand](cfg, args.out)
+    getattr(files, writer)(
+        getattr(bench, study)(**kwargs),
+        os.path.join(args.out, stem + ".csv"),
+        os.path.join(args.out, stem + ".json"),
+    )
     files.save_manifest(
         os.path.join(args.out, "manifest.json"),
         command=f"bench {args.subcommand}",
@@ -314,9 +269,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except GbskitError as exc:
+    except (GbskitError, OSError) as exc:
         print(f"gbskit: error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return exc.exit_code if isinstance(exc, GbskitError) else 2
 
 
 if __name__ == "__main__":

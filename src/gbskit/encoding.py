@@ -16,7 +16,7 @@ from . import gaussian
 from .errors import ValidationError
 from .linalg import as_matrix, takagi
 
-__all__ = ["Graph", "DeviceParams", "encode_graph", "choose_scale", "subgraph"]
+__all__ = ["Graph", "DeviceParams", "encode_graph", "choose_scale"]
 
 _SYM_TOL = 1e-10
 
@@ -105,14 +105,3 @@ def choose_scale(
             hi = mid
     return (lo + hi) / 2.0
 
-
-def subgraph(g: Graph, pattern) -> Graph:
-    """Induced subgraph on the clicked vertices of a pattern."""
-    bits = np.asarray(pattern, dtype=int)
-    if bits.shape != (g.n,):
-        raise ValidationError(
-            f"pattern length {bits.size} does not match graph size {g.n}"
-        )
-    keep = np.flatnonzero(bits == 1)
-    sub = g.adjacency[np.ix_(keep, keep)]
-    return Graph(n=len(keep), adjacency=sub)

@@ -10,18 +10,22 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, astuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bench import AdvantageReport, CorrelationTable, NoisePoint
 from .encoding import DeviceParams, Graph
 from .errors import ValidationError
-from .solvers import RunTrace
+
+if TYPE_CHECKING:
+    from .bench import AdvantageReport, CorrelationTable, NoisePoint
+    from .solvers import RunTrace
 
 FORMAT_VERSION = 1
 
 __all__ = [
     "atomic_write_text",
+    "load_json",
     "save_graph",
     "load_graph",
     "save_device",
@@ -54,12 +58,16 @@ def _dump_json(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path) -> dict:
+def load_json(path) -> dict:
+    """Read a file holding one JSON object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return data
 
 
 # -- graph ------------------------------------------------------------------
@@ -75,7 +83,7 @@ def save_graph(g: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
-    data = _load_json(path)
+    data = load_json(path)
     for key in ("n", "entries"):
         if key not in data:
             raise ValidationError(f"{path}: graph file missing field {key!r}")
@@ -113,7 +121,7 @@ def save_device(dev: DeviceParams, path) -> None:
 
 
 def load_device(path) -> DeviceParams:
-    data = _load_json(path)
+    data = load_json(path)
     for key in ("modes", "scale", "squeezing", "interferometer_re", "interferometer_im"):
         if key not in data:
             raise ValidationError(f"{path}: device file missing field {key!r}")

@@ -33,19 +33,15 @@ from .matfn import TORONTONIAN_MAX_MODES
 __all__ = [
     "GaussianState",
     "SamplingMatrix",
-    "NoiseConfig",
     "state_from_device",
     "pure_state_from_a",
     "sampling_matrix",
     "apply_loss",
     "apply_thermal",
     "pattern_probability",
-    "marginal_probability",
     "marginal_probabilities",
-    "reduce_modes",
     "mode_click_probability",
     "mean_clicks",
-    "mean_photons",
 ]
 
 # the vacuum table holds 2^M float64 values: 128 MB at this many modes
@@ -105,20 +101,6 @@ class SamplingMatrix:
     @property
     def full(self) -> np.ndarray:
         return np.block([[self.a, self.l], [self.l.conj().T, self.a.conj()]])
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Uniform device noise: transmission eta and thermal mixing epsilon."""
-
-    eta: float = 1.0
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValidationError(f"eta must lie in [0, 1], got {self.eta}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValidationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
 
 def _block_swap(m: int) -> np.ndarray:
@@ -233,21 +215,6 @@ def apply_thermal(state: GaussianState, epsilon: float) -> GaussianState:
     return _assemble(r, fac.unitary, epsilon)
 
 
-def reduce_modes(state: GaussianState, keep) -> GaussianState:
-    """Marginal state on the given mode subset."""
-    keep = list(keep)
-    if not keep:
-        raise ValidationError("mode subset must be nonempty")
-    if len(set(keep)) != len(keep):
-        raise ValidationError("mode subset must be distinct")
-    m = state.modes
-    if any(k < 0 or k >= m for k in keep):
-        raise ValidationError("mode index out of range")
-    idx = keep + [k + m for k in keep]
-    sq = state.husimi[np.ix_(idx, idx)]
-    return GaussianState(modes=len(keep), husimi=sq)
-
-
 def _fill_vacuum(state: GaussianState, table: np.ndarray, masks: np.ndarray):
     """Store P_vac(W) = det(sigma_W)^(-1/2) for each distinct mask W."""
     m = state.modes
@@ -329,12 +296,6 @@ def marginal_probabilities(state: GaussianState, vacuum, clicked) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def marginal_probability(state: GaussianState, vacuum: int, clicked: int) -> float:
-    """Probability of clicks on every mode of bitmask `clicked` and vacuum on
-    every mode of bitmask `vacuum`, other modes unobserved."""
-    return float(marginal_probabilities(state, [vacuum], [clicked])[0])
-
-
 def pattern_probability(state: GaussianState, pattern) -> float:
     """Exact probability of a threshold-detector click pattern."""
     bits = np.asarray(pattern, dtype=int)
@@ -342,14 +303,14 @@ def pattern_probability(state: GaussianState, pattern) -> float:
     if bits.shape != (m,) or np.any((bits != 0) & (bits != 1)):
         raise ValidationError("pattern must be a 0/1 vector of length modes")
     c = sum(1 << int(i) for i in np.flatnonzero(bits == 1))
-    return marginal_probability(state, ((1 << m) - 1) ^ c, c)
+    return float(marginal_probabilities(state, [((1 << m) - 1) ^ c], [c])[0])
 
 
 def mode_click_probability(state: GaussianState, mode: int) -> float:
     """Marginal click probability of a single mode, 1 - P_vac({mode})."""
     if not 0 <= mode < state.modes:
         raise ValidationError("mode index out of range")
-    return marginal_probability(state, 0, 1 << int(mode))
+    return float(marginal_probabilities(state, [0], [1 << int(mode)])[0])
 
 
 def mean_clicks(state: GaussianState) -> float:
@@ -357,7 +318,3 @@ def mean_clicks(state: GaussianState) -> float:
     single = 1 << np.arange(state.modes, dtype=np.int64)
     return sum(marginal_probabilities(state, np.zeros_like(single), single).tolist())
 
-
-def mean_photons(state: GaussianState) -> float:
-    """Total mean photon number, tr(sigma_Q)/2 - M."""
-    return float(np.trace(state.husimi).real / 2.0 - state.modes)

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import ValidationError
 
-__all__ = ["TakagiFactorization", "as_matrix", "det", "inverse", "takagi"]
+__all__ = ["TakagiFactorization", "as_matrix", "inverse", "takagi"]
 
 _SINGULAR_TOL = 1e-12
 
@@ -35,14 +35,6 @@ def _check_symmetric(a: np.ndarray, tol: float) -> None:
     scale = max(np.linalg.norm(a), 1.0)
     if np.linalg.norm(a - a.T) > tol * scale:
         raise ValidationError("matrix is not symmetric within tolerance")
-
-
-def det(m) -> complex:
-    """Determinant via pivoted LU."""
-    a = as_matrix(m)
-    if a.shape[0] == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(a))
 
 
 def inverse(m) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import gaussian
 from .errors import CostGuardError, ValidationError
+from .files import atomic_write_text
 
 __all__ = ["SamplePool", "sample", "postselect", "save_pool", "load_pool"]
 
@@ -137,8 +138,6 @@ def save_pool(pool: SamplePool, path) -> None:
     lines.append(f"modes={pool.modes}")
     # each row's digits and a newline, as one byte array
     body = np.insert(pool.samples + ord("0"), pool.modes, ord("\n"), axis=1)
-    from .files import atomic_write_text  # files imports bench, which imports us
-
     atomic_write_text(path, "\n".join(lines) + "\n" + body.tobytes().decode("ascii"))
 
 

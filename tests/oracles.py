@@ -1,31 +1,30 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
-These deliberately avoid the library's algorithms: determinants by cofactor
-expansion, Hafnians by explicit perfect-matching enumeration, rank
-correlations by direct rank-pair counting. The searchers' references value
-one proposal per step through `Objective.value`, as the library's loops did
-before random search was batched.
+These deliberately avoid the library's algorithms: Hafnians by explicit
+perfect-matching enumeration, rank correlations by direct rank-pair
+counting, reduced states and photon numbers read off the covariance. The
+searchers' references value one proposal per step through `Objective.value`,
+as the library's loops did before random search was batched.
 """
 
 import itertools
 
 import numpy as np
 
+from gbskit.gaussian import GaussianState
 
-def cofactor_det(a):
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    if n == 1:
-        return a[0, 0]
-    total = 0.0 + 0.0j
-    rest = list(range(1, n))
-    for j in range(n):
-        cols = [c for c in range(n) if c != j]
-        minor = a[np.ix_(rest, cols)]
-        total += (-1) ** j * a[0, j] * cofactor_det(minor)
-    return total
+
+def reduced_state(state, keep):
+    """Marginal state on the mode list `keep`: the rows and columns of the
+    Husimi covariance for those modes' creation and annihilation parts."""
+    keep = list(keep)
+    idx = keep + [k + state.modes for k in keep]
+    return GaussianState(modes=len(keep), husimi=state.husimi[np.ix_(idx, idx)])
+
+
+def mean_photons(state):
+    """Total mean photon number, tr(sigma_Q)/2 - M."""
+    return float(np.trace(state.husimi).real / 2.0 - state.modes)
 
 
 def matching_hafnian(a):

@@ -180,5 +180,14 @@ class TestNoiseSweep:
 
     def test_rejects_bad_grid(self):
         g = zero_one_graph(8, 0.6, seed=2)
-        with pytest.raises(ValidationError):
-            bench.noise_sweep(g, 3, [1.5], [0.0], trials=5, seed=0)
+        for etas, epss in [([1.5], [0.0]), (["a"], [0.0]), ([1.0], [None])]:
+            with pytest.raises(ValidationError):
+                bench.noise_sweep(g, 3, etas, epss, trials=5, seed=0)
+
+
+class TestAdvantageStudy:
+    def test_rejects_non_integer_k(self):
+        g = zero_one_graph(8, 0.6, seed=2)
+        with pytest.raises(ValidationError, match="k_values"):
+            bench.advantage_study(g, [2, "4"], steps=5, trials=1, seed=0,
+                                  pool_size=50)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gbskit import files, sampler
+from gbskit import bench, files, sampler
 from gbskit.cli import main
 from gbskit.encoding import encode_graph
 from gbskit.sampler import load_pool
@@ -166,6 +166,46 @@ class TestBench:
                    "--out", tmp_path / "r") == 2
         assert "n_matrices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study, cfg, defaults", [
+        ("correlate", {"n_matrices": 2, "seed": 1}, {"mode_count": 4}),
+        ("advantage", {"k_values": [2], "seed": 3},
+         {"objective": "density", "steps": 1000, "trials": 20, "pool": None,
+          "pool_size": 20000}),
+        ("noise-sweep", {"k": 2, "seed": 3},
+         {"eta_grid": [1.0], "epsilon_grid": [0.0], "trials": 200,
+          "pool_size": 20000, "budget": 4000, "classical_budget": 1000,
+          "classical_trials": 40, "objective": "density", "mean_clicks": None}),
+    ], ids=["correlate", "advantage", "noise-sweep"])
+    def test_manifest_records_defaults(self, k6_graph, tmp_path, study, cfg,
+                                       defaults):
+        if study != "correlate":
+            cfg = dict(cfg, graph=str(k6_graph))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "report"
+        assert run("bench", study, "--config", path, "--out", outdir) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["parameters"] == dict(cfg, **defaults)
+
+    def test_integer_mean_clicks_recorded_as_float(self, k6_graph, tmp_path,
+                                                   monkeypatch):
+        seen = {}
+
+        def stub(**kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setattr(bench, "noise_sweep", stub)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"graph": str(k6_graph), "k": 2, "seed": 3, "mean_clicks": 2}
+        ))
+        outdir = tmp_path / "report"
+        assert run("bench", "noise-sweep", "--config", cfg, "--out", outdir) == 0
+        recorded = json.loads((outdir / "manifest.json").read_text())
+        for value in (seen["mean_clicks"], recorded["parameters"]["mean_clicks"]):
+            assert isinstance(value, float) and value == 2.0
+
     def test_malformed_json_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -204,3 +244,21 @@ class TestBench:
             assert run("bench", "correlate", "--config", cfg, "--out", d) == 0
         for name in ("correlation.csv", "correlation.json", "manifest.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+class TestMissingFiles:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{graph}", "--objective", "density", "--k", 3, "--algo", "rs",
+         "--pool", "{tmp}/missing.txt", "--out", "{tmp}/t.csv"],
+        ["encode", "{tmp}/missing.json", "--scale", 0.1, "--out", "{tmp}/d.json"],
+        ["bench", "noise-sweep", "--config", "{tmp}/sweep.json", "--out", "{tmp}/r"],
+        ["bench", "correlate", "--config", "{tmp}/missing.json", "--out", "{tmp}/r"],
+    ], ids=["solve-pool", "encode-graph", "bench-graph", "bench-config"])
+    def test_exits_2(self, k6_graph, tmp_path, capsys, argv):
+        (tmp_path / "sweep.json").write_text(json.dumps(
+            {"graph": str(tmp_path / "missing.json"), "k": 2, "seed": 0}
+        ))
+        argv = [str(a).format(graph=k6_graph, tmp=tmp_path) for a in argv]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gbskit: error:") and "missing" in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gbskit import gaussian
-from gbskit.encoding import Graph, choose_scale, encode_graph, subgraph
+from gbskit.encoding import Graph, choose_scale, encode_graph
 from gbskit.errors import ValidationError
 from gbskit.generators import (
     planted_clique_graph,
@@ -164,26 +164,3 @@ class TestChooseScale:
         with pytest.raises(ValidationError):
             choose_scale(g, 1.0)
 
-
-class TestSubgraph:
-    def test_all_ones_is_identity(self):
-        g = random_complex_graph(5, seed=2)
-        sub = subgraph(g, [1] * 5)
-        assert sub.n == 5
-        assert np.allclose(sub.adjacency, g.adjacency)
-
-    def test_all_zeros_is_empty(self):
-        g = random_complex_graph(5, seed=2)
-        assert subgraph(g, [0] * 5).n == 0
-
-    def test_k4_inside_larger_graph(self):
-        a = np.zeros((6, 6))
-        a[:4, :4] = 1 - np.eye(4)
-        g = Graph(n=6, adjacency=a)
-        sub = subgraph(g, [1, 1, 1, 1, 0, 0])
-        assert np.allclose(sub.adjacency, 1 - np.eye(4))
-
-    def test_rejects_length_mismatch(self):
-        g = random_complex_graph(5, seed=2)
-        with pytest.raises(ValidationError):
-            subgraph(g, [1, 0, 1])

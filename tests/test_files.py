@@ -44,6 +44,12 @@ class TestGraphIO:
         with pytest.raises(ValidationError):
             files.load_graph(path)
 
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text("5")
+        with pytest.raises(ValidationError, match="JSON object"):
+            files.load_graph(path)
+
 
 class TestDeviceIO:
     def test_roundtrip(self, tmp_path):

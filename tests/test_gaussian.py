@@ -8,20 +8,17 @@ from gbskit import gaussian
 from gbskit.errors import CostGuardError, PhysicalityError, ValidationError
 from gbskit.gaussian import (
     GaussianState,
-    NoiseConfig,
     apply_loss,
     apply_thermal,
     mean_clicks,
-    mean_photons,
     pattern_probability,
     pure_state_from_a,
-    reduce_modes,
     sampling_matrix,
     state_from_device,
 )
 from gbskit.matfn import torontonian
 
-from oracles import all_patterns
+from oracles import all_patterns, mean_photons, reduced_state
 
 
 def vacuum(m):
@@ -122,7 +119,7 @@ class TestLoss:
     def test_per_mode_eta(self):
         r, u = random_device(2, 4)
         state = apply_loss(state_from_device(r, u), [1.0, 0.0])
-        red = reduce_modes(state, [1])
+        red = reduced_state(state, [1])
         assert np.allclose(red.husimi, np.eye(2), atol=1e-10)
 
     def test_rejects_out_of_range(self):
@@ -210,12 +207,12 @@ class TestPatternProbability:
 
     def test_kernel_refuses_more_than_16_clicks(self):
         with pytest.raises(CostGuardError):
-            gaussian.marginal_probability(vacuum(17), 0, (1 << 17) - 1)
+            gaussian.marginal_probabilities(vacuum(17), [0], [(1 << 17) - 1])
 
     def test_kernel_rejects_bad_masks(self):
         for vac, clk in [(1, 1), (0, 1 << 3), (-1, 0)]:
             with pytest.raises(ValidationError):
-                gaussian.marginal_probability(vacuum(3), vac, clk)
+                gaussian.marginal_probabilities(vacuum(3), [vac], [clk])
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValidationError):
@@ -223,26 +220,14 @@ class TestPatternProbability:
 
 
 class TestReduce:
-    def test_keep_all_is_identity(self):
-        r, u = random_device(3, 2)
-        state = state_from_device(r, u)
-        assert np.allclose(reduce_modes(state, [0, 1, 2]).husimi, state.husimi)
-
-    def test_vacuum_reduces_to_vacuum(self):
-        assert np.allclose(reduce_modes(vacuum(4), [1, 3]).husimi, np.eye(4))
-
     def test_marginalization_identity(self):
         r, u = random_device(3, 13)
         state = state_from_device(r, u)
-        marg = pattern_probability(reduce_modes(state, [0]), [1])
+        marg = pattern_probability(reduced_state(state, [0]), [1])
         total = sum(
             pattern_probability(state, (1,) + p) for p in all_patterns(2)
         )
         assert marg == pytest.approx(total, abs=1e-8)
-
-    def test_rejects_empty_subset(self):
-        with pytest.raises(ValidationError):
-            reduce_modes(vacuum(2), [])
 
 
 class TestStateValidation:
@@ -255,13 +240,6 @@ class TestStateValidation:
     def test_rejects_uncertainty_violation(self):
         with pytest.raises(PhysicalityError):
             GaussianState(modes=1, husimi=0.3 * np.eye(2))
-
-    def test_noise_config_bounds(self):
-        NoiseConfig(eta=0.5, epsilon=0.1)
-        with pytest.raises(ValidationError):
-            NoiseConfig(eta=-0.1)
-        with pytest.raises(ValidationError):
-            NoiseConfig(epsilon=1.5)
 
     def test_pure_state_from_a_spectral_norm_guard(self):
         with pytest.raises(ValidationError):

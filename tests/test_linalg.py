@@ -2,44 +2,12 @@ import numpy as np
 import pytest
 
 from gbskit.errors import ValidationError
-from gbskit.linalg import det, inverse, takagi
-
-from oracles import cofactor_det
+from gbskit.linalg import inverse, takagi
 
 
 def random_complex(n, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-
-
-class TestDet:
-    def test_identity(self):
-        assert det(np.eye(3)) == pytest.approx(1)
-
-    def test_permutation_sign(self):
-        assert det([[0, 1], [1, 0]]) == pytest.approx(-1)
-
-    def test_against_cofactor_expansion(self):
-        for seed in range(5):
-            a = random_complex(6, seed)
-            expected = cofactor_det(a)
-            assert abs(det(a) - expected) / abs(expected) < 1e-10
-
-    def test_multiplicative(self):
-        for seed in range(10):
-            a = random_complex(5, seed)
-            b = random_complex(5, seed + 100)
-            lhs = det(a @ b)
-            rhs = det(a) * det(b)
-            assert abs(lhs - rhs) / abs(rhs) < 1e-8
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValidationError):
-            det(np.ones((2, 3)))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            det([[np.nan, 0], [0, 1]])
 
 
 class TestInverse:
@@ -59,6 +27,14 @@ class TestInverse:
         a = np.ones((3, 3))
         with pytest.raises(ValidationError):
             inverse(a)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValidationError):
+            inverse(np.ones((2, 3)))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            inverse([[np.nan, 0], [0, 1]])
 
 
 class TestTakagi:

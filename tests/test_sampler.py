@@ -17,7 +17,7 @@ from gbskit.sampler import (
     save_pool,
 )
 
-from oracles import all_patterns
+from oracles import all_patterns, reduced_state
 
 
 def random_state(m, seed, r_max=0.8):
@@ -35,7 +35,7 @@ def noisy_state():
 def torontonian_prefix(state, k, clicked):
     """Probability of clicks on bitmask `clicked` and vacuum on the other
     modes below k: Tor(O_S)/sqrt(det sigma) on the reduced state of modes < k."""
-    red = gaussian.reduce_modes(state, range(k))
+    red = reduced_state(state, range(k))
     o = np.eye(2 * k) - np.linalg.inv(red.husimi)
     s = [i for i in range(k) if clicked >> i & 1]
     idx = s + [i + k for i in s]
@@ -67,9 +67,9 @@ class TestSample:
         for k in range(1, 6):
             for bits in itertools.product([0, 1], repeat=k):
                 clicked = sum(1 << i for i, b in enumerate(bits) if b)
-                got = gaussian.marginal_probability(
-                    state, ((1 << k) - 1) ^ clicked, clicked
-                )
+                got = gaussian.marginal_probabilities(
+                    state, [((1 << k) - 1) ^ clicked], [clicked]
+                )[0]
                 assert got == pytest.approx(
                     torontonian_prefix(state, k, clicked), abs=1e-12
                 )
