@@ -91,8 +91,11 @@ def load_graph(path) -> Graph:
     if not isinstance(n, int) or n <= 0:
         raise ValidationError(f"{path}: field 'n' must be a positive integer")
     a = np.zeros((n, n), dtype=np.complex128)
-    for row in data["entries"]:
-        if len(row) != 4:
+    entries = data["entries"]
+    for row in entries if isinstance(entries, list) else [entries]:
+        if not (isinstance(row, list) and len(row) == 4
+                and all(type(v) is int for v in row[:2])
+                and all(type(v) in (int, float) for v in row[2:])):
             raise ValidationError(
                 f"{path}: entries must be [i, j, re, im], got {row!r}"
             )
@@ -125,11 +128,23 @@ def load_device(path) -> DeviceParams:
     for key in ("modes", "scale", "squeezing", "interferometer_re", "interferometer_im"):
         if key not in data:
             raise ValidationError(f"{path}: device file missing field {key!r}")
-    u = np.array(data["interferometer_re"]) + 1j * np.array(data["interferometer_im"])
-    r = np.asarray(data["squeezing"], dtype=float)
-    if u.shape != (data["modes"], data["modes"]) or r.shape != (data["modes"],):
+    re, im, r, scale = (_numbers(path, data, key) for key in (
+        "interferometer_re", "interferometer_im", "squeezing", "scale"))
+    m = data["modes"]
+    if re.shape != (m, m) or im.shape != (m, m) or r.shape != (m,) or scale.shape:
         raise ValidationError(f"{path}: device field shapes are inconsistent")
-    return DeviceParams(squeezing=r, interferometer=u, scale=float(data["scale"]))
+    return DeviceParams(squeezing=r, interferometer=re + 1j * im, scale=float(scale))
+
+
+def _numbers(path, data: dict, key: str) -> np.ndarray:
+    """Field `key` as a float array; it must hold only (lists of) numbers."""
+    try:
+        arr = np.asarray(data[key])
+    except ValueError:  # ragged lists
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{path}: field {key!r} must hold numbers")
+    return arr.astype(float)
 
 
 # -- traces and reports -----------------------------------------------------

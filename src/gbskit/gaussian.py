@@ -5,19 +5,12 @@ covariance matrix in creation/annihilation ordering, normalized so that the
 vacuum is the identity. The sampling matrix is extracted as X (I - sigma^-1)
 with X the block swap.
 
-Every threshold-detection probability comes from one kernel,
-`marginal_probabilities`: the vacuum probability P_vac(W) = det(sigma_W)^(-1/2)
-of a mode subset W is read off the Husimi matrix, and clicks on C with vacuum
-on R have probability sum over Z subset of C of (-1)^|Z| P_vac(R u Z). The
-kernel takes a batch of (R, C) bitmask rows at once. Each row's 2^|C| masks
-R | Z are looked up in a dense table of 2^M float64 values on the state
-(0 = not yet computed; P_vac > 0 always), allocated on first use. Misses are
-de-duplicated and computed with stacked determinants grouped by subset size,
-and each row's signed terms are summed by one matrix-vector product. Mask
-arrays and determinant stacks are built in chunks of `_CHUNK` elements, so
-their size does not grow with the batch (a row with more than 13 clicks
-has more masks than that and is handled alone; at most 16 clicks are
-allowed).
+`pattern_distribution` gives all 2^M click-pattern probabilities at once:
+clicks on C with vacuum on R have probability sum over Z subset of C of
+(-1)^|Z| P_vac(R u Z), P_vac(W) = det(sigma_W)^(-1/2). One mode-by-mode
+Schur-complement recursion gives every subset determinant, and one subset
+(Yates) transform every sum. Single-mode click probabilities need no 2^M
+vector: they are read off each mode's 2x2 block.
 """
 
 from __future__ import annotations
@@ -28,7 +21,6 @@ import numpy as np
 
 from .errors import CostGuardError, PhysicalityError, ValidationError
 from .linalg import as_matrix, inverse, takagi
-from .matfn import TORONTONIAN_MAX_MODES
 
 __all__ = [
     "GaussianState",
@@ -38,15 +30,15 @@ __all__ = [
     "sampling_matrix",
     "apply_loss",
     "apply_thermal",
+    "pattern_distribution",
     "pattern_probability",
-    "marginal_probabilities",
     "mode_click_probability",
     "mean_clicks",
 ]
 
-# the vacuum table holds 2^M float64 values: 128 MB at this many modes
+# the click distribution holds 2^M float64 values: 128 MB at this many modes
 MAX_TABLE_MODES = 24
-# elements per mask array or determinant stack handled in one numpy call
+# values per stack of Schur complements handled in one numpy call
 _CHUNK = 8192
 
 _HERM_TOL = 1e-10
@@ -63,9 +55,8 @@ class GaussianState:
 
     modes: int
     husimi: np.ndarray
-    # P_vac(W) indexed by the bitmask of W, 0 where not yet computed;
-    # allocated by the first probability query
-    _vacuum: np.ndarray | None = field(
+    # the read-only vector `pattern_distribution` returns, set by its first call
+    _distribution: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -215,106 +206,93 @@ def apply_thermal(state: GaussianState, epsilon: float) -> GaussianState:
     return _assemble(r, fac.unitary, epsilon)
 
 
-def _fill_vacuum(state: GaussianState, table: np.ndarray, masks: np.ndarray):
-    """Store P_vac(W) = det(sigma_W)^(-1/2) for each distinct mask W."""
-    m = state.modes
-    flat = state.husimi.ravel()
-    bits = (masks[:, None] >> np.arange(m)) & 1
-    sizes = bits.sum(axis=1)
-    for s in np.unique(sizes).tolist():
-        sel = sizes == s
-        group = masks[sel]
-        modes = np.nonzero(bits[sel])[1].reshape(-1, s)
-        idx = np.concatenate([modes, modes + m], axis=1)
-        step = max(1, _CHUNK // (2 * s) ** 2)
-        for lo in range(0, group.size, step):
-            sub = idx[lo:lo + step]
-            d = np.linalg.det(flat.take(sub[:, :, None] * 2 * m + sub[:, None, :]))
-            bad = np.flatnonzero((d.real <= 0) | (abs(d.imag) > _IMAG_TOL * abs(d)))
-            if bad.size:
-                i = bad[0]
-                raise PhysicalityError(
-                    f"det of the husimi covariance on modes {sub[i, :s].tolist()} "
-                    f"= {d[i]} is not positive real"
-                )
-            # libm pow, not numpy's SIMD power, whose last bit varies by CPU
-            table[group[lo:lo + step]] = [x ** -0.5 for x in d.real.tolist()]
+def _subset_determinants(out, h, stack, dets, masks) -> None:
+    """Store det(v_W) at out[~W] for every mode subset W whose modes below
+    h are those of some masks[i]. stack[i] is the Schur complement of v on
+    modes h and up given those modes, and dets[i] their det. Mode h is
+    dropped by a slice, or added by a rank-2 update with the inverse of the
+    leading 2x2 block, whose det multiplies dets[i]. Stacks of more than
+    `_CHUNK` values are split along their rows first."""
+    while stack.shape[1]:
+        if stack.size > _CHUNK and len(stack) > 1:
+            half = len(stack) // 2
+            for part in (slice(None, half), slice(half, None)):
+                _subset_determinants(out, h, stack[part], dets[part], masks[part])
+            return
+        a, b, c = stack[:, 0, 0, None], stack[:, 0, 1, None], stack[:, 1, 1, None]
+        pivot = a * c - b * b
+        if not (a.min() > 0 and pivot.min() > 0):
+            w = int(masks[np.flatnonzero(~((a > 0) & (pivot > 0)))[0]]) | 1 << h
+            modes = [i for i in range(h + 1) if w >> i & 1]
+            raise PhysicalityError(f"modes {modes}: husimi block not positive definite")
+        x, y, rest = stack[:, 2:, 0], stack[:, 2:, 1], stack[:, 2:, 2:]
+        f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
+        added = rest - f[:, :, None] * x[:, None, :] - g[:, :, None] * y[:, None, :]
+        stack = np.concatenate([rest, added])
+        dets = np.concatenate([dets, dets * pivot[:, 0]])
+        masks = np.concatenate([masks, masks | 1 << h])
+        h += 1
+    out[out.size - 1 - masks] = dets
 
 
-def marginal_probabilities(state: GaussianState, vacuum, clicked) -> np.ndarray:
-    """For each row i, the probability of clicks on every mode of bitmask
-    `clicked[i]` and vacuum on every mode of bitmask `vacuum[i]`, other modes
-    unobserved."""
-    table = state._vacuum
-    if table is None:
-        if state.modes > MAX_TABLE_MODES:
-            raise CostGuardError(
-                f"the vacuum-probability table for {state.modes} modes exceeds "
-                f"the cap of {MAX_TABLE_MODES} modes"
-            )
-        table = np.zeros(1 << state.modes)
-        table[0] = 1.0
-        object.__setattr__(state, "_vacuum", table)
-    vacuum = np.asarray(vacuum, dtype=np.int64)
-    clicked = np.asarray(clicked, dtype=np.int64)
+def pattern_distribution(state: GaussianState) -> np.ndarray:
+    """Exact probability of every click pattern, as a read-only vector
+    indexed by click bitmask (bit i = mode i), computed once per state."""
     m = state.modes
-    if vacuum.ndim != 1 or vacuum.shape != clicked.shape:
-        raise ValidationError("vacuum and clicked must be 1-D arrays of one length")
-    both = vacuum | clicked
-    if np.any(both < 0) or np.any(both >> m) or np.any(vacuum & clicked):
-        raise ValidationError(
-            f"vacuum and clicked must be disjoint bitmasks of {m} modes"
-        )
-    counts = ((clicked[:, None] >> np.arange(m)) & 1).sum(axis=1)
-    if counts.size and counts.max() > TORONTONIAN_MAX_MODES:
-        raise CostGuardError(
-            f"{counts.max()} clicked modes exceed the cost cap of "
-            f"{TORONTONIAN_MAX_MODES}"
-        )
-    out = np.empty(counts.size)
-    for c in np.unique(counts).tolist():
-        rows = np.flatnonzero(counts == c)
-        signs = np.ones(1)
-        for _ in range(c):
-            signs = np.concatenate([signs, -signs])
-        step = max(1, _CHUNK >> c)
-        for lo in range(0, rows.size, step):
-            r = rows[lo:lo + step]
-            masks, rest = vacuum[r, None], clicked[r]
-            for _ in range(c):
-                low = rest & -rest
-                rest = rest ^ low
-                masks = np.concatenate([masks, masks | low[:, None]], axis=1)
-            vals = table[masks]
-            if not vals.all():
-                _fill_vacuum(state, table, np.unique(masks[vals == 0]))
-                vals = table[masks]
-            out[r] = vals @ signs
-    bad = np.flatnonzero(~((out >= -_PROB_TOL) & (out <= 1.0 + _PROB_TOL)))
-    if bad.size:
-        raise PhysicalityError(f"click probability {out[bad[0]]} outside [0, 1]")
-    return np.clip(out, 0.0, 1.0)
+    if state._distribution is not None:
+        return state._distribution
+    if m > MAX_TABLE_MODES:
+        raise CostGuardError(f"click distribution of {m} modes exceeds the cap "
+                             f"of {MAX_TABLE_MODES} modes")
+    # sigma in the real quadrature basis x0, p0, x1, p1, ...: the change of basis
+    # acts on each mode alone and keeps subset determinants; sigma is real there
+    w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
+    v = w @ state.husimi @ w.conj().T / 2.0
+    if np.linalg.norm(v.imag) > _IMAG_TOL * max(1.0, np.linalg.norm(v.real)):
+        raise PhysicalityError("husimi covariance is not real in the quadrature basis")
+    dist = np.empty(1 << m)
+    _subset_determinants(dist, 0, v.real[None], np.ones(1), np.zeros(1, dtype=int))
+    # P_vac = 1/sqrt(det) at complement masks (IEEE-exact ops), then Yates
+    np.divide(1.0, np.sqrt(dist, out=dist), out=dist)
+    for i in range(m):
+        pairs = dist.reshape(-1, 2, 1 << i)
+        pairs[:, 1] -= pairs[:, 0]
+    lo, hi, total = dist.min(), dist.max(), dist.sum()
+    if not (-_PROB_TOL <= lo and hi <= 1 + _PROB_TOL and abs(total - 1) <= _PROB_TOL):
+        raise PhysicalityError(f"click probabilities in [{lo}, {hi}] sum to {total}")
+    np.clip(dist, 0.0, 1.0, out=dist)
+    dist.flags.writeable = False
+    object.__setattr__(state, "_distribution", dist)
+    return dist
 
 
 def pattern_probability(state: GaussianState, pattern) -> float:
     """Exact probability of a threshold-detector click pattern."""
-    bits = np.asarray(pattern, dtype=int)
-    m = state.modes
-    if bits.shape != (m,) or np.any((bits != 0) & (bits != 1)):
+    bits = np.asarray(pattern)
+    if bits.shape != (state.modes,) or np.any((bits != 0) & (bits != 1)):
         raise ValidationError("pattern must be a 0/1 vector of length modes")
     c = sum(1 << int(i) for i in np.flatnonzero(bits == 1))
-    return float(marginal_probabilities(state, [((1 << m) - 1) ^ c], [c])[0])
+    return float(pattern_distribution(state)[c])
+
+
+def _click_probabilities(state: GaussianState, modes: np.ndarray) -> list:
+    """1 - P_vac({j}) for each mode j, from det of its 2x2 Husimi block."""
+    idx = np.stack([modes, modes + state.modes], axis=1)
+    d = np.linalg.det(state.husimi[idx[:, :, None], idx[:, None, :]]).real
+    # libm pow, not numpy's SIMD power, whose last bit varies by CPU
+    out = 1.0 - np.array([x ** -0.5 for x in d.tolist()])
+    if not (out >= -_PROB_TOL).all():
+        raise PhysicalityError(f"click probability {out.min()} outside [0, 1]")
+    return np.clip(out, 0.0, 1.0).tolist()
 
 
 def mode_click_probability(state: GaussianState, mode: int) -> float:
     """Marginal click probability of a single mode, 1 - P_vac({mode})."""
     if not 0 <= mode < state.modes:
         raise ValidationError("mode index out of range")
-    return float(marginal_probabilities(state, [0], [1 << int(mode)])[0])
+    return _click_probabilities(state, np.array([int(mode)]))[0]
 
 
 def mean_clicks(state: GaussianState) -> float:
     """Expected click count: sum of single-mode marginal click probabilities."""
-    single = 1 << np.arange(state.modes, dtype=np.int64)
-    return sum(marginal_probabilities(state, np.zeros_like(single), single).tolist())
-
+    return sum(_click_probabilities(state, np.arange(state.modes)))

@@ -3,13 +3,10 @@
 Sampling works mode by mode through the chain rule: the conditional click
 probability of mode k given a prefix outcome is a ratio of two marginal
 probabilities on the first k + 1 modes. All draws of a pool advance in
-lockstep, one mode at a time. At mode k a draw's click bitmask over the
-modes before k fixes its whole prefix (the vacuum modes are the complement),
-so the distinct masks are the distinct prefixes, and one call of the
-batched vacuum-probability kernel (`gaussian.marginal_probabilities`) gives
-every prefix's probability with vacuum on mode k. The kernel's table of
-subset determinants lives on the state, so later modes and later pools from
-the same state reuse almost all of them.
+lockstep, one mode at a time. Every marginal is read from one buffer of
+prefix marginals, each level summed from the halves of the level above it,
+starting from the state's whole click distribution
+(`gaussian.pattern_distribution`), so a mode costs one lookup per draw.
 """
 
 from __future__ import annotations
@@ -83,12 +80,23 @@ def _pattern_array(samples, modes: int) -> np.ndarray:
     return rows
 
 
+def _prefix_marginals(dist: np.ndarray) -> list:
+    """levels[j][x] is the probability of outcome x on the modes below j; each
+    level sums the halves of the one above, all but `dist` in one buffer."""
+    buf = np.empty(dist.size)
+    levels = [dist]
+    for j in reversed(range(dist.size.bit_length() - 1)):
+        top = levels[-1]
+        levels.append(np.add(top[:1 << j], top[1 << j:], out=buf[1 << j:2 << j]))
+    return levels[::-1]
+
+
 def sample(state: gaussian.GaussianState, count: int, seed: int) -> SamplePool:
     """Draw i.i.d. exact samples from a state's threshold-click distribution.
 
     With p the probability of a draw's prefix outcome and p0 that of the
     prefix plus vacuum on mode k, mode k clicks iff u_k < (p - p0) / p.
-    States above `gaussian.MAX_TABLE_MODES` modes are refused by the kernel.
+    States above `gaussian.MAX_TABLE_MODES` modes are refused.
     """
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
@@ -98,14 +106,12 @@ def sample(state: gaussian.GaussianState, count: int, seed: int) -> SamplePool:
             f"expected click count {expected:.2f} exceeds the sampling cost "
             f"guard of {MAX_EXPECTED_CLICKS}"
         )
+    levels = _prefix_marginals(gaussian.pattern_distribution(state))
     uniforms = np.random.default_rng(seed).random((count, state.modes))
     clicked = np.zeros(count, dtype=np.int64)
     p = np.ones(count)
     for k in range(state.modes):
-        prefixes, inverse = np.unique(clicked, return_inverse=True)
-        p0 = gaussian.marginal_probabilities(
-            state, ((2 << k) - 1) ^ prefixes, prefixes
-        )[inverse]
+        p0 = levels[k + 1][clicked]
         click = uniforms[:, k] * p < p - p0
         clicked[click] |= 1 << k
         p = np.where(click, p - p0, p0)

@@ -1,8 +1,11 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 These deliberately avoid the library's algorithms: Hafnians by explicit
-perfect-matching enumeration, rank correlations by direct rank-pair
-counting, reduced states and photon numbers read off the covariance. The
+perfect-matching enumeration, click distributions by inclusion-exclusion
+over direct determinants, rank correlations by direct rank-pair counting,
+reduced states and photon numbers read off the covariance. The graph
+families with degenerate or zero Takagi values (cycle, star, rank two) are
+built here for the encoding and distribution tests alike. The
 searchers' references value one proposal per step through `Objective.value`,
 as the library's loops did before random search was batched.
 """
@@ -11,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from gbskit.encoding import Graph
 from gbskit.gaussian import GaussianState
 
 
@@ -20,6 +24,48 @@ def reduced_state(state, keep):
     keep = list(keep)
     idx = keep + [k + state.modes for k in keep]
     return GaussianState(modes=len(keep), husimi=state.husimi[np.ix_(idx, idx)])
+
+
+def inclusion_exclusion_distribution(state):
+    """Probability of every click pattern, indexed by click bitmask: clicks
+    on C and vacuum on the rest R is the sum over Z subset of C of
+    (-1)^|Z| det(sigma_{R u Z})^(-1/2), each determinant taken directly
+    from the Husimi submatrix."""
+    m = state.modes
+    pvac = []
+    for w in range(1 << m):
+        idx = [i for i in range(m) if w >> i & 1]
+        idx += [i + m for i in idx]
+        pvac.append(np.linalg.det(state.husimi[np.ix_(idx, idx)]).real ** -0.5)
+    full = (1 << m) - 1
+    out = np.zeros(1 << m)
+    for c in range(1 << m):
+        z = c
+        while True:  # every z subset of c
+            out[c] += (-1) ** bin(z).count("1") * pvac[(full ^ c) | z]
+            if not z:
+                break
+            z = (z - 1) & c
+    return out
+
+
+def cycle_graph(n):
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
+    return Graph(n=n, adjacency=a)
+
+
+def star_graph(n):
+    a = np.zeros((n, n))
+    a[0, 1:] = a[1:, 0] = 1.0
+    return Graph(n=n, adjacency=a)
+
+
+def rank_two_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    return Graph(n=n, adjacency=v @ v.T)
 
 
 def mean_photons(state):

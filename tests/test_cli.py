@@ -262,3 +262,23 @@ class TestMissingFiles:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("gbskit: error:") and "missing" in err
+
+
+class TestWrongFieldTypes:
+    @pytest.mark.parametrize("graph", [
+        {"n": 2, "entries": 5},
+        {"n": 2, "entries": [[0, 1, "x", 0]]},
+    ], ids=["entries-not-a-list", "entry-not-numeric"])
+    def test_graph_exits_2(self, tmp_path, capsys, graph):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        assert run("encode", path, "--scale", 0.1, "--out", tmp_path / "d.json") == 2
+        assert "entries" in capsys.readouterr().err
+
+    def test_device_scale_exits_2(self, k6_graph, tmp_path, capsys):
+        dev = tmp_path / "dev.json"
+        assert run("encode", k6_graph, "--scale", 0.1, "--out", dev) == 0
+        dev.write_text(json.dumps(dict(json.loads(dev.read_text()), scale="a")))
+        assert run("sample", dev, "--count", 5, "--seed", 0,
+                   "--out", tmp_path / "pool.txt") == 2
+        assert "scale" in capsys.readouterr().err

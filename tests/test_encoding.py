@@ -11,6 +11,8 @@ from gbskit.generators import (
 )
 from gbskit.linalg import takagi
 
+from oracles import cycle_graph, rank_two_graph, star_graph
+
 
 class TestGraph:
     def test_symmetrizes_storage(self):
@@ -31,25 +33,6 @@ class TestGraph:
             g.adjacency[0, 1] = 1.0
 
 
-def _cycle(n):
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
-    return Graph(n=n, adjacency=a)
-
-
-def _star(n):
-    a = np.zeros((n, n))
-    a[0, 1:] = a[1:, 0] = 1.0
-    return Graph(n=n, adjacency=a)
-
-
-def _rank_two(n, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    return Graph(n=n, adjacency=v @ v.T)
-
-
 # degenerate and real spectra (0/1 graphs, cycle, star) and zero singular
 # values (star, rank two) as well as generic complex graphs
 ENCODED_GRAPHS = {
@@ -57,9 +40,9 @@ ENCODED_GRAPHS = {
     "zero-one": zero_one_graph(16, 0.5, seed=0),
     "zero-one-sparse": zero_one_graph(20, 0.2, seed=3),
     "planted-clique": planted_clique_graph(16, 6, 0.2, seed=1),
-    "cycle": _cycle(8),
-    "star": _star(8),
-    "rank-two": _rank_two(10, seed=0),
+    "cycle": cycle_graph(8),
+    "star": star_graph(8),
+    "rank-two": rank_two_graph(10, seed=0),
 }
 
 

@@ -50,6 +50,13 @@ class TestGraphIO:
         with pytest.raises(ValidationError, match="JSON object"):
             files.load_graph(path)
 
+    def test_non_numeric_entry_rejected(self, tmp_path):
+        path = tmp_path / "g.json"
+        for entries in (5, [[0, 1, "x", 0]], [[0.0, 1, 1.0, 0.0]], [7]):
+            path.write_text(json.dumps({"n": 2, "entries": entries}))
+            with pytest.raises(ValidationError, match="entries"):
+                files.load_graph(path)
+
 
 class TestDeviceIO:
     def test_roundtrip(self, tmp_path):
@@ -70,6 +77,19 @@ class TestDeviceIO:
             "interferometer_im": [[0, 0], [0, 0]],
         }))
         with pytest.raises(ValidationError):
+            files.load_device(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("scale", "a"), ("squeezing", ["a", 0.2]),
+        ("squeezing", [[0.1], 0.2]), ("interferometer_im", [[0, None], [0, 0]]),
+    ])
+    def test_non_numeric_field_rejected(self, tmp_path, field, value):
+        dev = encode_graph(random_complex_graph(2, seed=2), 0.1)
+        path = tmp_path / "dev.json"
+        files.save_device(dev, path)
+        data = dict(json.loads(path.read_text()), **{field: value})
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=field):
             files.load_device(path)
 
 

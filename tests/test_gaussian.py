@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import unitary_group
 
 from gbskit import gaussian
+from gbskit.encoding import choose_scale, encode_graph
 from gbskit.errors import CostGuardError, PhysicalityError, ValidationError
 from gbskit.gaussian import (
     GaussianState,
@@ -16,9 +17,18 @@ from gbskit.gaussian import (
     sampling_matrix,
     state_from_device,
 )
+from gbskit.generators import planted_clique_graph, zero_one_graph
 from gbskit.matfn import torontonian
 
-from oracles import all_patterns, mean_photons, reduced_state
+from oracles import (
+    all_patterns,
+    cycle_graph,
+    inclusion_exclusion_distribution,
+    mean_photons,
+    rank_two_graph,
+    reduced_state,
+    star_graph,
+)
 
 
 def vacuum(m):
@@ -201,22 +211,81 @@ class TestPatternProbability:
             expected = torontonian(o[np.ix_(idx, idx)]) / norm
             assert pattern_probability(state, p) == pytest.approx(expected, abs=1e-12)
 
-    def test_refuses_more_than_16_clicks(self):
+    def test_refuses_more_than_24_modes(self):
+        state = vacuum(25)
         with pytest.raises(CostGuardError):
-            pattern_probability(vacuum(17), [1] * 17)
+            pattern_probability(state, [1] * 25)
+        assert state._distribution is None
 
-    def test_kernel_refuses_more_than_16_clicks(self):
-        with pytest.raises(CostGuardError):
-            gaussian.marginal_probabilities(vacuum(17), [0], [(1 << 17) - 1])
-
-    def test_kernel_rejects_bad_masks(self):
-        for vac, clk in [(1, 1), (0, 1 << 3), (-1, 0)]:
+    def test_rejects_malformed_patterns(self):
+        for pattern in ([0, 1, 0], [0], [-1, 0], [0.5, 0], [[0, 1]], ["0", "1"]):
             with pytest.raises(ValidationError):
-                gaussian.marginal_probabilities(vacuum(3), [vac], [clk])
+                pattern_probability(vacuum(2), pattern)
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValidationError):
             pattern_probability(vacuum(2), [0, 2])
+
+
+# degenerate and real spectra (0/1 graphs, cycle, star) and zero singular
+# values (star, rank two), small enough for the brute-force oracle
+ORACLE_GRAPHS = {
+    "zero-one": zero_one_graph(8, 0.5, seed=0),
+    "planted-clique": planted_clique_graph(8, 4, 0.2, seed=1),
+    "cycle": cycle_graph(8),
+    "star": star_graph(8),
+    "rank-two": rank_two_graph(8, seed=0),
+}
+
+
+class TestPatternDistribution:
+    @pytest.mark.parametrize("noisy", [False, True], ids=["lossless", "noisy"])
+    @pytest.mark.parametrize("name", ORACLE_GRAPHS)
+    def test_matches_inclusion_exclusion_oracle(self, name, noisy):
+        g = ORACLE_GRAPHS[name]
+        state = encode_graph(g, choose_scale(g, 3.0)).build_state()
+        if noisy:
+            state = apply_loss(apply_thermal(state, 0.25), 0.75)
+        dist = gaussian.pattern_distribution(state)
+        want = inclusion_exclusion_distribution(state)
+        # both sides add up to 2^8 terms of size <= 1, so every entry
+        # carries a few 1e-16 of absolute rounding whatever its size
+        np.testing.assert_allclose(dist, want, rtol=1e-12, atol=1e-14)
+        assert abs(dist.sum() - 1.0) < 1e-12
+        # the clamp to [0, 1] only ever moves rounding-level values
+        assert want.min() > -1e-12
+
+    def test_split_stacks_are_bit_identical(self, monkeypatch):
+        r, u = random_device(8, 5)
+        pure = state_from_device(r, u)
+        monkeypatch.setattr(gaussian, "_CHUNK", 1 << 40)
+        whole = gaussian.pattern_distribution(apply_loss(pure, 0.75))
+        monkeypatch.setattr(gaussian, "_CHUNK", 16)
+        split = gaussian.pattern_distribution(apply_loss(pure, 0.75))
+        assert whole.tobytes() == split.tobytes()
+
+    def test_cached_and_read_only(self):
+        state = state_from_device(*random_device(4, 2))
+        dist = gaussian.pattern_distribution(state)
+        assert gaussian.pattern_distribution(state) is dist
+        with pytest.raises(ValueError):
+            dist[0] = 0.5
+
+    def test_non_positive_pivot_names_its_modes(self):
+        state = vacuum(3)
+        # no state built through the constructor fails this way
+        object.__setattr__(state, "husimi", np.diag([1.0, -1.0, 1.0] * 2))
+        with pytest.raises(PhysicalityError, match=r"modes \[1\]"):
+            gaussian.pattern_distribution(state)
+        assert state._distribution is None
+
+    def test_probabilities_above_one_are_refused(self):
+        # eigenvalues 0.8 pass the construction check; P_vac of a mode is 1.25
+        state = GaussianState(modes=2, husimi=0.8 * np.eye(4))
+        with pytest.raises(PhysicalityError):
+            gaussian.pattern_distribution(state)
+        with pytest.raises(PhysicalityError):
+            mean_clicks(state)
 
 
 class TestReduce:

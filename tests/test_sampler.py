@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,13 +9,14 @@ from gbskit.generators import random_complex_symmetric
 from gbskit.matfn import hafnian, torontonian
 from gbskit.sampler import (
     SamplePool,
+    _prefix_marginals,
     load_pool,
     postselect,
     sample,
     save_pool,
 )
 
-from oracles import all_patterns, reduced_state
+from oracles import all_patterns, inclusion_exclusion_distribution, reduced_state
 
 
 def random_state(m, seed, r_max=0.8):
@@ -64,13 +63,12 @@ class TestSample:
         # every prefix marginal the chain rule uses, against Tor(O_S)/sqrt(det)
         # on the reduced state of the prefix modes
         state = noisy_state()
+        levels = _prefix_marginals(gaussian.pattern_distribution(state))
+        assert len(levels) == 6 and levels[0].tolist() == [pytest.approx(1.0)]
         for k in range(1, 6):
-            for bits in itertools.product([0, 1], repeat=k):
-                clicked = sum(1 << i for i, b in enumerate(bits) if b)
-                got = gaussian.marginal_probabilities(
-                    state, [((1 << k) - 1) ^ clicked], [clicked]
-                )[0]
-                assert got == pytest.approx(
+            assert levels[k].shape == (1 << k,)
+            for clicked in range(1 << k):
+                assert levels[k][clicked] == pytest.approx(
                     torontonian_prefix(state, k, clicked), abs=1e-12
                 )
 
@@ -92,16 +90,14 @@ class TestSample:
                 assert drawn[k] == clicked >> k & 1
 
     def test_table_holds_direct_determinants(self):
+        # the distribution a pool is drawn from, against inclusion-exclusion
+        # over direct determinants
         state = random_state(6, 14)
         sample(state, 500, seed=2)
-        table = state._vacuum
-        filled = np.flatnonzero(table)
-        assert filled.size > 6
-        for w in filled.tolist():
-            idx = [i for i in range(6) if w >> i & 1]
-            idx += [i + 6 for i in idx]
-            d = np.linalg.det(state.husimi[np.ix_(idx, idx)]).real
-            assert table[w] == pytest.approx(d ** -0.5, abs=1e-12)
+        np.testing.assert_allclose(
+            state._distribution, inclusion_exclusion_distribution(state),
+            rtol=1e-12, atol=1e-14,
+        )
 
     def test_empirical_distribution_m3(self):
         state = random_state(3, 5)
@@ -130,15 +126,18 @@ class TestSample:
         rho, _ = stats.spearmanr(probs, hafs)
         assert rho > 0
 
+    # both guards refuse before the 2^M distribution is allocated
     def test_mode_cost_guard(self):
         state = gaussian.GaussianState(modes=25, husimi=np.eye(50, dtype=complex))
         with pytest.raises(CostGuardError):
             sample(state, 1, seed=0)
+        assert state._distribution is None
 
     def test_click_cost_guard(self):
         state = gaussian.state_from_device([2.5] * 20, np.eye(20))
         with pytest.raises(CostGuardError):
             sample(state, 1, seed=0)
+        assert state._distribution is None
 
     def test_rejects_negative_count(self):
         state = random_state(2, 0)
