@@ -1,7 +1,9 @@
 """Stable on-disk formats: graph JSON, device JSON, trace CSV, reports.
 
 All writes go through an atomic write-temp-rename so interrupted runs never
-leave partial files. Every format carries a format_version field.
+leave partial files. Every format carries a format_version field; trace
+summaries and manifests also record the searchers' random-stream version
+(`solvers.STREAM`), so outputs of different streams can be told apart.
 """
 
 from __future__ import annotations
@@ -159,6 +161,8 @@ def _save_table(csv_path, header: str, rows, json_path, payload: dict) -> None:
 
 
 def save_trace(trace: RunTrace, csv_path, summary_path, parameters: dict) -> None:
+    from .solvers import STREAM
+
     _save_table(
         csv_path, "step,best_value",
         [(step, float(v)) for step, v in enumerate(trace.best_values, start=1)],
@@ -170,6 +174,7 @@ def save_trace(trace: RunTrace, csv_path, summary_path, parameters: dict) -> Non
             "seed": trace.seed,
             "pool_wrapped": trace.pool_wrapped,
             "parameters": parameters,
+            "stream": STREAM,
         },
     )
 
@@ -198,6 +203,7 @@ def save_noise_table(rows: list[NoisePoint], csv_path, json_path) -> None:
 
 def save_manifest(path, command: str, parameters: dict) -> None:
     from . import __version__
+    from .solvers import STREAM
 
     _dump_json(
         path,
@@ -206,5 +212,6 @@ def save_manifest(path, command: str, parameters: dict) -> None:
             "tool_version": __version__,
             "command": command,
             "parameters": parameters,
+            "stream": STREAM,
         },
     )

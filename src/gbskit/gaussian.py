@@ -51,7 +51,9 @@ _PROB_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Immutable M-mode Gaussian state; `husimi` is validated on construction."""
+    """Immutable M-mode Gaussian state; `husimi` is validated on construction:
+    Hermitian, within the uncertainty bound, and real in the quadrature basis
+    (the bosonic block structure [[N, M], [M*, N*]])."""
 
     modes: int
     husimi: np.ndarray
@@ -67,16 +69,30 @@ class GaussianState:
                 f"husimi matrix shape {sq.shape} does not match {self.modes} modes"
             )
         scale = max(np.linalg.norm(sq), 1.0)
-        if np.linalg.norm(sq - sq.conj().T) > _HERM_TOL * scale:
+        adjoint = sq.conj().T
+        if np.linalg.norm(sq - adjoint) > _HERM_TOL * scale:
             raise PhysicalityError("husimi covariance is not Hermitian")
-        sq = (sq + sq.conj().T) / 2.0
-        eigs = np.linalg.eigvalsh(sq)
+        sq = (sq + adjoint) / 2.0
+        # ascending, so the extremes are the ends
+        lo, hi = np.linalg.eigvalsh(sq)[[0, -1]].tolist()
         # tolerance scales with the covariance norm: roundoff in a strongly
         # squeezed state is relative to its largest eigenvalue
-        if eigs.min() < 0.5 - _EIG_FLOOR_TOL * max(1.0, eigs.max()):
+        if lo < 0.5 - _EIG_FLOOR_TOL * max(1.0, hi):
             raise PhysicalityError(
                 f"husimi covariance violates the uncertainty bound "
-                f"(min eigenvalue {eigs.min():.3e} < 1/2)"
+                f"(min eigenvalue {lo:.3e} < 1/2)"
+            )
+        # sigma is real in the quadrature basis (see `pattern_distribution`)
+        # iff it has the bosonic block structure [[N, M], [M*, N*]]; that
+        # change of basis is unitary up to a factor 2, so `off` is the norm
+        # of sigma's imaginary part there
+        m = self.modes
+        d = sq[:m] - np.concatenate([sq[m:, m:], sq[m:, :m]], axis=1).conj()
+        off = np.sqrt(np.vdot(d, d).real / 2.0)
+        if off > _IMAG_TOL * scale:
+            raise PhysicalityError(
+                "husimi covariance is not real in the quadrature basis "
+                "(no bosonic [[N, M], [M*, N*]] block structure)"
             )
         object.__setattr__(self, "husimi", sq)
         self.husimi.setflags(write=False)
@@ -245,13 +261,12 @@ def pattern_distribution(state: GaussianState) -> np.ndarray:
         raise CostGuardError(f"click distribution of {m} modes exceeds the cap "
                              f"of {MAX_TABLE_MODES} modes")
     # sigma in the real quadrature basis x0, p0, x1, p1, ...: the change of basis
-    # acts on each mode alone and keeps subset determinants; sigma is real there
+    # acts on each mode alone and keeps subset determinants; construction
+    # checked that sigma is real there
     w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
-    v = w @ state.husimi @ w.conj().T / 2.0
-    if np.linalg.norm(v.imag) > _IMAG_TOL * max(1.0, np.linalg.norm(v.real)):
-        raise PhysicalityError("husimi covariance is not real in the quadrature basis")
+    v = (w @ state.husimi @ w.conj().T / 2.0).real
     dist = np.empty(1 << m)
-    _subset_determinants(dist, 0, v.real[None], np.ones(1), np.zeros(1, dtype=int))
+    _subset_determinants(dist, 0, v[None], np.ones(1), np.zeros(1, dtype=int))
     # P_vac = 1/sqrt(det) at complement masks (IEEE-exact ops), then Yates
     np.divide(1.0, np.sqrt(dist, out=dist), out=dist)
     for i in range(m):

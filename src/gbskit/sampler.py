@@ -17,12 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gaussian
-from .errors import CostGuardError, ValidationError
+from .errors import ValidationError
 from .files import atomic_write_text
 
 __all__ = ["SamplePool", "sample", "postselect", "save_pool", "load_pool"]
-
-MAX_EXPECTED_CLICKS = 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +98,6 @@ def sample(state: gaussian.GaussianState, count: int, seed: int) -> SamplePool:
     """
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
-    expected = gaussian.mean_clicks(state)
-    if expected > MAX_EXPECTED_CLICKS:
-        raise CostGuardError(
-            f"expected click count {expected:.2f} exceeds the sampling cost "
-            f"guard of {MAX_EXPECTED_CLICKS}"
-        )
     levels = _prefix_marginals(gaussian.pattern_distribution(state))
     uniforms = np.random.default_rng(seed).random((count, state.modes))
     clicked = np.zeros(count, dtype=np.int64)

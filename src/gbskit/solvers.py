@@ -5,14 +5,31 @@ searchers (random search and simulated annealing) that can draw proposals
 either uniformly or from a sample pool, and the deterministic greedy-peeling
 baseline for dense subgraphs.
 
-Random search does not adapt to the values it sees, so it draws its
-proposals in chunks and values each chunk with one `Objective.values` call:
-each distinct proposal once, |Hafnian|^2 through the stacked
-`matfn.hafnians`. Its traces are bit-identical to valuing one step at a time.
+The searchers read their randomness from one seeded stream, version
+`STREAM`: uniforms from `numpy.random.default_rng(seed).random`, taken in
+order, `_CHUNK` steps' worth per call. Reading them in order makes every
+trace independent of the chunk size.
+- A uniform proposal reads n uniforms and is the k vertices with the
+  smallest of them, ascending. Random search draws a (count, n) block per
+  chunk; simulated annealing's uniform start is one such row.
+- Each annealing step reads 4 uniforms, drawn as a (count, 4) block per
+  chunk: the jump uniform (a pool jump iff it is below jump_prob), the
+  inside index floor(u k) into the sorted subset, the outside index
+  floor(u (n - k)) into the sorted complement, and the acceptance uniform,
+  compared with libm's exp(-(current - proposed) / T).
+
+Random search does not adapt to the values it sees, so it values each chunk
+with one `Objective.values` call: |Hafnian|^2 of each distinct proposal
+once, through the stacked `matfn.hafnians`. Its traces are bit-identical to
+valuing one step at a time. Annealing on density keeps the complex row sums
+r = a[:, S].sum(1) of its subset S and their sum t over S, and values a
+swap u -> w as |t - 2 r_u + a_uu + 2 (r_w - a_wu) + a_ww|, in O(1); an
+accepted swap updates r in O(n), and a pool jump recomputes r and t.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +51,10 @@ __all__ = [
 
 # |Hafnian|^2 values an Objective keeps; the oldest is evicted first
 _HAF_CACHE_MAX = 1 << 16
-# random-search steps drawn and valued together
-_RS_CHUNK = 1024
+# version of the searchers' random stream, recorded with their outputs
+STREAM = 2
+# steps whose uniforms are drawn (and, in random search, valued) together
+_CHUNK = 1024
 
 
 def density(g: Graph, subset) -> float:
@@ -80,8 +99,9 @@ class Objective:
         return v
 
     def values(self, subsets) -> np.ndarray:
-        """Values of the rows of an (N, k) vertex-index array, each distinct
-        row valued once; row i gets the bits of `value(subsets[i])`."""
+        """Values of the rows of an (N, k) vertex-index array; row i gets the
+        bits of `value(subsets[i])`. |Hafnian|^2 values each distinct subset
+        once."""
         rows = np.asarray(subsets)
         if rows.ndim != 2 or rows.shape[1] != self.k:
             raise ValidationError(
@@ -96,37 +116,26 @@ class Objective:
         bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
         if bad.size:
             raise ValidationError(f"subset {bad[0]}: vertices must be distinct")
-        # maxhaf values sorted subsets, as `value` does; density sums the
-        # submatrix in the order given
-        if self.kind == "maxhaf":
-            rows = ordered
-        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
         a = self.graph.adjacency
         if self.kind == "density":
-            sums = a[distinct[:, :, None], distinct[:, None, :]].reshape(
-                len(distinct), self.k**2
+            # one gathered sum per row, in the order given, as `density` sums
+            sums = a[rows[:, :, None], rows[:, None, :]].reshape(
+                len(rows), self.k**2
             ).sum(axis=1)
-            vals = [abs(z) for z in sums.tolist()]
-        else:
-            keys = [tuple(r) for r in distinct.tolist()]
-            vals = [self._haf_cache.get(key) for key in keys]
-            miss = [i for i, v in enumerate(vals) if v is None]
-            if miss:
-                sub = distinct[miss]
-                found = hafnians(a[sub[:, :, None], sub[:, None, :]]).tolist()
-                for i, h in zip(miss, found):
-                    vals[i] = float(abs(h) ** 2)
-                    self._remember(keys[i], vals[i])
+            # Python's abs: numpy's complex abs can differ in the last bit
+            return np.array([abs(z) for z in sums.tolist()], dtype=float)
+        # sorted subsets, as `value` keys them; each distinct one valued once
+        distinct, inverse = np.unique(ordered, axis=0, return_inverse=True)
+        keys = [tuple(r) for r in distinct.tolist()]
+        vals = [self._haf_cache.get(key) for key in keys]
+        miss = [i for i, v in enumerate(vals) if v is None]
+        if miss:
+            sub = distinct[miss]
+            found = hafnians(a[sub[:, :, None], sub[:, None, :]]).tolist()
+            for i, h in zip(miss, found):
+                vals[i] = float(abs(h) ** 2)
+                self._remember(keys[i], vals[i])
         return np.array(vals, dtype=float)[inverse.reshape(-1)]
-
-    def _swap_value(self, subset: tuple) -> float:
-        """`value` of a subset a swap made from a valid one, unchecked."""
-        if self.kind == "maxhaf":
-            return self.value(subset)
-        # the adjacency is exactly symmetric, so `a[v][:, v]` (the transposed
-        # layout of `density`'s block) sums the same terms in the same order
-        v = list(subset)
-        return float(abs(self.graph.adjacency[v][:, v].sum()))
 
     def _remember(self, key: tuple, v: float) -> None:
         cache = self._haf_cache
@@ -201,8 +210,21 @@ def _check_pool(obj: Objective, source: ProposalSource) -> _PoolCursor | None:
     return _PoolCursor(source.pool, obj.k)
 
 
-def _uniform_subset(rng: np.random.Generator, n: int, k: int) -> tuple:
-    return tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+def _uniform_subsets(
+    rng: np.random.Generator, count: int, n: int, k: int
+) -> np.ndarray:
+    """`count` uniform k-subsets as a (count, k) array: row i holds the
+    columns of the k smallest of row i of a (count, n) uniform block,
+    ascending."""
+    u = rng.random((count, n))
+    return np.sort(np.argpartition(u, k - 1, axis=1)[:, :k], axis=1)
+
+
+def _row_sums(a: np.ndarray, subset) -> tuple[list, complex]:
+    """Row sums a[:, S].sum(1) of a subset S, as a list, and their sum over S."""
+    v = list(subset)
+    r = a[:, v].sum(axis=1)
+    return r.tolist(), complex(r[v].sum())
 
 
 def random_search(
@@ -210,7 +232,7 @@ def random_search(
 ) -> RunTrace:
     """Draw one k-subset per step and keep the running best.
 
-    Proposals are drawn and valued `_RS_CHUNK` steps at a time; the trace
+    Proposals are drawn and valued `_CHUNK` steps at a time; the trace
     and the best subset (the first proposal with the best value) are those
     of valuing each step in turn.
     """
@@ -222,12 +244,9 @@ def random_search(
     best_values = np.empty(steps)
     best_val = -np.inf
     best_sub: tuple = ()
-    for lo in range(0, steps, _RS_CHUNK):
-        count = min(_RS_CHUNK, steps - lo)
-        if cursor:
-            props = cursor.take(count)
-        else:
-            props = np.array([_uniform_subset(rng, n, k) for _ in range(count)])
+    for lo in range(0, steps, _CHUNK):
+        count = min(_CHUNK, steps - lo)
+        props = cursor.take(count) if cursor else _uniform_subsets(rng, count, n, k)
         vals = obj.values(props)
         # fmax skips NaN, as the comparison `v > best` of one step does
         run = np.fmax.accumulate(vals)
@@ -259,6 +278,8 @@ def simulated_annealing(
     With a pool source, the initial subset comes from the pool and each step
     proposes a whole-subset jump to the next pool pattern with probability
     jump_prob; otherwise one inside vertex is swapped with one outside vertex.
+    Density is valued from row sums, so its trace can differ from `density`
+    of the same subset in the last bits on complex weights.
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
@@ -273,38 +294,58 @@ def simulated_annealing(
         jump_prob = 0.0
     rng = np.random.default_rng(seed)
     n, k = obj.graph.n, obj.k
+    a = obj.graph.adjacency
+    entries = a.tolist()
+    density = obj.kind == "density"
 
-    cur = cursor.next() if cursor else _uniform_subset(rng, n, k)
-    cur_val = obj.value(cur)
+    if cursor:
+        cur = cursor.next()
+    else:
+        cur = tuple(_uniform_subsets(rng, 1, n, k)[0].tolist())
+    if density:
+        r, total = _row_sums(a, cur)
+        cur_val = abs(total)
+    else:
+        cur_val = obj.value(cur)
     best_val, best_sub = cur_val, cur
     best_values = np.empty(steps)
     temp = t0
     outside = [v for v in range(n) if v not in cur]
-    for t in range(steps):
-        swap = not (cursor and rng.random() < jump_prob)
-        if swap:
-            i = int(rng.integers(k))
-            j = int(rng.integers(n - k))
-            inside = list(cur)
-            inside[i] = outside[j]
-            prop = tuple(sorted(inside))
-            prop_val = obj._swap_value(prop)
-        else:
-            prop = cursor.next()
-            prop_val = obj.value(prop)
-        if prop_val >= cur_val or rng.random() < np.exp(
-            -(cur_val - prop_val) / temp
-        ):
-            if swap:
-                outside[j] = cur[i]
-                outside.sort()
+    for lo in range(0, steps, _CHUNK):
+        count = min(_CHUNK, steps - lo)
+        draws = rng.random((count, 4))
+        jumps = (draws[:, 0] < jump_prob).tolist()
+        ins = (draws[:, 1] * k).astype(int).tolist()
+        outs = (draws[:, 2] * (n - k)).astype(int).tolist()
+        accepts = draws[:, 3].tolist()
+        for t, jump, i, j, acc in zip(range(lo, steps), jumps, ins, outs, accepts):
+            if jump:
+                prop = cursor.next()
+                if density:
+                    prop_r, prop_total = _row_sums(a, prop)
             else:
-                outside = [v for v in range(n) if v not in prop]
-            cur, cur_val = prop, prop_val
-        if cur_val > best_val:
-            best_val, best_sub = cur_val, cur
-        best_values[t] = best_val
-        temp *= alpha
+                u, w = cur[i], outside[j]
+                prop = tuple(sorted(cur[:i] + (w,) + cur[i + 1:]))
+                if density:
+                    prop_total = (total - 2 * r[u] + entries[u][u]
+                                  + 2 * (r[w] - entries[w][u]) + entries[w][w])
+            prop_val = abs(prop_total) if density else obj.value(prop)
+            if prop_val >= cur_val or acc < math.exp(-(cur_val - prop_val) / temp):
+                if jump:
+                    outside = [v for v in range(n) if v not in prop]
+                else:
+                    outside[j] = u
+                    outside.sort()
+                    if density:
+                        prop_r = [x + (p - q) for x, p, q in
+                                  zip(r, entries[w], entries[u])]
+                if density:
+                    r, total = prop_r, prop_total
+                cur, cur_val = prop, prop_val
+            if cur_val > best_val:
+                best_val, best_sub = cur_val, cur
+            best_values[t] = best_val
+            temp *= alpha
     return RunTrace(
         best_values=best_values,
         best_subset=best_sub,

@@ -6,11 +6,14 @@ over direct determinants, rank correlations by direct rank-pair counting,
 reduced states and photon numbers read off the covariance. The graph
 families with degenerate or zero Takagi values (cycle, star, rank two) are
 built here for the encoding and distribution tests alike. The
-searchers' references value one proposal per step through `Objective.value`,
-as the library's loops did before random search was batched.
+searchers' references read the seeded stream one step at a time (n uniforms
+per uniform proposal, 4 per annealing step) and value one proposal per step
+through `Objective.value`; annealing on density repeats the library's
+row-sum arithmetic, in the same order, on Python complex numbers.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -148,7 +151,9 @@ def _stepwise_start(obj, source, seed):
 
 
 def _stepwise_uniform(rng, n, k):
-    return tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    """The k vertices holding the smallest of n uniforms, ascending."""
+    u = rng.random(n).tolist()
+    return tuple(sorted(sorted(range(n), key=u.__getitem__)[:k]))
 
 
 def stepwise_random_search(obj, source, steps, seed):
@@ -171,35 +176,52 @@ def stepwise_random_search(obj, source, steps, seed):
     return best_values, best_sub, bool(cursor.wrapped) if cursor else False
 
 
+def _stepwise_row_sums(a, subset):
+    r = a[:, list(subset)].sum(axis=1)
+    return r.tolist(), complex(r[list(subset)].sum())
+
+
 def stepwise_simulated_annealing(obj, source, steps, t0, alpha, jump_prob, seed):
-    """Single-swap simulated annealing valuing every proposal through
-    `obj.value` and rebuilding the outside set at every step.
+    """Single-swap simulated annealing reading 4 uniforms per step and
+    rebuilding the outside set at every step. |Hafnian|^2 is valued through
+    `obj.value`; density as |sum| from row sums, updated by the swap formula.
 
     Returns (best_values, best_subset, pool_wrapped)."""
     cursor, rng = _stepwise_start(obj, source, seed)
     if cursor is None:
         jump_prob = 0.0
     n, k = obj.graph.n, obj.k
+    a = obj.graph.adjacency
+    density = obj.kind == "density"
     cur = cursor.next() if cursor else _stepwise_uniform(rng, n, k)
-    cur_val = obj.value(cur)
+    if density:
+        r, total = _stepwise_row_sums(a, cur)
+        cur_val = abs(total)
+    else:
+        cur_val = obj.value(cur)
     best_val, best_sub = cur_val, cur
     best_values = np.empty(steps)
     temp = t0
     for t in range(steps):
-        if cursor and rng.random() < jump_prob:
+        jump, ui, uo, acc = rng.random(4).tolist()
+        outside = [v for v in range(n) if v not in cur]
+        if cursor and jump < jump_prob:
             prop = cursor.next()
+            if density:
+                prop_r, prop_total = _stepwise_row_sums(a, prop)
         else:
-            inside = list(cur)
-            outside = [v for v in range(n) if v not in cur]
-            i = int(rng.integers(len(inside)))
-            j = int(rng.integers(len(outside)))
-            inside[i] = outside[j]
-            prop = tuple(sorted(inside))
-        prop_val = obj.value(prop)
-        if prop_val >= cur_val or rng.random() < np.exp(
-            -(cur_val - prop_val) / temp
-        ):
+            u, w = cur[int(ui * k)], outside[int(uo * (n - k))]
+            prop = tuple(sorted(set(cur) - {u} | {w}))
+            if density:
+                auu, awu, aww = (complex(a[x, y]) for x, y in ((u, u), (w, u), (w, w)))
+                prop_total = total - 2 * r[u] + auu + 2 * (r[w] - awu) + aww
+                prop_r = [r[x] + (complex(a[w, x]) - complex(a[u, x]))
+                          for x in range(n)]
+        prop_val = abs(prop_total) if density else obj.value(prop)
+        if prop_val >= cur_val or acc < math.exp(-(cur_val - prop_val) / temp):
             cur, cur_val = prop, prop_val
+            if density:
+                r, total = prop_r, prop_total
         if cur_val > best_val:
             best_val, best_sub = cur_val, cur
         best_values[t] = best_val

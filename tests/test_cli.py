@@ -93,9 +93,10 @@ class TestSample:
         assert pool.seed == 4
 
     def test_cost_guard_exits_3(self, tmp_path):
+        # one mode above gaussian.MAX_TABLE_MODES
         graph = tmp_path / "g.json"
         dev = tmp_path / "dev.json"
-        assert run("gen", "--kind", "zero-one", "--n", 16, "--seed", 0,
+        assert run("gen", "--kind", "zero-one", "--n", 25, "--seed", 0,
                    "--edge-prob", 1.0, "--out", graph) == 0
         assert run("encode", graph, "--mean-clicks", 15.0, "--out", dev) == 0
         assert run("sample", dev, "--count", 1, "--seed", 0,
@@ -151,6 +152,7 @@ class TestBench:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["command"] == "bench correlate"
         assert manifest["parameters"]["seed"] == 1
+        assert manifest["stream"] == 2
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -310,6 +310,14 @@ class TestStateValidation:
         with pytest.raises(PhysicalityError):
             GaussianState(modes=1, husimi=0.3 * np.eye(2))
 
+    def test_rejects_non_bosonic_covariance(self):
+        # Hermitian with eigenvalues >= 1/2, but no [[N, M], [M*, N*]] blocks:
+        # an N block entry without its conjugate in the N* block
+        h = np.eye(4, dtype=complex)
+        h[0, 1] = h[1, 0] = 0.3
+        with pytest.raises(PhysicalityError, match="not real in the quadrature"):
+            GaussianState(modes=2, husimi=h)
+
     def test_pure_state_from_a_spectral_norm_guard(self):
         with pytest.raises(ValidationError):
             pure_state_from_a(np.eye(2) * 1.5)

@@ -126,7 +126,7 @@ class TestSample:
         rho, _ = stats.spearmanr(probs, hafs)
         assert rho > 0
 
-    # both guards refuse before the 2^M distribution is allocated
+    # the mode cap refuses before the 2^M distribution is allocated
     def test_mode_cost_guard(self):
         state = gaussian.GaussianState(modes=25, husimi=np.eye(50, dtype=complex))
         with pytest.raises(CostGuardError):
@@ -134,10 +134,11 @@ class TestSample:
         assert state._distribution is None
 
     def test_click_cost_guard(self):
+        # 16.7 expected clicks cost no more than few: only the mode cap guards
         state = gaussian.state_from_device([2.5] * 20, np.eye(20))
-        with pytest.raises(CostGuardError):
-            sample(state, 1, seed=0)
-        assert state._distribution is None
+        clicks = sample(state, 2000, seed=0).click_counts()
+        se = clicks.std(ddof=1) / np.sqrt(clicks.size)
+        assert abs(clicks.mean() - gaussian.mean_clicks(state)) < 5 * se
 
     def test_rejects_negative_count(self):
         state = random_state(2, 0)

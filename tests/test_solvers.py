@@ -20,7 +20,11 @@ from gbskit.solvers import (
     simulated_annealing,
 )
 
-from oracles import stepwise_random_search, stepwise_simulated_annealing
+from oracles import (
+    rank_two_graph,
+    stepwise_random_search,
+    stepwise_simulated_annealing,
+)
 
 
 def complete_graph(n):
@@ -267,6 +271,8 @@ SEARCH_GRAPHS = {
     "complex": (random_complex_graph(10, seed=4), 4),
     # 0/1 weights: many proposals tie on the best value
     "zero-one": (zero_one_graph(12, 0.5, seed=6), 4),
+    # a nonzero complex diagonal, which density counts
+    "rank-two": (rank_two_graph(10, seed=7), 4),
 }
 
 
@@ -294,7 +300,7 @@ class TestMatchesStepwiseLoops:
     def test_random_search_across_chunks(self, kind, monkeypatch):
         g, k = SEARCH_GRAPHS["zero-one"]
         src = stepwise_sources(g.n, k, 5)["pool"]
-        monkeypatch.setattr(solvers, "_RS_CHUNK", 16)
+        monkeypatch.setattr(solvers, "_CHUNK", 16)
         for source in (src, ProposalSource(kind="uniform")):
             tr = random_search(Objective(kind, g, k), source, 250, seed=9)
             ref = stepwise_random_search(Objective(kind, g, k), source, 250, 9)
@@ -302,12 +308,23 @@ class TestMatchesStepwiseLoops:
 
     def test_random_search_longer_than_one_chunk(self):
         g, k = SEARCH_GRAPHS["complex"]
-        steps = solvers._RS_CHUNK + 300
+        steps = solvers._CHUNK + 300
         tr = random_search(Objective("density", g, k), ProposalSource(), steps, 4)
         ref = stepwise_random_search(
             Objective("density", g, k), ProposalSource(), steps, 4
         )
         assert_same_trace(tr, ref)
+
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    def test_simulated_annealing_across_chunks(self, kind, monkeypatch):
+        g, k = SEARCH_GRAPHS["complex"]
+        src = stepwise_sources(g.n, k, 5)["pool"]
+        monkeypatch.setattr(solvers, "_CHUNK", 16)
+        for source in (src, ProposalSource(kind="uniform")):
+            args = (source, 250, 2.0, 0.99, 0.3, 9)
+            tr = simulated_annealing(Objective(kind, g, k), *args)
+            ref = stepwise_simulated_annealing(Objective(kind, g, k), *args)
+            assert_same_trace(tr, ref)
 
     @pytest.mark.parametrize("graph", sorted(SEARCH_GRAPHS))
     @pytest.mark.parametrize("kind", ["density", "maxhaf"])
@@ -320,6 +337,44 @@ class TestMatchesStepwiseLoops:
             tr = simulated_annealing(Objective(kind, g, k), *args)
             ref = stepwise_simulated_annealing(Objective(kind, g, k), *args)
             assert_same_trace(tr, ref)
+
+
+class TestStream:
+    def test_uniform_proposals_include_each_vertex_at_rate_k_over_n(self):
+        n, k, count = 16, 6, 20000
+        rows = solvers._uniform_subsets(np.random.default_rng(0), count, n, k)
+        assert rows.shape == (count, k)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        p = k / n
+        rate = np.bincount(rows.ravel(), minlength=n) / count
+        assert np.all(np.abs(rate - p) < 5 * np.sqrt(p * (1 - p) / count))
+
+    @pytest.mark.parametrize("graph", sorted(SEARCH_GRAPHS))
+    @pytest.mark.parametrize("source", ["uniform", "resampled"])
+    def test_annealed_density_matches_direct_sum(self, graph, source):
+        # hot, slow schedules accept many swaps, each a row-sum update
+        g, k = SEARCH_GRAPHS[graph]
+        src = stepwise_sources(g.n, k, 3)[source]
+        for t0, alpha, seed in [(1.0, 0.995, 0), (20.0, 0.9995, 1), (50.0, 0.9999, 2)]:
+            tr = simulated_annealing(
+                Objective("density", g, k), src, 4000, t0, alpha, 0.05, seed
+            )
+            want = density(g, tr.best_subset)
+            if graph == "zero-one":
+                assert tr.best_values[-1] == want
+            else:
+                assert tr.best_values[-1] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_pool_random_search_trace_is_pinned(self):
+        # pool proposals read no uniforms: this trace predates stream 2
+        g = zero_one_graph(16, 0.3, seed=2)
+        src = stepwise_sources(16, 6, 3)["pool"]
+        tr = random_search(Objective("density", g, 6), src, 400, seed=2)
+        steps = np.flatnonzero(np.diff(tr.best_values, prepend=-1.0)) + 1
+        assert [(int(t), tr.value_at(t)) for t in steps] == [
+            (1, 4.0), (2, 8.0), (4, 14.0), (14, 16.0), (17, 18.0)
+        ]
+        assert tr.best_subset == (0, 4, 8, 10, 12, 15)
 
 
 class TestObjectiveValues:
