@@ -55,8 +55,10 @@ class CorrelationTable:
 def correlation_study(
     n_matrices: int, seed: int, mode_count: int = 4
 ) -> CorrelationTable:
-    """Random complex symmetric matrices (spectral norm 0.9) encoded as pure
-    devices; per matrix: full-click Torontonian, |Hafnian|^2, and density."""
+    """Random complex symmetric matrices A (spectral norm 0.9), each the
+    sampling matrix of a pure device; per matrix: full-click Torontonian,
+    |Hafnian|^2, and density. The Torontonian's O = I - sigma^-1 of that
+    device is X (A + A*) with X the block swap, written down from A."""
     if n_matrices < 2:
         raise ValidationError("need at least 2 matrices for a correlation study")
     rows = []
@@ -64,9 +66,8 @@ def correlation_study(
         a = random_complex_symmetric(
             mode_count, seed=np.random.default_rng([seed, i]).integers(2**32)
         )
-        state = gaussian.pure_state_from_a(a)
-        o = np.eye(2 * mode_count) - np.linalg.inv(state.husimi)
-        tor = torontonian(o)
+        zero = np.zeros_like(a)
+        tor = torontonian(np.block([[zero, a.conj()], [a, zero]]))
         haf_sq = float(abs(hafnian(a)) ** 2)
         dens = float(abs(a.sum()))
         rows.append((tor, haf_sq, dens))

@@ -19,6 +19,10 @@ from .linalg import as_matrix, takagi
 __all__ = ["Graph", "DeviceParams", "encode_graph", "choose_scale"]
 
 _SYM_TOL = 1e-10
+# `choose_scale` stops once expected clicks are this close to the target,
+# or after this many bisection steps
+_SCALE_TOL = 1e-4
+_MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,7 @@ def encode_graph(g: Graph, c: float) -> DeviceParams:
     return DeviceParams(squeezing=r, interferometer=fac.unitary, scale=float(c))
 
 
-def choose_scale(
-    g: Graph, target_mean_clicks: float, tol: float = 1e-4, max_iter: int = 200
-) -> float:
+def choose_scale(g: Graph, target_mean_clicks: float) -> float:
     """Bisect the rescaling factor so the lossless device's expected click
     count matches the target. Expected clicks is strictly increasing in c.
     The graph is factorized once; each step rescales its Takagi values."""
@@ -94,10 +96,10 @@ def choose_scale(
             f"clicks is {reachable:.6g} as c -> 1/lambda_max"
         )
     lo = 0.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = (lo + hi) / 2.0
         val = expected_clicks(mid) if mid > 0 else 0.0
-        if abs(val - target_mean_clicks) < tol:
+        if abs(val - target_mean_clicks) < _SCALE_TOL:
             return mid
         if val < target_mean_clicks:
             lo = mid

@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CostGuardError, PhysicalityError, ValidationError
-from .linalg import as_matrix, inverse, takagi
+from .linalg import as_matrix, inverse
 
 __all__ = [
     "GaussianState",
     "SamplingMatrix",
     "state_from_device",
-    "pure_state_from_a",
     "sampling_matrix",
     "apply_loss",
     "apply_thermal",
@@ -42,6 +41,7 @@ MAX_TABLE_MODES = 24
 _CHUNK = 8192
 
 _HERM_TOL = 1e-10
+_UNITARY_TOL = 1e-9
 _EIG_FLOOR_TOL = 1e-8
 _PURE_L_TOL = 1e-8
 _A_SYM_TOL = 1e-9
@@ -110,73 +110,44 @@ class SamplingMatrix:
         return np.block([[self.a, self.l], [self.l.conj().T, self.a.conj()]])
 
 
-def _block_swap(m: int) -> np.ndarray:
-    x = np.zeros((2 * m, 2 * m))
-    x[:m, m:] = np.eye(m)
-    x[m:, :m] = np.eye(m)
-    return x
-
-
-def _assemble(r: np.ndarray, u: np.ndarray, epsilon: float) -> GaussianState:
-    """Build the output covariance of squeezers (mixed thermally by epsilon)
-    followed by the interferometer u."""
+def _check_unitary(u: np.ndarray) -> None:
     m = u.shape[0]
-    cosh2 = np.cosh(r) ** 2
-    anom = (1.0 - epsilon) * np.sinh(r) * np.cosh(r)
-    d = np.diag(cosh2).astype(np.complex128)
-    off = np.diag(anom).astype(np.complex128)
-    sigma_in = np.block([[d, off], [off, d]])
-    t = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-    t[:m, :m] = u.conj()
-    t[m:, m:] = u
-    sq = t @ sigma_in @ t.conj().T
-    return GaussianState(modes=m, husimi=sq)
-
-
-def _check_unitary(u: np.ndarray, tol: float = 1e-9) -> None:
-    m = u.shape[0]
-    if np.linalg.norm(u.conj().T @ u - np.eye(m)) > tol * max(1.0, np.sqrt(m)):
+    tol = _UNITARY_TOL * max(1.0, np.sqrt(m))
+    if np.linalg.norm(u.conj().T @ u - np.eye(m)) > tol:
         raise ValidationError("interferometer matrix is not unitary")
 
 
 def state_from_device(squeezing, interferometer) -> GaussianState:
     """Pure state of squeezed vacua through an interferometer.
 
-    The resulting sampling matrix A block equals U diag(tanh r) U^T.
+    Each squeezer has Husimi blocks cosh^2 r (diagonal) and sinh r cosh r
+    (anomalous); the interferometer U acts as diag(U*, U). The resulting
+    sampling matrix A block equals U diag(tanh r) U^T.
     """
     r = np.asarray(squeezing, dtype=float)
     if r.ndim != 1 or np.any(r < 0):
         raise ValidationError("squeezing must be a 1-D list of nonnegative reals")
     u = as_matrix(interferometer)
-    if u.shape[0] != r.shape[0]:
+    m = r.shape[0]
+    if u.shape[0] != m:
         raise ValidationError("squeezing list and interferometer size mismatch")
     _check_unitary(u)
-    return _assemble(r, u, epsilon=0.0)
-
-
-def pure_state_from_a(a) -> GaussianState:
-    """Pure state whose sampling matrix A block is the given symmetric matrix
-    (spectral norm must be < 1)."""
-    a = as_matrix(a)
-    m = a.shape[0]
-    fac = takagi(a)
-    if fac.values.size and fac.values[0] >= 1.0:
-        raise ValidationError("spectral norm of A must be below 1")
-    x = _block_swap(m)
-    a_full = np.block(
-        [[a, np.zeros((m, m))], [np.zeros((m, m)), a.conj()]]
-    )
-    sq = inverse(np.eye(2 * m) - x @ a_full)
-    return GaussianState(modes=m, husimi=sq)
+    d = np.diag(np.cosh(r) ** 2).astype(np.complex128)
+    off = np.diag(np.sinh(r) * np.cosh(r)).astype(np.complex128)
+    sigma_in = np.block([[d, off], [off, d]])
+    t = np.zeros((2 * m, 2 * m), dtype=np.complex128)
+    t[:m, :m] = u.conj()
+    t[m:, m:] = u
+    return GaussianState(modes=m, husimi=t @ sigma_in @ t.conj().T)
 
 
 def sampling_matrix(state: GaussianState) -> SamplingMatrix:
-    """Extract the block sampling matrix X (I - sigma^-1)."""
+    """Extract the sampling matrix [[A, L], [L^dagger, A*]] = X (I - sigma^-1),
+    X the block swap: A and L are the lower row blocks of I - sigma^-1."""
     m = state.modes
-    x = _block_swap(m)
-    full = x @ (np.eye(2 * m) - inverse(state.husimi))
-    a_blk = full[:m, :m]
-    l_blk = full[:m, m:]
+    o = np.eye(2 * m) - inverse(state.husimi)
+    a_blk = o[m:, :m]
+    l_blk = o[m:, m:]
     scale = max(np.linalg.norm(a_blk), 1.0)
     if np.linalg.norm(a_blk - a_blk.T) > _A_SYM_TOL * scale:
         raise PhysicalityError("extracted A block is not symmetric")
@@ -204,9 +175,12 @@ def apply_thermal(state: GaussianState, epsilon: float) -> GaussianState:
     """Thermal-mixing channel on the input squeezers.
 
     Model: each input squeezer's covariance is convexly interpolated with a
-    thermal state of equal mean photon number, then sent through the same
-    interferometer. Requires a pure (lossless) input state, whose device
-    description is recovered from the Takagi factorization of its A block.
+    thermal state of equal mean photon number, which scales its anomalous
+    (squeezing) term by 1 - epsilon and keeps its diagonal; the result goes
+    through the same interferometer. Requires a pure (lossless) input state.
+    The interferometer acts on each Husimi block alone, so the output is the
+    input with both off-diagonal blocks scaled by 1 - epsilon, whatever
+    device produced it.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon}")
@@ -215,11 +189,11 @@ def apply_thermal(state: GaussianState, epsilon: float) -> GaussianState:
         raise ValidationError(
             "thermal mixing is defined on pure (lossless) device states"
         )
-    fac = takagi(sm.a)
-    if fac.values.size and fac.values[0] >= 1.0:
-        raise PhysicalityError("sampling matrix spectral norm >= 1")
-    r = np.arctanh(fac.values)
-    return _assemble(r, fac.unitary, epsilon)
+    m = state.modes
+    sq = state.husimi.copy()
+    sq[:m, m:] *= 1.0 - epsilon
+    sq[m:, :m] *= 1.0 - epsilon
+    return GaussianState(modes=m, husimi=sq)
 
 
 def _subset_determinants(out, h, stack, dets, masks) -> None:

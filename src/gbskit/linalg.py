@@ -17,23 +17,25 @@ from .errors import ValidationError
 __all__ = ["TakagiFactorization", "as_matrix", "inverse", "takagi"]
 
 _SINGULAR_TOL = 1e-12
+# relative symmetry tolerance of `takagi`, and its zero-value cutoff
+_TAKAGI_TOL = 1e-10
 
 
-def as_matrix(m, square: bool = True) -> np.ndarray:
-    """Coerce to a complex128 2-D array and validate finiteness."""
+def as_matrix(m) -> np.ndarray:
+    """Coerce to a square complex128 2-D array and validate finiteness."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if square and a.shape[0] != a.shape[1]:
+    if a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix contains NaN or Inf entries")
     return a
 
 
-def _check_symmetric(a: np.ndarray, tol: float) -> None:
+def _check_symmetric(a: np.ndarray) -> None:
     scale = max(np.linalg.norm(a), 1.0)
-    if np.linalg.norm(a - a.T) > tol * scale:
+    if np.linalg.norm(a - a.T) > _TAKAGI_TOL * scale:
         raise ValidationError("matrix is not symmetric within tolerance")
 
 
@@ -59,19 +61,19 @@ class TakagiFactorization:
         return self.unitary @ np.diag(self.values) @ self.unitary.T
 
 
-def takagi(s, tol: float = 1e-10) -> TakagiFactorization:
+def takagi(s) -> TakagiFactorization:
     """Takagi-Autonne decomposition of a complex symmetric matrix.
 
     Route: the real symmetric embedding H = [[Re S, Im S], [Im S, -Re S]] has
     eigenvalues +-d_i. An eigenvector (x, y) of H for d >= 0 gives a Takagi
     vector u = x + i y with S conj(u) = d u, and distinct or repeated d > 0
-    give orthonormal u. Values at or below tol * d_max (tol is also the
+    give orthonormal u. Values at or below `_TAKAGI_TOL` * d_max (also the
     relative symmetry tolerance) count as zero: their vectors complete the
     others to an orthonormal basis, as S conj(v) = 0 for every v orthogonal
     to them.
     """
     a = as_matrix(s)
-    _check_symmetric(a, tol)
+    _check_symmetric(a)
     n = a.shape[0]
     if n == 0:
         return TakagiFactorization(unitary=a.copy(), values=np.zeros(0))
@@ -81,7 +83,7 @@ def takagi(s, tol: float = 1e-10) -> TakagiFactorization:
     evals, evecs = np.linalg.eigh(h)  # ascending
     vals = evals[::-1][:n]
     vecs = evecs[:, ::-1][:, :n]
-    r = int(np.sum(vals > tol * vals[0]))
+    r = int(np.sum(vals > _TAKAGI_TOL * vals[0]))
     u = vecs[:n, :r] + 1j * vecs[n:, :r]
     q = np.hstack([u, scipy.linalg.null_space(u.conj().T)])
     vals = np.concatenate([vals[:r], np.zeros(n - r)])

@@ -3,13 +3,16 @@
 These deliberately avoid the library's algorithms: Hafnians by explicit
 perfect-matching enumeration, click distributions by inclusion-exclusion
 over direct determinants, rank correlations by direct rank-pair counting,
-reduced states and photon numbers read off the covariance. The graph
+reduced states and photon numbers read off the covariance, thermal mixing
+at the squeezers before the interferometer. The graph
 families with degenerate or zero Takagi values (cycle, star, rank two) are
 built here for the encoding and distribution tests alike. The
 searchers' references read the seeded stream one step at a time (n uniforms
 per uniform proposal, 4 per annealing step) and value one proposal per step
 through `Objective.value`; annealing on density repeats the library's
 row-sum arithmetic, in the same order, on Python complex numbers.
+`state_with_sampling_matrix` is a fixture, not an oracle: it builds a state
+through the library's Takagi factorization and device model.
 """
 
 import itertools
@@ -18,7 +21,8 @@ import math
 import numpy as np
 
 from gbskit.encoding import Graph
-from gbskit.gaussian import GaussianState
+from gbskit.gaussian import GaussianState, state_from_device
+from gbskit.linalg import takagi
 
 
 def reduced_state(state, keep):
@@ -69,6 +73,29 @@ def rank_two_graph(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     return Graph(n=n, adjacency=v @ v.T)
+
+
+def thermal_squeezer_husimi(r, u, epsilon):
+    """Husimi covariance of squeezers r mixed thermally by epsilon, then
+    sent through the interferometer u: the squeezer covariance with diagonal
+    cosh^2 r and anomalous term (1 - epsilon) sinh r cosh r, conjugated by
+    diag(U*, U)."""
+    r = np.asarray(r, dtype=float)
+    u = np.asarray(u, dtype=complex)
+    m = len(r)
+    d = np.diag(np.cosh(r) ** 2)
+    off = np.diag((1.0 - epsilon) * np.sinh(r) * np.cosh(r))
+    sigma_in = np.block([[d, off], [off, d]])
+    t = np.block([[u.conj(), np.zeros((m, m))], [np.zeros((m, m)), u]])
+    return t @ sigma_in @ t.conj().T
+
+
+def state_with_sampling_matrix(a):
+    """Pure state whose sampling matrix A block is the symmetric matrix a
+    (spectral norm below 1): squeezing arctanh of a's Takagi values through
+    its Takagi unitary."""
+    fac = takagi(a)
+    return state_from_device(np.arctanh(fac.values), fac.unitary)
 
 
 def mean_photons(state):

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from gbskit import bench
 from gbskit.errors import ValidationError
-from gbskit.generators import planted_clique_graph, zero_one_graph
+from gbskit.generators import (
+    planted_clique_graph,
+    random_complex_symmetric,
+    zero_one_graph,
+)
+from gbskit.matfn import hafnian, torontonian
 from gbskit.sampler import SamplePool
 from gbskit.solvers import RunTrace
 
-from oracles import rank_pair_spearman
+from oracles import rank_pair_spearman, state_with_sampling_matrix
 
 
 def make_trace(values, seed=0):
@@ -31,6 +37,26 @@ class TestCorrelationStudy:
         assert table.spearman_tor_density == pytest.approx(
             rank_pair_spearman(arr[:, 0], arr[:, 2]), abs=1e-10
         )
+
+    def test_matches_state_reference(self):
+        # O = I - sigma^-1 from the state whose sampling matrix is A
+        table = bench.correlation_study(30, seed=11)
+        rows = []
+        for i in range(30):
+            a = random_complex_symmetric(
+                4, seed=np.random.default_rng([11, i]).integers(2**32)
+            )
+            sigma = state_with_sampling_matrix(a).husimi
+            tor = torontonian(np.eye(8) - np.linalg.inv(sigma))
+            rows.append((tor, float(abs(hafnian(a)) ** 2), float(abs(a.sum()))))
+        for got, want in zip(table.rows, rows):
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+            assert got[1:] == want[1:]
+        arr = np.array(rows)
+        rho_h, p_h = stats.spearmanr(arr[:, 0], arr[:, 1])
+        rho_d, p_d = stats.spearmanr(arr[:, 0], arr[:, 2])
+        assert (table.spearman_tor_haf, table.pvalue_tor_haf) == (rho_h, p_h)
+        assert (table.spearman_tor_density, table.pvalue_tor_density) == (rho_d, p_d)
 
     def test_positive_correlation(self):
         table = bench.correlation_study(200, seed=3)

@@ -13,7 +13,6 @@ from gbskit.gaussian import (
     apply_thermal,
     mean_clicks,
     pattern_probability,
-    pure_state_from_a,
     sampling_matrix,
     state_from_device,
 )
@@ -28,6 +27,7 @@ from oracles import (
     rank_two_graph,
     reduced_state,
     star_graph,
+    thermal_squeezer_husimi,
 )
 
 
@@ -40,6 +40,17 @@ def random_device(m, seed, r_max=0.9):
     r = rng.uniform(0.1, r_max, m)
     u = unitary_group.rvs(m, random_state=rng)
     return r, u
+
+
+# degenerate and real spectra (0/1 graphs, cycle, star) and zero singular
+# values (star, rank two), small enough for the brute-force oracle
+ORACLE_GRAPHS = {
+    "zero-one": zero_one_graph(8, 0.5, seed=0),
+    "planted-clique": planted_clique_graph(8, 4, 0.2, seed=1),
+    "cycle": cycle_graph(8),
+    "star": star_graph(8),
+    "rank-two": rank_two_graph(8, seed=0),
+}
 
 
 class TestStateFromDevice:
@@ -137,11 +148,31 @@ class TestLoss:
             apply_loss(vacuum(1), 1.5)
 
 
+def encoded_device(name):
+    g = ORACLE_GRAPHS[name]
+    dev = encode_graph(g, choose_scale(g, 3.0))
+    return dev.squeezing, dev.interferometer
+
+
 class TestThermal:
     def test_epsilon_zero_is_identity(self):
-        r, u = random_device(3, 6)
-        state = state_from_device(r, u)
-        assert np.linalg.norm(apply_thermal(state, 0.0).husimi - state.husimi) < 1e-9
+        for r, u in [random_device(3, 6), *map(encoded_device, ORACLE_GRAPHS)]:
+            state = state_from_device(r, u)
+            same = apply_thermal(state, 0.0).husimi
+            assert same.tobytes() == state.husimi.tobytes()
+
+    # the encoded graphs' degenerate and zero Takagi values leave the device
+    # basis free; the channel must not depend on which basis made the state
+    @pytest.mark.parametrize("epsilon", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ["random-4", "random-7", *ORACLE_GRAPHS])
+    def test_matches_squeezer_level_model(self, name, epsilon):
+        if name in ORACLE_GRAPHS:
+            r, u = encoded_device(name)
+        else:
+            r, u = random_device(int(name[-1]), 50)
+        got = apply_thermal(state_from_device(r, u), epsilon).husimi
+        want = thermal_squeezer_husimi(r, u, epsilon)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_epsilon_one_kills_a_block(self):
         state = apply_thermal(state_from_device([1.0], [[1.0]]), 1.0)
@@ -227,17 +258,6 @@ class TestPatternProbability:
             pattern_probability(vacuum(2), [0, 2])
 
 
-# degenerate and real spectra (0/1 graphs, cycle, star) and zero singular
-# values (star, rank two), small enough for the brute-force oracle
-ORACLE_GRAPHS = {
-    "zero-one": zero_one_graph(8, 0.5, seed=0),
-    "planted-clique": planted_clique_graph(8, 4, 0.2, seed=1),
-    "cycle": cycle_graph(8),
-    "star": star_graph(8),
-    "rank-two": rank_two_graph(8, seed=0),
-}
-
-
 class TestPatternDistribution:
     @pytest.mark.parametrize("noisy", [False, True], ids=["lossless", "noisy"])
     @pytest.mark.parametrize("name", ORACLE_GRAPHS)
@@ -317,10 +337,6 @@ class TestStateValidation:
         h[0, 1] = h[1, 0] = 0.3
         with pytest.raises(PhysicalityError, match="not real in the quadrature"):
             GaussianState(modes=2, husimi=h)
-
-    def test_pure_state_from_a_spectral_norm_guard(self):
-        with pytest.raises(ValidationError):
-            pure_state_from_a(np.eye(2) * 1.5)
 
 
 class TestMeanClicks:

@@ -7,7 +7,11 @@ from gbskit.errors import CostGuardError, PhysicalityError, ValidationError
 from gbskit.generators import planted_clique_graph, random_complex_graph, zero_one_graph
 from gbskit.matfn import hafnian, hafnian_sq_mod, hafnians, torontonian
 
-from oracles import matching_hafnian, perfect_matching_count
+from oracles import (
+    matching_hafnian,
+    perfect_matching_count,
+    state_with_sampling_matrix,
+)
 
 
 def random_symmetric(n, seed, zero_diag=True):
@@ -200,7 +204,7 @@ class TestTorontonian:
 
     def test_block_consistent_permutation_invariance(self):
         rng = np.random.default_rng(5)
-        state = gaussian.pure_state_from_a(random_symmetric(4, 8) * 0.2)
+        state = state_with_sampling_matrix(random_symmetric(4, 8) * 0.2)
         o = np.eye(8) - np.linalg.inv(state.husimi)
         perm = rng.permutation(4)
         idx = np.concatenate([perm, perm + 4])
@@ -211,7 +215,7 @@ class TestTorontonian:
     def test_nonnegative_for_physical_states(self):
         for seed in range(5):
             a = random_symmetric(3, seed) * 0.25
-            state = gaussian.pure_state_from_a(a)
+            state = state_with_sampling_matrix(a)
             o = np.eye(6) - np.linalg.inv(state.husimi)
             assert torontonian(o) >= 0
 

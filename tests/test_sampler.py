@@ -16,7 +16,12 @@ from gbskit.sampler import (
     save_pool,
 )
 
-from oracles import all_patterns, inclusion_exclusion_distribution, reduced_state
+from oracles import (
+    all_patterns,
+    inclusion_exclusion_distribution,
+    reduced_state,
+    state_with_sampling_matrix,
+)
 
 
 def random_state(m, seed, r_max=0.8):
@@ -114,7 +119,7 @@ class TestSample:
     def test_proportional_to_hafnian_squared(self):
         # click patterns of even size are ranked consistently with |Haf(A_S)|^2
         a = random_complex_symmetric(4, seed=31, spectral_norm=0.7)
-        state = gaussian.pure_state_from_a(a)
+        state = state_with_sampling_matrix(a)
         probs, hafs = [], []
         for bits in all_patterns(4):
             k = sum(bits)
