@@ -31,7 +31,6 @@ __all__ = [
     "correlation_study",
     "score_advantage",
     "speed_advantage",
-    "advantage_report",
     "advantage_study",
     "geometric_fit",
     "noise_sweep",
@@ -158,23 +157,6 @@ class AdvantageReport:
             raise ValidationError("advantage report needs at least one trial")
 
 
-def advantage_report(
-    photon_click_k: int,
-    enhanced: list[RunTrace],
-    classical: list[RunTrace],
-    at_step: int,
-) -> AdvantageReport:
-    score, score_se = score_advantage(enhanced, classical, at_step)
-    speed = speed_advantage(enhanced, classical, at_step)
-    return AdvantageReport(
-        photon_click_k=photon_click_k,
-        score_advantage=score,
-        speed_advantage=speed.ratio,
-        trials=len(enhanced),
-        standard_error=score_se,
-    )
-
-
 def advantage_study(
     graph: Graph, k_values, steps: int, trials: int, seed: int,
     objective: str = "density", pool: SamplePool | None = None,
@@ -206,7 +188,9 @@ def advantage_study(
             classical.append(
                 random_search(obj, ProposalSource(kind="uniform"), steps, seed=tseed)
             )
-        reports.append(advantage_report(k, enhanced, classical, at_step=steps))
+        score, score_se = score_advantage(enhanced, classical, steps)
+        speed = speed_advantage(enhanced, classical, steps).ratio
+        reports.append(AdvantageReport(k, score, speed, trials, score_se))
     return reports
 
 

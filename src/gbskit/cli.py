@@ -131,6 +131,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = files.load_graph(args.graph)
+    obj = Objective(kind=args.objective, graph=g, k=args.k)
     params = {
         "graph": os.path.basename(args.graph),
         "objective": args.objective,
@@ -139,31 +140,21 @@ def _cmd_solve(args) -> int:
         "steps": args.steps,
         "seed": args.seed,
     }
-    summary_path = os.path.splitext(args.out)[0] + ".json"
-
-    if args.algo == "greedy":
-        subset = greedy_peel(g, args.k)
-        value = Objective(kind=args.objective, graph=g, k=args.k).value(subset)
-        trace = RunTrace(
-            np.array([value]), tuple(subset), steps_used=1, seed=args.seed
-        )
-        files.save_trace(trace, args.out, summary_path, params)
-        return 0
-
-    obj = Objective(kind=args.objective, graph=g, k=args.k)
-    if args.pool is not None:
+    source = ProposalSource(kind="uniform")
+    if args.pool is not None and args.algo != "greedy":  # greedy takes no proposals
         pool = sampler.load_pool(args.pool)
         if pool.modes != g.n:
             raise ValidationError(
                 f"pool pattern length {pool.modes} does not match graph size {g.n}"
             )
-        pool = sampler.postselect(pool, args.k)
-        source = ProposalSource(kind="pool", pool=pool)
+        source = ProposalSource(kind="pool", pool=sampler.postselect(pool, args.k))
         params["pool"] = os.path.basename(args.pool)
-    else:
-        source = ProposalSource(kind="uniform")
-
-    if args.algo == "rs":
+    if args.algo == "greedy":
+        subset = greedy_peel(g, args.k)
+        trace = RunTrace(
+            np.array([obj.value(subset)]), subset, steps_used=1, seed=args.seed
+        )
+    elif args.algo == "rs":
         trace = random_search(obj, source, args.steps, args.seed)
     else:
         trace = simulated_annealing(
@@ -171,7 +162,7 @@ def _cmd_solve(args) -> int:
             t0=args.t0, alpha=args.alpha, jump_prob=args.jump_prob, seed=args.seed,
         )
         params.update({"t0": args.t0, "alpha": args.alpha, "jump_prob": args.jump_prob})
-    files.save_trace(trace, args.out, summary_path, params)
+    files.save_trace(trace, args.out, os.path.splitext(args.out)[0] + ".json", params)
     return 0
 
 
@@ -216,6 +207,9 @@ _STUDIES = {
 
 
 def _parse_config(cfg: dict, fields) -> dict:
+    unknown = sorted(set(cfg) - {name for name, _, _ in fields})
+    if unknown:
+        raise ValidationError(f"unknown config fields {unknown}")
     parsed = {}
     for name, kind, default in fields:
         if name not in cfg:
@@ -224,9 +218,10 @@ def _parse_config(cfg: dict, fields) -> dict:
             parsed[name] = default
             continue
         value = cfg[name]
-        if kind is float and isinstance(value, int):
+        if kind is float and type(value) is int:
             value = float(value)
-        if not isinstance(value, kind):
+        # no field is boolean, and a JSON true is not a number
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise ValidationError(
                 f"config field {name!r} must be of type {kind.__name__}, "
                 f"got {type(value).__name__}"

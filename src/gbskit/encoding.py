@@ -98,7 +98,7 @@ def choose_scale(g: Graph, target_mean_clicks: float) -> float:
     lo = 0.0
     for _ in range(_MAX_BISECTIONS):
         mid = (lo + hi) / 2.0
-        val = expected_clicks(mid) if mid > 0 else 0.0
+        val = expected_clicks(mid)
         if abs(val - target_mean_clicks) < _SCALE_TOL:
             return mid
         if val < target_mean_clicks:

@@ -15,7 +15,7 @@ vector: they are read off each mode's 2x2 block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +57,6 @@ class GaussianState:
 
     modes: int
     husimi: np.ndarray
-    # the read-only vector `pattern_distribution` returns, set by its first call
-    _distribution: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         sq = as_matrix(self.husimi)
@@ -104,10 +100,6 @@ class SamplingMatrix:
 
     a: np.ndarray
     l: np.ndarray
-
-    @property
-    def full(self) -> np.ndarray:
-        return np.block([[self.a, self.l], [self.l.conj().T, self.a.conj()]])
 
 
 def _check_unitary(u: np.ndarray) -> None:
@@ -226,11 +218,9 @@ def _subset_determinants(out, h, stack, dets, masks) -> None:
 
 
 def pattern_distribution(state: GaussianState) -> np.ndarray:
-    """Exact probability of every click pattern, as a read-only vector
-    indexed by click bitmask (bit i = mode i), computed once per state."""
+    """Exact probability of every click pattern, as a new vector indexed by
+    click bitmask (bit i = mode i)."""
     m = state.modes
-    if state._distribution is not None:
-        return state._distribution
     if m > MAX_TABLE_MODES:
         raise CostGuardError(f"click distribution of {m} modes exceeds the cap "
                              f"of {MAX_TABLE_MODES} modes")
@@ -249,14 +239,14 @@ def pattern_distribution(state: GaussianState) -> np.ndarray:
     lo, hi, total = dist.min(), dist.max(), dist.sum()
     if not (-_PROB_TOL <= lo and hi <= 1 + _PROB_TOL and abs(total - 1) <= _PROB_TOL):
         raise PhysicalityError(f"click probabilities in [{lo}, {hi}] sum to {total}")
-    np.clip(dist, 0.0, 1.0, out=dist)
-    dist.flags.writeable = False
-    object.__setattr__(state, "_distribution", dist)
-    return dist
+    return np.clip(dist, 0.0, 1.0, out=dist)
 
 
 def pattern_probability(state: GaussianState, pattern) -> float:
-    """Exact probability of a threshold-detector click pattern."""
+    """Exact probability of a threshold-detector click pattern.
+
+    Each call computes the whole 2^M `pattern_distribution`; for many
+    patterns of one state, index that vector once instead."""
     bits = np.asarray(pattern)
     if bits.shape != (state.modes,) or np.any((bits != 0) & (bits != 1)):
         raise ValidationError("pattern must be a 0/1 vector of length modes")

@@ -27,21 +27,17 @@ def _exp_poly_coeffs(traces: np.ndarray, m: int) -> tuple:
     """Real and imaginary parts of [x^m] exp(sum_k t_k x^k / (2k)) for each
     trailing index of `traces` (shape (m, ...), t_k = traces[k - 1]).
 
-    Runs the scalar recurrence f' = g' f on arrays, with its exact
-    arithmetic, so every value has the bits of a one-matrix run with numpy
-    scalars: a division by an integer d is a multiplication by 1/d, as
-    numpy's complex division by a real is; every complex product is formed
-    from real and imaginary parts by separate operations, since numpy's
-    SIMD complex multiply fuses them and can differ in the last bit; and
-    the products with zero that complex arithmetic with a real operand
-    makes are kept, so signed zeros come out the same.
+    Runs the recurrence f' = g' f on arrays. A division by an integer d is
+    a multiplication by 1/d, and every complex product is formed from real
+    and imaginary parts by separate operations, since numpy's SIMD complex
+    multiply fuses them and can differ in the last bit; so each row's values
+    have the same bits whatever stack the row is in.
     """
     zero = np.zeros(traces.shape[1:])
     kg = []  # k * g_k
     for k in range(1, m + 1):
-        tr, ti, s = traces[k - 1].real, traces[k - 1].imag, 1.0 / (2 * k)
-        gr, gi = (tr + ti * 0.0) * s, (ti - tr * 0.0) * s
-        kg.append((k * gr - 0.0 * gi, k * gi + 0.0 * gr))
+        t, s = traces[k - 1], 1.0 / (2 * k)
+        kg.append((k * (t.real * s), k * (t.imag * s)))
     f = [(zero + 1.0, zero)]
     for j in range(1, m + 1):
         ar = ai = zero
@@ -50,7 +46,7 @@ def _exp_poly_coeffs(traces: np.ndarray, m: int) -> tuple:
             ar = ar + (xr * yr - xi * yi)
             ai = ai + (xr * yi + xi * yr)
         s = 1.0 / j
-        f.append(((ar + ai * 0.0) * s, (ai - ar * 0.0) * s))
+        f.append((ar * s, ai * s))
     return f[m]
 
 
@@ -77,15 +73,12 @@ def _hafnian_chunk(a: np.ndarray) -> np.ndarray:
             traces[k - 1][:, sel] = np.sum(ev**k, axis=-1)
     cr, ci = _exp_poly_coeffs(traces, half)
     # [x^half] of the empty product is 0 for half >= 1; the masks' signed
-    # terms are added in mask order, as complex numbers with +-1 factors
+    # terms are summed one after another in mask order (a pairwise `sum`
+    # would group them by length and change bits)
     sign = np.where((half - npairs) % 2, -1.0, 1.0)
-    term_r, term_i = sign * cr - 0.0 * ci, sign * ci + 0.0 * cr
-    total_r = total_i = np.zeros(a.shape[0])
-    for c in range(masks.size):
-        total_r = total_r + term_r[:, c]
-        total_i = total_i + term_i[:, c]
     out = np.empty(a.shape[0], dtype=np.complex128)
-    out.real, out.imag = total_r, total_i
+    out.real = np.add.accumulate(sign * cr, axis=1)[:, -1]
+    out.imag = np.add.accumulate(sign * ci, axis=1)[:, -1]
     return out
 
 
@@ -145,8 +138,6 @@ def hafnian_sq_mod(graph, subset) -> float:
     n = graph.n
     if any(v < 0 or v >= n for v in verts):
         raise ValidationError("subset vertex out of range")
-    if not verts:
-        return 1.0
     sub = graph.adjacency[np.ix_(verts, verts)]
     return float(abs(hafnian(sub)) ** 2)
 

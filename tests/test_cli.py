@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from gbskit import bench, files, sampler
 from gbskit.cli import main
-from gbskit.encoding import encode_graph
+from gbskit.encoding import DeviceParams, encode_graph
 from gbskit.sampler import load_pool
 
 
@@ -92,6 +93,17 @@ class TestSample:
         assert pool.provenance["epsilon"] == 0.1
         assert pool.seed == 4
 
+    @pytest.mark.parametrize("r", [14, 20, 30])
+    def test_ill_conditioned_device_exits_2(self, tmp_path, capsys, r):
+        dev = tmp_path / "dev.json"
+        u = unitary_group.rvs(4, random_state=np.random.default_rng(r))
+        files.save_device(DeviceParams(np.full(4, float(r)), u, 1.0), dev)
+        assert run("sample", dev, "--count", 10, "--epsilon", 0.1,
+                   "--seed", 0, "--out", tmp_path / "pool.txt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gbskit: error:") and "singular" in err
+        assert "Traceback" not in err
+
     def test_cost_guard_exits_3(self, tmp_path):
         # one mode above gaussian.MAX_TABLE_MODES
         graph = tmp_path / "g.json"
@@ -167,6 +179,28 @@ class TestBench:
         assert run("bench", "correlate", "--config", cfg,
                    "--out", tmp_path / "r") == 2
         assert "n_matrices" in capsys.readouterr().err
+
+    def test_unknown_field_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_matrices": 3, "seed": 1, "mode_cont": 8}))
+        outdir = tmp_path / "r"
+        assert run("bench", "correlate", "--config", cfg, "--out", outdir) == 2
+        assert "'mode_cont'" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("study, cfg, field", [
+        ("correlate", {"n_matrices": 3, "seed": True}, "seed"),
+        ("noise-sweep", {"graph": "g.json", "k": 2, "seed": 1, "mean_clicks": False},
+         "mean_clicks"),
+    ], ids=["int", "float"])
+    def test_boolean_number_exits_2(self, tmp_path, capsys, study, cfg, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "r"
+        assert run("bench", study, "--config", path, "--out", outdir) == 2
+        err = capsys.readouterr().err
+        assert repr(field) in err and "got bool" in err
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("study, cfg, defaults", [
         ("correlate", {"n_matrices": 2, "seed": 1}, {"mode_count": 4}),

@@ -98,10 +98,9 @@ class TestSample:
         # the distribution a pool is drawn from, against inclusion-exclusion
         # over direct determinants
         state = random_state(6, 14)
-        sample(state, 500, seed=2)
+        want = inclusion_exclusion_distribution(state)
         np.testing.assert_allclose(
-            state._distribution, inclusion_exclusion_distribution(state),
-            rtol=1e-12, atol=1e-14,
+            gaussian.pattern_distribution(state), want, rtol=1e-12, atol=1e-14
         )
 
     def test_empirical_distribution_m3(self):
@@ -136,7 +135,6 @@ class TestSample:
         state = gaussian.GaussianState(modes=25, husimi=np.eye(50, dtype=complex))
         with pytest.raises(CostGuardError):
             sample(state, 1, seed=0)
-        assert state._distribution is None
 
     def test_click_cost_guard(self):
         # 16.7 expected clicks cost no more than few: only the mode cap guards
