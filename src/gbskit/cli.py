@@ -220,12 +220,14 @@ def _parse_config(cfg: dict, fields) -> dict:
         value = cfg[name]
         if kind is float and type(value) is int:
             value = float(value)
-        # no field is boolean, and a JSON true is not a number
+        # no field is boolean, and a JSON true is not a number, in a list or not
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValidationError(
                 f"config field {name!r} must be of type {kind.__name__}, "
                 f"got {type(value).__name__}"
             )
+        if kind is list and any(isinstance(v, bool) for v in value):
+            raise ValidationError(f"config field {name!r} must hold numbers, got bool")
         parsed[name] = value
     return parsed
 

@@ -8,9 +8,9 @@ with X the block swap.
 `pattern_distribution` gives all 2^M click-pattern probabilities at once:
 clicks on C with vacuum on R have probability sum over Z subset of C of
 (-1)^|Z| P_vac(R u Z), P_vac(W) = det(sigma_W)^(-1/2). One mode-by-mode
-Schur-complement recursion gives every subset determinant, and one subset
-(Yates) transform every sum. Single-mode click probabilities need no 2^M
-vector: they are read off each mode's 2x2 block.
+Schur-complement recursion gives every subset determinant (the torontonian
+takes its terms from the same step), and one subset (Yates) transform every
+sum. Single-mode click probabilities are read off each mode's 2x2 block.
 """
 
 from __future__ import annotations
@@ -64,11 +64,7 @@ class GaussianState:
             raise ValidationError(
                 f"husimi matrix shape {sq.shape} does not match {self.modes} modes"
             )
-        scale = max(np.linalg.norm(sq), 1.0)
-        adjoint = sq.conj().T
-        if np.linalg.norm(sq - adjoint) > _HERM_TOL * scale:
-            raise PhysicalityError("husimi covariance is not Hermitian")
-        sq = (sq + adjoint) / 2.0
+        sq = _hermitian_bosonic(sq, "husimi covariance")
         # ascending, so the extremes are the ends
         lo, hi = np.linalg.eigvalsh(sq)[[0, -1]].tolist()
         # tolerance scales with the covariance norm: roundoff in a strongly
@@ -78,20 +74,34 @@ class GaussianState:
                 f"husimi covariance violates the uncertainty bound "
                 f"(min eigenvalue {lo:.3e} < 1/2)"
             )
-        # sigma is real in the quadrature basis (see `pattern_distribution`)
-        # iff it has the bosonic block structure [[N, M], [M*, N*]]; that
-        # change of basis is unitary up to a factor 2, so `off` is the norm
-        # of sigma's imaginary part there
-        m = self.modes
-        d = sq[:m] - np.concatenate([sq[m:, m:], sq[m:, :m]], axis=1).conj()
-        off = np.sqrt(np.vdot(d, d).real / 2.0)
-        if off > _IMAG_TOL * scale:
-            raise PhysicalityError(
-                "husimi covariance is not real in the quadrature basis "
-                "(no bosonic [[N, M], [M*, N*]] block structure)"
-            )
         object.__setattr__(self, "husimi", sq)
         self.husimi.setflags(write=False)
+
+
+def _hermitian_bosonic(sq: np.ndarray, what: str) -> np.ndarray:
+    """Hermitian part of a 2M x 2M matrix `sq`, once checked to be Hermitian
+    and bosonic relative to its norm, which must be finite; `what` names sq."""
+    # an infinite norm (squeezing r ~ 180 and up) makes every tolerance
+    # infinite; a difference that overflows fails its check
+    with np.errstate(over="ignore"):
+        scale = max(np.linalg.norm(sq), 1.0)
+        if scale == np.inf:
+            raise PhysicalityError(f"{what} norm overflows float64")
+        adjoint = sq.conj().T
+        if np.linalg.norm(sq - adjoint) > _HERM_TOL * scale:
+            raise PhysicalityError(f"{what} is not Hermitian")
+        sq = (sq + adjoint) / 2.0
+        # sq is real in the quadrature basis of `_vacuum_probabilities` iff it
+        # is bosonic, [[N, M], [M*, N*]]; that change of basis is unitary up
+        # to a factor 2, so this is the norm of the imaginary part there
+        m = len(sq) // 2
+        d = sq[:m] - np.concatenate([sq[m:, m:], sq[m:, :m]], axis=1).conj()
+        if np.sqrt(np.vdot(d, d).real / 2.0) > _IMAG_TOL * scale:
+            raise PhysicalityError(
+                f"{what} is not real in the quadrature basis "
+                "(no bosonic [[N, M], [M*, N*]] block structure)"
+            )
+    return sq
 
 
 @dataclass(frozen=True)
@@ -100,13 +110,6 @@ class SamplingMatrix:
 
     a: np.ndarray
     l: np.ndarray
-
-
-def _check_unitary(u: np.ndarray) -> None:
-    m = u.shape[0]
-    tol = _UNITARY_TOL * max(1.0, np.sqrt(m))
-    if np.linalg.norm(u.conj().T @ u - np.eye(m)) > tol:
-        raise ValidationError("interferometer matrix is not unitary")
 
 
 def state_from_device(squeezing, interferometer) -> GaussianState:
@@ -123,7 +126,8 @@ def state_from_device(squeezing, interferometer) -> GaussianState:
     m = r.shape[0]
     if u.shape[0] != m:
         raise ValidationError("squeezing list and interferometer size mismatch")
-    _check_unitary(u)
+    if np.linalg.norm(u.conj().T @ u - np.eye(m)) > _UNITARY_TOL * max(1.0, np.sqrt(m)):
+        raise ValidationError("interferometer matrix is not unitary")
     d = np.diag(np.cosh(r) ** 2).astype(np.complex128)
     off = np.diag(np.sinh(r) * np.cosh(r)).astype(np.complex128)
     sigma_in = np.block([[d, off], [off, d]])
@@ -188,33 +192,43 @@ def apply_thermal(state: GaussianState, epsilon: float) -> GaussianState:
     return GaussianState(modes=m, husimi=sq)
 
 
-def _subset_determinants(out, h, stack, dets, masks) -> None:
-    """Store det(v_W) at out[~W] for every mode subset W whose modes below
-    h are those of some masks[i]. stack[i] is the Schur complement of v on
+def _vacuum_probabilities(sq: np.ndarray) -> np.ndarray:
+    """det(sq_W)^(-1/2) at index ~W for every mode subset W of a checked
+    2M x 2M matrix (P_vac(W) when sq is a Husimi matrix), in the real
+    quadrature basis x0, p0, x1, p1, ..., a change that acts on each mode alone
+    and keeps subset determinants. A work item covers every W whose modes
+    below h are those of some masks[i]: stack[i] is the Schur complement on
     modes h and up given those modes, and dets[i] their det. Mode h is
     dropped by a slice, or added by a rank-2 update with the inverse of the
     leading 2x2 block, whose det multiplies dets[i]. Stacks of more than
     `_CHUNK` values are split along their rows first."""
-    while stack.shape[1]:
-        if stack.size > _CHUNK and len(stack) > 1:
-            half = len(stack) // 2
-            for part in (slice(None, half), slice(half, None)):
-                _subset_determinants(out, h, stack[part], dets[part], masks[part])
-            return
-        a, b, c = stack[:, 0, 0, None], stack[:, 0, 1, None], stack[:, 1, 1, None]
-        pivot = a * c - b * b
-        if not (a.min() > 0 and pivot.min() > 0):
-            w = int(masks[np.flatnonzero(~((a > 0) & (pivot > 0)))[0]]) | 1 << h
-            modes = [i for i in range(h + 1) if w >> i & 1]
-            raise PhysicalityError(f"modes {modes}: husimi block not positive definite")
-        x, y, rest = stack[:, 2:, 0], stack[:, 2:, 1], stack[:, 2:, 2:]
-        f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
-        added = rest - f[:, :, None] * x[:, None, :] - g[:, :, None] * y[:, None, :]
-        stack = np.concatenate([rest, added])
-        dets = np.concatenate([dets, dets * pivot[:, 0]])
-        masks = np.concatenate([masks, masks | 1 << h])
-        h += 1
-    out[out.size - 1 - masks] = dets
+    m = len(sq) // 2
+    w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
+    v = (w @ sq @ w.conj().T / 2.0).real
+    out = np.empty(1 << m)
+    work = [(0, v[None], np.ones(1), np.zeros(1, dtype=int))]
+    while work:
+        h, stack, dets, masks = work.pop()
+        while stack.shape[1] and (stack.size <= _CHUNK or len(stack) == 1):
+            a, b, c = stack[:, 0, 0, None], stack[:, 0, 1, None], stack[:, 1, 1, None]
+            pivot = a * c - b * b
+            if not (a.min() > 0 and pivot.min() > 0):
+                bad = int(masks[np.flatnonzero(~((a > 0) & (pivot > 0)))[0]]) | 1 << h
+                modes = [i for i in range(h + 1) if bad >> i & 1]
+                raise PhysicalityError(f"modes {modes}: block not positive definite")
+            x, y, rest = stack[:, 2:, 0], stack[:, 2:, 1], stack[:, 2:, 2:]
+            f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
+            added = rest - f[:, :, None] * x[:, None, :] - g[:, :, None] * y[:, None, :]
+            stack = np.concatenate([rest, added])
+            dets = np.concatenate([dets, dets * pivot[:, 0]])
+            masks = np.concatenate([masks, masks | 1 << h])
+            h += 1
+        if stack.shape[1]:
+            work += [(h, stack[p], dets[p], masks[p])
+                     for p in (np.s_[:len(stack) // 2], np.s_[len(stack) // 2:])]
+        else:
+            out[out.size - 1 - masks] = dets
+    return np.divide(1.0, np.sqrt(out, out=out), out=out)  # IEEE-exact ops
 
 
 def pattern_distribution(state: GaussianState) -> np.ndarray:
@@ -224,15 +238,7 @@ def pattern_distribution(state: GaussianState) -> np.ndarray:
     if m > MAX_TABLE_MODES:
         raise CostGuardError(f"click distribution of {m} modes exceeds the cap "
                              f"of {MAX_TABLE_MODES} modes")
-    # sigma in the real quadrature basis x0, p0, x1, p1, ...: the change of basis
-    # acts on each mode alone and keeps subset determinants; construction
-    # checked that sigma is real there
-    w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
-    v = (w @ state.husimi @ w.conj().T / 2.0).real
-    dist = np.empty(1 << m)
-    _subset_determinants(dist, 0, v[None], np.ones(1), np.zeros(1, dtype=int))
-    # P_vac = 1/sqrt(det) at complement masks (IEEE-exact ops), then Yates
-    np.divide(1.0, np.sqrt(dist, out=dist), out=dist)
+    dist = _vacuum_probabilities(state.husimi)  # at complement masks; then Yates
     for i in range(m):
         pairs = dist.reshape(-1, 2, 1 << i)
         pairs[:, 1] -= pairs[:, 0]

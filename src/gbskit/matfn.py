@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CostGuardError, PhysicalityError, ValidationError
+from .errors import CostGuardError, ValidationError
+from .gaussian import _hermitian_bosonic, _vacuum_probabilities
 from .linalg import as_matrix
 
 __all__ = ["hafnian", "hafnian_sq_mod", "hafnians", "torontonian"]
@@ -18,7 +19,6 @@ HAFNIAN_MAX_DIM = 24
 TORONTONIAN_MAX_MODES = 16
 
 _SYM_TOL = 1e-10
-_IMAG_TOL = 1e-8
 # complex values in one chunk's stacked submatrices
 _CHUNK = 1 << 16
 
@@ -146,8 +146,9 @@ def torontonian(o) -> float:
     """Torontonian of a 2m x 2m matrix in (first-block, second-block) ordering.
 
     Tor(O) = sum over Z subset of {1..m} of (-1)^(m-|Z|) / sqrt(det(I - O_Z)),
-    where O_Z keeps rows/columns {i, i+m : i in Z}. Every det(I - O_Z) must be
-    a positive real; anything else marks an unphysical input.
+    where O_Z keeps rows/columns {i, i+m : i in Z}, each det taken from the
+    recursion behind `pattern_distribution`. I - O must be Hermitian, bosonic
+    and positive definite, as sigma^-1 is; anything else is unphysical.
     """
     a = as_matrix(o)
     n = a.shape[0]
@@ -155,20 +156,10 @@ def torontonian(o) -> float:
         raise ValidationError(f"torontonian requires even dimension, got {n}")
     m = n // 2
     if m > TORONTONIAN_MAX_MODES:
-        raise CostGuardError(
-            f"torontonian mode count {m} exceeds the cost cap of "
-            f"{TORONTONIAN_MAX_MODES}"
-        )
-    total = float((-1) ** m)  # empty subset: det of the 0x0 matrix is 1
-    eye_cache = [np.eye(2 * k, dtype=np.complex128) for k in range(m + 1)]
-    for mask in range(1, 1 << m):
-        sel = [i for i in range(m) if (mask >> i) & 1]
-        k = len(sel)
-        idx = sel + [i + m for i in sel]
-        d = np.linalg.det(eye_cache[k] - a[np.ix_(idx, idx)])
-        if d.real <= 0 or abs(d.imag) > _IMAG_TOL * abs(d):
-            raise PhysicalityError(
-                f"det(I - O_Z) = {d} is not positive real; input is unphysical"
-            )
-        total += (-1) ** (m - k) / np.sqrt(d.real)
-    return total
+        raise CostGuardError(f"torontonian mode count {m} exceeds the cost cap of "
+                             f"{TORONTONIAN_MAX_MODES}")
+    # terms[s] belongs to Z = ~s, so its sign is (-1)^|s|: fold bit by bit
+    terms = _vacuum_probabilities(_hermitian_bosonic(np.eye(n) - a, "I - O"))
+    for _ in range(m):
+        terms = terms[0::2] - terms[1::2]
+    return float(terms[0])

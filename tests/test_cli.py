@@ -104,6 +104,17 @@ class TestSample:
         assert err.startswith("gbskit: error:") and "singular" in err
         assert "Traceback" not in err
 
+    def test_overflowing_covariance_exits_4(self, tmp_path, capsys):
+        # cosh^2(300) is finite, but the covariance norm is not
+        dev = tmp_path / "dev.json"
+        u = unitary_group.rvs(4, random_state=np.random.default_rng(300))
+        files.save_device(DeviceParams(np.full(4, 300.0), u, 1.0), dev)
+        assert run("sample", dev, "--count", 10, "--seed", 0,
+                   "--out", tmp_path / "pool.txt") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("gbskit: error:") and err.count("\n") == 1
+        assert "overflows" in err
+
     def test_cost_guard_exits_3(self, tmp_path):
         # one mode above gaussian.MAX_TABLE_MODES
         graph = tmp_path / "g.json"
@@ -192,7 +203,11 @@ class TestBench:
         ("correlate", {"n_matrices": 3, "seed": True}, "seed"),
         ("noise-sweep", {"graph": "g.json", "k": 2, "seed": 1, "mean_clicks": False},
          "mean_clicks"),
-    ], ids=["int", "float"])
+        ("noise-sweep", {"graph": "g.json", "k": 2, "seed": 1, "eta_grid": [True]},
+         "eta_grid"),
+        ("advantage", {"graph": "g.json", "k_values": [True], "seed": 1},
+         "k_values"),
+    ], ids=["int", "float", "float-list", "int-list"])
     def test_boolean_number_exits_2(self, tmp_path, capsys, study, cfg, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

@@ -332,6 +332,12 @@ class TestStateValidation:
         with pytest.raises(PhysicalityError):
             GaussianState(modes=1, husimi=0.3 * np.eye(2))
 
+    def test_rejects_overflowing_norm(self):
+        # every entry is finite, but the norm every check scales by is not
+        u = unitary_group.rvs(4, random_state=np.random.default_rng(300))
+        with pytest.raises(PhysicalityError, match="overflows"):
+            state_from_device([300.0] * 4, u)
+
     def test_rejects_non_bosonic_covariance(self):
         # Hermitian with eigenvalues >= 1/2, but no [[N, M], [M*, N*]] blocks:
         # an N block entry without its conjugate in the N* block

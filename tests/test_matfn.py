@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from gbskit import gaussian, matfn
 from gbskit.encoding import Graph
@@ -8,8 +9,10 @@ from gbskit.generators import planted_clique_graph, random_complex_graph, zero_o
 from gbskit.matfn import hafnian, hafnian_sq_mod, hafnians, torontonian
 
 from oracles import (
+    inclusion_exclusion_distribution,
     matching_hafnian,
     perfect_matching_count,
+    rank_two_graph,
     state_with_sampling_matrix,
 )
 
@@ -223,9 +226,36 @@ class TestTorontonian:
         with pytest.raises(ValidationError):
             torontonian(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("kind", ["pure", "lossy", "thermal", "rank-two"])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_direct_determinant_oracle(self, m, kind):
+        # Tor(I - sigma^-1)/sqrt(det sigma) is the all-click probability,
+        # which the oracle sums from direct Husimi determinants
+        rng = np.random.default_rng(m)
+        r = rng.uniform(0.5, 1.0, m)
+        u = unitary_group.rvs(m, random_state=rng) if m > 1 else np.eye(1)
+        state = gaussian.state_from_device(r, u)
+        if kind == "lossy":
+            state = gaussian.apply_loss(state, 0.7)
+        elif kind == "thermal":
+            state = gaussian.apply_thermal(state, 0.3)
+        elif kind == "rank-two":
+            a = rank_two_graph(m, m).adjacency
+            state = state_with_sampling_matrix(0.9 * a / np.linalg.norm(a, 2))
+        o = np.eye(2 * m) - np.linalg.inv(state.husimi)
+        p_all = torontonian(o) / np.sqrt(np.linalg.det(state.husimi).real)
+        want = inclusion_exclusion_distribution(state)[-1]
+        assert p_all == pytest.approx(want, rel=1e-10)
+
     def test_rejects_unphysical(self):
-        with pytest.raises(PhysicalityError):
-            torontonian(np.diag([2.0, 0.5]))
+        # I - O negative definite (even-sized blocks of a negative multiple of
+        # I have positive determinants), not bosonic, or not Hermitian
+        n = np.array([[1.0, 0.3], [0.0, 1.0]])
+        not_hermitian = np.block([[n, np.zeros((2, 2))], [np.zeros((2, 2)), n.conj()]])
+        for o in (2 * np.eye(2), 3 * np.eye(4), np.diag([2.0, 0.5]),
+                  np.eye(4) - not_hermitian):
+            with pytest.raises(PhysicalityError):
+                torontonian(o)
 
     def test_cost_guard(self):
         with pytest.raises(CostGuardError):
