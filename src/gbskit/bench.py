@@ -60,6 +60,8 @@ def correlation_study(
     device is X (A + A*) with X the block swap, written down from A."""
     if n_matrices < 2:
         raise ValidationError("need at least 2 matrices for a correlation study")
+    if mode_count < 2 or mode_count % 2:
+        raise ValidationError(f"mode_count must be even and >= 2, got {mode_count}")
     rows = []
     for i in range(n_matrices):
         a = random_complex_symmetric(
@@ -152,10 +154,6 @@ class AdvantageReport:
     trials: int
     standard_error: float
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("advantage report needs at least one trial")
-
 
 def advantage_study(
     graph: Graph, k_values, steps: int, trials: int, seed: int,
@@ -167,6 +165,8 @@ def advantage_study(
     or, without one, a `pool_size` pool from the graph encoded at k clicks."""
     if not all(isinstance(k, int) for k in k_values):
         raise ValidationError("k_values must hold integers")
+    if steps < 1 or trials < 1:
+        raise ValidationError(f"steps ({steps}) and trials ({trials}) must be >= 1")
     reports = []
     for ki, k in enumerate(k_values):
         obj = Objective(kind=objective, graph=graph, k=k)
@@ -299,6 +299,10 @@ def noise_sweep(
     epss = list(epsilon_grid)
     if any(not isinstance(e, numbers.Real) or not 0 <= e <= 1 for e in etas + epss):
         raise ValidationError("noise grids must hold real numbers within [0, 1]")
+    if min(trials, pool_size, budget, classical_trials) < 1:
+        raise ValidationError(
+            "trials, pool_size, budget and classical_trials must be >= 1"
+        )
     obj = Objective(kind=objective, graph=graph, k=k)
     target = _classical_target(obj, classical_budget, classical_trials, seed)
     c = choose_scale(

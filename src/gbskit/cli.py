@@ -25,6 +25,16 @@ from .solvers import (
 )
 
 
+def _int_from(low: int):
+    """argparse type: an integer >= `low`. argparse reports the ValueError
+    of a non-integer as an invalid integer value."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gbskit",
@@ -36,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a graph instance file")
     p.add_argument("--kind", required=True,
                    choices=["random-complex", "planted-clique", "zero-one"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_int_from(1), required=True)
+    p.add_argument("--seed", type=_int_from(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--edge-prob", type=float, default=0.5,
                    help="edge probability (zero-one)")
@@ -57,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_from(0), required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("solve", help="run a solver on a graph instance")
@@ -67,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["rs", "sa", "greedy"], required=True)
     p.add_argument("--pool", default=None, help="sample file for pool proposals")
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.995)
     p.add_argument("--jump-prob", type=float, default=0.0)
@@ -228,6 +238,9 @@ def _parse_config(cfg: dict, fields) -> dict:
             )
         if kind is list and any(isinstance(v, bool) for v in value):
             raise ValidationError(f"config field {name!r} must hold numbers, got bool")
+        # every int field is a count or a seed
+        if kind is int and value < 0:
+            raise ValidationError(f"config field {name!r} must be >= 0, got {value}")
         parsed[name] = value
     return parsed
 

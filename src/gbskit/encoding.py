@@ -14,11 +14,10 @@ import numpy as np
 
 from . import gaussian
 from .errors import ValidationError
-from .linalg import as_matrix, takagi
+from .linalg import as_matrix, symmetrized, takagi
 
 __all__ = ["Graph", "DeviceParams", "encode_graph", "choose_scale"]
 
-_SYM_TOL = 1e-10
 # `choose_scale` stops once expected clicks are this close to the target,
 # or after this many bisection steps
 _SCALE_TOL = 1e-4
@@ -38,11 +37,7 @@ class Graph:
             raise ValidationError(
                 f"adjacency shape {a.shape} does not match n={self.n}"
             )
-        scale = max(np.linalg.norm(a), 1.0)
-        if np.linalg.norm(a - a.T) > _SYM_TOL * scale:
-            raise ValidationError("adjacency matrix must be symmetric")
-        a = (a + a.T) / 2.0
-        object.__setattr__(self, "adjacency", a)
+        object.__setattr__(self, "adjacency", symmetrized(a, "Graph"))
         self.adjacency.setflags(write=False)
 
 

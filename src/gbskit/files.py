@@ -90,7 +90,7 @@ def load_graph(path) -> Graph:
         if key not in data:
             raise ValidationError(f"{path}: graph file missing field {key!r}")
     n = data["n"]
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:
         raise ValidationError(f"{path}: field 'n' must be a positive integer")
     a = np.zeros((n, n), dtype=np.complex128)
     entries = data["entries"]
@@ -133,6 +133,8 @@ def load_device(path) -> DeviceParams:
     re, im, r, scale = (_numbers(path, data, key) for key in (
         "interferometer_re", "interferometer_im", "squeezing", "scale"))
     m = data["modes"]
+    if type(m) is not int:
+        raise ValidationError(f"{path}: field 'modes' must be an integer")
     if re.shape != (m, m) or im.shape != (m, m) or r.shape != (m,) or scale.shape:
         raise ValidationError(f"{path}: device field shapes are inconsistent")
     return DeviceParams(squeezing=r, interferometer=re + 1j * im, scale=float(scale))

@@ -14,11 +14,11 @@ import scipy.linalg
 
 from .errors import ValidationError
 
-__all__ = ["TakagiFactorization", "as_matrix", "inverse", "takagi"]
+__all__ = ["TakagiFactorization", "as_matrix", "inverse", "symmetrized", "takagi"]
 
 _SINGULAR_TOL = 1e-12
-# relative symmetry tolerance of `takagi`, and its zero-value cutoff
-_TAKAGI_TOL = 1e-10
+# relative symmetry tolerance of `symmetrized`, and `takagi`'s zero-value cutoff
+_SYM_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -33,10 +33,20 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _check_symmetric(a: np.ndarray) -> None:
-    scale = max(np.linalg.norm(a), 1.0)
-    if np.linalg.norm(a - a.T) > _TAKAGI_TOL * scale:
-        raise ValidationError("matrix is not symmetric within tolerance")
+def symmetrized(a: np.ndarray, what: str) -> np.ndarray:
+    """(a + a^T) / 2 of each matrix in a finite (..., n, n) complex array,
+    refusing one with ||a - a^T|| > `_SYM_TOL` * ||a||. Both norms are taken
+    after dividing by the largest real or imaginary part, so no norm
+    overflows and the rule holds at every scale. The error names `what` and
+    a stack's first refused row."""
+    top = np.maximum(abs(a.real), abs(a.imag)).max((-2, -1), keepdims=True, initial=0)
+    s = a / np.where(top > 0, top, 1.0)
+    skew = np.linalg.norm(s - np.swapaxes(s, -1, -2), axis=(-2, -1))
+    bad = np.flatnonzero(skew > _SYM_TOL * np.linalg.norm(s, axis=(-2, -1)))
+    if bad.size:
+        row = f"; stack row {bad[0]} is not" if a.ndim > 2 else ""
+        raise ValidationError(f"{what} requires a symmetric matrix{row}")
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def inverse(m) -> np.ndarray:
@@ -57,9 +67,6 @@ class TakagiFactorization:
     unitary: np.ndarray
     values: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return self.unitary @ np.diag(self.values) @ self.unitary.T
-
 
 def takagi(s) -> TakagiFactorization:
     """Takagi-Autonne decomposition of a complex symmetric matrix.
@@ -67,23 +74,21 @@ def takagi(s) -> TakagiFactorization:
     Route: the real symmetric embedding H = [[Re S, Im S], [Im S, -Re S]] has
     eigenvalues +-d_i. An eigenvector (x, y) of H for d >= 0 gives a Takagi
     vector u = x + i y with S conj(u) = d u, and distinct or repeated d > 0
-    give orthonormal u. Values at or below `_TAKAGI_TOL` * d_max (also the
+    give orthonormal u. Values at or below `_SYM_TOL` * d_max (also the
     relative symmetry tolerance) count as zero: their vectors complete the
     others to an orthonormal basis, as S conj(v) = 0 for every v orthogonal
     to them.
     """
-    a = as_matrix(s)
-    _check_symmetric(a)
+    a = symmetrized(as_matrix(s), "takagi")
     n = a.shape[0]
     if n == 0:
-        return TakagiFactorization(unitary=a.copy(), values=np.zeros(0))
-    a = (a + a.T) / 2.0
+        return TakagiFactorization(unitary=a, values=np.zeros(0))
 
     h = np.block([[a.real, a.imag], [a.imag, -a.real]])
     evals, evecs = np.linalg.eigh(h)  # ascending
     vals = evals[::-1][:n]
     vecs = evecs[:, ::-1][:, :n]
-    r = int(np.sum(vals > _TAKAGI_TOL * vals[0]))
+    r = int(np.sum(vals > _SYM_TOL * vals[0]))
     u = vecs[:n, :r] + 1j * vecs[n:, :r]
     q = np.hstack([u, scipy.linalg.null_space(u.conj().T)])
     vals = np.concatenate([vals[:r], np.zeros(n - r)])

@@ -98,6 +98,12 @@ def state_with_sampling_matrix(a):
     return state_from_device(np.arctanh(fac.values), fac.unitary)
 
 
+def takagi_product(fac):
+    """U diag(values) U^T of a Takagi factorization, which should give back
+    the factorized matrix."""
+    return fac.unitary @ np.diag(fac.values) @ fac.unitary.T
+
+
 def mean_photons(state):
     """Total mean photon number, tr(sigma_Q)/2 - M."""
     return float(np.trace(state.husimi).real / 2.0 - state.modes)

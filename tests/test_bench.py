@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gbskit import bench
+from gbskit import bench, sampler
 from gbskit.errors import ValidationError
 from gbskit.generators import (
     planted_clique_graph,
@@ -217,3 +217,32 @@ class TestAdvantageStudy:
         with pytest.raises(ValidationError, match="k_values"):
             bench.advantage_study(g, [2, "4"], steps=5, trials=1, seed=0,
                                   pool_size=50)
+
+
+@pytest.mark.parametrize("study, kwargs", [
+    ("noise_sweep", dict(classical_trials=0)),
+    ("noise_sweep", dict(budget=0)),
+    ("noise_sweep", dict(trials=0)),
+    ("noise_sweep", dict(pool_size=0)),
+    ("correlation_study", dict(mode_count=0)),
+    ("advantage_study", dict(steps=0)),
+    ("advantage_study", dict(trials=0)),
+], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
+def test_studies_refuse_degenerate_sizes_before_any_work(monkeypatch, study, kwargs):
+    def no_work(*args, **kw):
+        raise AssertionError("the study ran before checking its sizes")
+
+    monkeypatch.setattr(sampler, "sample", no_work)
+    monkeypatch.setattr(bench, "random_search", no_work)
+    monkeypatch.setattr(bench, "torontonian", no_work)
+    g = planted_clique_graph(8, 3, 0.2, seed=1)
+    base = {
+        "noise_sweep": dict(graph=g, k=3, eta_grid=[1.0], epsilon_grid=[0.0],
+                            trials=5, seed=7, pool_size=100, budget=50,
+                            classical_budget=20, classical_trials=3),
+        "correlation_study": dict(n_matrices=3, seed=1),
+        "advantage_study": dict(graph=g, k_values=[2], steps=5, trials=2, seed=0,
+                                pool_size=50),
+    }[study]
+    with pytest.raises(ValidationError, match=next(iter(kwargs))):
+        getattr(bench, study)(**dict(base, **kwargs))

@@ -315,6 +315,39 @@ class TestMissingFiles:
         assert err.startswith("gbskit: error:") and "missing" in err
 
 
+class TestIntegerArguments:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "zero-one", "--n", 6, "--seed", -1, "--out", "{tmp}/g.json"],
+        ["gen", "--kind", "zero-one", "--n", -2, "--seed", 0, "--out", "{tmp}/g.json"],
+        ["gen", "--kind", "zero-one", "--n", 0, "--seed", 0, "--out", "{tmp}/g.json"],
+        ["sample", "{dev}", "--count", 5, "--seed", -1, "--out", "{tmp}/p.txt"],
+        ["solve", "{graph}", "--objective", "density", "--k", 3, "--algo", "rs",
+         "--seed", -1, "--out", "{tmp}/t.csv"],
+    ], ids=["gen-seed", "gen-negative-n", "gen-zero-n", "sample-seed", "solve-seed"])
+    def test_negative_seed_or_empty_graph_exits_2(self, k6_graph, tmp_path, capsys,
+                                                  argv):
+        dev = tmp_path / "dev.json"
+        assert run("encode", k6_graph, "--scale", 0.1, "--out", dev) == 0
+        argv = [str(a).format(graph=k6_graph, dev=dev, tmp=tmp_path) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.json", "k6.json"]
+
+    @pytest.mark.parametrize("cfg, field", [
+        ({"n_matrices": 3, "seed": -1}, "seed"),
+        ({"n_matrices": 3, "seed": 1, "mode_count": -1}, "mode_count"),
+    ])
+    def test_negative_config_integer_exits_2(self, tmp_path, capsys, cfg, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "r"
+        assert run("bench", "correlate", "--config", path, "--out", outdir) == 2
+        assert f"{field!r} must be >= 0" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
 class TestWrongFieldTypes:
     @pytest.mark.parametrize("graph", [
         {"n": 2, "entries": 5},
@@ -325,6 +358,25 @@ class TestWrongFieldTypes:
         path.write_text(json.dumps(graph))
         assert run("encode", path, "--scale", 0.1, "--out", tmp_path / "d.json") == 2
         assert "entries" in capsys.readouterr().err
+
+    def test_boolean_graph_size_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": True, "entries": []}))
+        assert run("encode", path, "--scale", 0.1, "--out", tmp_path / "d.json") == 2
+        assert "'n' must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("modes", [True, 1.0], ids=["bool", "float"])
+    def test_device_modes_not_integer_exits_2(self, tmp_path, capsys, modes):
+        # a one-mode device: its field shapes (1, 1) equal (True, True)
+        graph, dev = tmp_path / "g.json", tmp_path / "dev.json"
+        assert run("gen", "--kind", "zero-one", "--n", 1, "--seed", 0,
+                   "--out", graph) == 0
+        assert run("encode", graph, "--scale", 0.1, "--out", dev) == 0
+        dev.write_text(json.dumps(dict(json.loads(dev.read_text()), modes=modes)))
+        out = tmp_path / "pool.txt"
+        assert run("sample", dev, "--count", 5, "--seed", 0, "--out", out) == 2
+        assert "'modes' must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_device_scale_exits_2(self, k6_graph, tmp_path, capsys):
         dev = tmp_path / "dev.json"

@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from gbskit.encoding import Graph
 from gbskit.errors import ValidationError
-from gbskit.linalg import inverse, takagi
+from gbskit.linalg import inverse, symmetrized, takagi
+from gbskit.matfn import hafnian, hafnians
+
+from oracles import takagi_product
 
 
 def random_complex(n, seed):
@@ -41,7 +47,7 @@ class TestTakagi:
     def test_real_diagonal(self):
         f = takagi(np.diag([4.0, 1.0]))
         assert np.allclose(f.values, [4.0, 1.0])
-        assert np.allclose(f.reconstruct(), np.diag([4.0, 1.0]))
+        assert np.allclose(takagi_product(f), np.diag([4.0, 1.0]))
 
     def test_swap_matrix(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -55,7 +61,7 @@ class TestTakagi:
         a = (a + a.T) / 2
         f = takagi(a)
         n = a.shape[0]
-        assert np.linalg.norm(f.reconstruct() - a) / np.linalg.norm(a) < 1e-9
+        assert np.linalg.norm(takagi_product(f) - a) / np.linalg.norm(a) < 1e-9
         assert np.linalg.norm(f.unitary.conj().T @ f.unitary - np.eye(n)) < 1e-10
         sv = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(f.values, sv, atol=1e-9 * sv[0])
@@ -72,7 +78,7 @@ class TestTakagi:
         a = np.kron(np.eye(2), np.array([[0, 1j], [1j, 0]]))
         f = takagi(a)
         assert np.allclose(f.values, [1, 1, 1, 1])
-        assert np.linalg.norm(f.reconstruct() - a) < 1e-10
+        assert np.linalg.norm(takagi_product(f) - a) < 1e-10
 
     def test_deterministic(self):
         a = random_complex(6, 9)
@@ -90,3 +96,46 @@ class TestTakagi:
         f = takagi(np.zeros((3, 3)))
         assert np.allclose(f.values, 0)
         assert np.linalg.norm(f.unitary.conj().T @ f.unitary - np.eye(3)) < 1e-12
+
+
+# every caller of the one symmetry rule, on a 2-D matrix
+SYMMETRY_CALLERS = [
+    lambda m: Graph(n=len(m), adjacency=m),
+    takagi,
+    hafnian,
+    lambda m: hafnians([m]),
+]
+
+
+class TestSymmetrized:
+    @pytest.mark.parametrize("m", [
+        [[0, 1e200], [1e100, 0]],
+        [[1e200, 1e200], [1e100, 0]],
+        [[0, 1e-6], [1e-6 + 1e-15, 0]],
+    ], ids=["huge-off-diagonal", "huge-diagonal", "tiny"])
+    def test_every_caller_refuses_asymmetric_input_at_any_scale(self, m):
+        for call in SYMMETRY_CALLERS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match="symmetric"):
+                    call(m)
+
+    def test_huge_symmetric_input_is_accepted(self):
+        m = [[0, 1e200], [1e200, 0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hafnian(m) == 1e200
+            assert np.array_equal(Graph(n=2, adjacency=m).adjacency, m)
+            assert np.allclose(takagi(m).values, [1e200, 1e200], rtol=1e-12)
+
+    def test_rule_does_not_depend_on_scale(self):
+        a = random_complex(6, 4)
+        a = a + a.T
+        near, far = a.copy(), a.copy()
+        near[0, 1] *= 1 + 1e-12
+        far[0, 1] *= 1 + 1e-8
+        for e in (-900, -60, 0, 60, 900):
+            s = 2.0**e * near
+            assert np.array_equal(symmetrized(s, "m"), (s + s.T) / 2.0)
+            with pytest.raises(ValidationError, match="m requires a symmetric"):
+                symmetrized(2.0**e * far, "m")
