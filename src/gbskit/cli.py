@@ -121,9 +121,10 @@ def _cmd_encode(args) -> int:
 def _cmd_sample(args) -> int:
     dev = files.load_device(args.device)
     state = dev.build_state()
-    if args.epsilon > 0:
+    # a channel is skipped only at its identity value, so bad values reach its check
+    if args.epsilon != 0:
         state = gaussian.apply_thermal(state, args.epsilon)
-    if args.eta < 1:
+    if args.eta != 1:
         state = gaussian.apply_loss(state, args.eta)
     pool = dataclasses.replace(
         sampler.sample(state, args.count, args.seed),
@@ -253,9 +254,10 @@ def _cmd_bench(args) -> int:
         kwargs["graph"] = files.load_graph(kwargs["graph"])
     if kwargs.get("pool") is not None:
         kwargs["pool"] = sampler.load_pool(kwargs["pool"])
+    report = getattr(bench, study)(**kwargs)
     os.makedirs(args.out, exist_ok=True)
     getattr(files, writer)(
-        getattr(bench, study)(**kwargs),
+        report,
         os.path.join(args.out, stem + ".csv"),
         os.path.join(args.out, stem + ".json"),
     )

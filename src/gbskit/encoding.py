@@ -40,6 +40,25 @@ class Graph:
         object.__setattr__(self, "adjacency", symmetrized(a, "Graph"))
         self.adjacency.setflags(write=False)
 
+    def subgraphs(self, subsets) -> np.ndarray:
+        """Adjacency submatrices (N, k, k) of the rows of an (N, k) integer
+        vertex array, each in its row's order. The one subset rule: a row with
+        a vertex out of range or a repeated vertex is refused by its index."""
+        rows = np.asarray(subsets)
+        if rows.ndim != 2:
+            raise ValidationError(f"expected an (N, k) subset array, got shape {rows.shape}")
+        if rows.size and not np.issubdtype(rows.dtype, np.integer):
+            raise ValidationError(f"subset indices must be integers, not {rows.dtype}")
+        rows = rows.astype(np.intp, copy=False)
+        bad = np.flatnonzero(((rows < 0) | (rows >= self.n)).any(axis=1))
+        if bad.size:
+            raise ValidationError(f"subset {bad[0]}: vertex out of range")
+        ordered = np.sort(rows, axis=1)
+        bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if bad.size:
+            raise ValidationError(f"subset {bad[0]}: vertices must be distinct")
+        return self.adjacency[rows[:, :, None], rows[:, None, :]]
+
 
 @dataclass(frozen=True)
 class DeviceParams:

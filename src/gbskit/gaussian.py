@@ -159,7 +159,7 @@ def apply_loss(state: GaussianState, eta) -> GaussianState:
         e = np.full(m, float(e))
     if e.shape != (m,):
         raise ValidationError("eta must be a scalar or one value per mode")
-    if np.any(e < 0) or np.any(e > 1):
+    if not np.all((e >= 0) & (e <= 1)):  # NaN fails both
         raise ValidationError("eta values must lie in [0, 1]")
     d = np.sqrt(np.concatenate([e, e]))
     sq = d[:, None] * state.husimi * d[None, :]

@@ -34,11 +34,11 @@ def as_matrix(m) -> np.ndarray:
 
 
 def symmetrized(a: np.ndarray, what: str) -> np.ndarray:
-    """(a + a^T) / 2 of each matrix in a finite (..., n, n) complex array,
-    refusing one with ||a - a^T|| > `_SYM_TOL` * ||a||. Both norms are taken
-    after dividing by the largest real or imaginary part, so no norm
-    overflows and the rule holds at every scale. The error names `what` and
-    a stack's first refused row."""
+    """a / 2 + a^T / 2 (it cannot overflow) of each matrix in a finite complex
+    (..., n, n) array, refusing one with ||a - a^T|| > `_SYM_TOL` * ||a||.
+    Both norms are taken after dividing by the largest real or imaginary
+    part, so no norm overflows and the rule holds at every scale. The error
+    names `what` and a stack's first refused row."""
     top = np.maximum(abs(a.real), abs(a.imag)).max((-2, -1), keepdims=True, initial=0)
     s = a / np.where(top > 0, top, 1.0)
     skew = np.linalg.norm(s - np.swapaxes(s, -1, -2), axis=(-2, -1))
@@ -46,7 +46,7 @@ def symmetrized(a: np.ndarray, what: str) -> np.ndarray:
     if bad.size:
         row = f"; stack row {bad[0]} is not" if a.ndim > 2 else ""
         raise ValidationError(f"{what} requires a symmetric matrix{row}")
-    return (a + np.swapaxes(a, -1, -2)) / 2.0
+    return a / 2.0 + np.swapaxes(a, -1, -2) / 2.0
 
 
 def inverse(m) -> np.ndarray:

@@ -123,16 +123,7 @@ def hafnian(m) -> complex:
 
 def hafnian_sq_mod(graph, subset) -> float:
     """|Haf(adjacency restricted to subset)|^2. Subset size must be even."""
-    verts = list(subset)
-    if len(verts) % 2 != 0:
-        raise ValidationError("hafnian objective requires an even subset size")
-    if len(set(verts)) != len(verts):
-        raise ValidationError("subset vertices must be distinct")
-    n = graph.n
-    if any(v < 0 or v >= n for v in verts):
-        raise ValidationError("subset vertex out of range")
-    sub = graph.adjacency[np.ix_(verts, verts)]
-    return float(abs(hafnian(sub)) ** 2)
+    return float(abs(complex(hafnians(graph.subgraphs([list(subset)]))[0])) ** 2)
 
 
 def torontonian(o) -> float:

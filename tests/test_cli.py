@@ -115,6 +115,23 @@ class TestSample:
         assert err.startswith("gbskit: error:") and err.count("\n") == 1
         assert "overflows" in err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--eta", 1.5, "eta values must lie in [0, 1]"),
+        ("--eta", -0.1, "eta values must lie in [0, 1]"),
+        ("--eta", "nan", "eta values must lie in [0, 1]"),
+        ("--epsilon", -0.5, "epsilon must lie in [0, 1]"),
+        ("--epsilon", 1.5, "epsilon must lie in [0, 1]"),
+    ])
+    def test_noise_out_of_range_exits_2(self, k6_graph, tmp_path, capsys, option,
+                                        value, message):
+        dev = tmp_path / "dev.json"
+        out = tmp_path / "pool.txt"
+        assert run("encode", k6_graph, "--mean-clicks", 2.0, "--out", dev) == 0
+        assert run("sample", dev, "--count", 10, option, value,
+                   "--seed", 0, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cost_guard_exits_3(self, tmp_path):
         # one mode above gaussian.MAX_TABLE_MODES
         graph = tmp_path / "g.json"
@@ -190,6 +207,14 @@ class TestBench:
         assert run("bench", "correlate", "--config", cfg,
                    "--out", tmp_path / "r") == 2
         assert "n_matrices" in capsys.readouterr().err
+
+    def test_refused_study_leaves_no_report_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_matrices": 3, "seed": 1, "mode_count": 0}))
+        outdir = tmp_path / "out"
+        assert run("bench", "correlate", "--config", cfg, "--out", outdir) == 2
+        assert capsys.readouterr().err.startswith("gbskit: error:")
+        assert not outdir.exists()
 
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -27,6 +27,30 @@ class TestGraph:
         with pytest.raises(ValidationError):
             Graph(n=2, adjacency=[[0, 1], [2, 0]])
 
+    def test_subgraphs_gather_each_row_in_its_order(self):
+        g = random_complex_graph(9, seed=4)
+        rows = np.array([[5, 0, 7], [8, 2, 1], [3, 6, 4], [5, 0, 7]])
+        got = g.subgraphs(rows)
+        assert got.shape == (4, 3, 3)
+        for row, sub in zip(rows, got):
+            assert np.array_equal(sub, g.adjacency[np.ix_(row, row)])
+
+    def test_subgraphs_of_empty_rows(self):
+        g = random_complex_graph(4, seed=0)
+        assert g.subgraphs([[]]).shape == (1, 0, 0)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([0, 1], r"expected an \(N, k\) subset array"),
+        ([[0, 1], [1, 4]], "subset 1: vertex out of range"),
+        ([[0, 1], [-1, 2]], "subset 1: vertex out of range"),
+        ([[0, 1], [2, 2]], "subset 1: vertices must be distinct"),
+        ([[0.0, 1.0]], "integers"),
+        ([[True, False]], "integers"),
+    ])
+    def test_subgraphs_refuse_bad_rows(self, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            random_complex_graph(4, seed=0).subgraphs(rows)
+
     def test_adjacency_read_only(self):
         g = Graph(n=2, adjacency=np.zeros((2, 2)))
         with pytest.raises(ValueError):

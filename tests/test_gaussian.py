@@ -151,6 +151,12 @@ class TestLoss:
         with pytest.raises(ValidationError):
             apply_loss(vacuum(1), 1.5)
 
+    @pytest.mark.parametrize("eta", [np.nan, [1.0, np.nan]])
+    def test_rejects_nan(self, eta):
+        r, u = random_device(2, 4)
+        with pytest.raises(ValidationError, match=r"eta values must lie in \[0, 1\]"):
+            apply_loss(state_from_device(r, u), eta)
+
 
 def encoded_device(name):
     g = ORACLE_GRAPHS[name]

@@ -128,6 +128,14 @@ class TestSymmetrized:
             assert np.array_equal(Graph(n=2, adjacency=m).adjacency, m)
             assert np.allclose(takagi(m).values, [1e200, 1e200], rtol=1e-12)
 
+    def test_symmetric_part_does_not_overflow(self):
+        # a + a^T would overflow; the hafnian's power traces still do
+        m = [[0, 1.5e308], [1.5e308, 0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(Graph(n=2, adjacency=m).adjacency, m)
+            assert np.array_equal(takagi(m).values, [1.5e308, 1.5e308])
+
     def test_rule_does_not_depend_on_scale(self):
         a = random_complex(6, 4)
         a = a + a.T

@@ -8,7 +8,7 @@ from gbskit.bench import resampled_pool_source
 from gbskit.encoding import Graph
 from gbskit.errors import ValidationError
 from gbskit.generators import planted_clique_graph, random_complex_graph, zero_one_graph
-from gbskit.matfn import hafnians
+from gbskit.matfn import hafnian_sq_mod, hafnians
 from gbskit.sampler import SamplePool
 from gbskit.solvers import (
     Objective,
@@ -415,6 +415,36 @@ class TestObjectiveValues:
         obj = Objective("density", random_complex_graph(10, seed=2), 4)
         with pytest.raises(ValidationError, match=message):
             obj.values(rows)
+
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    def test_rejects_unsortable_rows(self, kind):
+        obj = Objective(kind, random_complex_graph(10, seed=2), 4)
+        with pytest.raises(ValidationError, match="integers"):
+            obj.values([[0, None, 2, 3]])
+
+
+# every entry point that values a vertex subset, each given one k = 4 row
+SUBSET_ENTRY_POINTS = {
+    "density": density,
+    "hafnian_sq_mod": hafnian_sq_mod,
+    "value-density": lambda g, row: Objective("density", g, 4).value(row),
+    "value-maxhaf": lambda g, row: Objective("maxhaf", g, 4).value(row),
+    "values-density": lambda g, row: Objective("density", g, 4).values([row]),
+    "values-maxhaf": lambda g, row: Objective("maxhaf", g, 4).values([row]),
+}
+
+
+@pytest.mark.parametrize("entry", SUBSET_ENTRY_POINTS)
+@pytest.mark.parametrize("row, message", [
+    ([0, 1, 2, 10], "out of range"),
+    ([0, 1, 1, 3], "must be distinct"),
+    ([0.0, 1.0, 2.0, 3.0], "integers"),
+    ([True, False, True, False], "integers"),
+], ids=["out-of-range", "repeated", "float", "bool"])
+def test_every_entry_point_refuses_bad_subsets(entry, row, message):
+    g = random_complex_graph(10, seed=2)
+    with pytest.raises(ValidationError, match=message):
+        SUBSET_ENTRY_POINTS[entry](g, row)
 
 
 class _PeakDict(dict):
