@@ -20,11 +20,13 @@ trace independent of the chunk size.
 
 Random search does not adapt to the values it sees, so it values each chunk
 with one `Objective.values` call: |Hafnian|^2 of each distinct proposal
-once, through the stacked `matfn.hafnians`. Its traces are bit-identical to
-valuing one step at a time. Annealing on density keeps the complex row sums
-r = a[:, S].sum(1) of its subset S and their sum t over S, and values a
-swap u -> w as |t - 2 r_u + a_uu + 2 (r_w - a_wu) + a_ww|, in O(1); an
-accepted swap updates r in O(n), and a pool jump recomputes r and t.
+once, through matfn's stacked hafnian kernel (a perfect-matching table for
+k <= 12) without re-checking the graph's already checked submatrices. Its
+traces are bit-identical to valuing one step at a time. Annealing on density
+keeps the complex row sums r = a[:, S].sum(1) of its subset S and their sum
+t over S, and values a swap u -> w as |t - 2 r_u + a_uu + 2 (r_w - a_wu) +
+a_ww|, in O(1); an accepted swap updates r in O(n), and a pool jump
+recomputes r and t.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .encoding import Graph
 from .errors import ValidationError
-from .matfn import hafnian_sq_mod, hafnians
+from .matfn import _hafnians, hafnian_sq_mod
 from .sampler import SamplePool
 
 __all__ = [
@@ -117,7 +119,7 @@ class Objective:
         vals = [self._haf_cache.get(key) for key in keys]
         miss = [i for i, v in enumerate(vals) if v is None]
         if miss:
-            found = hafnians(subs[first[miss]]).tolist()
+            found = _hafnians(subs[first[miss]]).tolist()
             for i, h in zip(miss, found):
                 vals[i] = float(abs(h) ** 2)
                 self._remember(keys[i], vals[i])

@@ -129,7 +129,8 @@ class TestSymmetrized:
             assert np.allclose(takagi(m).values, [1e200, 1e200], rtol=1e-12)
 
     def test_symmetric_part_does_not_overflow(self):
-        # a + a^T would overflow; the hafnian's power traces still do
+        # a + a^T would overflow; so do the hafnian's power traces, used
+        # only above the matching table's cutoff
         m = [[0, 1.5e308], [1.5e308, 0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gbskit import solvers
+from gbskit import matfn, solvers
 from gbskit.bench import resampled_pool_source
 from gbskit.encoding import Graph
 from gbskit.errors import ValidationError
@@ -388,15 +388,30 @@ class TestObjectiveValues:
         want = np.array([Objective(kind, g, 4).value(r.tolist()) for r in rows])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("graph", [
+        random_complex_graph(12, seed=4),
+        zero_one_graph(12, 0.5, seed=4),
+        planted_clique_graph(12, 6, 0.2, seed=4),
+    ], ids=["complex", "zero-one", "planted-clique"])
+    @pytest.mark.parametrize("k", [2, 6, 10])
+    def test_values_equal_checked_hafnians(self, graph, k):
+        # values and value skip hafnians' entry checks: same bits regardless
+        rng = np.random.default_rng(k)
+        rows = np.sort([rng.choice(12, size=k, replace=False) for _ in range(60)])
+        haf = hafnians(graph.subgraphs(rows)).tolist()
+        checked = np.array([abs(h) ** 2 for h in haf]).tobytes()
+        assert Objective("maxhaf", graph, k).values(rows).tobytes() == checked
+        assert np.array([hafnian_sq_mod(graph, r) for r in rows]).tobytes() == checked
+
     def test_values_each_distinct_subset_once(self, monkeypatch):
         g = random_complex_graph(8, seed=1)
         stacks = []
 
         def counting(stack):
             stacks.append(len(stack))
-            return hafnians(stack)
+            return matfn._hafnians(stack)
 
-        monkeypatch.setattr(solvers, "hafnians", counting)
+        monkeypatch.setattr(solvers, "_hafnians", counting)
         obj = Objective("maxhaf", g, 4)
         obj.values([[0, 1, 2, 3], [3, 2, 1, 0], [4, 5, 6, 7], [0, 1, 2, 3]])
         obj.values([[4, 5, 6, 7], [0, 1, 2, 4]])
