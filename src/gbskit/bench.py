@@ -1,9 +1,9 @@
 """Benchmark analytics: correlation studies, score/speed advantage, geometric
 step-count fits, and noise sweeps.
 
-All entry points are deterministic given their master seed; per-trial
-generators are derived from (seed, index) so results do not depend on
-evaluation order.
+All entry points are deterministic given their master seed; per-trial,
+per-pool and per-grid-point generators are derived from (seed, index) so
+results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -162,7 +162,8 @@ def advantage_study(
 ) -> list[AdvantageReport]:
     """Resampled Pool-RS against uniform RS, `trials` paired runs of `steps`
     steps at each subgraph size k. Each k post-selects `pool` to k clicks
-    or, without one, a `pool_size` pool from the graph encoded at k clicks."""
+    or, without one, draws the k-click part of a `pool_size` pool from the
+    graph encoded at k clicks (`sampler.sample_k_clicks`)."""
     if not all(isinstance(k, int) for k in k_values):
         raise ValidationError("k_values must hold integers")
     if steps < 1 or trials < 1:
@@ -170,12 +171,12 @@ def advantage_study(
     reports = []
     for ki, k in enumerate(k_values):
         obj = Objective(kind=objective, graph=graph, k=k)
-        raw_pool = pool
-        if raw_pool is None:
+        if pool is None:
             state = encode_graph(graph, choose_scale(graph, float(k))).build_state()
             pool_seed = int(np.random.default_rng([seed, ki]).integers(2**32))
-            raw_pool = sampler.sample(state, pool_size, pool_seed)
-        kept = sampler.postselect(raw_pool, k)
+            kept = sampler.sample_k_clicks(state, pool_size, k, pool_seed)
+        else:
+            kept = sampler.postselect(pool, k)
         if len(kept) == 0:
             raise ValidationError(
                 f"no pool samples left after post-selecting to {k} clicks"
@@ -256,6 +257,7 @@ class NoisePoint:
     p_hat: float | None
     ci95: tuple[float, float] | None
     trials: int
+    kept: int  # pool patterns left after post-selection to k clicks
     censored_fraction: float
     no_success: bool
 
@@ -290,10 +292,14 @@ def noise_sweep(
     """Pool-enhanced random search under a grid of loss/thermal noise levels.
 
     For each (eta, epsilon): encode the graph at a scale targeting k mean
-    clicks, apply input thermal mixing then output loss, sample a pool,
-    post-select to k clicks, and record steps for resampled Pool-RS trials to
-    reach the classical-RS target, fitting a geometric success probability.
-    Trials exhausting the budget are right-censored and excluded from the fit.
+    clicks, apply input thermal mixing then output loss, and draw the k-click
+    part of a `pool_size` pool (`sampler.sample_k_clicks`). A resampled
+    Pool-RS trial's steps to reach the classical-RS target are the first of
+    its i.i.d. pool draws to land on a target-beating pattern, so they are
+    Geometric(q), q the pool's fraction of such patterns: each point draws
+    its `trials` step counts from one stream and fits a geometric success
+    probability. Trials past the budget are right-censored and excluded
+    from the fit.
     """
     etas = list(eta_grid)
     epss = list(epsilon_grid)
@@ -314,29 +320,17 @@ def noise_sweep(
         state = gaussian.apply_thermal(pure, eps)
         state = gaussian.apply_loss(state, eta)
         pool_seed = int(np.random.default_rng([seed, 1000 + gi]).integers(2**32))
-        pool = sampler.postselect(sampler.sample(state, pool_size, pool_seed), k)
+        pool = sampler.sample_k_clicks(state, pool_size, k, pool_seed)
         if len(pool) == 0:
-            rows.append(
-                NoisePoint(eta, eps, None, None, 0, 1.0, no_success=True)
-            )
+            rows.append(NoisePoint(eta, eps, None, None, 0, 0, 1.0, no_success=True))
             continue
-        # value each pool pattern once; a resampled Pool-RS trial then reduces
-        # to the first i.i.d. draw landing on a target-beating pattern
-        good = obj.values(pool.subsets(k)) >= target
-        steps_hit = []
-        censored = 0
-        for t in range(trials):
-            trng = np.random.default_rng([seed, 2000 + gi, t])
-            idx = trng.integers(len(pool), size=budget)
-            hits = np.flatnonzero(good[idx])
-            if hits.size:
-                steps_hit.append(int(hits[0]) + 1)
-            else:
-                censored += 1
-        if not steps_hit:
-            rows.append(
-                NoisePoint(eta, eps, None, None, trials, 1.0, no_success=True)
-            )
+        q = float(np.mean(obj.values(pool.subsets(k)) >= target))
+        trng = np.random.default_rng([seed, 2000 + gi])
+        steps = trng.geometric(q, trials) if q > 0 else np.zeros(0, dtype=int)
+        steps_hit = steps[steps <= budget]
+        if not steps_hit.size:
+            rows.append(NoisePoint(eta, eps, None, None, trials, len(pool), 1.0,
+                                   no_success=True))
             continue
         fit = geometric_fit(steps_hit)
         rows.append(
@@ -346,7 +340,8 @@ def noise_sweep(
                 p_hat=fit.p_hat,
                 ci95=fit.ci95,
                 trials=trials,
-                censored_fraction=censored / trials,
+                kept=len(pool),
+                censored_fraction=(trials - steps_hit.size) / trials,
                 no_success=False,
             )
         )

@@ -2,8 +2,9 @@
 
 All writes go through an atomic write-temp-rename so interrupted runs never
 leave partial files. Every format carries a format_version field; trace
-summaries and manifests also record the searchers' random-stream version
-(`solvers.STREAM`), so outputs of different streams can be told apart.
+summaries and manifests also record the random-stream version of the
+searchers and bench pools (`solvers.STREAM`), so outputs of different streams
+can be told apart.
 """
 
 from __future__ import annotations
@@ -193,9 +194,9 @@ def save_advantage_report(reports: list[AdvantageReport], csv_path, json_path) -
 
 
 def save_noise_table(rows: list[NoisePoint], csv_path, json_path) -> None:
-    header = "eta,epsilon,p_hat,ci_lo,ci_hi,trials,censored_fraction,no_success"
+    header = "eta,epsilon,p_hat,ci_lo,ci_hi,trials,kept,censored_fraction,no_success"
     cells = [
-        (r.eta, r.epsilon, r.p_hat, *(r.ci95 or (None, None)), r.trials,
+        (r.eta, r.epsilon, r.p_hat, *(r.ci95 or (None, None)), r.trials, r.kept,
          r.censored_fraction, int(r.no_success))
         for r in rows
     ]

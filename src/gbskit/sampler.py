@@ -7,6 +7,10 @@ lockstep, one mode at a time. Every marginal is read from one buffer of
 prefix marginals, each level summed from the halves of the level above it,
 starting from the state's whole click distribution
 (`gaussian.pattern_distribution`), so a mode costs one lookup per draw.
+
+`sample_k_clicks` draws what post-selecting such a pool to k clicks keeps,
+without drawing the rest: a Binomial kept count, then i.i.d. k-click
+patterns by inverse CDF over the capped distribution's k-click slice.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from . import gaussian
 from .errors import ValidationError
 from .files import atomic_write_text
 
-__all__ = ["SamplePool", "sample", "postselect", "save_pool", "load_pool"]
+__all__ = [
+    "SamplePool", "sample", "sample_k_clicks", "postselect", "save_pool", "load_pool",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,13 +113,47 @@ def sample(state: gaussian.GaussianState, count: int, seed: int) -> SamplePool:
         click = uniforms[:, k] * p < p - p0
         clicked[click] |= 1 << k
         p = np.where(click, p - p0, p0)
-    bits = (clicked[:, None] >> np.arange(state.modes)) & 1
     return SamplePool(
         modes=state.modes,
-        samples=bits.astype(np.uint8),
+        samples=_bits(clicked, state.modes),
         provenance={"kind": "simulated", "count": count},
         seed=seed,
     )
+
+
+def sample_k_clicks(
+    state: gaussian.GaussianState, count: int, k: int, seed: int
+) -> SamplePool:
+    """A pool with the law of `postselect(sample(state, count, seed), k)`,
+    drawn without the patterns post-selection would reject (its bytes differ).
+
+    The kept count is Binomial(count, P_k), P_k the probability of k clicks;
+    each kept pattern is then an i.i.d. draw from the k-click patterns'
+    probabilities over P_k, one uniform per draw through the inverse of their
+    cumulative sum. Only patterns of at most k clicks are computed
+    (`gaussian.pattern_distribution`'s `max_clicks`).
+    """
+    if count < 0:
+        raise ValidationError("sample count must be nonnegative")
+    dist = gaussian.pattern_distribution(state, k)
+    masks = np.flatnonzero((gaussian._click_counts(state.modes) == k) & (dist > 0))
+    cdf = np.cumsum(dist[masks])
+    rng = np.random.default_rng(seed)
+    kept = rng.binomial(count, min(cdf[-1], 1.0)) if masks.size else 0
+    # u * P_k can round up to P_k itself, past the last bin
+    picks = np.searchsorted(cdf, rng.random(kept) * cdf[-1:], side="right")
+    clicked = masks[np.minimum(picks, masks.size - 1)]
+    return SamplePool(
+        modes=state.modes,
+        samples=_bits(clicked, state.modes),
+        provenance={"kind": "simulated", "count": count, "postselected_clicks": k},
+        seed=seed,
+    )
+
+
+def _bits(clicked: np.ndarray, modes: int) -> np.ndarray:
+    """Click bitmasks as an (N, modes) 0/1 array, bit i in column i."""
+    return ((clicked[:, None] >> np.arange(modes)) & 1).astype(np.uint8)
 
 
 def postselect(pool: SamplePool, k: int) -> SamplePool:

@@ -18,6 +18,12 @@ trace independent of the chunk size.
   floor(u (n - k)) into the sorted complement, and the acceptance uniform,
   compared with libm's exp(-(current - proposed) / T).
 
+Stream 3 keeps stream 2's searchers above (the version before it) and adds
+bench's post-selected pools and trial steps: pools built for a noise sweep,
+or for an advantage study given no pool, are `sampler.sample_k_clicks`
+draws, and a noise-sweep point draws its trials' first-hit steps as one
+block of Geometric(q) variates from `default_rng([seed, 2000 + point])`.
+
 Random search does not adapt to the values it sees, so it values each chunk
 with one `Objective.values` call: |Hafnian|^2 of each distinct proposal
 once, through matfn's stacked hafnian kernel (a perfect-matching table for
@@ -53,8 +59,9 @@ __all__ = [
 
 # |Hafnian|^2 values an Objective keeps; the oldest is evicted first
 _HAF_CACHE_MAX = 1 << 16
-# version of the searchers' random stream, recorded with their outputs
-STREAM = 2
+# version of the searchers' and bench pools' random stream, recorded with
+# their outputs
+STREAM = 3
 # steps whose uniforms are drawn (and, in random search, valued) together
 _CHUNK = 1024
 

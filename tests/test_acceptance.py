@@ -37,11 +37,16 @@ def report(num, label, ok, detail=""):
     assert ok, line
 
 
-def one_sided_greater(a_hat, a_ci, b_hat, b_ci):
-    """95% one-sided z-test that a > b, using the reported 95% CIs."""
-    se_a = (a_ci[1] - a_ci[0]) / (2 * 1.959963984540054)
-    se_b = (b_ci[1] - b_ci[0]) / (2 * 1.959963984540054)
-    z = (a_hat - b_hat) / np.hypot(se_a, se_b)
+def one_sided_greater(a, b):
+    """95% one-sided z-test that noise point a's p_hat exceeds b's. A point's
+    variance is its trials' part, read off its reported 95% CI, plus its
+    finite pool's part p (1 - p) / kept: p_hat estimates the pool's fraction
+    of target-beating patterns, itself a binomial estimate of the exact q."""
+    def var(r):
+        trial_se = (r.ci95[1] - r.ci95[0]) / (2 * 1.959963984540054)
+        return trial_se**2 + r.p_hat * (1 - r.p_hat) / r.kept
+
+    z = (a.p_hat - b.p_hat) / np.sqrt(var(a) + var(b))
     return z > 1.6448536269514722, z
 
 
@@ -177,8 +182,17 @@ class TestAcceptance:
                f"density z={z1:.1f}, |Haf|^2 z={z2:.1f} (optimum {opt:.3f})")
 
     def test_08_noise_monotonicity(self):
+        # Sizes from a power calculation on the exact q (each point's pool
+        # fraction of target-beating 6-click patterns; one 6-subset of this
+        # graph beats the target) and P6 = P(6 clicks):
+        #   eta 1, 0.75, 0.5 (eps 0): q = 0.00959, 0.00691, 0.00457;
+        #     P6 = 0.0977, 0.0705, 0.0384
+        #   eps 0.25, 0.5 (eta 1):    q = 0.00417, 0.00200; P6 = 0.0946, 0.0986
+        # Var p_hat ~ q^2 (1 - q) / trials + q (1 - q) / (pool_size P6). At
+        # 400 000 draws and 3000 trials the expected z of the four steps is
+        # 3.7, 3.1, 8.7 and 5.3, all >= 3; the pool's part dominates.
         g = random_complex_graph(16, seed=29)
-        kw = dict(trials=300, seed=42, objective="maxhaf", pool_size=40000,
+        kw = dict(trials=3000, seed=42, objective="maxhaf", pool_size=400000,
                   budget=20000, classical_budget=3000, classical_trials=40,
                   mean_clicks=4.0)
         eta_rows = bench.noise_sweep(g, 6, [1.0, 0.75, 0.5], [0.0], **kw)
@@ -187,7 +201,7 @@ class TestAcceptance:
         ok = True
         for rows in (eta_rows, eps_rows):
             for a, b in zip(rows, rows[1:]):
-                sig, z = one_sided_greater(a.p_hat, a.ci95, b.p_hat, b.ci95)
+                sig, z = one_sided_greater(a, b)
                 ok &= sig
                 zs.append(z)
         detail = "z = " + ", ".join(f"{z:.1f}" for z in zs)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,7 +13,7 @@ from gbskit.generators import (
 )
 from gbskit.matfn import hafnian, torontonian
 from gbskit.sampler import SamplePool
-from gbskit.solvers import RunTrace
+from gbskit.solvers import Objective, RunTrace
 
 from oracles import rank_pair_spearman, state_with_sampling_matrix
 
@@ -204,6 +206,73 @@ class TestNoiseSweep:
         b = bench.noise_sweep(g, 3, [1.0], [0.0], **kw)
         assert a == b
 
+    def test_trial_steps_keep_the_per_trial_loop_law(self, monkeypatch):
+        # one target-beating pattern in a pool of 40, so q = 1/40 exactly and
+        # (39/40)^60 = 0.22 of the trials are censored
+        g = planted_clique_graph(8, 3, 0.2, seed=1)
+        obj = Objective(kind="density", graph=g, k=3)
+        subsets = np.array([s for s in itertools.combinations(range(8), 3)])
+        vals = obj.values(subsets)
+        best, worst = subsets[vals.argmax()], subsets[vals.argmin()]
+        bits = np.zeros((40, 8), dtype=np.uint8)
+        bits[0, best] = 1
+        bits[1:, worst] = 1
+        pool = SamplePool(modes=8, samples=bits)
+        monkeypatch.setattr(sampler, "sample_k_clicks", lambda *args: pool)
+        seed, trials, budget = 3, 4000, 60
+        kw = dict(trials=trials, seed=seed, budget=budget, classical_budget=20,
+                  classical_trials=3)
+        (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], **kw)
+        assert row.kept == 40
+
+        # the loop the geometric draws replace: each trial replays its own
+        # `budget` uniform pool indices and keeps the first hit
+        target = bench._classical_target(obj, 20, 3, seed)
+        good = obj.values(pool.subsets(3)) >= target
+        assert good.sum() == 1
+        steps, censored = [], 0
+        for t in range(trials):
+            idx = np.random.default_rng([seed, 2000, t]).integers(40, size=budget)
+            hits = np.flatnonzero(good[idx])
+            if hits.size:
+                steps.append(hits[0] + 1)
+            else:
+                censored += 1
+        exact = (39 / 40) ** budget
+        se = np.sqrt(exact * (1 - exact) / trials)
+        assert abs(censored / trials - exact) < 5 * se
+        assert abs(row.censored_fraction - exact) < 5 * se
+        steps = np.array(steps, dtype=float)
+        n_hit = trials - round(row.censored_fraction * trials)
+        se_mean = steps.std(ddof=1) * np.sqrt(1 / len(steps) + 1 / n_hit)
+        assert abs(1 / row.p_hat - steps.mean()) < 5 * se_mean
+
+    def test_zero_fraction_censors_every_trial(self, monkeypatch):
+        g = planted_clique_graph(8, 3, 0.2, seed=1)
+        obj = Objective(kind="density", graph=g, k=3)
+        subsets = np.array([s for s in itertools.combinations(range(8), 3)])
+        bits = np.zeros((5, 8), dtype=np.uint8)
+        bits[:, subsets[obj.values(subsets).argmin()]] = 1
+        monkeypatch.setattr(sampler, "sample_k_clicks",
+                            lambda *args: SamplePool(modes=8, samples=bits))
+        (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], trials=7, seed=3, budget=50,
+                                   classical_budget=20, classical_trials=3)
+        assert row.no_success and row.censored_fraction == 1.0
+        assert (row.trials, row.kept, row.p_hat) == (7, 5, None)
+
+    def test_budget_bounds_steps_inclusively(self, monkeypatch):
+        # every pool pattern beats the target, so every trial hits at step 1
+        g = planted_clique_graph(8, 3, 0.2, seed=1)
+        obj = Objective(kind="density", graph=g, k=3)
+        subsets = np.array([s for s in itertools.combinations(range(8), 3)])
+        bits = np.zeros((5, 8), dtype=np.uint8)
+        bits[:, subsets[obj.values(subsets).argmax()]] = 1
+        monkeypatch.setattr(sampler, "sample_k_clicks",
+                            lambda *args: SamplePool(modes=8, samples=bits))
+        (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], trials=7, seed=3, budget=1,
+                                   classical_budget=20, classical_trials=3)
+        assert (row.p_hat, row.censored_fraction, row.no_success) == (1.0, 0.0, False)
+
     def test_rejects_bad_grid(self):
         g = zero_one_graph(8, 0.6, seed=2)
         for etas, epss in [([1.5], [0.0]), (["a"], [0.0]), ([1.0], [None])]:
@@ -233,6 +302,7 @@ def test_studies_refuse_degenerate_sizes_before_any_work(monkeypatch, study, kwa
         raise AssertionError("the study ran before checking its sizes")
 
     monkeypatch.setattr(sampler, "sample", no_work)
+    monkeypatch.setattr(sampler, "sample_k_clicks", no_work)
     monkeypatch.setattr(bench, "random_search", no_work)
     monkeypatch.setattr(bench, "torontonian", no_work)
     g = planted_clique_graph(8, 3, 0.2, seed=1)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -16,7 +17,7 @@ from gbskit.gaussian import (
     sampling_matrix,
     state_from_device,
 )
-from gbskit.generators import planted_clique_graph, zero_one_graph
+from gbskit.generators import planted_clique_graph, random_complex_graph, zero_one_graph
 from gbskit.matfn import torontonian
 
 from oracles import (
@@ -314,6 +315,125 @@ class TestPatternDistribution:
             gaussian.pattern_distribution(state)
         with pytest.raises(PhysicalityError):
             mean_clicks(state)
+
+
+def frozen_uncapped_step(sq):
+    """`gaussian._vacuum_probabilities` without a cap, as it stood before the
+    cap was added. The uncapped step must keep these bits on every host, so
+    they are compared in-process rather than against stored digests."""
+    m = len(sq) // 2
+    w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
+    v = (w @ sq @ w.conj().T / 2.0).real
+    out = np.empty(1 << m)
+    work = [(0, v[None], np.ones(1), np.zeros(1, dtype=int))]
+    while work:
+        h, stack, dets, masks = work.pop()
+        while stack.shape[1] and (stack.size <= gaussian._CHUNK or len(stack) == 1):
+            a, b, c = stack[:, 0, 0, None], stack[:, 0, 1, None], stack[:, 1, 1, None]
+            pivot = a * c - b * b
+            assert a.min() > 0 and pivot.min() > 0
+            x, y, rest = stack[:, 2:, 0], stack[:, 2:, 1], stack[:, 2:, 2:]
+            f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
+            added = rest - f[:, :, None] * x[:, None, :] - g[:, :, None] * y[:, None, :]
+            stack = np.concatenate([rest, added])
+            dets = np.concatenate([dets, dets * pivot[:, 0]])
+            masks = np.concatenate([masks, masks | 1 << h])
+            h += 1
+        if stack.shape[1]:
+            work += [(h, stack[p], dets[p], masks[p])
+                     for p in (np.s_[:len(stack) // 2], np.s_[len(stack) // 2:])]
+        else:
+            out[out.size - 1 - masks] = dets
+    return np.divide(1.0, np.sqrt(out, out=out), out=out)
+
+
+CAPPED_GRAPHS = dict(ORACLE_GRAPHS, random=random_complex_graph(8, seed=3))
+# lossless, thermal, lossy and fully lost
+NOISE = {"lossless": (1.0, 0.0), "thermal": (1.0, 0.25), "lossy": (0.5, 0.0),
+         "lost": (0.0, 0.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def capped_case(name, noise):
+    """(state, oracle distribution, full distribution) of an oracle graph
+    encoded at 3 mean clicks under a named noise level."""
+    g = CAPPED_GRAPHS[name]
+    eta, eps = NOISE[noise]
+    state = encode_graph(g, choose_scale(g, 3.0)).build_state()
+    state = apply_loss(apply_thermal(state, eps), eta)
+    want = inclusion_exclusion_distribution(state)
+    return state, want, gaussian.pattern_distribution(state)
+
+
+class TestCappedDistribution:
+    @pytest.mark.parametrize("k", [0, 1, 4, 7, 8])
+    @pytest.mark.parametrize("noise", NOISE)
+    @pytest.mark.parametrize("name", CAPPED_GRAPHS)
+    def test_matches_oracle_and_full_distribution(self, name, noise, k):
+        state, want, full = capped_case(name, noise)
+        got = gaussian.pattern_distribution(state, k)
+        kept = gaussian._click_counts(8) <= k
+        # the oracle's tolerance in TestPatternDistribution
+        np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(got[kept], full[kept], rtol=0, atol=1e-14)
+        assert not got[~kept].any()
+        assert got.sum() <= 1.0 + 1e-12
+        if k == 8:
+            assert abs(got.sum() - 1.0) < 1e-12
+
+    def test_rejects_out_of_range_cap(self):
+        state = state_from_device(*random_device(3, 1))
+        for k in (-1, 4):
+            with pytest.raises(ValidationError, match="out of range"):
+                gaussian.pattern_distribution(state, k)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_split_stacks_are_bit_identical(self, monkeypatch, k):
+        state = apply_loss(state_from_device(*random_device(8, 5)), 0.75)
+        monkeypatch.setattr(gaussian, "_CAPPED_CHUNK", 1 << 40)
+        whole = gaussian.pattern_distribution(state, k)
+        monkeypatch.setattr(gaussian, "_CAPPED_CHUNK", 16)
+        split = gaussian.pattern_distribution(state, k)
+        assert whole.tobytes() == split.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_positive_pivot_names_its_modes(self, k):
+        state = vacuum(3)
+        object.__setattr__(state, "husimi", np.diag([1.0, -1.0, 1.0] * 2))
+        with pytest.raises(PhysicalityError, match=r"modes \[1\]"):
+            gaussian.pattern_distribution(state, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_probabilities_above_one_are_refused(self, k):
+        # P_vac of both modes is 1.5625
+        state = GaussianState(modes=2, husimi=0.8 * np.eye(4))
+        with pytest.raises(PhysicalityError):
+            gaussian.pattern_distribution(state, k)
+
+
+class TestUncappedBitsPinned:
+    @pytest.mark.parametrize("noise", ["lossless", "thermal", "lossy"])
+    @pytest.mark.parametrize("name", CAPPED_GRAPHS)
+    def test_step_matches_frozen_step(self, name, noise):
+        sq = capped_case(name, noise)[0].husimi
+        assert gaussian._vacuum_probabilities(sq).tobytes() == (
+            frozen_uncapped_step(sq).tobytes())
+
+    def test_split_step_matches_frozen_step(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "_CHUNK", 16)
+        sq = capped_case("random", "thermal")[0].husimi
+        assert gaussian._vacuum_probabilities(sq).tobytes() == (
+            frozen_uncapped_step(sq).tobytes())
+
+    @pytest.mark.parametrize("name", CAPPED_GRAPHS)
+    def test_torontonian_matches_frozen_step(self, name):
+        state = capped_case(name, "thermal")[0]
+        o = np.eye(16) - np.linalg.inv(state.husimi)
+        checked = gaussian._hermitian_bosonic(np.eye(16) - o, "I - O")
+        terms = frozen_uncapped_step(checked)
+        for _ in range(8):
+            terms = terms[0::2] - terms[1::2]
+        assert torontonian(o) == float(terms[0])
 
 
 class TestReduce:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,6 +15,7 @@ from gbskit.sampler import (
     load_pool,
     postselect,
     sample,
+    sample_k_clicks,
     save_pool,
 )
 
@@ -170,6 +173,111 @@ class TestPostselect:
         pool = SamplePool(modes=3, samples=())
         with pytest.raises(ValidationError):
             postselect(pool, 4)
+
+
+def vacuum_state(m):
+    return gaussian.GaussianState(modes=m, husimi=np.eye(2 * m, dtype=complex))
+
+
+def k_click_slice(state, k):
+    """(masks, probabilities over P_k, P_k) of the k-click patterns."""
+    dist = gaussian.pattern_distribution(state)
+    masks = np.flatnonzero(gaussian._click_counts(state.modes) == k)
+    return masks, dist[masks] / dist[masks].sum(), dist[masks].sum()
+
+
+def pool_masks(pool):
+    return pool.samples.astype(np.int64) @ (1 << np.arange(pool.modes))
+
+
+class TestSampleKClicks:
+    def test_kept_count_is_binomial(self):
+        state, n, k, runs = random_state(4, 7), 200, 2, 600
+        p_k = k_click_slice(state, k)[2]
+        kept = np.array([len(sample_k_clicks(state, n, k, s)) for s in range(runs)])
+        mean, var = n * p_k, n * p_k * (1 - p_k)
+        assert abs(kept.mean() - mean) < 5 * np.sqrt(var / runs)
+        # a sample variance's SE is about var * sqrt(2 / (runs - 1))
+        assert abs(kept.var(ddof=1) - var) < 5 * var * np.sqrt(2 / (runs - 1))
+
+    def test_patterns_follow_the_k_click_slice(self):
+        state, k = random_state(6, 3), 3
+        masks, probs, _ = k_click_slice(state, k)
+        pool = sample_k_clicks(state, 400000, k, seed=8)
+        got = pool_masks(pool)
+        assert np.isin(got, masks).all()
+        freq = (got[:, None] == masks[None, :]).mean(axis=0)
+        se = np.sqrt(probs * (1 - probs) / len(pool))
+        assert (np.abs(freq - probs) < 5 * se).all()
+
+    def test_matches_postselected_chain_rule_pools(self):
+        state, n, k = noisy_state(), 20000, 2
+        drawn = sample_k_clicks(state, n, k, seed=21)
+        chained = postselect(sample(state, n, seed=22), k)
+        p_k = k_click_slice(state, k)[2]
+        se_kept = np.sqrt(2 * n * p_k * (1 - p_k))
+        assert abs(len(drawn) - len(chained)) < 5 * se_kept
+        # each mode's mean click count, within the two pools' combined SE
+        a, b = drawn.samples.mean(axis=0), chained.samples.mean(axis=0)
+        se = np.sqrt(a * (1 - a) / len(drawn) + b * (1 - b) / len(chained))
+        assert (np.abs(a - b) < 5 * se).all()
+
+    def test_provenance_is_postselects(self):
+        state = random_state(4, 2)
+        drawn = sample_k_clicks(state, 100, 2, seed=9)
+        chained = postselect(sample(state, 100, seed=9), 2)
+        assert drawn.provenance == chained.provenance
+        assert drawn.provenance == {"kind": "simulated", "count": 100,
+                                    "postselected_clicks": 2}
+        assert drawn.seed == 9
+
+    @pytest.mark.parametrize("state", [
+        vacuum_state(3), gaussian.apply_loss(random_state(3, 4), 0.0),
+    ], ids=["vacuum", "fully-lost"])
+    def test_no_k_click_patterns_gives_empty_pool(self, state):
+        pool = sample_k_clicks(state, 500, 2, seed=1)
+        assert pool.samples.shape == (0, 3)
+        assert len(sample_k_clicks(state, 500, 0, seed=1)) == 500
+
+    def test_k_zero_and_k_all_modes(self):
+        state, n = random_state(4, 5), 3000
+        dist = gaussian.pattern_distribution(state)
+        for k, mask in ((0, 0), (4, 15)):
+            pool = sample_k_clicks(state, n, k, seed=k)
+            assert (pool_masks(pool) == mask).all()
+            se = np.sqrt(n * dist[mask] * (1 - dist[mask]))
+            assert abs(len(pool) - n * dist[mask]) < 5 * se
+
+    def test_seed_determinism(self):
+        state = noisy_state()
+        a = sample_k_clicks(state, 2000, 2, seed=4)
+        b = sample_k_clicks(state, 2000, 2, seed=4)
+        c = sample_k_clicks(state, 2000, 2, seed=5)
+        assert a.samples.tobytes() == b.samples.tobytes()
+        assert a.samples.tobytes() != c.samples.tobytes()
+
+    def test_rejects_bad_count_and_k(self):
+        state = random_state(3, 1)
+        with pytest.raises(ValidationError):
+            sample_k_clicks(state, -1, 1, seed=0)
+        for k in (-1, 4):
+            with pytest.raises(ValidationError, match="out of range"):
+                sample_k_clicks(state, 10, k, seed=0)
+
+
+class TestChainRulePoolsPinned:
+    # sha256 of pool bytes drawn before the capped kernel existed; pools are
+    # 0/1 decisions, so a last-bit change in a probability flips none of them
+    @pytest.mark.parametrize("noisy, digest", [
+        (False, "29aa419a31b7be0978940c0a5934c65c7bc45e41fa7c632f88d6431654039a49"),
+        (True, "205819e7ed6810b87fe7d25213e1d42f49ae0e813e431b74ac12250e86c1d228"),
+    ], ids=["lossless", "noisy"])
+    def test_pool_bytes(self, noisy, digest):
+        state = random_state(6, 3)
+        if noisy:
+            state = gaussian.apply_loss(gaussian.apply_thermal(state, 0.25), 0.5)
+        pool = sample(state, 3000, seed=5)
+        assert hashlib.sha256(pool.samples.tobytes()).hexdigest() == digest
 
 
 class TestPoolIO:
