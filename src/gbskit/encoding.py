@@ -4,6 +4,9 @@ A complex symmetric adjacency matrix is mapped onto squeezing values and an
 interferometer through its Takagi factorization, with a scalar rescaling
 factor c chosen so that tanh of every squeezing value stays below 1. The
 built device's sampling matrix A block then equals c times the adjacency.
+`choose_scale` picks c by bisection on the device's mean clicks, which
+`gaussian` gives in closed form from the rescaled Takagi values and unitary;
+no state is built until `DeviceParams.build_state`.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ def encode_graph(g: Graph, c: float) -> DeviceParams:
 def choose_scale(g: Graph, target_mean_clicks: float) -> float:
     """Bisect the rescaling factor so the lossless device's expected click
     count matches the target. Expected clicks is strictly increasing in c.
-    The graph is factorized once; each step rescales its Takagi values."""
+    The graph is factorized once; each step rescales its Takagi values and
+    reads the device's mean clicks in closed form, building no state."""
     if not 0.0 < target_mean_clicks < g.n:
         raise ValidationError(
             f"target mean clicks must lie in (0, {g.n}), got {target_mean_clicks}"
@@ -100,7 +104,7 @@ def choose_scale(g: Graph, target_mean_clicks: float) -> float:
 
     def expected_clicks(c: float) -> float:
         r = np.arctanh(c * fac.values)
-        return gaussian.mean_clicks(gaussian.state_from_device(r, fac.unitary))
+        return sum(gaussian._device_click_probabilities(r, fac.unitary))
 
     hi = (1.0 - 1e-6) / lam_max
     reachable = expected_clicks(hi)

@@ -14,11 +14,18 @@ sum. With a click cap k, the same step runs on the inverse matrix and visits
 only subsets of at most k modes, which by Jacobi's identity give every
 pattern of at most k clicks: P(C) = det(sigma)^(-1/2) sum over Y subset of C
 of (-1)^(|C|-|Y|) det((sigma^-1)_Y)^(-1/2), the Tor(O_C) / sqrt(det sigma)
-form. Single-mode click probabilities are read off each mode's 2x2 block.
+form.
+
+One formula gives every single-mode click probability, 1 - P_vac({j}) =
+1 - (sigma_jj sigma_{j+M,j+M} - |sigma_{j,j+M}|^2)^(-1/2): `mean_clicks` and
+`mode_click_probability` feed it a state's Husimi diagonals, and the scale
+bisection in `encoding` a pure device's, in closed form from (r, U) with no
+state built.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +48,10 @@ __all__ = [
 
 # the click distribution holds 2^M float64 values: 128 MB at this many modes
 MAX_TABLE_MODES = 24
-# values per stack of Schur complements handled in one numpy call; the
-# capped recursion's per-step overhead dominated it at 8192 (16 modes, k = 6:
-# 19 ms, against 9 ms at 1 << 15)
-_CHUNK = 8192
-_CAPPED_CHUNK = 1 << 15
+# values per stack of Schur complements handled in one numpy call; per-step
+# overhead dominated both recursions at 8192 (16 modes: 29 ms uncapped and,
+# at k = 6, 19 ms capped, against 17 ms and 9 ms at 1 << 15)
+_CHUNK = 1 << 15
 
 _HERM_TOL = 1e-10
 _UNITARY_TOL = 1e-9
@@ -208,8 +214,7 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None) -> np.ndarray:
     modes h and up given those modes, and dets[i] their det. Mode h is
     dropped by a slice, or added by a rank-2 update with the inverse of the
     leading 2x2 block, whose det multiplies dets[i]. Stacks of more than
-    `_CHUNK` values (`_CAPPED_CHUNK` with a cap) are split along their rows
-    first.
+    `_CHUNK` values are split along their rows first.
 
     With a `cap` k, only the W whose complement ~W has at most k modes are
     covered, and every other index holds 0. The recursion then runs on v^-1
@@ -221,15 +226,15 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None) -> np.ndarray:
     w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
     v = (w @ sq @ w.conj().T / 2.0).real
     if cap is None:
-        out, flip, chunk = np.empty(1 << m), (1 << m) - 1, _CHUNK
+        out, flip = np.empty(1 << m), (1 << m) - 1
         work = [(0, v[None], np.ones(1), np.zeros(1, dtype=int))]
     else:  # 1 / sqrt(inf) leaves 0 at every index no row reaches
-        out, flip, chunk = np.full(1 << m, np.inf), 0, _CAPPED_CHUNK
+        out, flip = np.full(1 << m, np.inf), 0
         work = [(0, inverse(v).real[None], np.array([np.linalg.det(v)]),
                  np.zeros(1, dtype=int))]
     while work:
         h, stack, dets, masks = work.pop()
-        while stack.shape[1] and (stack.size <= chunk or len(stack) == 1):
+        while stack.shape[1] and (stack.size <= _CHUNK or len(stack) == 1):
             a, b, c = stack[:, 0, 0, None], stack[:, 0, 1, None], stack[:, 1, 1, None]
             pivot = a * c - b * b
             if not (a.min() > 0 and pivot.min() > 0):
@@ -311,10 +316,11 @@ def pattern_probability(state: GaussianState, pattern) -> float:
     return float(pattern_distribution(state)[c])
 
 
-def _click_probabilities(state: GaussianState, modes: np.ndarray) -> list:
-    """1 - P_vac({j}) for each mode j, from det of its 2x2 Husimi block."""
-    idx = np.stack([modes, modes + state.modes], axis=1)
-    d = np.linalg.det(state.husimi[idx[:, :, None], idx[:, None, :]]).real
+def _click_probabilities(n_diag, n_conj_diag, anomalous) -> list:
+    """1 - P_vac({j}) = 1 - (sigma_jj sigma_{j+M,j+M} - |sigma_{j,j+M}|^2)^(-1/2)
+    for each mode j, from its Husimi diagonal entries: the N block's
+    `n_diag`, the N* block's `n_conj_diag` and the M block's `anomalous`."""
+    d = n_diag * n_conj_diag - (anomalous.real ** 2 + anomalous.imag ** 2)
     # libm pow, not numpy's SIMD power, whose last bit varies by CPU
     out = 1.0 - np.array([x ** -0.5 for x in d.tolist()])
     if not (out >= -_PROB_TOL).all():
@@ -322,13 +328,32 @@ def _click_probabilities(state: GaussianState, modes: np.ndarray) -> list:
     return np.clip(out, 0.0, 1.0).tolist()
 
 
+def _state_click_probabilities(state: GaussianState, modes: np.ndarray) -> list:
+    """Click probability of each of `modes`, from the state's Husimi matrix."""
+    sq, conj = state.husimi, modes + state.modes
+    return _click_probabilities(sq[modes, modes].real, sq[conj, conj].real,
+                                sq[modes, conj])
+
+
+def _device_click_probabilities(r: np.ndarray, u: np.ndarray) -> list:
+    """Click probability of each mode of the pure state that `state_from_device`
+    would build from squeezing r and interferometer U (neither is checked),
+    without building it: its diagonals are N_jj = sum_i |U_ji|^2 cosh^2 r_i in
+    both N blocks and M_jj = sum_i U*_ji^2 sinh r_i cosh r_i."""
+    n_diag = (u.real ** 2 + u.imag ** 2) @ np.cosh(r) ** 2
+    anomalous = (u * u).conj() @ (np.sinh(r) * np.cosh(r))
+    return _click_probabilities(n_diag, n_diag, anomalous)
+
+
 def mode_click_probability(state: GaussianState, mode: int) -> float:
     """Marginal click probability of a single mode, 1 - P_vac({mode})."""
+    if isinstance(mode, bool) or not isinstance(mode, numbers.Integral):
+        raise ValidationError(f"mode index must be an integer, not {type(mode).__name__}")
     if not 0 <= mode < state.modes:
         raise ValidationError("mode index out of range")
-    return _click_probabilities(state, np.array([int(mode)]))[0]
+    return _state_click_probabilities(state, np.array([int(mode)]))[0]
 
 
 def mean_clicks(state: GaussianState) -> float:
     """Expected click count: sum of single-mode marginal click probabilities."""
-    return sum(_click_probabilities(state, np.arange(state.modes)))
+    return sum(_state_click_probabilities(state, np.arange(state.modes)))

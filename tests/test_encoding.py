@@ -142,6 +142,31 @@ class TestChooseScale:
         assert choose_scale(g, 4.0) == pytest.approx(0.1642854711448079, rel=1e-12)
         assert len(calls) == 1
 
+    def test_builds_no_state(self, monkeypatch):
+        built = []
+        post_init = gaussian.GaussianState.__post_init__
+
+        def counting(state):
+            built.append(1)
+            post_init(state)
+
+        monkeypatch.setattr(gaussian.GaussianState, "__post_init__", counting)
+        choose_scale(planted_clique_graph(16, 6, 0.2, seed=1), 4.0)
+        assert built == []
+        # the counter sees a state that is built
+        encode_graph(random_complex_graph(4, seed=1), 0.1).build_state()
+        assert built == [1]
+
+    @pytest.mark.parametrize("graph, target, scale", [
+        (planted_clique_graph(16, 6, 0.2, seed=1), 4.0, 0.1642854711448079),
+        (planted_clique_graph(16, 6, 0.2, seed=1), 6.0, 0.17192094698283686),
+        (random_complex_graph(16, seed=29), 6.0, 0.21465414798107837),
+    ], ids=["readme-4", "readme-6", "random-complex-6"])
+    def test_scale_bits_pinned(self, graph, target, scale):
+        # the bits the bisection gave when each step read mean clicks off a
+        # built state; device files and every study's scale depend on them
+        assert choose_scale(graph, target) == scale
+
     def test_monotone_in_target(self):
         g = random_complex_graph(6, seed=9)
         scales = [choose_scale(g, t) for t in [0.5, 1.0, 2.0, 3.0]]

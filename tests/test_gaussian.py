@@ -13,11 +13,13 @@ from gbskit.gaussian import (
     apply_loss,
     apply_thermal,
     mean_clicks,
+    mode_click_probability,
     pattern_probability,
     sampling_matrix,
     state_from_device,
 )
 from gbskit.generators import planted_clique_graph, random_complex_graph, zero_one_graph
+from gbskit.linalg import takagi
 from gbskit.matfn import torontonian
 
 from oracles import (
@@ -390,9 +392,9 @@ class TestCappedDistribution:
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_split_stacks_are_bit_identical(self, monkeypatch, k):
         state = apply_loss(state_from_device(*random_device(8, 5)), 0.75)
-        monkeypatch.setattr(gaussian, "_CAPPED_CHUNK", 1 << 40)
+        monkeypatch.setattr(gaussian, "_CHUNK", 1 << 40)
         whole = gaussian.pattern_distribution(state, k)
-        monkeypatch.setattr(gaussian, "_CAPPED_CHUNK", 16)
+        monkeypatch.setattr(gaussian, "_CHUNK", 16)
         split = gaussian.pattern_distribution(state, k)
         assert whole.tobytes() == split.tobytes()
 
@@ -484,3 +486,40 @@ class TestMeanClicks:
             sum(p) * pattern_probability(state, p) for p in all_patterns(3)
         )
         assert mean_clicks(state) == pytest.approx(by_patterns, abs=1e-8)
+
+
+class TestClickFormula:
+    @pytest.mark.parametrize("fraction", [0.05, 0.999], ids=["small", "near-saturation"])
+    @pytest.mark.parametrize("name", CAPPED_GRAPHS)
+    def test_device_closed_form_matches_built_state(self, name, fraction):
+        # scale as a fraction of 1 / lambda_max; at 0.999 modes click with
+        # probability up to 0.99. Nearer 1 both sides lose digits to the
+        # cancellation in N^2 - |M|^2 (6e-14 apart at 1 - 1e-6)
+        g = CAPPED_GRAPHS[name]
+        dev = encode_graph(g, fraction / takagi(g.adjacency).values[0])
+        state = dev.build_state()
+        got = gaussian._device_click_probabilities(dev.squeezing, dev.interferometer)
+        want = [mode_click_probability(state, j) for j in range(g.n)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_single_mode_closed_form(self):
+        # one squeezed mode: 1 - 1 / cosh r
+        for r in (0.0, 0.3, 2.0):
+            got = gaussian._device_click_probabilities(np.array([r]), np.eye(1))
+            assert got[0] == pytest.approx(1 - 1 / np.cosh(r), abs=1e-15)
+
+    @pytest.mark.parametrize("mode", [1.7, True, np.float64(2.9), np.bool_(True), "1"],
+                             ids=["float", "bool", "numpy-float", "numpy-bool", "str"])
+    def test_mode_must_be_an_integer(self, mode):
+        state = state_from_device(*random_device(4, 2))
+        with pytest.raises(ValidationError, match="integer"):
+            mode_click_probability(state, mode)
+
+    def test_integer_modes_are_read(self):
+        state = state_from_device(*random_device(4, 2))
+        probs = [mode_click_probability(state, j) for j in range(4)]
+        assert mode_click_probability(state, np.int64(2)) == probs[2]
+        assert sum(probs) == mean_clicks(state)
+        for mode in (-1, 4):
+            with pytest.raises(ValidationError, match="out of range"):
+                mode_click_probability(state, mode)
