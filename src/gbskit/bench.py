@@ -3,11 +3,15 @@ step-count fits, and noise sweeps.
 
 All entry points are deterministic given their master seed; per-trial,
 per-pool and per-grid-point generators are derived from (seed, index) so
-results do not depend on evaluation order.
+results do not depend on evaluation order. A noise sweep's classical
+random-search target is drawn from the exact law of a run's best whenever
+valuing every k-subset once costs no more than simulating the runs.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -20,7 +24,7 @@ from .errors import ValidationError
 from .generators import random_complex_symmetric
 from .matfn import hafnian, torontonian
 from .sampler import SamplePool
-from .solvers import Objective, ProposalSource, RunTrace, random_search
+from .solvers import _CHUNK, Objective, ProposalSource, RunTrace, random_search
 
 __all__ = [
     "CorrelationTable",
@@ -254,6 +258,7 @@ def resampled_pool_source(pool: SamplePool, steps: int, seed: int) -> ProposalSo
 class NoisePoint:
     eta: float
     epsilon: float
+    target: float  # classical random-search target a pool draw must reach
     p_hat: float | None
     ci95: tuple[float, float] | None
     trials: int
@@ -262,17 +267,55 @@ class NoisePoint:
     no_success: bool
 
 
+def _subset_blocks(n: int, k: int):
+    """Every k-subset of range(n) in `itertools.combinations` (lexicographic)
+    order, as (m, k) index arrays of at most `_CHUNK` rows."""
+    combos = itertools.combinations(range(n), k)
+    while True:
+        block = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, _CHUNK)),
+            dtype=np.intp,
+        )
+        if not block.size:
+            return
+        yield block.reshape(-1, k)
+
+
+def _best_ranks(u: np.ndarray, size: int, budget: int) -> list:
+    """Rank, in an ascending table of `size` values, of the best of `budget`
+    i.i.d. uniform draws from it, one per uniform in u: the inverse CDF
+    max(ceil(size u^(1/budget)) - 1, 0) of P(rank <= j) = ((j + 1) / size)^budget."""
+    # libm pow, not numpy's SIMD power, whose last bit varies by CPU
+    return [max(math.ceil(size * x ** (1.0 / budget)) - 1, 0) for x in u.tolist()]
+
+
 def _classical_target(
     obj: Objective, budget: int, trials: int, seed: int
 ) -> float:
-    vals = [
-        random_search(
-            obj, ProposalSource(kind="uniform"), budget,
-            seed=int(np.random.default_rng([seed, i]).integers(2**32)),
-        ).value_at(budget)
-        for i in range(trials)
-    ]
-    return float(np.mean(vals))
+    """Mean best value of `trials` uniform random-search runs of `budget` steps.
+
+    A run proposes i.i.d. uniform k-subsets, so its best has the exact law
+    P(best <= v) = F(v)^budget, F the objective's CDF over all C(n, k)
+    subsets. When that table costs no more valuations than the runs would,
+    C(n, k) <= trials * budget, every subset is valued once, in blocks of
+    `_CHUNK`, and run i's best is the sorted table's entry at rank
+    `_best_ranks(u, C(n, k), budget)[i]`, u one block of `trials` uniforms
+    from `default_rng([seed, 3000])`. Above that size the runs are simulated
+    by `random_search`, run i seeded from `default_rng([seed, i])`."""
+    n, k = obj.graph.n, obj.k
+    size = math.comb(n, k)
+    if size > trials * budget:
+        vals = [
+            random_search(
+                obj, ProposalSource(kind="uniform"), budget,
+                seed=int(np.random.default_rng([seed, i]).integers(2**32)),
+            ).value_at(budget)
+            for i in range(trials)
+        ]
+        return float(np.mean(vals))
+    table = np.sort(np.concatenate([obj.values(b) for b in _subset_blocks(n, k)]))
+    u = np.random.default_rng([seed, 3000]).random(trials)
+    return float(np.mean(table[_best_ranks(u, size, budget)]))
 
 
 def noise_sweep(
@@ -300,14 +343,20 @@ def noise_sweep(
     its `trials` step counts from one stream and fits a geometric success
     probability. Trials past the budget are right-censored and excluded
     from the fit.
+
+    The target, reported on every row, is the mean best value of
+    `classical_trials` uniform random-search runs of `classical_budget`
+    steps; up to C(n, k) <= classical_trials * classical_budget it is drawn
+    from that best's exact law rather than simulated (`_classical_target`).
     """
     etas = list(eta_grid)
     epss = list(epsilon_grid)
     if any(not isinstance(e, numbers.Real) or not 0 <= e <= 1 for e in etas + epss):
         raise ValidationError("noise grids must hold real numbers within [0, 1]")
-    if min(trials, pool_size, budget, classical_trials) < 1:
+    if min(trials, pool_size, budget, classical_budget, classical_trials) < 1:
         raise ValidationError(
-            "trials, pool_size, budget and classical_trials must be >= 1"
+            "trials, pool_size, budget, classical_budget and classical_trials "
+            "must be >= 1"
         )
     obj = Objective(kind=objective, graph=graph, k=k)
     target = _classical_target(obj, classical_budget, classical_trials, seed)
@@ -322,21 +371,23 @@ def noise_sweep(
         pool_seed = int(np.random.default_rng([seed, 1000 + gi]).integers(2**32))
         pool = sampler.sample_k_clicks(state, pool_size, k, pool_seed)
         if len(pool) == 0:
-            rows.append(NoisePoint(eta, eps, None, None, 0, 0, 1.0, no_success=True))
+            rows.append(NoisePoint(eta, eps, target, None, None, 0, 0, 1.0,
+                                   no_success=True))
             continue
         q = float(np.mean(obj.values(pool.subsets(k)) >= target))
         trng = np.random.default_rng([seed, 2000 + gi])
         steps = trng.geometric(q, trials) if q > 0 else np.zeros(0, dtype=int)
         steps_hit = steps[steps <= budget]
         if not steps_hit.size:
-            rows.append(NoisePoint(eta, eps, None, None, trials, len(pool), 1.0,
-                                   no_success=True))
+            rows.append(NoisePoint(eta, eps, target, None, None, trials, len(pool),
+                                   1.0, no_success=True))
             continue
         fit = geometric_fit(steps_hit)
         rows.append(
             NoisePoint(
                 eta=eta,
                 epsilon=eps,
+                target=target,
                 p_hat=fit.p_hat,
                 ci95=fit.ci95,
                 trials=trials,

@@ -24,6 +24,13 @@ or for an advantage study given no pool, are `sampler.sample_k_clicks`
 draws, and a noise-sweep point draws its trials' first-hit steps as one
 block of Geometric(q) variates from `default_rng([seed, 2000 + point])`.
 
+Stream 4 keeps stream 3 and adds the drawn classical target: when
+C(n, k) <= classical_trials * classical_budget, a noise sweep values every
+k-subset once and reads each classical run's best from the sorted values at
+rank max(ceil(C(n, k) u^(1/classical_budget)) - 1, 0), one uniform u per run
+from one block drawn from `default_rng([seed, 3000])`; above that size the
+runs are simulated as before.
+
 Random search does not adapt to the values it sees, so it values each chunk
 with one `Objective.values` call: |Hafnian|^2 of each distinct proposal
 once, through matfn's stacked hafnian kernel (a perfect-matching table for
@@ -61,7 +68,7 @@ __all__ = [
 _HAF_CACHE_MAX = 1 << 16
 # version of the searchers' and bench pools' random stream, recorded with
 # their outputs
-STREAM = 3
+STREAM = 4
 # steps whose uniforms are drawn (and, in random search, valued) together
 _CHUNK = 1024
 

@@ -10,13 +10,17 @@ built here for the encoding and distribution tests alike. The
 searchers' references read the seeded stream one step at a time (n uniforms
 per uniform proposal, 4 per annealing step) and value one proposal per step
 through `Objective.value`; annealing on density repeats the library's
-row-sum arithmetic, in the same order, on Python complex numbers.
+row-sum arithmetic, in the same order, on Python complex numbers. The law
+of uniform random search's best after s steps is counted over every
+sequence of s proposals.
 `state_with_sampling_matrix` is a fixture, not an oracle: it builds a state
 through the library's Takagi factorization and device model.
 """
 
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -207,6 +211,19 @@ def stepwise_random_search(obj, source, steps, seed):
             best_val, best_sub = v, sub
         best_values[t] = best_val
     return best_values, best_sub, bool(cursor.wrapped) if cursor else False
+
+
+def uniform_best_law(obj, steps):
+    """Exact law of the best value uniform random search holds after `steps`
+    steps, {value: P(best <= value)} as fractions: every sequence of `steps`
+    k-subsets, each valued through `obj.value`, is one equally likely run."""
+    values = [obj.value(s) for s in itertools.combinations(range(obj.graph.n), obj.k)]
+    counts = Counter(max(run) for run in itertools.product(values, repeat=steps))
+    total, below, law = len(values) ** steps, 0, {}
+    for v in sorted(counts):
+        below += counts[v]
+        law[v] = Fraction(below, total)
+    return law
 
 
 def _stepwise_row_sums(a, subset):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from gbskit import bench, sampler
 from gbskit.errors import ValidationError
 from gbskit.generators import (
     planted_clique_graph,
+    random_complex_graph,
     random_complex_symmetric,
     zero_one_graph,
 )
@@ -15,7 +17,7 @@ from gbskit.matfn import hafnian, torontonian
 from gbskit.sampler import SamplePool
 from gbskit.solvers import Objective, RunTrace
 
-from oracles import rank_pair_spearman, state_with_sampling_matrix
+from oracles import rank_pair_spearman, state_with_sampling_matrix, uniform_best_law
 
 
 def make_trace(values, seed=0):
@@ -185,6 +187,8 @@ class TestNoiseSweep:
             pool_size=400, budget=200, classical_budget=50, classical_trials=5,
         )
         assert [(r.eta, r.epsilon) for r in rows] == [(1.0, 0.0), (0.5, 0.0)]
+        target = bench._classical_target(Objective("density", g, 3), 50, 5, 7)
+        assert [r.target for r in rows] == [target, target]
         for r in rows:
             if not r.no_success:
                 assert 0 < r.p_hat <= 1
@@ -280,6 +284,100 @@ class TestNoiseSweep:
                 bench.noise_sweep(g, 3, etas, epss, trials=5, seed=0)
 
 
+class TestClassicalTarget:
+    """The noise sweep's classical target: the mean best of uniform random
+    search runs, drawn from the exact best-of-budget law over every k-subset
+    when C(n, k) <= trials * budget, simulated above that size."""
+
+    @staticmethod
+    def rank_cdf(j, size, budget):
+        """P(rank <= j) under numpy's 53-bit uniforms m / 2^53: the largest
+        such m the (monotone) rank map sends to j or below, found by
+        bisection, plus one, over 2^53."""
+        lo, hi = 0, 1 << 53
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if bench._best_ranks(np.array([mid / 2**53]), size, budget)[0] <= j:
+                lo = mid
+            else:
+                hi = mid
+        return Fraction(lo + 1, 1 << 53)
+
+    @staticmethod
+    def sorted_table(obj):
+        n, k = obj.graph.n, obj.k
+        return np.sort(obj.values(np.array(list(itertools.combinations(range(n), k)))))
+
+    @pytest.mark.parametrize("kind, graph", [
+        ("density", zero_one_graph(5, 0.6, seed=2)),  # tied values
+        ("density", random_complex_graph(5, seed=3)),
+        ("maxhaf", random_complex_graph(5, seed=4)),
+    ])
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_rank_map_has_the_sequence_law(self, kind, graph, budget):
+        obj = Objective(kind=kind, graph=graph, k=2)
+        table = self.sorted_table(obj)
+        law = uniform_best_law(obj, budget)
+        assert sorted(law) == sorted(set(table.tolist()))
+        for v, p in law.items():
+            below = int(np.sum(table <= v))
+            assert p == Fraction(below, len(table)) ** budget
+            # pow and the product round, so the map's jump may sit a few
+            # 2^-53 grid steps off the exact threshold
+            assert abs(self.rank_cdf(below - 1, len(table), budget) - p) <= Fraction(
+                4, 1 << 53)
+
+    def test_large_draw_mean_matches_exact_expectation(self):
+        g = planted_clique_graph(16, 6, 0.2, 1)  # the README graph
+        obj = Objective(kind="density", graph=g, k=6)
+        budget, draws = 1000, 200_000
+        table = self.sorted_table(obj)
+        cdf = (np.arange(len(table) + 1) / len(table)) ** budget
+        law = np.diff(cdf)
+        mean = float(table @ law)
+        se = np.sqrt(float((table - mean) ** 2 @ law) / draws)
+        drawn = bench._classical_target(obj, budget, draws, seed=5)
+        assert abs(drawn - mean) < 5 * se
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (8, 3), (9, 4), (7, 7)])
+    def test_blocks_follow_combinations_order(self, monkeypatch, n, k):
+        monkeypatch.setattr(bench, "_CHUNK", 7)
+        blocks = list(bench._subset_blocks(n, k))
+        assert all(len(b) == 7 for b in blocks[:-1]) and 0 < len(blocks[-1]) <= 7
+        assert np.array_equal(np.concatenate(blocks),
+                              np.array(list(itertools.combinations(range(n), k))))
+
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    def test_block_values_are_one_call_bytes(self, monkeypatch, kind):
+        monkeypatch.setattr(bench, "_CHUNK", 37)
+        g = random_complex_graph(10, seed=6)
+        blocks = list(bench._subset_blocks(10, 4))
+        chunked = np.concatenate([Objective(kind, g, 4).values(b) for b in blocks])
+        whole = Objective(kind, g, 4).values(np.concatenate(blocks))
+        assert chunked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("trials, budget, runs, tables", [
+        (7, 8, 0, 1),   # C(8, 3) = 56 = trials * budget: the drawn table
+        (5, 11, 5, 0),  # 55, one below: the simulated runs
+    ])
+    def test_table_iff_it_costs_no_more_valuations(self, monkeypatch, trials, budget,
+                                                   runs, tables):
+        calls = {"runs": 0, "tables": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        for name, attr in [("runs", "random_search"), ("tables", "_subset_blocks")]:
+            monkeypatch.setattr(bench, attr, counted(name, getattr(bench, attr)))
+        g = planted_clique_graph(8, 3, 0.2, seed=1)
+        obj = Objective(kind="density", graph=g, k=3)
+        bench._classical_target(obj, budget, trials, seed=4)
+        assert calls == {"runs": runs, "tables": tables}
+
+
 class TestAdvantageStudy:
     def test_rejects_non_integer_k(self):
         g = zero_one_graph(8, 0.6, seed=2)
@@ -290,6 +388,7 @@ class TestAdvantageStudy:
 
 @pytest.mark.parametrize("study, kwargs", [
     ("noise_sweep", dict(classical_trials=0)),
+    ("noise_sweep", dict(classical_budget=0)),
     ("noise_sweep", dict(budget=0)),
     ("noise_sweep", dict(trials=0)),
     ("noise_sweep", dict(pool_size=0)),
@@ -305,6 +404,9 @@ def test_studies_refuse_degenerate_sizes_before_any_work(monkeypatch, study, kwa
     monkeypatch.setattr(sampler, "sample_k_clicks", no_work)
     monkeypatch.setattr(bench, "random_search", no_work)
     monkeypatch.setattr(bench, "torontonian", no_work)
+    # the noise-sweep base case values every subset for its target
+    monkeypatch.setattr(bench, "_subset_blocks", no_work)
+    monkeypatch.setattr(Objective, "values", no_work)
     g = planted_clique_graph(8, 3, 0.2, seed=1)
     base = {
         "noise_sweep": dict(graph=g, k=3, eta_grid=[1.0], epsilon_grid=[0.0],

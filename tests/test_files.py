@@ -104,23 +104,25 @@ class TestReports:
         assert data["best_value"] == 2.0
         assert data["best_subset"] == [0, 3]
         assert data["parameters"]["algo"] == "rs"
-        assert data["stream"] == 3
+        assert data["stream"] == 4
 
     def test_noise_table_handles_no_success(self, tmp_path):
         rows = [
-            NoisePoint(1.0, 0.0, 0.1, (0.08, 0.12), 10, 412, 0.0, False),
-            NoisePoint(0.0, 0.0, None, None, 0, 0, 1.0, True),
+            NoisePoint(1.0, 0.0, 24.5, 0.1, (0.08, 0.12), 10, 412, 0.0, False),
+            NoisePoint(0.0, 0.0, 24.5, None, None, 0, 0, 1.0, True),
         ]
         csv, js = tmp_path / "n.csv", tmp_path / "n.json"
         files.save_noise_table(rows, csv, js)
         lines = csv.read_text().splitlines()
         assert len(lines) == 3
-        assert lines[0].split(",")[6] == "kept"
-        assert lines[1].split(",")[6] == "412"
+        assert lines[0] == ("eta,epsilon,target,p_hat,ci_lo,ci_hi,trials,kept,"
+                            "censored_fraction,no_success")
+        assert lines[1].split(",")[2:8] == ["24.5", "0.1", "0.08", "0.12", "10", "412"]
         assert lines[2].endswith(",1")
         data = json.loads(js.read_text())
         assert data["rows"][1]["p_hat"] is None
         assert [r["kept"] for r in data["rows"]] == [412, 0]
+        assert [r["target"] for r in data["rows"]] == [24.5, 24.5]
 
     def test_advantage_report(self, tmp_path):
         reports = [AdvantageReport(6, 1.5, 2.0, 10, 0.1)]
