@@ -177,7 +177,8 @@ def advantage_study(
         obj = Objective(kind=objective, graph=graph, k=k)
         if pool is None:
             state = encode_graph(graph, choose_scale(graph, float(k))).build_state()
-            pool_seed = int(np.random.default_rng([seed, ki]).integers(2**32))
+            # no trial key [seed, ki, t] pads with zeros to the pool's key
+            pool_seed = int(np.random.default_rng([seed, ki, 0, 1]).integers(2**32))
             kept = sampler.sample_k_clicks(state, pool_size, k, pool_seed)
         else:
             kept = sampler.postselect(pool, k)
@@ -301,14 +302,15 @@ def _classical_target(
     `_CHUNK`, and run i's best is the sorted table's entry at rank
     `_best_ranks(u, C(n, k), budget)[i]`, u one block of `trials` uniforms
     from `default_rng([seed, 3000])`. Above that size the runs are simulated
-    by `random_search`, run i seeded from `default_rng([seed, i])`."""
+    by `random_search`, run i seeded from `default_rng([seed, i, 1])`, which
+    no two-word key of the sweep pads to."""
     n, k = obj.graph.n, obj.k
     size = math.comb(n, k)
     if size > trials * budget:
         vals = [
             random_search(
                 obj, ProposalSource(kind="uniform"), budget,
-                seed=int(np.random.default_rng([seed, i]).integers(2**32)),
+                seed=int(np.random.default_rng([seed, i, 1]).integers(2**32)),
             ).value_at(budget)
             for i in range(trials)
         ]

@@ -5,7 +5,8 @@ exponential-time algorithms sized for desk-scale inputs (Hafnian dimension
 <= 24, Torontonian mode count <= 16), guarded by explicit cost caps.
 Hafnians pick their algorithm by size: up to `_MATCHING_MAX_DIM` they sum
 over every perfect matching read from a fixed index table, above it they
-use the power-trace formula.
+run Bjorklund's division-free recursion. Both only add and multiply, so
+0/1 graphs get exact matching counts.
 """
 
 from __future__ import annotations
@@ -23,71 +24,59 @@ __all__ = ["hafnian", "hafnian_sq_mod", "hafnians", "torontonian"]
 HAFNIAN_MAX_DIM = 24
 TORONTONIAN_MAX_MODES = 16
 
-# complex values in one chunk's stacked submatrices (power traces) or
-# gathered matching entries (matching table)
+# complex values in one chunk's gathered matching entries (matching table)
+# or largest level of weight coefficients (recursion)
 _CHUNK = 1 << 16
-# largest dimension valued from the perfect-matching table: at 12 a row
-# costs about a third of its power traces, at 14 (135135 matchings) nearly
-# twice as much
-_MATCHING_MAX_DIM = 12
+# largest dimension valued from the perfect-matching table: at 10 a row
+# costs about 0.8 of its recursion, at 12 (10395 matchings) about twice it
+_MATCHING_MAX_DIM = 10
 
 
-def _exp_poly_coeffs(traces: np.ndarray, m: int) -> tuple:
-    """Real and imaginary parts of [x^m] exp(sum_k t_k x^k / (2k)) for each
-    trailing index of `traces` (shape (m, ...), t_k = traces[k - 1]).
-
-    Runs the recurrence f' = g' f on arrays. A division by an integer d is
-    a multiplication by 1/d, and every complex product is formed from real
-    and imaginary parts by separate operations, since numpy's SIMD complex
-    multiply fuses them and can differ in the last bit; so each row's values
-    have the same bits whatever stack the row is in.
-    """
-    zero = np.zeros(traces.shape[1:])
-    kg = []  # k * g_k
-    for k in range(1, m + 1):
-        t, s = traces[k - 1], 1.0 / (2 * k)
-        kg.append((k * (t.real * s), k * (t.imag * s)))
-    f = [(zero + 1.0, zero)]
-    for j in range(1, m + 1):
-        ar = ai = zero
-        for k in range(1, j + 1):
-            (xr, xi), (yr, yi) = kg[k - 1], f[j - k]
-            ar = ar + (xr * yr - xi * yi)
-            ai = ai + (xr * yi + xi * yr)
-        s = 1.0 / j
-        f.append((ar * s, ai * s))
-    return f[m]
+def _shifted_product(ar, ai, br, bi) -> tuple:
+    """Real and imaginary parts of x a b, truncated at a's degree, for
+    polynomials with coefficients along axis 0 (broadcast over the rest).
+    Products are formed part by part and added in order of a's degree, so
+    a value's bits do not depend on its stack (see `_matching_chunk`)."""
+    d = len(ar)
+    outr, outi = np.zeros((2, d) + np.broadcast_shapes(ar.shape[1:], br.shape[1:]))
+    for k in range(d - 1):
+        xr, xi, yr, yi = ar[k], ai[k], br[:d - 1 - k], bi[:d - 1 - k]
+        outr[k + 1:] += xr * yr - xi * yi
+        outi[k + 1:] += xr * yi + xi * yr
+    return outr, outi
 
 
-def _hafnian_chunk(a: np.ndarray) -> np.ndarray:
-    """Power-trace hafnians of a validated, symmetrized (N, n, n) stack, n
-    even and > 0. Zeroes the stack's diagonal in place."""
-    n = a.shape[1]
+def _recursion_chunk(a: np.ndarray) -> np.ndarray:
+    """Hafnians of a symmetric (N, n, n) stack, n even and > 0, by Bjorklund's
+    division-free recursion (arXiv:1107.4466): f(G) = f(G2)(1 + x w_uv) -
+    f(G1) over the last pair {u, v}, where G1 drops the pair and G2 also adds
+    x (w_ui w_vj + w_vi w_uj) to every w_ij, and f(empty) = 1. The hafnian
+    is [x^(n/2)] f(G).
+
+    A row's branch states lie along axis 1, the G2 child before the G1 child.
+    Each carries its factor c (degree <= n/2) and its weights, which enter f
+    only times x and so stop at degree n/2 - 1. The leaves' c are added one
+    after another in state order."""
+    count, n = a.shape[:2]
     half = n // 2
-    a[:, np.arange(n), np.arange(n)] = 0.0
-    # nonempty pair-masks in increasing order; pair i holds rows 2i, 2i + 1
-    masks = np.arange(1, 1 << half)
-    bits = (masks[:, None] >> np.arange(half)) & 1
-    npairs = bits.sum(axis=1)
-    pair_rows = np.arange(n).reshape(half, 2)
-    traces = np.empty((half, a.shape[0], masks.size), dtype=np.complex128)
-    for p in range(1, half + 1):
-        sel = np.flatnonzero(npairs == p)
-        rows = pair_rows[np.nonzero(bits[sel])[1].reshape(-1, p)]
-        cols = rows.reshape(-1, 2 * p)
-        # B = X sub with X the direct sum of 2x2 swaps: swap row pairs
-        swapped = rows[:, :, ::-1].reshape(-1, 2 * p)
-        ev = np.linalg.eigvals(a[:, swapped[:, :, None], cols[:, None, :]])
-        for k in range(1, half + 1):
-            traces[k - 1][:, sel] = np.sum(ev**k, axis=-1)
-    cr, ci = _exp_poly_coeffs(traces, half)
-    # [x^half] of the empty product is 0 for half >= 1; the masks' signed
-    # terms are summed one after another in mask order (a pairwise `sum`
-    # would group them by length and change bits)
-    sign = np.where((half - npairs) % 2, -1.0, 1.0)
-    out = np.empty(a.shape[0], dtype=np.complex128)
-    out.real = np.add.accumulate(sign * cr, axis=1)[:, -1]
-    out.imag = np.add.accumulate(sign * ci, axis=1)[:, -1]
+    wr, wi = np.zeros((2, half, count, 1, n, n))
+    wr[0, :, 0], wi[0, :, 0] = a.real, a.imag
+    cr, ci = np.zeros((2, half + 1, count, 1))
+    cr[0] = 1.0
+    for u in range(n - 2, -1, -2):
+        v = u + 1
+        gr, gi = _shifted_product(cr, ci, wr[..., u, v], wi[..., u, v])
+        cr = np.concatenate([cr + gr, -cr], axis=2)
+        ci = np.concatenate([ci + gi, -ci], axis=2)
+        # x w_ui w_vj; its transpose is x w_vi w_uj
+        pr, pi = _shifted_product(wr[..., u, :u, None], wi[..., u, :u, None],
+                                  wr[..., v, None, :u], wi[..., v, None, :u])
+        rr, ri = wr[..., :u, :u], wi[..., :u, :u]
+        wr = np.concatenate([rr + (pr + pr.swapaxes(-1, -2)), rr], axis=2)
+        wi = np.concatenate([ri + (pi + pi.swapaxes(-1, -2)), ri], axis=2)
+    out = np.empty(count, dtype=np.complex128)
+    out.real = np.add.accumulate(cr[half], axis=1)[:, -1]
+    out.imag = np.add.accumulate(ci[half], axis=1)[:, -1]
     return out
 
 
@@ -97,7 +86,7 @@ def _matching_table(n: int) -> np.ndarray:
     shape (n / 2, P): column p holds matching p's pairs. Vertex 0 is paired
     with 1, ..., n - 1 in turn and the rest matched recursively, the order
     of `tests/oracles.matching_hafnian`. Built once per even n > 0 up to
-    `_MATCHING_MAX_DIM`, so the memo holds at most 6 tables (0.5 MB at 12)."""
+    `_MATCHING_MAX_DIM`, so the memo holds at most 5 tables (38 KB at 10)."""
     pairs = np.zeros((1, 0, 2), dtype=np.intp)  # (P, pairs, 2) for range(0)
     for m in range(2, n + 1, 2):
         # matchings of range(m): pair 0 with j, relabel range(m - 2) onto the rest
@@ -136,7 +125,7 @@ def _hafnians(a: np.ndarray) -> np.ndarray:
     """Hafnians of a finite, exactly symmetric complex (N, n, n) stack, such
     as `Graph.subgraphs` returns; `hafnians` without its entry checks.
     Refuses odd n and n above the cost cap. Rows go in chunks: the
-    matching table up to `_MATCHING_MAX_DIM`, the power traces above."""
+    matching table up to `_MATCHING_MAX_DIM`, the recursion above."""
     count, n = a.shape[:2]
     if n % 2 != 0:
         raise ValidationError(f"hafnian requires even dimension, got {n}")
@@ -151,9 +140,8 @@ def _hafnians(a: np.ndarray) -> np.ndarray:
         # a row gathers (n - 1)!! matchings of n / 2 entries
         chunk, per_row = _matching_chunk, _matching_table(n).size
     else:
-        # every pair count's submatrices together hold < 2^(n/2) n^2 values;
-        # the power traces zero the diagonal in place, so they get a copy
-        chunk, per_row = lambda b: _hafnian_chunk(b.copy()), (1 << (n // 2)) * n * n
+        # at most 4.5 * 2^(n/2) * n/2 weight coefficients a row (3 pairs left)
+        chunk, per_row = _recursion_chunk, 9 * (n // 2) << (n // 2 - 1)
     step = max(1, _CHUNK // per_row)
     for lo in range(0, count, step):
         out[lo:lo + step] = chunk(a[lo:lo + step])
@@ -163,10 +151,12 @@ def _hafnians(a: np.ndarray) -> np.ndarray:
 def hafnians(stack) -> np.ndarray:
     """Hafnians of an (N, n, n) stack of matrices, one per row.
 
-    Up to n = `_MATCHING_MAX_DIM` (12) each row is the sum over its
-    (n - 1)!! perfect matchings, read from a fixed index table. Above it the
-    inclusion-exclusion power-trace algorithm runs, O(2^(n/2) n^3) per row,
-    with one stacked `eigvals` call per pair count for a chunk of rows. Each
+    Up to n = `_MATCHING_MAX_DIM` (10) each row is the sum over its
+    (n - 1)!! perfect matchings, read from a fixed index table. Above it
+    Bjorklund's division-free recursion runs on polynomials in x, under
+    1.5 n^2 2^(n/2) coefficient products per row, vectorized over a chunk of
+    rows and their branch states. Both only add and multiply, so integer
+    matrices get exact hafnians while partial values stay below 2^53. Each
     row gives the same bits whatever stack it is in. The diagonal never
     enters a perfect matching and is ignored. Every input is checked here:
     shape, finiteness and symmetry, then dimension and cost cap.

@@ -377,6 +377,31 @@ class TestClassicalTarget:
         bench._classical_target(obj, budget, trials, seed=4)
         assert calls == {"runs": runs, "tables": tables}
 
+    def test_simulated_run_seeds_are_no_pool_seeds(self, monkeypatch):
+        # past 1000 runs, run i keyed [seed, i] would share grid point
+        # i - 1000's pool stream [seed, 1000 + gi]
+        pools, runs = [], []
+        search = bench.random_search
+
+        def pool_of(state, size, k, seed):
+            pools.append(seed)
+            bits = np.zeros((3, 16), dtype=np.uint8)
+            bits[:, :k] = 1
+            return SamplePool(modes=16, samples=bits)
+
+        def run(*args, seed, **kw):
+            runs.append(seed)
+            return search(*args, seed=seed, **kw)
+
+        monkeypatch.setattr(sampler, "sample_k_clicks", pool_of)
+        monkeypatch.setattr(bench, "random_search", run)
+        # C(16, 8) = 12870 > 1004 * 1 subsets: the runs are simulated
+        bench.noise_sweep(planted_clique_graph(16, 6, 0.2, seed=1), 8, [1.0, 0.5],
+                          [0.0, 0.25], trials=2, seed=3, budget=5,
+                          classical_budget=1, classical_trials=1004)
+        assert len(pools) == 4 and len(runs) == 1004
+        assert not set(pools) & set(runs)
+
 
 class TestAdvantageStudy:
     def test_rejects_non_integer_k(self):
@@ -384,6 +409,30 @@ class TestAdvantageStudy:
         with pytest.raises(ValidationError, match="k_values"):
             bench.advantage_study(g, [2, "4"], steps=5, trials=1, seed=0,
                                   pool_size=50)
+
+    def test_pool_seed_is_no_trial_seed(self, monkeypatch):
+        # numpy pads seed keys with zeros, so a pool keyed [seed, ki] would
+        # share trial 0's stream [seed, ki, 0]
+        pools, trials = [], []
+        resampled = bench.resampled_pool_source
+
+        def pool_of(state, size, k, seed):
+            pools.append(seed)
+            bits = np.zeros((3, 8), dtype=np.uint8)
+            bits[:, :k] = 1
+            return SamplePool(modes=8, samples=bits)
+
+        def source(pool, steps, seed):
+            trials.append(seed)
+            return resampled(pool, steps, seed)
+
+        monkeypatch.setattr(sampler, "sample_k_clicks", pool_of)
+        monkeypatch.setattr(bench, "resampled_pool_source", source)
+        g = random_complex_graph(8, seed=2)
+        for seed in (0, 5, 42):
+            bench.advantage_study(g, [2, 3, 2, 3], steps=2, trials=3, seed=seed)
+        assert len(pools) == 12 and len(trials) == 36
+        assert not set(pools) & set(trials)
 
 
 @pytest.mark.parametrize("study, kwargs", [

@@ -192,7 +192,7 @@ class TestBench:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["command"] == "bench correlate"
         assert manifest["parameters"]["seed"] == 1
-        assert manifest["stream"] == 4
+        assert manifest["stream"] == 5
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

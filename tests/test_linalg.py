@@ -129,7 +129,7 @@ class TestSymmetrized:
             assert np.allclose(takagi(m).values, [1e200, 1e200], rtol=1e-12)
 
     def test_symmetric_part_does_not_overflow(self):
-        # a + a^T would overflow; so do the hafnian's power traces, used
+        # a + a^T would overflow; so does the hafnian's recursion, used
         # only above the matching table's cutoff
         m = [[0, 1.5e308], [1.5e308, 0]]
         with warnings.catch_warnings():

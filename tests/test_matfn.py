@@ -8,7 +8,7 @@ from gbskit import gaussian, matfn
 from gbskit.encoding import Graph
 from gbskit.errors import CostGuardError, PhysicalityError, ValidationError
 from gbskit.generators import planted_clique_graph, random_complex_graph, zero_one_graph
-from gbskit.matfn import hafnian, hafnian_sq_mod, hafnians, torontonian
+from gbskit.matfn import HAFNIAN_MAX_DIM, hafnian, hafnian_sq_mod, hafnians, torontonian
 
 from oracles import (
     inclusion_exclusion_distribution,
@@ -32,13 +32,13 @@ class TestHafnian:
     def test_single_pair(self):
         assert hafnian([[5.0, 3.0], [3.0, 7.0]]) == pytest.approx(3.0)
 
-    # 0/1 matching counts up to n = 12 come from the matching table, which
-    # adds integer products, so they are exact
+    # 0/1 matching counts are exact: the matching table and the recursion
+    # above it only add and multiply integers
     def test_all_ones_k4(self):
         assert hafnian(np.ones((4, 4))) == 3
 
     def test_double_factorial(self):
-        for k in range(1, 7):
+        for k in range(1, HAFNIAN_MAX_DIM // 2 + 1):
             expected = float(np.prod(np.arange(2 * k - 1, 0, -2)))
             assert hafnian(np.ones((2 * k, 2 * k))) == expected
 
@@ -49,8 +49,8 @@ class TestHafnian:
         assert hafnian(a) == 6
 
     def test_largest_entries_do_not_overflow(self):
-        # one pair, one product: exact however large; the power traces
-        # above the table's cutoff still overflow here
+        # one pair, one product: exact however large; the recursion above
+        # the table's cutoff still overflows here (it squares the entries)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert hafnian([[0, 1.5e308], [1.5e308, 0]]) == 1.5e308
@@ -102,7 +102,7 @@ class TestHafnian:
             hafnian(np.zeros((26, 26)))
 
 
-# one dimension valued by the power traces, just above the matching table
+# one dimension valued by the recursion, just above the matching table
 ABOVE = matfn._MATCHING_MAX_DIM + 2
 
 
@@ -120,19 +120,17 @@ def subgraph_stack(kind, n, count, seed):
 
 class TestHafnians:
     @pytest.mark.parametrize("kind", ["complex", "zero-one", "planted-clique"])
-    @pytest.mark.parametrize("n", [0, 2, 4, 6, 8, ABOVE])
+    @pytest.mark.parametrize("n", [0, 2, 4, 6, 8, ABOVE, ABOVE + 2])
     def test_against_matching_enumeration(self, kind, n):
-        # the enumeration takes about 0.3 s per matrix above the cutoff
+        # the enumeration takes about 0.3 s per matrix at n = 14
         stack = subgraph_stack(kind, n, 12 if n < ABOVE else 3, seed=n + 1)
         got = hafnians(stack)
         for h, a in zip(got, stack):
             expected = matching_hafnian(a)
-            # the power traces cancel terms as large as the biggest hafnian
-            # with these entry sizes, (n - 1)!! max|a|^(n/2), and on 0/1
-            # graphs miss integer counts by up to 4.4e-9 at n = 14; 1e-13
-            # of that bound stays below 1e-10 for n <= 8
-            bound = np.prod(np.arange(n - 1, 0, -2)) * abs(a).max(initial=0) ** (n // 2)
-            assert abs(h - expected) <= max(1e-10 * max(abs(expected), 1), 1e-13 * bound)
+            if kind == "complex":
+                assert abs(h - expected) <= 1e-10 * max(abs(expected), 1)
+            else:
+                assert h == expected
 
     @pytest.mark.parametrize("kind", ["complex", "zero-one", "planted-clique"])
     @pytest.mark.parametrize("n", [0, 2, 4, 6, 8, ABOVE])
@@ -146,7 +144,7 @@ class TestHafnians:
         whole = hafnians(stack)
         assert hafnians(stack[17:18]).tobytes() == whole[17:18].tobytes()
         # chunks of 3 rows: the stack crosses many chunk boundaries
-        monkeypatch.setattr(matfn, "_CHUNK", 3 * (1 << ABOVE // 2) * ABOVE**2)
+        monkeypatch.setattr(matfn, "_CHUNK", 3 * (9 * (ABOVE // 2) << (ABOVE // 2 - 1)))
         assert hafnians(stack).tobytes() == whole.tobytes()
 
     def test_table_row_bits_do_not_depend_on_the_stack(self, monkeypatch):
@@ -159,12 +157,15 @@ class TestHafnians:
 
     @pytest.mark.parametrize("kind", ["complex", "zero-one", "planted-clique"])
     @pytest.mark.parametrize("n", range(2, matfn._MATCHING_MAX_DIM + 1, 2))
-    def test_table_matches_power_traces(self, kind, n):
+    def test_table_matches_recursion(self, kind, n):
         stack = subgraph_stack(kind, n, 12, seed=n + 13)
         got = hafnians(stack)
-        want = matfn._hafnian_chunk(stack.astype(complex))
-        for h, p in zip(got, want):
-            assert abs(h - p) <= 1e-10 * max(abs(p), 1)
+        want = matfn._recursion_chunk(stack.astype(complex))
+        if kind == "complex":
+            for h, p in zip(got, want):
+                assert abs(h - p) <= 1e-10 * max(abs(p), 1)
+        else:
+            assert np.array_equal(got, want)
 
     def test_empty_stack(self):
         assert hafnians(np.zeros((0, 4, 4))).shape == (0,)
