@@ -10,7 +10,6 @@ valuing every k-subset once costs no more than simulating the runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -270,16 +269,19 @@ class NoisePoint:
 
 def _subset_blocks(n: int, k: int):
     """Every k-subset of range(n) in `itertools.combinations` (lexicographic)
-    order, as (m, k) index arrays of at most `_CHUNK` rows."""
-    combos = itertools.combinations(range(n), k)
-    while True:
-        block = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, _CHUNK)),
-            dtype=np.intp,
-        )
-        if not block.size:
-            return
-        yield block.reshape(-1, k)
+    order, as (m, k) index arrays of at most `_CHUNK` rows. The rows are
+    built one column at a time: each row's last vertex l is followed in
+    turn by every l' > l that leaves room for the columns after it."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for col in range(k):
+        start = rows[:, -1] + 1 if col else np.zeros(1, dtype=np.intp)
+        reps = n - k + col + 1 - start
+        rows = np.repeat(rows, reps, axis=0)
+        first = np.cumsum(reps) - reps
+        last = np.repeat(start - first, reps) + np.arange(len(rows))
+        rows = np.concatenate([rows, last[:, None]], axis=1)
+    for lo in range(0, len(rows), _CHUNK):
+        yield rows[lo:lo + _CHUNK]
 
 
 def _best_ranks(u: np.ndarray, size: int, budget: int) -> list:
@@ -320,6 +322,11 @@ def _classical_target(
     return float(np.mean(table[_best_ranks(u, size, budget)]))
 
 
+# grid point gi seeds its pool from [seed, 1000 + gi] and its trial steps
+# from [seed, 2000 + gi]; past this many points those keys would collide
+MAX_GRID_POINTS = 1000
+
+
 def noise_sweep(
     graph: Graph,
     k: int,
@@ -344,7 +351,7 @@ def noise_sweep(
     Geometric(q), q the pool's fraction of such patterns: each point draws
     its `trials` step counts from one stream and fits a geometric success
     probability. Trials past the budget are right-censored and excluded
-    from the fit.
+    from the fit. A grid has at most `MAX_GRID_POINTS` points.
 
     The target, reported on every row, is the mean best value of
     `classical_trials` uniform random-search runs of `classical_budget`
@@ -359,6 +366,11 @@ def noise_sweep(
         raise ValidationError(
             "trials, pool_size, budget, classical_budget and classical_trials "
             "must be >= 1"
+        )
+    if len(etas) * len(epss) > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"noise grid of {len(etas) * len(epss)} points exceeds the limit of "
+            f"{MAX_GRID_POINTS} points"
         )
     obj = Objective(kind=objective, graph=graph, k=k)
     target = _classical_target(obj, classical_budget, classical_trials, seed)

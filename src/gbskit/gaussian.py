@@ -14,7 +14,10 @@ sum. With a click cap k, the same step runs on the inverse matrix and visits
 only subsets of at most k modes, which by Jacobi's identity give every
 pattern of at most k clicks: P(C) = det(sigma)^(-1/2) sum over Y subset of C
 of (-1)^(|C|-|Y|) det((sigma^-1)_Y)^(-1/2), the Tor(O_C) / sqrt(det sigma)
-form.
+form. Those values and their subset transform live on a compact slice, the
+ascending bitmasks of at most k modes (sum over j <= k of C(M, j) entries,
+no 2^M vector): `sampler.sample_k_clicks` reads it, and
+`pattern_distribution(state, k)` scatters it into a 2^M vector.
 
 One formula gives every single-mode click probability, 1 - P_vac({j}) =
 1 - (sigma_jj sigma_{j+M,j+M} - |sigma_{j,j+M}|^2)^(-1/2): `mean_clicks` and
@@ -25,8 +28,10 @@ state built.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -217,23 +222,27 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None) -> np.ndarray:
     `_CHUNK` values are split along their rows first.
 
     With a `cap` k, only the W whose complement ~W has at most k modes are
-    covered, and every other index holds 0. The recursion then runs on v^-1
-    from det v, v the matrix in the quadrature basis, and its masks are the
-    complements: det v_W = det v * det (v^-1)_~W (Jacobi's identity). A row
-    of k - 1 modes writes its "add" child out at once and skips that child's
+    covered, and the values are held at the slots of `_click_slice(M, k)`,
+    the ~W in ascending order. The recursion then runs on v^-1 from det v,
+    v the matrix in the quadrature basis, and its masks are the complements:
+    det v_W = det v * det (v^-1)_~W (Jacobi's identity). Its rows stay
+    sorted by mode count, with the count groups' `sizes`, so the rows below
+    k - 1 modes, the only ones that grow, are a leading slice. A row of
+    k - 1 modes writes its "add" child out at once and skips that child's
     rank-2 update; a row of k modes is never made."""
     m = len(sq) // 2
     w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
     v = (w @ sq @ w.conj().T / 2.0).real
     if cap is None:
         out, flip = np.empty(1 << m), (1 << m) - 1
-        work = [(0, v[None], np.ones(1), np.zeros(1, dtype=int))]
-    else:  # 1 / sqrt(inf) leaves 0 at every index no row reaches
-        out, flip = np.full(1 << m, np.inf), 0
+        work = [(0, v[None], np.ones(1), np.zeros(1, dtype=int), None)]
+    else:  # every slot is written once
+        slots = _click_slice(m, cap)[0]
+        out = np.empty(slots.size)
         work = [(0, inverse(v).real[None], np.array([np.linalg.det(v)]),
-                 np.zeros(1, dtype=int))]
+                 np.zeros(1, dtype=int), [1])]
     while work:
-        h, stack, dets, masks = work.pop()
+        h, stack, dets, masks, sizes = work.pop()
         while stack.shape[1] and (stack.size <= _CHUNK or len(stack) == 1):
             a, b, c = stack[:, 0, 0, None], stack[:, 0, 1, None], stack[:, 1, 1, None]
             pivot = a * c - b * b
@@ -242,27 +251,87 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None) -> np.ndarray:
                 modes = [i for i in range(h + 1) if bad >> i & 1]
                 raise PhysicalityError(f"modes {modes}: block not positive definite")
             x, y, rest = stack[:, 2:, 0], stack[:, 2:, 1], stack[:, 2:, 2:]
-            dets_add, masks_add, rest_add = dets * pivot[:, 0], masks | 1 << h, rest
-            if cap is not None:
-                count = np.bitwise_count(masks)
-                if (count >= cap - 1).any():  # only rows below k - 1 grow
-                    ends, go = count == cap - 1, count < cap - 1
-                    out[masks_add[ends]] = dets_add[ends]
-                    a, b, c, pivot, x, y = a[go], b[go], c[go], pivot[go], x[go], y[go]
-                    dets_add, masks_add, rest_add = dets_add[go], masks_add[go], rest[go]
+            dets_add, masks_add = dets * pivot[:, 0], masks | 1 << h
+            if sizes is not None:
+                grown = min(len(sizes), max(cap - 1, 0))
+                edges = [0, *itertools.accumulate(sizes)]
+                go = edges[grown]
+                if cap:  # the rows from `go` on have k - 1 modes
+                    out[np.searchsorted(slots, masks_add[go:])] = dets_add[go:]
+                a, b, c, pivot = a[:go], b[:go], c[:go], pivot[:go]
+                x, y, dets_add, masks_add = x[:go], y[:go], dets_add[:go], masks_add[:go]
             f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
-            added = (rest_add - f[:, :, None] * x[:, None, :]
+            added = (rest[:len(x)] - f[:, :, None] * x[:, None, :]
                      - g[:, :, None] * y[:, None, :])
-            stack = np.concatenate([rest, added])
-            dets = np.concatenate([dets, dets_add])
-            masks = np.concatenate([masks, masks_add])
+            if sizes is None:
+                stack = np.concatenate([rest, added])
+                dets = np.concatenate([dets, dets_add])
+                masks = np.concatenate([masks, masks_add])
+            else:
+                stack = _by_count(rest, added, edges)
+                dets = _by_count(dets, dets_add, edges)
+                masks = _by_count(masks, masks_add, edges)
+                sizes = [s + t for s, t in itertools.zip_longest(
+                    sizes, [0, *sizes[:grown]], fillvalue=0)]
             h += 1
         if stack.shape[1]:
-            work += [(h, stack[p], dets[p], masks[p])
+            work += [(h, stack[p], dets[p], masks[p], None if sizes is None else
+                      np.bincount(np.bitwise_count(masks[p])).tolist())
                      for p in (np.s_[:len(stack) // 2], np.s_[len(stack) // 2:])]
-        else:
+        elif sizes is None:
             out[flip ^ masks] = dets
+        else:
+            out[np.searchsorted(slots, masks)] = dets
     return np.divide(1.0, np.sqrt(out, out=out), out=out)  # IEEE-exact ops
+
+
+def _by_count(old: np.ndarray, new: np.ndarray, edges: list) -> np.ndarray:
+    """Rows of `old`, grouped by mode count with group j at edges[j]:edges[j + 1],
+    and of `new`, old's first groups with one mode more, in ascending count
+    order: each group of old, then the rows grown from the group before it."""
+    return np.concatenate([old[:edges[1]]] + [
+        part for lo, mid, hi in zip(edges, edges[1:], [*edges[2:], edges[-1]])
+        for part in (old[mid:hi], new[lo:mid])])
+
+
+@lru_cache(maxsize=4)
+def _click_slice(modes: int, k: int) -> tuple:
+    """The bitmasks of the subsets of at most k of `modes` modes, ascending,
+    built by doubling over the modes, and for each mode i the slots
+    (with, without) of every pair S and S - {i} with i in S. Read-only,
+    and held for the last four (modes, k). The slots take 16 bytes per pair,
+    sum over j <= k of j C(modes, j): at 24 modes and k = 6, 190 051 masks
+    and 17 MB of slots."""
+    masks = np.zeros(1, dtype=np.int64)
+    for i in range(modes):
+        masks = np.concatenate([masks, masks[np.bitwise_count(masks) < k] | 1 << i])
+    pairs = []
+    for i in range(modes):
+        hi = np.flatnonzero(masks >> i & 1)
+        pairs.append((hi, np.searchsorted(masks, masks[hi] ^ 1 << i)))
+    for arr in (masks, *itertools.chain.from_iterable(pairs)):
+        arr.setflags(write=False)
+    return masks, tuple(pairs)
+
+
+def _check_size(modes: int, max_clicks: int | None) -> None:
+    """Refuse a click table above `MAX_TABLE_MODES` modes, then a click cap
+    outside [0, modes]."""
+    if modes > MAX_TABLE_MODES:
+        raise CostGuardError(f"click distribution of {modes} modes exceeds the cap "
+                             f"of {MAX_TABLE_MODES} modes")
+    if max_clicks is not None and not 0 <= max_clicks <= modes:
+        raise ValidationError(f"click count {max_clicks} out of range [0, {modes}]")
+
+
+def _checked(dist: np.ndarray, whole: bool) -> np.ndarray:
+    """dist clipped to [0, 1] in place, once its values are checked to lie
+    there and to sum to at most 1, and to 1 if it holds every pattern."""
+    lo, hi, total = dist.min(), dist.max(), dist.sum()
+    if not (-_PROB_TOL <= lo and hi <= 1 + _PROB_TOL and total <= 1 + _PROB_TOL
+            and (not whole or abs(total - 1) <= _PROB_TOL)):
+        raise PhysicalityError(f"click probabilities in [{lo}, {hi}] sum to {total}")
+    return np.clip(dist, 0.0, 1.0, out=dist)
 
 
 def pattern_distribution(
@@ -271,37 +340,39 @@ def pattern_distribution(
     """Exact probability of every click pattern, as a new vector indexed by
     click bitmask (bit i = mode i).
 
-    With `max_clicks` k, every pattern of more than k clicks reads 0, and the
-    recursion visits only the sum over j <= k of C(M, j) subsets that the
-    other patterns need instead of all 2^M. Their probabilities must then sum
+    With `max_clicks` k, every pattern of more than k clicks reads 0, and
+    only the sum over j <= k of C(M, j) others are computed, on a compact
+    slice (`_capped_distribution`) that this vector scatters. They must sum
     to at most 1, and to 1 when k = M."""
-    m = state.modes
-    if m > MAX_TABLE_MODES:
-        raise CostGuardError(f"click distribution of {m} modes exceeds the cap "
-                             f"of {MAX_TABLE_MODES} modes")
-    if max_clicks is not None and not 0 <= max_clicks <= m:
-        raise ValidationError(f"click count {max_clicks} out of range [0, {m}]")
-    # at complement masks (at masks when capped); then Yates
-    dist = _vacuum_probabilities(state.husimi, max_clicks)
-    for i in range(m):
+    if max_clicks is not None:
+        masks, probs = _capped_distribution(state, max_clicks)
+        dist = np.zeros(1 << state.modes)
+        dist[masks] = probs
+        return dist
+    _check_size(state.modes, None)
+    # at complement masks; then Yates
+    dist = _vacuum_probabilities(state.husimi)
+    for i in range(state.modes):
         pairs = dist.reshape(-1, 2, 1 << i)
         pairs[:, 1] -= pairs[:, 0]
-    if max_clicks is not None:
-        dist[_click_counts(m) > max_clicks] = 0.0
-    lo, hi, total = dist.min(), dist.max(), dist.sum()
-    whole = max_clicks in (None, m)
-    if not (-_PROB_TOL <= lo and hi <= 1 + _PROB_TOL and total <= 1 + _PROB_TOL
-            and (not whole or abs(total - 1) <= _PROB_TOL)):
-        raise PhysicalityError(f"click probabilities in [{lo}, {hi}] sum to {total}")
-    return np.clip(dist, 0.0, 1.0, out=dist)
+    return _checked(dist, whole=True)
 
 
-def _click_counts(modes: int) -> np.ndarray:
-    """Number of clicks of each click bitmask below 2^modes, as uint8."""
-    counts = np.zeros(1, dtype=np.uint8)
-    for _ in range(modes):
-        counts = np.concatenate([counts, counts + 1])
-    return counts
+def _capped_distribution(state: GaussianState, k: int) -> tuple:
+    """(masks, probabilities) of every click pattern of at most k clicks, in
+    the ascending mask order of `_click_slice`; the probabilities are a new
+    vector. The capped recursion visits only these sum over j <= k of
+    C(M, j) subsets instead of all 2^M, and the subset transform runs on
+    them alone, in the same passes as the full one: a pass writes S from
+    S - {i}, which is in the slice whenever S is, so every value keeps the
+    bits of the full transform. They must sum to at most 1, and to 1 when
+    k = M."""
+    _check_size(state.modes, k)
+    masks, pairs = _click_slice(state.modes, k)
+    dist = _vacuum_probabilities(state.husimi, k)
+    for hi, lo in pairs:
+        dist[hi] -= dist[lo]
+    return masks, _checked(dist, whole=k == state.modes)
 
 
 def pattern_probability(state: GaussianState, pattern) -> float:

@@ -30,6 +30,9 @@ _CHUNK = 1 << 16
 # largest dimension valued from the perfect-matching table: at 10 a row
 # costs about 0.8 of its recursion, at 12 (10395 matchings) about twice it
 _MATCHING_MAX_DIM = 10
+# the recursion scales a row with an entry part of at least 2^_SCALE_EXP
+# below it first, leaving 2^64 of headroom for its sums of products
+_SCALE_EXP = 960
 
 
 def _shifted_product(ar, ai, br, bi) -> tuple:
@@ -56,11 +59,20 @@ def _recursion_chunk(a: np.ndarray) -> np.ndarray:
     A row's branch states lie along axis 1, the G2 child before the G1 child.
     Each carries its factor c (degree <= n/2) and its weights, which enter f
     only times x and so stop at degree n/2 - 1. The leaves' c are added one
-    after another in state order."""
+    after another in state order.
+
+    Every term of degree d is a sum of products of d entries (d + 1 in a
+    weight). A row with an entry part of 2^_SCALE_EXP or more, whose sums
+    could overflow, is scaled by 2^-s first, which scales each such term by
+    exactly 2^(-s d) unless one underflows, and its hafnian back by
+    2^(s n / 2); for every other row s = 0 and its bits are unchanged."""
     count, n = a.shape[:2]
     half = n // 2
+    top = np.maximum(abs(a.real).max(axis=(1, 2)), abs(a.imag).max(axis=(1, 2)))
+    shift = np.maximum(np.frexp(top)[1] - _SCALE_EXP, 0)
     wr, wi = np.zeros((2, half, count, 1, n, n))
-    wr[0, :, 0], wi[0, :, 0] = a.real, a.imag
+    wr[0, :, 0] = np.ldexp(a.real, -shift[:, None, None])
+    wi[0, :, 0] = np.ldexp(a.imag, -shift[:, None, None])
     cr, ci = np.zeros((2, half + 1, count, 1))
     cr[0] = 1.0
     for u in range(n - 2, -1, -2):
@@ -75,8 +87,8 @@ def _recursion_chunk(a: np.ndarray) -> np.ndarray:
         wr = np.concatenate([rr + (pr + pr.swapaxes(-1, -2)), rr], axis=2)
         wi = np.concatenate([ri + (pi + pi.swapaxes(-1, -2)), ri], axis=2)
     out = np.empty(count, dtype=np.complex128)
-    out.real = np.add.accumulate(cr[half], axis=1)[:, -1]
-    out.imag = np.add.accumulate(ci[half], axis=1)[:, -1]
+    out.real = np.ldexp(np.add.accumulate(cr[half], axis=1)[:, -1], shift * half)
+    out.imag = np.ldexp(np.add.accumulate(ci[half], axis=1)[:, -1], shift * half)
     return out
 
 
@@ -156,10 +168,14 @@ def hafnians(stack) -> np.ndarray:
     Bjorklund's division-free recursion runs on polynomials in x, under
     1.5 n^2 2^(n/2) coefficient products per row, vectorized over a chunk of
     rows and their branch states. Both only add and multiply, so integer
-    matrices get exact hafnians while partial values stay below 2^53. Each
-    row gives the same bits whatever stack it is in. The diagonal never
-    enters a perfect matching and is ignored. Every input is checked here:
-    shape, finiteness and symmetry, then dimension and cost cap.
+    matrices get exact hafnians while partial values stay below 2^53. In
+    the recursion a row with an entry part of 2^960 or more is scaled down
+    by a power of two and its hafnian back up, exact unless a scaled value
+    underflows, so entries up to float64's limit overflow none of its sums
+    of products (only a hafnian that is itself too large does). Each row
+    gives the same bits whatever stack it is in. The diagonal never enters
+    a perfect matching and is ignored. Every input is checked here: shape,
+    finiteness and symmetry, then dimension and cost cap.
     """
     a = np.asarray(stack, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:

@@ -10,7 +10,8 @@ starting from the state's whole click distribution
 
 `sample_k_clicks` draws what post-selecting such a pool to k clicks keeps,
 without drawing the rest: a Binomial kept count, then i.i.d. k-click
-patterns by inverse CDF over the capped distribution's k-click slice.
+patterns by inverse CDF over the k-click part of the capped distribution,
+which holds only the patterns of at most k clicks, with no 2^M vector.
 """
 
 from __future__ import annotations
@@ -130,14 +131,15 @@ def sample_k_clicks(
     The kept count is Binomial(count, P_k), P_k the probability of k clicks;
     each kept pattern is then an i.i.d. draw from the k-click patterns'
     probabilities over P_k, one uniform per draw through the inverse of their
-    cumulative sum. Only patterns of at most k clicks are computed
-    (`gaussian.pattern_distribution`'s `max_clicks`).
+    cumulative sum. Only patterns of at most k clicks are computed, in
+    ascending mask order (`gaussian._capped_distribution`), and the k-click
+    ones are read from them in that order.
     """
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
-    dist = gaussian.pattern_distribution(state, k)
-    masks = np.flatnonzero((gaussian._click_counts(state.modes) == k) & (dist > 0))
-    cdf = np.cumsum(dist[masks])
+    masks, dist = gaussian._capped_distribution(state, k)
+    keep = (np.bitwise_count(masks) == k) & (dist > 0)
+    masks, cdf = masks[keep], np.cumsum(dist[keep])
     rng = np.random.default_rng(seed)
     kept = rng.binomial(count, min(cdf[-1], 1.0)) if masks.size else 0
     # u * P_k can round up to P_k itself, past the last bin

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -277,6 +278,24 @@ class TestNoiseSweep:
                                    classical_budget=20, classical_trials=3)
         assert (row.p_hat, row.censored_fraction, row.no_success) == (1.0, 0.0, False)
 
+    def test_refuses_more_than_1000_grid_points(self, monkeypatch):
+        # point gi keys its pool [seed, 1000 + gi] and its trials
+        # [seed, 2000 + gi]: point 1000's pool would share point 0's trials
+        pools = []
+
+        def pool_of(state, size, k, seed):
+            pools.append(seed)
+            return SamplePool(modes=8, samples=np.zeros((0, 8), dtype=np.uint8))
+
+        monkeypatch.setattr(sampler, "sample_k_clicks", pool_of)
+        g = zero_one_graph(8, 0.6, seed=2)
+        kw = dict(trials=5, seed=0, classical_budget=20, classical_trials=3)
+        with pytest.raises(ValidationError, match="1001 points exceeds the limit"):
+            bench.noise_sweep(g, 3, [1.0] * 7, [0.0] * 143, **kw)
+        assert not pools
+        assert len(bench.noise_sweep(g, 3, [1.0] * 40, [0.0] * 25, **kw)) == 1000
+        assert len(pools) == 1000
+
     def test_rejects_bad_grid(self):
         g = zero_one_graph(8, 0.6, seed=2)
         for etas, epss in [([1.5], [0.0]), (["a"], [0.0]), ([1.0], [None])]:
@@ -339,13 +358,18 @@ class TestClassicalTarget:
         drawn = bench._classical_target(obj, budget, draws, seed=5)
         assert abs(drawn - mean) < 5 * se
 
-    @pytest.mark.parametrize("n, k", [(5, 2), (8, 3), (9, 4), (7, 7)])
-    def test_blocks_follow_combinations_order(self, monkeypatch, n, k):
-        monkeypatch.setattr(bench, "_CHUNK", 7)
-        blocks = list(bench._subset_blocks(n, k))
-        assert all(len(b) == 7 for b in blocks[:-1]) and 0 < len(blocks[-1]) <= 7
-        assert np.array_equal(np.concatenate(blocks),
-                              np.array(list(itertools.combinations(range(n), k))))
+    @pytest.mark.parametrize("chunk", [7, 1024])
+    def test_blocks_follow_combinations_order(self, monkeypatch, chunk):
+        monkeypatch.setattr(bench, "_CHUNK", chunk)
+        for n in range(12):
+            for k in range(n + 1):
+                blocks = list(bench._subset_blocks(n, k))
+                assert all(len(b) == chunk for b in blocks[:-1])
+                assert 0 < len(blocks[-1]) <= chunk
+                rows = np.concatenate(blocks)
+                assert rows.dtype == np.intp and rows.shape == (math.comb(n, k), k)
+                want = itertools.combinations(range(n), k)
+                assert rows.tolist() == [list(c) for c in want]
 
     @pytest.mark.parametrize("kind", ["density", "maxhaf"])
     def test_block_values_are_one_call_bytes(self, monkeypatch, kind):

@@ -242,6 +242,15 @@ class TestBench:
         assert repr(field) in err and "got bool" in err
         assert not outdir.exists()
 
+    def test_noise_grid_over_the_limit_exits_2(self, k6_graph, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"graph": str(k6_graph), "k": 2, "seed": 1,
+                                    "eta_grid": [1.0] * 1001}))
+        outdir = tmp_path / "r"
+        assert run("bench", "noise-sweep", "--config", path, "--out", outdir) == 2
+        assert "limit of 1000 points" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("study, cfg, defaults", [
         ("correlate", {"n_matrices": 2, "seed": 1}, {"mode_count": 4}),
         ("advantage", {"k_values": [2], "seed": 3},

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gbskit.gaussian import (
     state_from_device,
 )
 from gbskit.generators import planted_clique_graph, random_complex_graph, zero_one_graph
-from gbskit.linalg import takagi
+from gbskit.linalg import inverse, takagi
 from gbskit.matfn import torontonian
 
 from oracles import (
@@ -349,6 +350,46 @@ def frozen_uncapped_step(sq):
     return np.divide(1.0, np.sqrt(out, out=out), out=out)
 
 
+def frozen_capped_step(sq, cap):
+    """`gaussian._vacuum_probabilities` with a cap, as it stood before its
+    rows were kept sorted by mode count and its values on the k-click slice:
+    a 2^M vector with 0 at every index no row reaches. Compared in-process,
+    like `frozen_uncapped_step`."""
+    m = len(sq) // 2
+    w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
+    v = (w @ sq @ w.conj().T / 2.0).real
+    out = np.full(1 << m, np.inf)
+    work = [(0, inverse(v).real[None], np.array([np.linalg.det(v)]),
+             np.zeros(1, dtype=int))]
+    while work:
+        h, stack, dets, masks = work.pop()
+        while stack.shape[1] and (stack.size <= gaussian._CHUNK or len(stack) == 1):
+            a, b, c = stack[:, 0, 0, None], stack[:, 0, 1, None], stack[:, 1, 1, None]
+            pivot = a * c - b * b
+            assert a.min() > 0 and pivot.min() > 0
+            x, y, rest = stack[:, 2:, 0], stack[:, 2:, 1], stack[:, 2:, 2:]
+            dets_add, masks_add, rest_add = dets * pivot[:, 0], masks | 1 << h, rest
+            count = np.bitwise_count(masks)
+            if (count >= cap - 1).any():
+                ends, go = count == cap - 1, count < cap - 1
+                out[masks_add[ends]] = dets_add[ends]
+                a, b, c, pivot, x, y = a[go], b[go], c[go], pivot[go], x[go], y[go]
+                dets_add, masks_add, rest_add = dets_add[go], masks_add[go], rest[go]
+            f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
+            added = (rest_add - f[:, :, None] * x[:, None, :]
+                     - g[:, :, None] * y[:, None, :])
+            stack = np.concatenate([rest, added])
+            dets = np.concatenate([dets, dets_add])
+            masks = np.concatenate([masks, masks_add])
+            h += 1
+        if stack.shape[1]:
+            work += [(h, stack[p], dets[p], masks[p])
+                     for p in (np.s_[:len(stack) // 2], np.s_[len(stack) // 2:])]
+        else:
+            out[masks] = dets
+    return np.divide(1.0, np.sqrt(out, out=out), out=out)
+
+
 CAPPED_GRAPHS = dict(ORACLE_GRAPHS, random=random_complex_graph(8, seed=3))
 # lossless, thermal, lossy and fully lost
 NOISE = {"lossless": (1.0, 0.0), "thermal": (1.0, 0.25), "lossy": (0.5, 0.0),
@@ -374,7 +415,7 @@ class TestCappedDistribution:
     def test_matches_oracle_and_full_distribution(self, name, noise, k):
         state, want, full = capped_case(name, noise)
         got = gaussian.pattern_distribution(state, k)
-        kept = gaussian._click_counts(8) <= k
+        kept = np.bitwise_count(np.arange(256)) <= k
         # the oracle's tolerance in TestPatternDistribution
         np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(got[kept], full[kept], rtol=0, atol=1e-14)
@@ -411,6 +452,41 @@ class TestCappedDistribution:
         state = GaussianState(modes=2, husimi=0.8 * np.eye(4))
         with pytest.raises(PhysicalityError):
             gaussian.pattern_distribution(state, k)
+
+
+class TestClickSlice:
+    @pytest.mark.parametrize("modes", [0, 1, 5, 8])
+    def test_layout(self, modes):
+        for k in range(modes + 1):
+            masks, pairs = gaussian._click_slice(modes, k)
+            assert (np.diff(masks) > 0).all() and (np.bitwise_count(masks) <= k).all()
+            assert len(masks) == sum(math.comb(modes, j) for j in range(k + 1))
+            assert len(pairs) == modes
+            # each pass pairs every S that holds mode i with S - {i}
+            for i, (hi, lo) in enumerate(pairs):
+                assert np.array_equal(hi, np.flatnonzero(masks >> i & 1))
+                assert np.array_equal(masks[lo], masks[hi] ^ 1 << i)
+
+    def test_pattern_distribution_scatters_the_slice(self):
+        state = capped_case("random", "thermal")[0]
+        for k in range(9):
+            masks, probs = gaussian._capped_distribution(state, k)
+            dist = gaussian.pattern_distribution(state, k)
+            assert dist[masks].tobytes() == probs.tobytes()
+            assert not np.delete(dist, masks).any()
+
+
+class TestCappedBitsPinned:
+    @pytest.mark.parametrize("chunk", [16, 1 << 40], ids=["split", "whole"])
+    @pytest.mark.parametrize("noise", NOISE)
+    @pytest.mark.parametrize("name", CAPPED_GRAPHS)
+    def test_step_matches_frozen_step(self, monkeypatch, name, noise, chunk):
+        monkeypatch.setattr(gaussian, "_CHUNK", chunk)
+        sq = capped_case(name, noise)[0].husimi
+        for k in range(9):
+            got = np.zeros(256)
+            got[gaussian._click_slice(8, k)[0]] = gaussian._vacuum_probabilities(sq, k)
+            assert got.tobytes() == frozen_capped_step(sq, k).tobytes()
 
 
 class TestUncappedBitsPinned:

@@ -48,12 +48,21 @@ class TestHafnian:
         a[3:, :3] = 1
         assert hafnian(a) == 6
 
-    def test_largest_entries_do_not_overflow(self):
-        # one pair, one product: exact however large; the recursion above
-        # the table's cutoff still overflows here (it squares the entries)
+    # one matching of one 1.5e308 entry and n / 2 - 1 ones: exact however
+    # large, in the matching table (2) and the recursion (12, 14), whose
+    # sums of products would overflow unless the row is scaled first
+    @pytest.mark.parametrize("n", [2, 12, 14])
+    def test_largest_entries_do_not_overflow(self, n):
+        a = np.kron(np.eye(n // 2), [[0.0, 1.0], [1.0, 0.0]])
+        a[0, 1] = a[1, 0] = 1.5e308
+        ordinary = random_symmetric(n, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert hafnian([[0, 1.5e308], [1.5e308, 0]]) == 1.5e308
+            assert hafnian(a) == 1.5e308
+            assert hafnian(-1j * a) == (-1j) ** (n // 2) * 1.5e308
+            # a scaled row leaves the other rows of its stack alone
+            both = hafnians(np.stack([a, ordinary]))
+        assert both[1].tobytes() == np.complex128(hafnian(ordinary)).tobytes()
 
     def test_empty_matrix(self):
         assert hafnian(np.zeros((0, 0))) == 1.0

@@ -182,7 +182,7 @@ def vacuum_state(m):
 def k_click_slice(state, k):
     """(masks, probabilities over P_k, P_k) of the k-click patterns."""
     dist = gaussian.pattern_distribution(state)
-    masks = np.flatnonzero(gaussian._click_counts(state.modes) == k)
+    masks = np.flatnonzero(np.bitwise_count(np.arange(1 << state.modes)) == k)
     return masks, dist[masks] / dist[masks].sum(), dist[masks].sum()
 
 
