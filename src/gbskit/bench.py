@@ -267,21 +267,45 @@ class NoisePoint:
     no_success: bool
 
 
+# `_subset_blocks` builds the index rows of at most this many subsets at once
+_SUBSET_ROWS = 1 << 16
+
+
 def _subset_blocks(n: int, k: int):
     """Every k-subset of range(n) in `itertools.combinations` (lexicographic)
-    order, as (m, k) index arrays of at most `_CHUNK` rows. The rows are
-    built one column at a time: each row's last vertex l is followed in
-    turn by every l' > l that leaves room for the columns after it."""
-    rows = np.zeros((1, 0), dtype=np.intp)
-    for col in range(k):
-        start = rows[:, -1] + 1 if col else np.zeros(1, dtype=np.intp)
-        reps = n - k + col + 1 - start
-        rows = np.repeat(rows, reps, axis=0)
-        first = np.cumsum(reps) - reps
-        last = np.repeat(start - first, reps) + np.arange(len(rows))
-        rows = np.concatenate([rows, last[:, None]], axis=1)
-    for lo in range(0, len(rows), _CHUNK):
-        yield rows[lo:lo + _CHUNK]
+    order, as (m, k) index arrays of `_CHUNK` rows, the last one possibly
+    fewer. The rows are built one column at a time: each row's last vertex
+    l is followed in turn by every l' > l that leaves room for the columns
+    after it. The first p columns are built once, p the fewest with at most
+    `_SUBSET_ROWS` completions for every prefix, and the rest for one range
+    of prefixes at a time, with at most `_SUBSET_ROWS` completions in all,
+    so fewer than `_SUBSET_ROWS` + `_CHUNK` rows wait to be yielded."""
+    def extend(rows, cols):  # rows lead with a column of -1
+        for col in range(rows.shape[1] - 1, cols):
+            start = rows[:, -1] + 1
+            reps = n - k + col + 1 - start
+            rows = np.repeat(rows, reps, axis=0)
+            first = np.cumsum(reps) - reps
+            last = np.repeat(start - first, reps) + np.arange(len(rows))
+            rows = np.concatenate([rows, last[:, None]], axis=1)
+        return rows
+
+    p = next(p for p in range(k + 1) if math.comb(n - p, k - p) <= _SUBSET_ROWS)
+    prefixes = extend(np.full((1, 1), -1, dtype=np.intp), p)
+    # completions of a prefix ending at vertex l, for l from p - 1 up
+    sizes = np.array([math.comb(n - 1 - l, k - p) for l in range(p - 1, n)])
+    ends = np.cumsum(sizes[prefixes[:, -1] - (p - 1)])
+    pending, lo = np.empty((0, k), dtype=np.intp), 0
+    while lo < len(prefixes):
+        done = ends[lo - 1] if lo else 0
+        hi = int(np.searchsorted(ends, done + _SUBSET_ROWS, "right"))
+        pending = np.concatenate([pending, extend(prefixes[lo:hi], k)[:, 1:]])
+        while len(pending) >= _CHUNK:
+            yield pending[:_CHUNK]
+            pending = pending[_CHUNK:]
+        lo = hi
+    if len(pending):
+        yield pending
 
 
 def _best_ranks(u: np.ndarray, size: int, budget: int) -> list:

@@ -14,10 +14,13 @@ sum. With a click cap k, the same step runs on the inverse matrix and visits
 only subsets of at most k modes, which by Jacobi's identity give every
 pattern of at most k clicks: P(C) = det(sigma)^(-1/2) sum over Y subset of C
 of (-1)^(|C|-|Y|) det((sigma^-1)_Y)^(-1/2), the Tor(O_C) / sqrt(det sigma)
-form. Those values and their subset transform live on a compact slice, the
-ascending bitmasks of at most k modes (sum over j <= k of C(M, j) entries,
-no 2^M vector): `sampler.sample_k_clicks` reads it, and
-`pattern_distribution(state, k)` scatters it into a 2^M vector.
+form. While k is small next to M, those values and their subset transform
+live on a compact slice, the ascending bitmasks of at most k modes (sum over
+j <= k of C(M, j) entries, no 2^M vector); for larger k, where the slice's
+transform pairs would outgrow two 2^M vectors, they fill a 2^M vector that
+is transformed in full and then gathered onto the slice.
+`sampler.sample_k_clicks` reads the slice, and `pattern_distribution(state,
+k)` scatters it into a 2^M vector.
 
 One formula gives every single-mode click probability, 1 - P_vac({j}) =
 1 - (sigma_jj sigma_{j+M,j+M} - |sigma_{j,j+M}|^2)^(-1/2): `mean_clicks` and
@@ -29,6 +32,7 @@ state built.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -210,7 +214,8 @@ def apply_thermal(state: GaussianState, epsilon: float) -> GaussianState:
     return GaussianState(modes=m, husimi=sq)
 
 
-def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None) -> np.ndarray:
+def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
+                          slots: np.ndarray | None = None) -> np.ndarray:
     """det(sq_W)^(-1/2) at index ~W for every mode subset W of a checked
     2M x 2M matrix (P_vac(W) when sq is a Husimi matrix), in the real
     quadrature basis x0, p0, x1, p1, ..., a change that acts on each mode alone
@@ -222,27 +227,33 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None) -> np.ndarray:
     `_CHUNK` values are split along their rows first.
 
     With a `cap` k, only the W whose complement ~W has at most k modes are
-    covered, and the values are held at the slots of `_click_slice(M, k)`,
-    the ~W in ascending order. The recursion then runs on v^-1 from det v,
-    v the matrix in the quadrature basis, and its masks are the complements:
-    det v_W = det v * det (v^-1)_~W (Jacobi's identity). Its rows stay
-    sorted by mode count, with the count groups' `sizes`, so the rows below
-    k - 1 modes, the only ones that grow, are a leading slice. A row of
-    k - 1 modes writes its "add" child out at once and skips that child's
-    rank-2 update; a row of k modes is never made."""
+    covered. The recursion then runs on v^-1 from det v, v the matrix in the
+    quadrature basis, and its masks are the complements: det v_W = det v *
+    det (v^-1)_~W (Jacobi's identity). A row of k - 1 modes writes its "add"
+    child out at once and skips that child's rank-2 update; a row of k modes
+    is never made. The rows stay sorted by mode count, edges[j] of them
+    below j modes for j up to one past the largest count, so the rows that
+    grow are a leading slice, and each step merges its new rows in by count
+    (`_by_count`) instead of gathering the growing ones. The values are
+    held at the ~W of a 2^M vector, every other index 0, or with `slots`,
+    the ascending masks of at most k modes, at the ~W's slot there."""
     m = len(sq) // 2
     w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
     v = (w @ sq @ w.conj().T / 2.0).real
     if cap is None:
         out, flip = np.empty(1 << m), (1 << m) - 1
-        work = [(0, v[None], np.ones(1), np.zeros(1, dtype=int), None)]
-    else:  # every slot is written once
-        slots = _click_slice(m, cap)[0]
-        out = np.empty(slots.size)
+        work = [(0, v[None], np.ones(1), np.zeros(1, dtype=int), [])]
+    else:  # 1 / sqrt(inf) leaves 0 at every index no row reaches
+        out = np.full(1 << m, np.inf) if slots is None else np.empty(slots.size)
+        flip = 0
         work = [(0, inverse(v).real[None], np.array([np.linalg.det(v)]),
-                 np.zeros(1, dtype=int), [1])]
+                 np.zeros(1, dtype=int), [0, 1])]
+
+    def place(masks):
+        return flip ^ masks if slots is None else np.searchsorted(slots, masks)
+
     while work:
-        h, stack, dets, masks, sizes = work.pop()
+        h, stack, dets, masks, edges = work.pop()
         while stack.shape[1] and (stack.size <= _CHUNK or len(stack) == 1):
             a, b, c = stack[:, 0, 0, None], stack[:, 0, 1, None], stack[:, 1, 1, None]
             pivot = a * c - b * b
@@ -251,19 +262,17 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None) -> np.ndarray:
                 modes = [i for i in range(h + 1) if bad >> i & 1]
                 raise PhysicalityError(f"modes {modes}: block not positive definite")
             x, y, rest = stack[:, 2:, 0], stack[:, 2:, 1], stack[:, 2:, 2:]
-            dets_add, masks_add = dets * pivot[:, 0], masks | 1 << h
-            if sizes is not None:
-                grown = min(len(sizes), max(cap - 1, 0))
-                edges = [0, *itertools.accumulate(sizes)]
-                go = edges[grown]
+            dets_add, masks_add, rest_add = dets * pivot[:, 0], masks | 1 << h, rest
+            if cap is not None:  # only the leading rows, below k - 1 modes, grow
+                go = edges[min(max(cap - 1, 0), len(edges) - 1)]
                 if cap:  # the rows from `go` on have k - 1 modes
-                    out[np.searchsorted(slots, masks_add[go:])] = dets_add[go:]
-                a, b, c, pivot = a[:go], b[:go], c[:go], pivot[:go]
-                x, y, dets_add, masks_add = x[:go], y[:go], dets_add[:go], masks_add[:go]
+                    out[place(masks_add[go:])] = dets_add[go:]
+                a, b, c, pivot, x, y = a[:go], b[:go], c[:go], pivot[:go], x[:go], y[:go]
+                dets_add, masks_add, rest_add = dets_add[:go], masks_add[:go], rest[:go]
             f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
-            added = (rest[:len(x)] - f[:, :, None] * x[:, None, :]
+            added = (rest_add - f[:, :, None] * x[:, None, :]
                      - g[:, :, None] * y[:, None, :])
-            if sizes is None:
+            if cap is None:
                 stack = np.concatenate([rest, added])
                 dets = np.concatenate([dets, dets_add])
                 masks = np.concatenate([masks, masks_add])
@@ -271,45 +280,68 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None) -> np.ndarray:
                 stack = _by_count(rest, added, edges)
                 dets = _by_count(dets, dets_add, edges)
                 masks = _by_count(masks, masks_add, edges)
-                sizes = [s + t for s, t in itertools.zip_longest(
-                    sizes, [0, *sizes[:grown]], fillvalue=0)]
+                edges = [e + (min(edges[j - 1], go) if j else 0)
+                         for j, e in enumerate(edges + edges[-1:])]
+                while edges[-1] == edges[-2]:  # no empty top group
+                    edges.pop()
             h += 1
         if stack.shape[1]:
-            work += [(h, stack[p], dets[p], masks[p], None if sizes is None else
-                      np.bincount(np.bitwise_count(masks[p])).tolist())
-                     for p in (np.s_[:len(stack) // 2], np.s_[len(stack) // 2:])]
-        elif sizes is None:
-            out[flip ^ masks] = dets
+            half = len(stack) // 2
+            work += [(h, stack[:half], dets[:half], masks[:half],
+                      [min(e, half) for e in edges]),
+                     (h, stack[half:], dets[half:], masks[half:],
+                      [max(e - half, 0) for e in edges])]
         else:
-            out[np.searchsorted(slots, masks)] = dets
+            out[place(masks)] = dets
     return np.divide(1.0, np.sqrt(out, out=out), out=out)  # IEEE-exact ops
 
 
 def _by_count(old: np.ndarray, new: np.ndarray, edges: list) -> np.ndarray:
-    """Rows of `old`, grouped by mode count with group j at edges[j]:edges[j + 1],
-    and of `new`, old's first groups with one mode more, in ascending count
-    order: each group of old, then the rows grown from the group before it."""
+    """Rows of `old`, grouped by mode count with group j at edges[j]:edges[j + 1]
+    (the last edge is len(old)), and of `new`, old's first groups with one
+    mode more, in ascending count order: each group of old, then the rows
+    grown from the group before it."""
     return np.concatenate([old[:edges[1]]] + [
         part for lo, mid, hi in zip(edges, edges[1:], [*edges[2:], edges[-1]])
         for part in (old[mid:hi], new[lo:mid])])
 
 
-@lru_cache(maxsize=4)
-def _click_slice(modes: int, k: int) -> tuple:
+@lru_cache(maxsize=1)
+def _slice_masks(modes: int, k: int) -> np.ndarray:
     """The bitmasks of the subsets of at most k of `modes` modes, ascending,
-    built by doubling over the modes, and for each mode i the slots
-    (with, without) of every pair S and S - {i} with i in S. Read-only,
-    and held for the last four (modes, k). The slots take 16 bytes per pair,
-    sum over j <= k of j C(modes, j): at 24 modes and k = 6, 190 051 masks
-    and 17 MB of slots."""
+    built by doubling over the modes. Read-only, and held for the last
+    (modes, k) only."""
     masks = np.zeros(1, dtype=np.int64)
     for i in range(modes):
         masks = np.concatenate([masks, masks[np.bitwise_count(masks) < k] | 1 << i])
+    masks.setflags(write=False)
+    return masks
+
+
+def _on_slice(modes: int, k: int) -> bool:
+    """Whether the capped distribution runs on the compact slice rather than
+    on a 2^M vector: while the slice's subset transform has at most 2^M
+    pairs (S, S - {i}), sum over j <= k of j C(M, j). `_click_slice` keeps
+    them at 16 bytes each, so they take no more than two 2^M float vectors,
+    about what the 2^M path allocates for the call. Past that they cost
+    more than the full transform's strided passes too (whole calls, raw,
+    one BLAS thread: 20 modes at k = 7, 0.84 * 2^M pairs, take 104 ms on the
+    slice against 113 ms; at k = 8, 1.8 * 2^M, 182 against 168 ms)."""
+    return modes * sum(math.comb(modes - 1, j) for j in range(k)) <= 1 << modes
+
+
+@lru_cache(maxsize=1)
+def _click_slice(modes: int, k: int) -> tuple:
+    """`_slice_masks(modes, k)` and, for each mode i, the slots (with,
+    without) of every pair S and S - {i} with i in S. Read-only, and held
+    for the last (modes, k) only: at 24 modes and k = 6, 190 051 masks and
+    17 MB of pairs."""
+    masks = _slice_masks(modes, k)
     pairs = []
     for i in range(modes):
         hi = np.flatnonzero(masks >> i & 1)
         pairs.append((hi, np.searchsorted(masks, masks[hi] ^ 1 << i)))
-    for arr in (masks, *itertools.chain.from_iterable(pairs)):
+    for arr in itertools.chain.from_iterable(pairs):
         arr.setflags(write=False)
     return masks, tuple(pairs)
 
@@ -341,8 +373,8 @@ def pattern_distribution(
     click bitmask (bit i = mode i).
 
     With `max_clicks` k, every pattern of more than k clicks reads 0, and
-    only the sum over j <= k of C(M, j) others are computed, on a compact
-    slice (`_capped_distribution`) that this vector scatters. They must sum
+    only the sum over j <= k of C(M, j) others are computed
+    (`_capped_distribution`), and this vector scatters them. They must sum
     to at most 1, and to 1 when k = M."""
     if max_clicks is not None:
         masks, probs = _capped_distribution(state, max_clicks)
@@ -359,20 +391,29 @@ def pattern_distribution(
 
 
 def _capped_distribution(state: GaussianState, k: int) -> tuple:
-    """(masks, probabilities) of every click pattern of at most k clicks, in
-    the ascending mask order of `_click_slice`; the probabilities are a new
+    """(masks, probabilities) of every click pattern of at most k clicks, the
+    masks ascending and read-only (`_slice_masks`), the probabilities a new
     vector. The capped recursion visits only these sum over j <= k of
-    C(M, j) subsets instead of all 2^M, and the subset transform runs on
-    them alone, in the same passes as the full one: a pass writes S from
-    S - {i}, which is in the slice whenever S is, so every value keeps the
-    bits of the full transform. They must sum to at most 1, and to 1 when
-    k = M."""
+    C(M, j) subsets instead of all 2^M. While `_on_slice`, its values and
+    the subset transform stay on them: a pass writes S from S - {i}, which
+    is in the slice whenever S is, in the same passes as the full
+    transform, so every value keeps its bits. Otherwise they fill a 2^M
+    vector, transformed in full and then gathered. They must sum to at most
+    1, and to 1 when k = M."""
     _check_size(state.modes, k)
-    masks, pairs = _click_slice(state.modes, k)
-    dist = _vacuum_probabilities(state.husimi, k)
-    for hi, lo in pairs:
-        dist[hi] -= dist[lo]
-    return masks, _checked(dist, whole=k == state.modes)
+    m = state.modes
+    if _on_slice(m, k):
+        masks, pairs = _click_slice(m, k)
+        dist = _vacuum_probabilities(state.husimi, k, masks)
+        for hi, lo in pairs:
+            dist[hi] -= dist[lo]
+    else:
+        masks, dist = _slice_masks(m, k), _vacuum_probabilities(state.husimi, k)
+        for i in range(m):
+            pairs = dist.reshape(-1, 2, 1 << i)
+            pairs[:, 1] -= pairs[:, 0]
+        dist = dist[masks]
+    return masks, _checked(dist, whole=k == m)
 
 
 def pattern_probability(state: GaussianState, pattern) -> float:

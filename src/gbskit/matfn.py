@@ -31,7 +31,8 @@ _CHUNK = 1 << 16
 # costs about 0.8 of its recursion, at 12 (10395 matchings) about twice it
 _MATCHING_MAX_DIM = 10
 # the recursion scales a row with an entry part of at least 2^_SCALE_EXP
-# below it first, leaving 2^64 of headroom for its sums of products
+# below it first, leaving 2^64 of headroom for a product of its largest
+# entry with others
 _SCALE_EXP = 960
 
 
@@ -62,10 +63,13 @@ def _recursion_chunk(a: np.ndarray) -> np.ndarray:
     after another in state order.
 
     Every term of degree d is a sum of products of d entries (d + 1 in a
-    weight). A row with an entry part of 2^_SCALE_EXP or more, whose sums
-    could overflow, is scaled by 2^-s first, which scales each such term by
-    exactly 2^(-s d) unless one underflows, and its hafnian back by
-    2^(s n / 2); for every other row s = 0 and its bits are unchanged."""
+    weight). A row with an entry part of 2^_SCALE_EXP or more is scaled by
+    2^-s first, its largest entry then below 2^_SCALE_EXP, which scales each
+    such term by exactly 2^(-s d) unless one underflows, and its hafnian
+    back by 2^(s n / 2); for every other row s = 0 and its bits are
+    unchanged. That keeps a single near-limit entry, times entries of at
+    most about 2^64, finite; a product of two large entries can still
+    overflow, even when the hafnian itself is finite."""
     count, n = a.shape[:2]
     half = n // 2
     top = np.maximum(abs(a.real).max(axis=(1, 2)), abs(a.imag).max(axis=(1, 2)))
@@ -171,8 +175,10 @@ def hafnians(stack) -> np.ndarray:
     matrices get exact hafnians while partial values stay below 2^53. In
     the recursion a row with an entry part of 2^960 or more is scaled down
     by a power of two and its hafnian back up, exact unless a scaled value
-    underflows, so entries up to float64's limit overflow none of its sums
-    of products (only a hafnian that is itself too large does). Each row
+    underflows: a row with one entry up to float64's limit and its other
+    entries at most about 2^64 then does not overflow. Several large
+    entries can: their product may overflow while the hafnian is finite,
+    e.g. pair entries 2^1000, 2^200 and 2^-300, hafnian 2^900. Each row
     gives the same bits whatever stack it is in. The diagonal never enters
     a perfect matching and is ignored. Every input is checked here: shape,
     finiteness and symmetry, then dimension and cost cap.

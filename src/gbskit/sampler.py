@@ -11,7 +11,8 @@ starting from the state's whole click distribution
 `sample_k_clicks` draws what post-selecting such a pool to k clicks keeps,
 without drawing the rest: a Binomial kept count, then i.i.d. k-click
 patterns by inverse CDF over the k-click part of the capped distribution,
-which holds only the patterns of at most k clicks, with no 2^M vector.
+which holds only the patterns of at most k clicks, with no 2^M vector while
+k is small next to M.
 """
 
 from __future__ import annotations

@@ -358,9 +358,12 @@ class TestClassicalTarget:
         drawn = bench._classical_target(obj, budget, draws, seed=5)
         assert abs(drawn - mean) < 5 * se
 
+    # 3 subsets at a time: prefixes of up to k columns, several ranges per block
+    @pytest.mark.parametrize("rows", [3, 1 << 16])
     @pytest.mark.parametrize("chunk", [7, 1024])
-    def test_blocks_follow_combinations_order(self, monkeypatch, chunk):
+    def test_blocks_follow_combinations_order(self, monkeypatch, chunk, rows):
         monkeypatch.setattr(bench, "_CHUNK", chunk)
+        monkeypatch.setattr(bench, "_SUBSET_ROWS", rows)
         for n in range(12):
             for k in range(n + 1):
                 blocks = list(bench._subset_blocks(n, k))

@@ -352,9 +352,8 @@ def frozen_uncapped_step(sq):
 
 def frozen_capped_step(sq, cap):
     """`gaussian._vacuum_probabilities` with a cap, as it stood before its
-    rows were kept sorted by mode count and its values on the k-click slice:
-    a 2^M vector with 0 at every index no row reaches. Compared in-process,
-    like `frozen_uncapped_step`."""
+    values could be held on the compact slice: a 2^M vector with 0 at every
+    index no row reaches. Compared in-process, like `frozen_uncapped_step`."""
     m = len(sq) // 2
     w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
     v = (w @ sq @ w.conj().T / 2.0).real
@@ -484,9 +483,49 @@ class TestCappedBitsPinned:
         monkeypatch.setattr(gaussian, "_CHUNK", chunk)
         sq = capped_case(name, noise)[0].husimi
         for k in range(9):
+            want = frozen_capped_step(sq, k).tobytes()
+            assert gaussian._vacuum_probabilities(sq, k).tobytes() == want
+            masks = gaussian._slice_masks(8, k)
             got = np.zeros(256)
-            got[gaussian._click_slice(8, k)[0]] = gaussian._vacuum_probabilities(sq, k)
-            assert got.tobytes() == frozen_capped_step(sq, k).tobytes()
+            got[masks] = gaussian._vacuum_probabilities(sq, k, masks)
+            assert got.tobytes() == want
+
+
+class TestCappedPaths:
+    @pytest.mark.parametrize("noise", NOISE)
+    def test_slice_and_full_vector_give_the_same_bytes(self, monkeypatch, noise):
+        state = capped_case("random", noise)[0]
+        for k in range(9):
+            runs = []
+            for on_slice in (True, False):
+                monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+                runs.append(gaussian._capped_distribution(state, k))
+            (masks, probs), (full_masks, full_probs) = runs
+            assert masks.tobytes() == full_masks.tobytes()
+            assert probs.tobytes() == full_probs.tobytes()
+
+    def test_path_follows_the_pair_count(self):
+        # sum over j <= k of j C(M, j) pairs against 2^M
+        assert gaussian._on_slice(16, 5)  # 0.47 * 2^16
+        assert gaussian._on_slice(24, 8)  # 0.56 * 2^24
+        assert not gaussian._on_slice(16, 6)  # 1.21 * 2^16
+        assert not gaussian._on_slice(24, 9)  # 1.26 * 2^24
+        assert not gaussian._on_slice(20, 10)  # 5 * 2^20
+        for m in range(9):
+            for k in range(m + 1):
+                pairs = sum(j * math.comb(m, j) for j in range(k + 1))
+                assert gaussian._on_slice(m, k) == (pairs <= 2 ** m)
+
+    def test_half_the_modes_build_no_slice_pairs(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("slice pairs built")
+
+        monkeypatch.setattr(gaussian, "_click_slice", refused)
+        g = random_complex_graph(20, seed=1)
+        state = apply_loss(encode_graph(g, choose_scale(g, 10.0)).build_state(), 0.75)
+        masks, probs = gaussian._capped_distribution(state, 10)
+        assert len(masks) == sum(math.comb(20, j) for j in range(11))
+        assert 0.0 < probs.sum() <= 1.0
 
 
 class TestUncappedBitsPinned:
