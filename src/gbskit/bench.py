@@ -225,9 +225,8 @@ def geometric_fit(steps) -> GeometricFit:
         raise ValidationError("cannot fit an empty list of step counts")
     if np.any(arr < 1):
         raise ValidationError("step counts must be >= 1")
-    mean = float(np.mean(arr))
+    mean, se_mean = _mean_se(arr)
     p_hat = 1.0 / mean
-    se_mean = float(np.std(arr, ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     z = 1.959963984540054
     hi_mean = mean + z * se_mean
     lo_mean = max(mean - z * se_mean, 1.0)
@@ -375,7 +374,8 @@ def noise_sweep(
     Geometric(q), q the pool's fraction of such patterns: each point draws
     its `trials` step counts from one stream and fits a geometric success
     probability. Trials past the budget are right-censored and excluded
-    from the fit. A grid has at most `MAX_GRID_POINTS` points.
+    from the fit; an empty pool runs none. The grid has at most
+    `MAX_GRID_POINTS` points and the graph `gaussian.MAX_TABLE_MODES` vertices.
 
     The target, reported on every row, is the mean best value of
     `classical_trials` uniform random-search runs of `classical_budget`
@@ -397,6 +397,7 @@ def noise_sweep(
             f"{MAX_GRID_POINTS} points"
         )
     obj = Objective(kind=objective, graph=graph, k=k)
+    gaussian._check_size(graph.n, k)
     target = _classical_target(obj, classical_budget, classical_trials, seed)
     c = choose_scale(
         graph, target_mean_clicks=float(k) if mean_clicks is None else mean_clicks
@@ -408,30 +409,24 @@ def noise_sweep(
         state = gaussian.apply_loss(state, eta)
         pool_seed = int(np.random.default_rng([seed, 1000 + gi]).integers(2**32))
         pool = sampler.sample_k_clicks(state, pool_size, k, pool_seed)
-        if len(pool) == 0:
-            rows.append(NoisePoint(eta, eps, target, None, None, 0, 0, 1.0,
-                                   no_success=True))
-            continue
-        q = float(np.mean(obj.values(pool.subsets(k)) >= target))
-        trng = np.random.default_rng([seed, 2000 + gi])
-        steps = trng.geometric(q, trials) if q > 0 else np.zeros(0, dtype=int)
+        # an empty pool has q = 0 and runs no trials
+        q = (float(np.mean(obj.values(pool.subsets(k)) >= target))
+             if len(pool) else 0.0)
+        steps = (np.random.default_rng([seed, 2000 + gi]).geometric(q, trials)
+                 if q > 0 else np.zeros(0, dtype=int))
         steps_hit = steps[steps <= budget]
-        if not steps_hit.size:
-            rows.append(NoisePoint(eta, eps, target, None, None, trials, len(pool),
-                                   1.0, no_success=True))
-            continue
-        fit = geometric_fit(steps_hit)
+        fit = geometric_fit(steps_hit) if steps_hit.size else None
         rows.append(
             NoisePoint(
                 eta=eta,
                 epsilon=eps,
                 target=target,
-                p_hat=fit.p_hat,
-                ci95=fit.ci95,
-                trials=trials,
+                p_hat=fit.p_hat if fit else None,
+                ci95=fit.ci95 if fit else None,
+                trials=trials if len(pool) else 0,
                 kept=len(pool),
                 censored_fraction=(trials - steps_hit.size) / trials,
-                no_success=False,
+                no_success=fit is None,
             )
         )
     return rows

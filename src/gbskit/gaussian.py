@@ -217,37 +217,37 @@ def apply_thermal(state: GaussianState, epsilon: float) -> GaussianState:
 def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
                           slots: np.ndarray | None = None) -> np.ndarray:
     """det(sq_W)^(-1/2) at index ~W for every mode subset W of a checked
-    2M x 2M matrix (P_vac(W) when sq is a Husimi matrix), in the real
-    quadrature basis x0, p0, x1, p1, ..., a change that acts on each mode alone
-    and keeps subset determinants. A work item covers every W whose modes
-    below h are those of some masks[i]: stack[i] is the Schur complement on
-    modes h and up given those modes, and dets[i] their det. Mode h is
-    dropped by a slice, or added by a rank-2 update with the inverse of the
-    leading 2x2 block, whose det multiplies dets[i]. Stacks of more than
-    `_CHUNK` values are split along their rows first.
+    2M x 2M matrix (P_vac(W) when sq is a Husimi matrix), or with a `cap` k,
+    for every W whose complement ~W has at most k modes. The matrix is taken
+    to the real quadrature basis x0, p0, x1, p1, ..., a change that acts on
+    each mode alone and keeps subset determinants, giving v.
 
-    With a `cap` k, only the W whose complement ~W has at most k modes are
-    covered. The recursion then runs on v^-1 from det v, v the matrix in the
-    quadrature basis, and its masks are the complements: det v_W = det v *
-    det (v^-1)_~W (Jacobi's identity). A row of k - 1 modes writes its "add"
-    child out at once and skips that child's rank-2 update; a row of k modes
-    is never made. The rows stay sorted by mode count, edges[j] of them
-    below j modes for j up to one past the largest count, so the rows that
-    grow are a leading slice, and each step merges its new rows in by count
-    (`_by_count`) instead of gathering the growing ones. The values are
-    held at the ~W of a 2^M vector, every other index 0, or with `slots`,
-    the ascending masks of at most k modes, at the ~W's slot there."""
+    One loop has two starts: v with det 1, its masks the W, or with a cap,
+    v^-1 with det v, its masks the ~W: det v_W = det v * det (v^-1)_~W
+    (Jacobi's identity). A work item covers every subset whose modes below
+    h are those of some masks[i]: stack[i] is the Schur complement on modes
+    h and up given those modes, and dets[i] their det. Mode h is dropped by
+    a slice, or added by a rank-2 update with the inverse of the leading 2x2
+    block, whose det multiplies dets[i]. The rows stay sorted by mode count,
+    edges[j] of them below j modes for j up to one past the largest count,
+    so the rows that grow are a leading slice, and each step merges its new
+    rows in by count (`_by_count`). A row of k - 1 modes writes its "add"
+    child out at once and skips that child's rank-2 update; a row of k
+    modes is never made. Without a cap k is M + 1, which no row reaches.
+    Stacks of more than `_CHUNK` values are split along their rows first.
+    The values are held at the ~W of a 2^M vector, every other index 0, or
+    with `slots`, the ascending masks of at most k modes, at the ~W's slot
+    there."""
     m = len(sq) // 2
     w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
     v = (w @ sq @ w.conj().T / 2.0).real
-    if cap is None:
-        out, flip = np.empty(1 << m), (1 << m) - 1
-        work = [(0, v[None], np.ones(1), np.zeros(1, dtype=int), [])]
-    else:  # 1 / sqrt(inf) leaves 0 at every index no row reaches
-        out = np.full(1 << m, np.inf) if slots is None else np.empty(slots.size)
-        flip = 0
-        work = [(0, inverse(v).real[None], np.array([np.linalg.det(v)]),
-                 np.zeros(1, dtype=int), [0, 1])]
+    if cap is None:  # no row reaches M + 1 modes, so every row grows
+        cap, start, det, flip = m + 1, v, 1.0, (1 << m) - 1
+    else:
+        start, det, flip = inverse(v).real, np.linalg.det(v), 0
+    # 1 / sqrt(inf) leaves 0 at every index no row reaches
+    out = np.full(1 << m, np.inf) if slots is None else np.empty(slots.size)
+    work = [(0, start[None], np.array([det]), np.zeros(1, dtype=int), [0, 1])]
 
     def place(masks):
         return flip ^ masks if slots is None else np.searchsorted(slots, masks)
@@ -262,28 +262,22 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
                 modes = [i for i in range(h + 1) if bad >> i & 1]
                 raise PhysicalityError(f"modes {modes}: block not positive definite")
             x, y, rest = stack[:, 2:, 0], stack[:, 2:, 1], stack[:, 2:, 2:]
-            dets_add, masks_add, rest_add = dets * pivot[:, 0], masks | 1 << h, rest
-            if cap is not None:  # only the leading rows, below k - 1 modes, grow
-                go = edges[min(max(cap - 1, 0), len(edges) - 1)]
-                if cap:  # the rows from `go` on have k - 1 modes
-                    out[place(masks_add[go:])] = dets_add[go:]
-                a, b, c, pivot, x, y = a[:go], b[:go], c[:go], pivot[:go], x[:go], y[:go]
-                dets_add, masks_add, rest_add = dets_add[:go], masks_add[:go], rest[:go]
+            dets_add, masks_add = dets * pivot[:, 0], masks | 1 << h
+            # only the leading rows, below k - 1 modes, grow
+            go = edges[min(max(cap - 1, 0), len(edges) - 1)]
+            if cap:  # the rows from `go` on have k - 1 modes
+                out[place(masks_add[go:])] = dets_add[go:]
+            a, b, c, pivot, x, y = a[:go], b[:go], c[:go], pivot[:go], x[:go], y[:go]
             f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
-            added = (rest_add - f[:, :, None] * x[:, None, :]
+            added = (rest[:go] - f[:, :, None] * x[:, None, :]
                      - g[:, :, None] * y[:, None, :])
-            if cap is None:
-                stack = np.concatenate([rest, added])
-                dets = np.concatenate([dets, dets_add])
-                masks = np.concatenate([masks, masks_add])
-            else:
-                stack = _by_count(rest, added, edges)
-                dets = _by_count(dets, dets_add, edges)
-                masks = _by_count(masks, masks_add, edges)
-                edges = [e + (min(edges[j - 1], go) if j else 0)
-                         for j, e in enumerate(edges + edges[-1:])]
-                while edges[-1] == edges[-2]:  # no empty top group
-                    edges.pop()
+            stack = _by_count(rest, added, edges)
+            dets = _by_count(dets, dets_add[:go], edges)
+            masks = _by_count(masks, masks_add[:go], edges)
+            edges = [e + (min(edges[j - 1], go) if j else 0)
+                     for j, e in enumerate(edges + edges[-1:])]
+            while edges[-1] == edges[-2]:  # no empty top group
+                edges.pop()
             h += 1
         if stack.shape[1]:
             half = len(stack) // 2
@@ -347,10 +341,10 @@ def _click_slice(modes: int, k: int) -> tuple:
 
 
 def _check_size(modes: int, max_clicks: int | None) -> None:
-    """Refuse a click table above `MAX_TABLE_MODES` modes, then a click cap
-    outside [0, modes]."""
+    """Refuse the 2^M recursion (click tables, torontonians) above
+    `MAX_TABLE_MODES` modes, then a click cap outside [0, modes]."""
     if modes > MAX_TABLE_MODES:
-        raise CostGuardError(f"click distribution of {modes} modes exceeds the cap "
+        raise CostGuardError(f"2^M table of {modes} modes exceeds the cap "
                              f"of {MAX_TABLE_MODES} modes")
     if max_clicks is not None and not 0 <= max_clicks <= modes:
         raise ValidationError(f"click count {max_clicks} out of range [0, {modes}]")

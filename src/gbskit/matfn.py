@@ -2,7 +2,8 @@
 
 Both functions are #P-hard in general; the implementations here are exact
 exponential-time algorithms sized for desk-scale inputs (Hafnian dimension
-<= 24, Torontonian mode count <= 16), guarded by explicit cost caps.
+<= 24, Torontonian mode count <= 24, the click table's cap), guarded by
+explicit cost caps.
 Hafnians pick their algorithm by size: up to `_MATCHING_MAX_DIM` they sum
 over every perfect matching read from a fixed index table, above it they
 run Bjorklund's division-free recursion. Both only add and multiply, so
@@ -16,13 +17,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CostGuardError, ValidationError
-from .gaussian import _hermitian_bosonic, _vacuum_probabilities
+from .gaussian import _check_size, _hermitian_bosonic, _vacuum_probabilities
 from .linalg import as_matrix, symmetrized
 
 __all__ = ["hafnian", "hafnian_sq_mod", "hafnians", "torontonian"]
 
 HAFNIAN_MAX_DIM = 24
-TORONTONIAN_MAX_MODES = 16
 
 # complex values in one chunk's gathered matching entries (matching table)
 # or largest level of weight coefficients (recursion)
@@ -31,8 +31,7 @@ _CHUNK = 1 << 16
 # costs about 0.8 of its recursion, at 12 (10395 matchings) about twice it
 _MATCHING_MAX_DIM = 10
 # the recursion scales a row with an entry part of at least 2^_SCALE_EXP
-# below it first, leaving 2^64 of headroom for a product of its largest
-# entry with others
+# vertex by vertex first (`_recursion_chunk`)
 _SCALE_EXP = 960
 
 
@@ -62,21 +61,20 @@ def _recursion_chunk(a: np.ndarray) -> np.ndarray:
     only times x and so stop at degree n/2 - 1. The leaves' c are added one
     after another in state order.
 
-    Every term of degree d is a sum of products of d entries (d + 1 in a
-    weight). A row with an entry part of 2^_SCALE_EXP or more is scaled by
-    2^-s first, its largest entry then below 2^_SCALE_EXP, which scales each
-    such term by exactly 2^(-s d) unless one underflows, and its hafnian
-    back by 2^(s n / 2); for every other row s = 0 and its bits are
-    unchanged. That keeps a single near-limit entry, times entries of at
-    most about 2^64, finite; a product of two large entries can still
-    overflow, even when the hafnian itself is finite."""
+    A row with an entry part of 2^_SCALE_EXP or more is first scaled to
+    D A D, D = diag(2^-e_i), e_i half the binary exponent of vertex i's
+    largest entry part, rounded down: every entry part is then below 2, and
+    as each perfect matching meets every vertex once, the hafnian is
+    2^(sum e_i) Haf(D A D), exact unless a scaled value underflows. For
+    every other row e = 0 and its bits are unchanged."""
     count, n = a.shape[:2]
     half = n // 2
-    top = np.maximum(abs(a.real).max(axis=(1, 2)), abs(a.imag).max(axis=(1, 2)))
-    shift = np.maximum(np.frexp(top)[1] - _SCALE_EXP, 0)
+    top = np.maximum(abs(a.real), abs(a.imag)).max(axis=2)  # per vertex
+    e = np.frexp(top)[1] // 2 * (top.max(axis=1)[:, None] >= 2.0 ** _SCALE_EXP)
+    shift = -(e[:, :, None] + e[:, None, :])
     wr, wi = np.zeros((2, half, count, 1, n, n))
-    wr[0, :, 0] = np.ldexp(a.real, -shift[:, None, None])
-    wi[0, :, 0] = np.ldexp(a.imag, -shift[:, None, None])
+    wr[0, :, 0] = np.ldexp(a.real, shift)
+    wi[0, :, 0] = np.ldexp(a.imag, shift)
     cr, ci = np.zeros((2, half + 1, count, 1))
     cr[0] = 1.0
     for u in range(n - 2, -1, -2):
@@ -91,8 +89,8 @@ def _recursion_chunk(a: np.ndarray) -> np.ndarray:
         wr = np.concatenate([rr + (pr + pr.swapaxes(-1, -2)), rr], axis=2)
         wi = np.concatenate([ri + (pi + pi.swapaxes(-1, -2)), ri], axis=2)
     out = np.empty(count, dtype=np.complex128)
-    out.real = np.ldexp(np.add.accumulate(cr[half], axis=1)[:, -1], shift * half)
-    out.imag = np.ldexp(np.add.accumulate(ci[half], axis=1)[:, -1], shift * half)
+    out.real = np.ldexp(np.add.accumulate(cr[half], axis=1)[:, -1], e.sum(axis=1))
+    out.imag = np.ldexp(np.add.accumulate(ci[half], axis=1)[:, -1], e.sum(axis=1))
     return out
 
 
@@ -173,15 +171,14 @@ def hafnians(stack) -> np.ndarray:
     1.5 n^2 2^(n/2) coefficient products per row, vectorized over a chunk of
     rows and their branch states. Both only add and multiply, so integer
     matrices get exact hafnians while partial values stay below 2^53. In
-    the recursion a row with an entry part of 2^960 or more is scaled down
-    by a power of two and its hafnian back up, exact unless a scaled value
-    underflows: a row with one entry up to float64's limit and its other
-    entries at most about 2^64 then does not overflow. Several large
-    entries can: their product may overflow while the hafnian is finite,
-    e.g. pair entries 2^1000, 2^200 and 2^-300, hafnian 2^900. Each row
-    gives the same bits whatever stack it is in. The diagonal never enters
-    a perfect matching and is ignored. Every input is checked here: shape,
-    finiteness and symmetry, then dimension and cost cap.
+    the recursion a row with an entry part of 2^960 or more has each
+    vertex's row and column scaled by a power of two, which brings every
+    entry part below 2, and its hafnian scaled back, exact unless a scaled
+    value underflows: pair entries 2^1000, 2^200 and 2^-300 give exactly
+    2^900. Each row gives the same bits whatever stack it is in. The
+    diagonal never enters a perfect matching and is ignored. Every input is
+    checked here: shape, finiteness and symmetry, then dimension and cost
+    cap.
     """
     a = np.asarray(stack, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -220,9 +217,7 @@ def torontonian(o) -> float:
     if n % 2 != 0:
         raise ValidationError(f"torontonian requires even dimension, got {n}")
     m = n // 2
-    if m > TORONTONIAN_MAX_MODES:
-        raise CostGuardError(f"torontonian mode count {m} exceeds the cost cap of "
-                             f"{TORONTONIAN_MAX_MODES}")
+    _check_size(m, None)
     # terms[s] belongs to Z = ~s, so its sign is (-1)^|s|: fold bit by bit
     terms = _vacuum_probabilities(_hermitian_bosonic(np.eye(n) - a, "I - O"))
     for _ in range(m):

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from gbskit import bench, sampler
-from gbskit.errors import ValidationError
+from gbskit.errors import CostGuardError, ValidationError
 from gbskit.generators import (
     planted_clique_graph,
     random_complex_graph,
@@ -202,6 +202,22 @@ class TestNoiseSweep:
             pool_size=100, budget=50, classical_budget=20, classical_trials=3,
         )
         assert rows[0].no_success
+        # an empty pool runs no trials and fits nothing
+        assert (rows[0].trials, rows[0].kept, rows[0].censored_fraction) == (0, 0, 1.0)
+        assert (rows[0].p_hat, rows[0].ci95) == (None, None)
+
+    def test_refuses_too_many_modes_before_the_target(self, monkeypatch):
+        # one vertex above gaussian.MAX_TABLE_MODES: refused before any
+        # subset is valued, searched or sampled
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran past the cost guard")
+
+        monkeypatch.setattr(Objective, "values", refuse)
+        monkeypatch.setattr(bench, "random_search", refuse)
+        monkeypatch.setattr(sampler, "sample_k_clicks", refuse)
+        g = zero_one_graph(25, 0.5, seed=0)
+        with pytest.raises(CostGuardError, match="25 modes"):
+            bench.noise_sweep(g, 3, [1.0], [0.0], trials=5, seed=1)
 
     def test_deterministic(self):
         g = zero_one_graph(8, 0.6, seed=2)

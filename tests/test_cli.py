@@ -8,6 +8,7 @@ from gbskit import bench, files, sampler
 from gbskit.cli import main
 from gbskit.encoding import DeviceParams, encode_graph
 from gbskit.sampler import load_pool
+from gbskit.solvers import Objective
 
 
 def run(*argv):
@@ -181,6 +182,24 @@ class TestSolve:
 
 
 class TestBench:
+    def test_noise_sweep_cost_guard_exits_3(self, tmp_path, monkeypatch):
+        # one vertex above gaussian.MAX_TABLE_MODES: refused before any
+        # subset is valued, searched or sampled
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran past the cost guard")
+
+        monkeypatch.setattr(Objective, "values", refuse)
+        monkeypatch.setattr(bench, "random_search", refuse)
+        monkeypatch.setattr(sampler, "sample_k_clicks", refuse)
+        graph = tmp_path / "g.json"
+        assert run("gen", "--kind", "zero-one", "--n", 25, "--seed", 0,
+                   "--out", graph) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": str(graph), "k": 3, "seed": 1}))
+        outdir = tmp_path / "report"
+        assert run("bench", "noise-sweep", "--config", cfg, "--out", outdir) == 3
+        assert not outdir.exists()
+
     def test_correlate_two_rows(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_matrices": 2, "seed": 1}))

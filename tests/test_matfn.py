@@ -64,6 +64,15 @@ class TestHafnian:
             both = hafnians(np.stack([a, ordinary]))
         assert both[1].tobytes() == np.complex128(hafnian(ordinary)).tobytes()
 
+    # one matching of pair entries 2^-300, 2^200, 2^1000 and ones: the two
+    # large entries' product overflows unless each vertex is scaled on its own
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_several_large_entries_do_not_overflow(self, n):
+        a = np.kron(np.eye(n // 2), [[0.0, 1.0], [1.0, 0.0]])
+        for i, w in enumerate([2.0 ** -300, 2.0 ** 200, 2.0 ** 1000]):
+            a[2 * i, 2 * i + 1] = a[2 * i + 1, 2 * i] = w
+        assert hafnian(a) == 2.0 ** 900
+
     def test_empty_matrix(self):
         assert hafnian(np.zeros((0, 0))) == 1.0
 
@@ -307,4 +316,4 @@ class TestTorontonian:
 
     def test_cost_guard(self):
         with pytest.raises(CostGuardError):
-            torontonian(np.zeros((34, 34)))
+            torontonian(np.zeros((50, 50)))
