@@ -58,8 +58,8 @@ __all__ = [
 # the click distribution holds 2^M float64 values: 128 MB at this many modes
 MAX_TABLE_MODES = 24
 # values per stack of Schur complements handled in one numpy call; per-step
-# overhead dominated both recursions at 8192 (16 modes: 29 ms uncapped and,
-# at k = 6, 19 ms capped, against 17 ms and 9 ms at 1 << 15)
+# overhead dominated both recursions at 8192 (16 modes: 25 ms uncapped and,
+# at k = 6, 16 ms capped, against 14 ms and 6 ms at 1 << 15)
 _CHUNK = 1 << 15
 
 _HERM_TOL = 1e-10
@@ -214,6 +214,15 @@ def apply_thermal(state: GaussianState, epsilon: float) -> GaussianState:
     return GaussianState(modes=m, husimi=sq)
 
 
+@lru_cache(maxsize=MAX_TABLE_MODES + 1)
+def _quadrature_basis(m: int) -> np.ndarray:
+    """The change to the basis x0, p0, x1, p1, ... of `_vacuum_probabilities`
+    (times sqrt 2), read-only: building it took about a sixth of a 4-mode call."""
+    w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
+    w.setflags(write=False)
+    return w
+
+
 def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
                           slots: np.ndarray | None = None) -> np.ndarray:
     """det(sq_W)^(-1/2) at index ~W for every mode subset W of a checked
@@ -225,79 +234,77 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
     One loop has two starts: v with det 1, its masks the W, or with a cap,
     v^-1 with det v, its masks the ~W: det v_W = det v * det (v^-1)_~W
     (Jacobi's identity). A work item covers every subset whose modes below
-    h are those of some masks[i]: stack[i] is the Schur complement on modes
-    h and up given those modes, and dets[i] their det. Mode h is dropped by
-    a slice, or added by a rank-2 update with the inverse of the leading 2x2
-    block, whose det multiplies dets[i]. The rows stay sorted by mode count,
-    edges[j] of them below j modes for j up to one past the largest count,
-    so the rows that grow are a leading slice, and each step merges its new
-    rows in by count (`_by_count`). A row of k - 1 modes writes its "add"
-    child out at once and skips that child's rank-2 update; a row of k
-    modes is never made. Without a cap k is M + 1, which no row reaches.
-    Stacks of more than `_CHUNK` values are split along their rows first.
-    The values are held at the ~W of a 2^M vector, every other index 0, or
-    with `slots`, the ascending masks of at most k modes, at the ~W's slot
-    there."""
+    h are those of some masks[i]: stack[..., i] is the Schur complement on
+    modes h and up given those modes, and dets[i] their det; rows lie along
+    the last axis, so each entry's values are contiguous. Mode h is dropped
+    by a slice, or added by a rank-2 update with the inverse of the leading
+    2x2 block, whose det multiplies dets[i]. A row of k - 1 modes writes its
+    "add" child out at once and skips that child's rank-2 update; a row of
+    k modes is never made. So the rows that grow are a leading slice: rows
+    of fewer than b = max(0, h + k - M) modes, which can no longer reach
+    k - 1, lead in any order (the lump, edges[0] of them), and the others
+    follow by mode count, edges[j] of them below b + j modes, j up to one
+    past the largest count. Without a cap k is M + 1, which no row reaches,
+    and every row is in the lump. Stacks of more than `_CHUNK` values are
+    split along their rows first. The values are held at the ~W of a 2^M
+    vector, every other index 0, or with `slots`, the ascending masks of at
+    most k modes, at the ~W's slot there."""
     m = len(sq) // 2
-    w = np.kron(np.eye(m), [[1.0, 1.0], [-1j, 1j]])[:, np.r_[:2 * m:2, 1:2 * m:2]]
+    w = _quadrature_basis(m)
     v = (w @ sq @ w.conj().T / 2.0).real
-    if cap is None:  # no row reaches M + 1 modes, so every row grows
-        cap, start, det, flip = m + 1, v, 1.0, (1 << m) - 1
+    if cap is None:
+        cap, start, det, flip, edges = m + 1, v, 1.0, (1 << m) - 1, [1]
     else:
-        start, det, flip = inverse(v).real, np.linalg.det(v), 0
+        start, det, flip, edges = inverse(v).real, np.linalg.det(v), 0, [0, 1]
     # 1 / sqrt(inf) leaves 0 at every index no row reaches
     out = np.full(1 << m, np.inf) if slots is None else np.empty(slots.size)
-    work = [(0, start[None], np.array([det]), np.zeros(1, dtype=int), [0, 1])]
+    work = [(0, start[..., None], np.array([det]), np.zeros(1, dtype=int), edges)]
 
     def place(masks):
         return flip ^ masks if slots is None else np.searchsorted(slots, masks)
 
     while work:
         h, stack, dets, masks, edges = work.pop()
-        while stack.shape[1] and (stack.size <= _CHUNK or len(stack) == 1):
-            a, b, c = stack[:, 0, 0, None], stack[:, 0, 1, None], stack[:, 1, 1, None]
+        while stack.shape[0] and (stack.size <= _CHUNK or len(dets) == 1):
+            a, b, c = stack[0, 0], stack[0, 1], stack[1, 1]
             pivot = a * c - b * b
             if not (a.min() > 0 and pivot.min() > 0):
                 bad = int(masks[np.flatnonzero(~((a > 0) & (pivot > 0)))[0]]) | 1 << h
                 modes = [i for i in range(h + 1) if bad >> i & 1]
                 raise PhysicalityError(f"modes {modes}: block not positive definite")
-            x, y, rest = stack[:, 2:, 0], stack[:, 2:, 1], stack[:, 2:, 2:]
-            dets_add, masks_add = dets * pivot[:, 0], masks | 1 << h
-            # only the leading rows, below k - 1 modes, grow
-            go = edges[min(max(cap - 1, 0), len(edges) - 1)]
-            if cap:  # the rows from `go` on have k - 1 modes
+            x, y, rest = stack[2:, 0], stack[2:, 1], stack[2:, 2:]
+            dets_add, masks_add = dets * pivot, masks | 1 << h
+            # only the leading rows, below k - 1 modes, grow: k - 1 - b groups
+            go = edges[min(max(cap - 1, 0), m - 1 - h, len(edges) - 1)]
+            if cap and go < len(dets):  # the rows from `go` on have k - 1 modes
                 out[place(masks_add[go:])] = dets_add[go:]
-            a, b, c, pivot, x, y = a[:go], b[:go], c[:go], pivot[:go], x[:go], y[:go]
+            a, b, c, pivot, x, y = a[:go], b[:go], c[:go], pivot[:go], x[:, :go], y[:, :go]
             f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
-            added = (rest[:go] - f[:, :, None] * x[:, None, :]
-                     - g[:, :, None] * y[:, None, :])
-            stack = _by_count(rest, added, edges)
-            dets = _by_count(dets, dets_add[:go], edges)
-            masks = _by_count(masks, masks_add[:go], edges)
-            edges = [e + (min(edges[j - 1], go) if j else 0)
-                     for j, e in enumerate(edges + edges[-1:])]
-            while edges[-1] == edges[-2]:  # no empty top group
+            added = rest[..., :go] - f[:, None] * x[None] - g[:, None] * y[None]
+            # the lump, group 0 and the lump's new rows, then each group and
+            # the new rows of the group before it
+            ends = edges + edges[-1:]
+            cuts = [(0, slice(ends[1])), (1, slice(edges[0]))] + [
+                cut for lo, mid, hi in zip(edges, ends[1:], ends[2:])
+                for cut in ((0, slice(mid, hi)), (1, slice(lo, mid)))]
+            stack, dets, masks = [
+                np.concatenate([pair[grown][..., cut] for grown, cut in cuts], axis=-1)
+                for pair in ((rest, added), (dets, dets_add[:go]), (masks, masks_add[:go]))]
+            # b grows with h once h + 1 + k > M: group 0 joins the lump
+            edges = [e + min(p, go) for p, e in
+                     zip([edges[0], *edges], ends)][h + 1 + cap > m:]
+            while len(edges) > 1 and edges[-1] == edges[-2]:  # no empty top group
                 edges.pop()
             h += 1
-        if stack.shape[1]:
-            half = len(stack) // 2
-            work += [(h, stack[:half], dets[:half], masks[:half],
+        if stack.shape[0]:
+            half = len(dets) // 2
+            work += [(h, stack[..., :half], dets[:half], masks[:half],
                       [min(e, half) for e in edges]),
-                     (h, stack[half:], dets[half:], masks[half:],
+                     (h, stack[..., half:], dets[half:], masks[half:],
                       [max(e - half, 0) for e in edges])]
         else:
             out[place(masks)] = dets
     return np.divide(1.0, np.sqrt(out, out=out), out=out)  # IEEE-exact ops
-
-
-def _by_count(old: np.ndarray, new: np.ndarray, edges: list) -> np.ndarray:
-    """Rows of `old`, grouped by mode count with group j at edges[j]:edges[j + 1]
-    (the last edge is len(old)), and of `new`, old's first groups with one
-    mode more, in ascending count order: each group of old, then the rows
-    grown from the group before it."""
-    return np.concatenate([old[:edges[1]]] + [
-        part for lo, mid, hi in zip(edges, edges[1:], [*edges[2:], edges[-1]])
-        for part in (old[mid:hi], new[lo:mid])])
 
 
 @lru_cache(maxsize=1)

@@ -31,8 +31,9 @@ _CHUNK = 1 << 16
 # costs about 0.8 of its recursion, at 12 (10395 matchings) about twice it
 _MATCHING_MAX_DIM = 10
 # the recursion scales a row with an entry part of at least 2^_SCALE_EXP
-# vertex by vertex first (`_recursion_chunk`)
-_SCALE_EXP = 960
+# below it first, and redoes a row that still overflows with each vertex's
+# entry parts below 2^(_VERTEX_EXP + 1) (`_recursion_chunk`)
+_SCALE_EXP, _VERTEX_EXP = 960, 64
 
 
 def _shifted_product(ar, ai, br, bi) -> tuple:
@@ -49,7 +50,7 @@ def _shifted_product(ar, ai, br, bi) -> tuple:
     return outr, outi
 
 
-def _recursion_chunk(a: np.ndarray) -> np.ndarray:
+def _recursion_chunk(a: np.ndarray, by_vertex: bool = False) -> np.ndarray:
     """Hafnians of a symmetric (N, n, n) stack, n even and > 0, by Bjorklund's
     division-free recursion (arXiv:1107.4466): f(G) = f(G2)(1 + x w_uv) -
     f(G1) over the last pair {u, v}, where G1 drops the pair and G2 also adds
@@ -61,36 +62,49 @@ def _recursion_chunk(a: np.ndarray) -> np.ndarray:
     only times x and so stop at degree n/2 - 1. The leaves' c are added one
     after another in state order.
 
-    A row with an entry part of 2^_SCALE_EXP or more is first scaled to
-    D A D, D = diag(2^-e_i), e_i half the binary exponent of vertex i's
-    largest entry part, rounded down: every entry part is then below 2, and
-    as each perfect matching meets every vertex once, the hafnian is
-    2^(sum e_i) Haf(D A D), exact unless a scaled value underflows. For
-    every other row e = 0 and its bits are unchanged."""
+    Every term of degree d is a sum of products of d entries (d + 1 in a
+    weight). A row with an entry part of 2^_SCALE_EXP or more is scaled by
+    2^-s first, its largest entry then below 2^_SCALE_EXP, which scales each
+    such term by exactly 2^(-s d) unless one underflows, and its hafnian
+    back by 2^(s n / 2); for every other row s = 0 and its bits are
+    unchanged. An overflow can only make a hafnian NaN or infinite, and such
+    a row is redone `by_vertex`, as D A D with D = diag(2^-e_i), e_i =
+    max(E_i - _VERTEX_EXP, 0) // 2 for E_i the binary exponent of vertex
+    i's largest entry part: every entry part is then below 2^(_VERTEX_EXP +
+    1), so no term of at most 12 factors overflows, and as each perfect
+    matching meets every vertex once, its hafnian is 2^(sum e_i) Haf(D A D)."""
     count, n = a.shape[:2]
     half = n // 2
     top = np.maximum(abs(a.real), abs(a.imag)).max(axis=2)  # per vertex
-    e = np.frexp(top)[1] // 2 * (top.max(axis=1)[:, None] >= 2.0 ** _SCALE_EXP)
-    shift = -(e[:, :, None] + e[:, None, :])
+    if by_vertex:
+        e = np.maximum(np.frexp(top)[1] - _VERTEX_EXP, 0) // 2
+        shift, back = -(e[:, :, None] + e[:, None, :]), e.sum(axis=1)
+    else:
+        s = np.maximum(np.frexp(top.max(axis=1))[1] - _SCALE_EXP, 0)
+        shift, back = -s[:, None, None], s * half
     wr, wi = np.zeros((2, half, count, 1, n, n))
     wr[0, :, 0] = np.ldexp(a.real, shift)
     wi[0, :, 0] = np.ldexp(a.imag, shift)
     cr, ci = np.zeros((2, half + 1, count, 1))
     cr[0] = 1.0
-    for u in range(n - 2, -1, -2):
-        v = u + 1
-        gr, gi = _shifted_product(cr, ci, wr[..., u, v], wi[..., u, v])
-        cr = np.concatenate([cr + gr, -cr], axis=2)
-        ci = np.concatenate([ci + gi, -ci], axis=2)
-        # x w_ui w_vj; its transpose is x w_vi w_uj
-        pr, pi = _shifted_product(wr[..., u, :u, None], wi[..., u, :u, None],
-                                  wr[..., v, None, :u], wi[..., v, None, :u])
-        rr, ri = wr[..., :u, :u], wi[..., :u, :u]
-        wr = np.concatenate([rr + (pr + pr.swapaxes(-1, -2)), rr], axis=2)
-        wi = np.concatenate([ri + (pi + pi.swapaxes(-1, -2)), ri], axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # seen in the result
+        for u in range(n - 2, -1, -2):
+            v = u + 1
+            gr, gi = _shifted_product(cr, ci, wr[..., u, v], wi[..., u, v])
+            cr = np.concatenate([cr + gr, -cr], axis=2)
+            ci = np.concatenate([ci + gi, -ci], axis=2)
+            # x w_ui w_vj; its transpose is x w_vi w_uj
+            pr, pi = _shifted_product(wr[..., u, :u, None], wi[..., u, :u, None],
+                                      wr[..., v, None, :u], wi[..., v, None, :u])
+            rr, ri = wr[..., :u, :u], wi[..., :u, :u]
+            wr = np.concatenate([rr + (pr + pr.swapaxes(-1, -2)), rr], axis=2)
+            wi = np.concatenate([ri + (pi + pi.swapaxes(-1, -2)), ri], axis=2)
+        cr, ci = (np.add.accumulate(z[half], axis=1)[:, -1] for z in (cr, ci))
     out = np.empty(count, dtype=np.complex128)
-    out.real = np.ldexp(np.add.accumulate(cr[half], axis=1)[:, -1], e.sum(axis=1))
-    out.imag = np.ldexp(np.add.accumulate(ci[half], axis=1)[:, -1], e.sum(axis=1))
+    out.real, out.imag = np.ldexp(cr, back), np.ldexp(ci, back)
+    redo = np.flatnonzero(~np.isfinite(out))
+    if redo.size and not by_vertex:
+        out[redo] = _recursion_chunk(a[redo], by_vertex=True)
     return out
 
 
@@ -171,14 +185,14 @@ def hafnians(stack) -> np.ndarray:
     1.5 n^2 2^(n/2) coefficient products per row, vectorized over a chunk of
     rows and their branch states. Both only add and multiply, so integer
     matrices get exact hafnians while partial values stay below 2^53. In
-    the recursion a row with an entry part of 2^960 or more has each
-    vertex's row and column scaled by a power of two, which brings every
-    entry part below 2, and its hafnian scaled back, exact unless a scaled
-    value underflows: pair entries 2^1000, 2^200 and 2^-300 give exactly
-    2^900. Each row gives the same bits whatever stack it is in. The
-    diagonal never enters a perfect matching and is ignored. Every input is
-    checked here: shape, finiteness and symmetry, then dimension and cost
-    cap.
+    the recursion a row with an entry part of 2^960 or more is scaled by a
+    power of two and its hafnian scaled back, and a row that still
+    overflows is redone with each vertex's row and column scaled by its own
+    power of two, exact unless a scaled product underflows: pair entries
+    2^1000, 2^200 and 2^-300 give exactly 2^900. Each row gives the same
+    bits whatever stack it is in. The diagonal never enters a perfect
+    matching and is ignored. Every input is checked here: shape, finiteness
+    and symmetry, then dimension and cost cap.
     """
     a = np.asarray(stack, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:

@@ -72,6 +72,20 @@ class TestHafnian:
         for i, w in enumerate([2.0 ** -300, 2.0 ** 200, 2.0 ** 1000]):
             a[2 * i, 2 * i + 1] = a[2 * i + 1, 2 * i] = w
         assert hafnian(a) == 2.0 ** 900
+        # a redone row leaves the other rows of its stack alone
+        ordinary = random_symmetric(n, 3)
+        both = hafnians(np.stack([a, ordinary]))
+        assert both[1].tobytes() == np.complex128(hafnian(ordinary)).tobytes()
+
+    # a01 = 2^1000 and a02 = a13 = 2^-80, the other pairs 1: the only perfect
+    # matching gives 2^-160, and scaling vertices 0 and 1 by half of 2^1000
+    # would take a02 a13 below float64's range
+    def test_small_entries_of_a_large_vertex_keep_their_product(self):
+        a = np.kron(np.eye(6), [[0.0, 1.0], [1.0, 0.0]])
+        a[2, 3] = a[3, 2] = 0.0
+        a[0, 1] = a[1, 0] = 2.0 ** 1000
+        a[0, 2] = a[2, 0] = a[1, 3] = a[3, 1] = 2.0 ** -80
+        assert hafnian(a) == 2.0 ** -160
 
     def test_empty_matrix(self):
         assert hafnian(np.zeros((0, 0))) == 1.0
