@@ -43,10 +43,10 @@ class Graph:
         object.__setattr__(self, "adjacency", symmetrized(a, "Graph"))
         self.adjacency.setflags(write=False)
 
-    def subgraphs(self, subsets) -> np.ndarray:
-        """Adjacency submatrices (N, k, k) of the rows of an (N, k) integer
-        vertex array, each in its row's order. The one subset rule: a row with
-        a vertex out of range or a repeated vertex is refused by its index."""
+    def checked_subsets(self, subsets) -> tuple[np.ndarray, np.ndarray]:
+        """The one subset rule: the rows of an (N, k) integer vertex array
+        as intp, and the same rows each sorted ascending. A row with a vertex
+        out of range or a repeated vertex is refused by its index."""
         rows = np.asarray(subsets)
         if rows.ndim != 2:
             raise ValidationError(f"expected an (N, k) subset array, got shape {rows.shape}")
@@ -60,7 +60,17 @@ class Graph:
         bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
         if bad.size:
             raise ValidationError(f"subset {bad[0]}: vertices must be distinct")
+        return rows, ordered
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """Adjacency submatrices (N, k, k) of the rows of an (N, k) intp
+        array that `checked_subsets` passed, each in its row's order."""
         return self.adjacency[rows[:, :, None], rows[:, None, :]]
+
+    def subgraphs(self, subsets) -> np.ndarray:
+        """Adjacency submatrices (N, k, k) of the rows of an (N, k) integer
+        vertex array, each in its row's order, checked by `checked_subsets`."""
+        return self.gather(self.checked_subsets(subsets)[0])
 
 
 @dataclass(frozen=True)

@@ -18,24 +18,9 @@ trace independent of the chunk size.
   floor(u (n - k)) into the sorted complement, and the acceptance uniform,
   compared with libm's exp(-(current - proposed) / T).
 
-Stream 3 keeps stream 2's searchers above (the version before it) and adds
-bench's post-selected pools and trial steps: pools built for a noise sweep,
-or for an advantage study given no pool, are `sampler.sample_k_clicks`
-draws, and a noise-sweep point draws its trials' first-hit steps as one
-block of Geometric(q) variates from `default_rng([seed, 2000 + point])`.
-
-Stream 4 keeps stream 3 and adds the drawn classical target: when
-C(n, k) <= classical_trials * classical_budget, a noise sweep values every
-k-subset once and reads each classical run's best from the sorted values at
-rank max(ceil(C(n, k) u^(1/classical_budget)) - 1, 0), one uniform u per run
-from one block drawn from `default_rng([seed, 3000])`; above that size the
-runs are simulated as before.
-
-Stream 5 keeps stream 4 but moves two seed keys that numpy's zero padding
-made equal to others: an advantage study's pool for k index ki is keyed
-[seed, ki, 0, 1], not [seed, ki] (trial 0's [seed, ki, 0]), and a noise
-sweep's simulated classical run i [seed, i, 1], not [seed, i] (pool key
-[seed, 1000 + gi] for i = 1000 + gi).
+Streams 3 to 5 keep the searchers' stream above and change bench's pools,
+trial steps, classical target and seed keys; the README's "Determinism and
+cost guards" section has their history.
 
 Random search does not adapt to the values it sees, so it values each chunk
 with one `Objective.values` call: |Hafnian|^2 of each distinct proposal
@@ -44,8 +29,10 @@ k <= 10, the division-free recursion above) without re-checking the
 graph's already checked submatrices. Its traces are bit-identical to
 valuing one step at a time. Annealing on density keeps the complex row sums
 r = a[:, S].sum(1) of its subset S and their sum t over S, and values a swap
-u -> w as |t - 2 r_u + a_uu + 2 (r_w - a_wu) + a_ww|, in O(1); an accepted
-swap updates r in O(n), and a pool jump recomputes r and t.
+u -> w as |t - 2 r_u + a_uu + 2 (r_w - a_wu) + a_ww|, in O(1), and builds
+the swapped subset only if it is accepted; an accepted swap updates r in
+O(n). A chunk's pool jumps are taken from the pool, and their r and t
+summed, once, before its loop.
 """
 
 from __future__ import annotations
@@ -128,22 +115,20 @@ class Objective:
             sums = self.graph.subgraphs(rows).reshape(len(rows), self.k**2).sum(axis=1)
             # Python's abs: numpy's complex abs can differ in the last bit
             return np.array([abs(z) for z in sums.tolist()], dtype=float)
-        # sorted subsets, as `value` keys them; each distinct one valued once
-        # an object array may not sort; the subset rule refuses it unsorted
-        ordered = rows if rows.dtype == object else np.sort(rows, axis=1)
-        subs = self.graph.subgraphs(ordered)
-        distinct, first, inverse = np.unique(
-            ordered, axis=0, return_index=True, return_inverse=True
-        )
-        keys = [tuple(r) for r in distinct.tolist()]
-        vals = [self._haf_cache.get(key) for key in keys]
-        miss = [i for i, v in enumerate(vals) if v is None]
+        # sorted subsets, as `value` keys them: each distinct one, in the
+        # order first seen, with a row that holds it; only the cache misses'
+        # submatrices are gathered and valued
+        ordered = self.graph.checked_subsets(rows)[1]
+        keys = list(map(tuple, ordered.tolist()))
+        row_of = dict(zip(keys, range(len(keys))))
+        vals = {key: self._haf_cache.get(key) for key in row_of}
+        miss = [key for key, v in vals.items() if v is None]
         if miss:
-            found = _hafnians(subs[first[miss]]).tolist()
-            for i, h in zip(miss, found):
-                vals[i] = float(abs(h) ** 2)
-                self._remember(keys[i], vals[i])
-        return np.array(vals, dtype=float)[inverse.reshape(-1)]
+            subs = self.graph.gather(ordered[[row_of[key] for key in miss]])
+            for key, h in zip(miss, _hafnians(subs).tolist()):
+                vals[key] = float(abs(h) ** 2)
+                self._remember(key, vals[key])
+        return np.fromiter(map(vals.__getitem__, keys), float, len(keys))
 
     def _remember(self, key: tuple, v: float) -> None:
         cache = self._haf_cache
@@ -196,15 +181,13 @@ class _PoolCursor:
         self.wrapped = False
 
     def take(self, count: int) -> np.ndarray:
-        """The next `count` subsets as a (count, k) array."""
+        """The next `count` subsets as a (count, k) array; `wrapped` is set
+        as `count` takes of one subset would set it."""
         size = len(self._subsets)
         rows = self._subsets[(self._pos + np.arange(count)) % size]
         self.wrapped = self.wrapped or self._pos + count >= size
         self._pos = (self._pos + count) % size
         return rows
-
-    def next(self) -> tuple:
-        return tuple(self.take(1)[0].tolist())
 
 
 def _check_pool(obj: Objective, source: ProposalSource) -> _PoolCursor | None:
@@ -228,11 +211,12 @@ def _uniform_subsets(
     return np.sort(np.argpartition(u, k - 1, axis=1)[:, :k], axis=1)
 
 
-def _row_sums(a: np.ndarray, subset) -> tuple[list, complex]:
-    """Row sums a[:, S].sum(1) of a subset S, as a list, and their sum over S."""
-    v = list(subset)
-    r = a[:, v].sum(axis=1)
-    return r.tolist(), complex(r[v].sum())
+def _row_sums(a: np.ndarray, rows: np.ndarray) -> tuple[list, list]:
+    """Row sums a[:, S].sum(1) of each row S of a (J, k) subset array, as J
+    lists, and each one's sum over S. Both sums run along a contiguous last
+    axis of length k, as they would for one subset at a time."""
+    r = a[:, rows].sum(-1).T
+    return r.tolist(), np.take_along_axis(r, rows, axis=1).sum(1).tolist()
 
 
 def random_search(
@@ -306,37 +290,40 @@ def simulated_annealing(
     entries = a.tolist()
     density = obj.kind == "density"
 
-    if cursor:
-        cur = cursor.next()
-    else:
-        cur = tuple(_uniform_subsets(rng, 1, n, k)[0].tolist())
+    start = cursor.take(1) if cursor else _uniform_subsets(rng, 1, n, k)
+    cur = tuple(start[0].tolist())
     if density:
-        r, total = _row_sums(a, cur)
+        (r,), (total,) = _row_sums(a, start)
         cur_val = abs(total)
     else:
         cur_val = obj.value(cur)
     best_val, best_sub = cur_val, cur
-    best_values = np.empty(steps)
+    best_values = []
     temp = t0
     outside = [v for v in range(n) if v not in cur]
     for lo in range(0, steps, _CHUNK):
-        count = min(_CHUNK, steps - lo)
-        draws = rng.random((count, 4))
+        draws = rng.random((min(_CHUNK, steps - lo), 4))
         jumps = (draws[:, 0] < jump_prob).tolist()
         ins = (draws[:, 1] * k).astype(int).tolist()
         outs = (draws[:, 2] * (n - k)).astype(int).tolist()
         accepts = draws[:, 3].tolist()
-        for t, jump, i, j, acc in zip(range(lo, steps), jumps, ins, outs, accepts):
+        if cursor:
+            # the chunk's pool jumps, in order, taken and summed at once
+            hops = cursor.take(jumps.count(True))
+            hop_subs = map(tuple, hops.tolist())
+            hop_sums = zip(*_row_sums(a, hops)) if density else None
+        for jump, i, j, acc in zip(jumps, ins, outs, accepts):
             if jump:
-                prop = cursor.next()
+                prop = next(hop_subs)
                 if density:
-                    prop_r, prop_total = _row_sums(a, prop)
+                    prop_r, prop_total = next(hop_sums)
             else:
                 u, w = cur[i], outside[j]
-                prop = tuple(sorted(cur[:i] + (w,) + cur[i + 1:]))
                 if density:
                     prop_total = (total - 2 * r[u] + entries[u][u]
                                   + 2 * (r[w] - entries[w][u]) + entries[w][w])
+                else:
+                    prop = tuple(sorted(cur[:i] + (w,) + cur[i + 1:]))
             prop_val = abs(prop_total) if density else obj.value(prop)
             if prop_val >= cur_val or acc < math.exp(-(cur_val - prop_val) / temp):
                 if jump:
@@ -345,6 +332,7 @@ def simulated_annealing(
                     outside[j] = u
                     outside.sort()
                     if density:
+                        prop = tuple(sorted(cur[:i] + (w,) + cur[i + 1:]))
                         prop_r = [x + (p - q) for x, p, q in
                                   zip(r, entries[w], entries[u])]
                 if density:
@@ -352,10 +340,10 @@ def simulated_annealing(
                 cur, cur_val = prop, prop_val
             if cur_val > best_val:
                 best_val, best_sub = cur_val, cur
-            best_values[t] = best_val
+            best_values.append(best_val)
             temp *= alpha
     return RunTrace(
-        best_values=best_values,
+        best_values=np.array(best_values),
         best_subset=best_sub,
         steps_used=steps,
         seed=seed,

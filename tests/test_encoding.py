@@ -35,6 +35,13 @@ class TestGraph:
         for row, sub in zip(rows, got):
             assert np.array_equal(sub, g.adjacency[np.ix_(row, row)])
 
+    def test_checked_subsets_keep_rows_and_sort_a_copy(self):
+        g = random_complex_graph(9, seed=4)
+        rows, ordered = g.checked_subsets([[5, 0, 7], [8, 2, 1]])
+        assert rows.dtype == np.intp
+        assert rows.tolist() == [[5, 0, 7], [8, 2, 1]]
+        assert ordered.tolist() == [[0, 5, 7], [1, 2, 8]]
+
     def test_subgraphs_of_empty_rows(self):
         g = random_complex_graph(4, seed=0)
         assert g.subgraphs([[]]).shape == (1, 0, 0)

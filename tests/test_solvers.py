@@ -326,6 +326,17 @@ class TestMatchesStepwiseLoops:
             ref = stepwise_simulated_annealing(Objective(kind, g, k), *args)
             assert_same_trace(tr, ref)
 
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    def test_simulated_annealing_wraps_the_pool_inside_a_chunk(self, kind):
+        # about 0.9 * _CHUNK jumps a chunk, taken at once from 7 patterns
+        g, k = SEARCH_GRAPHS["complex"]
+        src = stepwise_sources(g.n, k, 3)["short-pool"]
+        args = (src, 2 * solvers._CHUNK + 5, 2.0, 0.99, 0.9, 5)
+        tr = simulated_annealing(Objective(kind, g, k), *args)
+        ref = stepwise_simulated_annealing(Objective(kind, g, k), *args)
+        assert_same_trace(tr, ref)
+        assert tr.pool_wrapped
+
     @pytest.mark.parametrize("graph", sorted(SEARCH_GRAPHS))
     @pytest.mark.parametrize("kind", ["density", "maxhaf"])
     @pytest.mark.parametrize("source", ["uniform", "pool", "short-pool", "resampled"])
@@ -416,6 +427,19 @@ class TestObjectiveValues:
         obj.values([[0, 1, 2, 3], [3, 2, 1, 0], [4, 5, 6, 7], [0, 1, 2, 3]])
         obj.values([[4, 5, 6, 7], [0, 1, 2, 4]])
         assert stacks == [2, 1]
+
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    def test_refusal_names_the_callers_row_past_cached_rows(self, kind):
+        obj = Objective(kind, random_complex_graph(10, seed=2), 4)
+        obj.values([[0, 1, 2, 3]])
+        with pytest.raises(ValidationError, match="subset 2: vertex out of range"):
+            obj.values([[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 10]])
+
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    def test_no_rows_give_an_empty_float_array(self, kind):
+        obj = Objective(kind, random_complex_graph(10, seed=2), 4)
+        got = obj.values(np.empty((0, 4), dtype=int))
+        assert got.dtype == float and got.shape == (0,)
 
     @pytest.mark.parametrize(
         "rows, message",
