@@ -226,13 +226,9 @@ def geometric_fit(steps) -> GeometricFit:
     if np.any(arr < 1):
         raise ValidationError("step counts must be >= 1")
     mean, se_mean = _mean_se(arr)
-    p_hat = 1.0 / mean
-    z = 1.959963984540054
-    hi_mean = mean + z * se_mean
-    lo_mean = max(mean - z * se_mean, 1.0)
-    lo = 1.0 / hi_mean
-    hi = min(1.0 / lo_mean, 1.0)
-    return GeometricFit(p_hat=min(p_hat, 1.0), n_trials=arr.size, ci95=(lo, hi))
+    half = 1.959963984540054 * se_mean  # the normal 97.5% quantile
+    ci95 = (1.0 / (mean + half), min(1.0 / max(mean - half, 1.0), 1.0))
+    return GeometricFit(p_hat=min(1.0 / mean, 1.0), n_trials=arr.size, ci95=ci95)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +311,7 @@ def _best_ranks(u: np.ndarray, size: int, budget: int) -> list:
     return [max(math.ceil(size * x ** (1.0 / budget)) - 1, 0) for x in u.tolist()]
 
 
-def _classical_target(
-    obj: Objective, budget: int, trials: int, seed: int
-) -> float:
+def _classical_target(obj: Objective, budget: int, trials: int, seed: int) -> float:
     """Mean best value of `trials` uniform random-search runs of `budget` steps.
 
     A run proposes i.i.d. uniform k-subsets, so its best has the exact law
@@ -403,10 +397,10 @@ def noise_sweep(
         graph, target_mean_clicks=float(k) if mean_clicks is None else mean_clicks
     )
     pure = encode_graph(graph, c).build_state()
+    thermal = [(eps, gaussian.apply_thermal(pure, eps)) for eps in epss]  # once each
     rows = []
-    for gi, (eta, eps) in enumerate([(e, p) for e in etas for p in epss]):
-        state = gaussian.apply_thermal(pure, eps)
-        state = gaussian.apply_loss(state, eta)
+    for gi, (eta, (eps, mixed)) in enumerate([(e, p) for e in etas for p in thermal]):
+        state = gaussian.apply_loss(mixed, eta)
         pool_seed = int(np.random.default_rng([seed, 1000 + gi]).integers(2**32))
         pool = sampler.sample_k_clicks(state, pool_size, k, pool_seed)
         # an empty pool has q = 0 and runs no trials

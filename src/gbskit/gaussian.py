@@ -14,11 +14,12 @@ sum. With a click cap k, the same step runs on the inverse matrix and visits
 only subsets of at most k modes, which by Jacobi's identity give every
 pattern of at most k clicks: P(C) = det(sigma)^(-1/2) sum over Y subset of C
 of (-1)^(|C|-|Y|) det((sigma^-1)_Y)^(-1/2), the Tor(O_C) / sqrt(det sigma)
-form. While k is small next to M, those values and their subset transform
-live on a compact slice, the ascending bitmasks of at most k modes (sum over
-j <= k of C(M, j) entries, no 2^M vector); for larger k, where the slice's
-transform pairs would outgrow two 2^M vectors, they fill a 2^M vector that
-is transformed in full and then gathered onto the slice.
+form. A subset of k - 1 modes is a leaf: the diagonal 2x2 blocks of its
+Schur complement give every subset it grows into, and it leaves the
+recursion. While k is small next to M, those values and their subset
+transform live on a compact slice, the ascending bitmasks of at most k
+modes; for larger k, where the slice's transform pairs would outgrow two
+2^M vectors, they fill a 2^M vector, transformed in full and then gathered.
 `sampler.sample_k_clicks` reads the slice, and `pattern_distribution(state,
 k)` scatters it into a 2^M vector.
 
@@ -57,10 +58,10 @@ __all__ = [
 
 # the click distribution holds 2^M float64 values: 128 MB at this many modes
 MAX_TABLE_MODES = 24
-# values per stack of Schur complements handled in one numpy call; per-step
-# overhead dominated both recursions at 8192 (16 modes: 25 ms uncapped and,
-# at k = 6, 16 ms capped, against 14 ms and 6 ms at 1 << 15)
-_CHUNK = 1 << 15
+# values per stack of Schur complements handled in one numpy call, half that
+# without a cap (raw, one BLAS thread, at 2^15/2^16/2^17: 16 modes at k = 6 took
+# 4.6/3.9/3.7 ms; uncapped, 13.0/10.7/12.0 ms with 1.6/2.3/3.4 MB numpy peak)
+_CHUNK = 1 << 16
 
 _HERM_TOL = 1e-10
 _UNITARY_TOL = 1e-9
@@ -238,72 +239,74 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
     modes h and up given those modes, and dets[i] their det; rows lie along
     the last axis, so each entry's values are contiguous. Mode h is dropped
     by a slice, or added by a rank-2 update with the inverse of the leading
-    2x2 block, whose det multiplies dets[i]. A row of k - 1 modes writes its
-    "add" child out at once and skips that child's rank-2 update; a row of
-    k modes is never made. So the rows that grow are a leading slice: rows
-    of fewer than b = max(0, h + k - M) modes, which can no longer reach
-    k - 1, lead in any order (the lump, edges[0] of them), and the others
-    follow by mode count, edges[j] of them below b + j modes, j up to one
-    past the largest count. Without a cap k is M + 1, which no row reaches,
-    and every row is in the lump. Stacks of more than `_CHUNK` values are
-    split along their rows first. The values are held at the ~W of a 2^M
-    vector, every other index 0, or with `slots`, the ascending masks of at
-    most k modes, at the ~W's slot there."""
+    2x2 block (a, b; b, c), which must have a > 0 and p = a c - b b > 0; p
+    multiplies dets[i]. A row of k - 1 modes (without a cap, of M: once the
+    modes run out) gains at most one more mode, so it leaves the stack when
+    made, as a leaf: it writes its det, and at each later mode its det times
+    the p of its diagonal block there, checked the same way once the item's
+    own steps are. Every row left in a stack grows. Stacks of more than
+    `_CHUNK` values (half that without a cap, where a stack doubles each
+    step) are split along their rows first. The values are held at the ~W
+    of a 2^M vector, every other index 0, or with `slots`, the ascending
+    masks of at most k modes, at the ~W's slot there."""
     m = len(sq) // 2
     w = _quadrature_basis(m)
     v = (w @ sq @ w.conj().T / 2.0).real
     if cap is None:
-        cap, start, det, flip, edges = m + 1, v, 1.0, (1 << m) - 1, [1]
+        cap, start, det, flip, chunk = m + 1, v, 1.0, (1 << m) - 1, _CHUNK // 2
     else:
-        start, det, flip, edges = inverse(v).real, np.linalg.det(v), 0, [0, 1]
+        start, det, flip, chunk = inverse(v).real, np.linalg.det(v), 0, _CHUNK
     # 1 / sqrt(inf) leaves 0 at every index no row reaches
     out = np.full(1 << m, np.inf) if slots is None else np.empty(slots.size)
-    work = [(0, start[..., None], np.array([det]), np.zeros(1, dtype=int), edges)]
 
     def place(masks):
         return flip ^ masks if slots is None else np.searchsorted(slots, masks)
 
+    def check(a, pivot, grown):
+        if a.size and not (a.min() > 0 and pivot.min() > 0):
+            bad = int(np.broadcast_to(grown, a.shape)[~((a > 0) & (pivot > 0))][0])
+            modes = [i for i in range(m) if bad >> i & 1]
+            raise PhysicalityError(f"modes {modes}: block not positive definite")
+
+    def blocks(stack):
+        i = np.arange(0, len(stack), 2)
+        return stack[i, i], stack[i, i + 1], stack[i + 1, i + 1]
+
+    def finish(a, b, c, dets, masks):  # leaves, with a block per mode left
+        pivot, grown = a * c - b * b, masks | 1 << np.arange(m - len(a), m)[:, None]
+        check(a, pivot, grown)
+        out[place(masks)] = dets
+        if cap:  # a cap of 0 writes the empty ~W alone
+            out[place(grown)] = dets * pivot
+
+    leaf = max(cap - 1, 0)  # a leaf's mode count: below a cap of 2, the start's
+    work = [(start[..., None], np.array([det]), np.zeros(1, dtype=int))]
     while work:
-        h, stack, dets, masks, edges = work.pop()
-        while stack.shape[0] and (stack.size <= _CHUNK or len(dets) == 1):
+        stack, dets, masks = work.pop()
+        leaves = []
+        while leaf and stack.shape[0] and (stack.size <= chunk or len(dets) == 1):
             a, b, c = stack[0, 0], stack[0, 1], stack[1, 1]
-            pivot = a * c - b * b
-            if not (a.min() > 0 and pivot.min() > 0):
-                bad = int(masks[np.flatnonzero(~((a > 0) & (pivot > 0)))[0]]) | 1 << h
-                modes = [i for i in range(h + 1) if bad >> i & 1]
-                raise PhysicalityError(f"modes {modes}: block not positive definite")
+            pivot, grown = a * c - b * b, masks | 1 << (m - len(stack) // 2)
+            check(a, pivot, grown)
             x, y, rest = stack[2:, 0], stack[2:, 1], stack[2:, 2:]
-            dets_add, masks_add = dets * pivot, masks | 1 << h
-            # only the leading rows, below k - 1 modes, grow: k - 1 - b groups
-            go = edges[min(max(cap - 1, 0), m - 1 - h, len(edges) - 1)]
-            if cap and go < len(dets):  # the rows from `go` on have k - 1 modes
-                out[place(masks_add[go:])] = dets_add[go:]
-            a, b, c, pivot, x, y = a[:go], b[:go], c[:go], pivot[:go], x[:, :go], y[:, :go]
             f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
-            added = rest[..., :go] - f[:, None] * x[None] - g[:, None] * y[None]
-            # the lump, group 0 and the lump's new rows, then each group and
-            # the new rows of the group before it
-            ends = edges + edges[-1:]
-            cuts = [(0, slice(ends[1])), (1, slice(edges[0]))] + [
-                cut for lo, mid, hi in zip(edges, ends[1:], ends[2:])
-                for cut in ((0, slice(mid, hi)), (1, slice(lo, mid)))]
-            stack, dets, masks = [
-                np.concatenate([pair[grown][..., cut] for grown, cut in cuts], axis=-1)
-                for pair in ((rest, added), (dets, dets_add[:go]), (masks, masks_add[:go]))]
-            # b grows with h once h + 1 + k > M: group 0 joins the lump
-            edges = [e + min(p, go) for p, e in
-                     zip([edges[0], *edges], ends)][h + 1 + cap > m:]
-            while len(edges) > 1 and edges[-1] == edges[-2]:  # no empty top group
-                edges.pop()
-            h += 1
-        if stack.shape[0]:
+            added = rest - f[:, None] * x[None]
+            added -= g[:, None] * y[None]  # in place: one temporary at a time
+            dets_add, ends = dets * pivot, np.bitwise_count(grown) == leaf
+            if ends.any():
+                leaves.append((*[d[:, ends] for d in blocks(added)],
+                               dets_add[ends], grown[ends]))
+                added, dets_add, grown = added[..., ~ends], dets_add[~ends], grown[~ends]
+            stack = np.concatenate([rest, added], axis=-1)
+            dets, masks = np.concatenate([dets, dets_add]), np.concatenate([masks, grown])
+        if leaf and stack.shape[0]:
             half = len(dets) // 2
-            work += [(h, stack[..., :half], dets[:half], masks[:half],
-                      [min(e, half) for e in edges]),
-                     (h, stack[..., half:], dets[half:], masks[half:],
-                      [max(e - half, 0) for e in edges])]
-        else:
-            out[place(masks)] = dets
+            work += [(stack[..., :half], dets[:half], masks[:half]),
+                     (stack[..., half:], dets[half:], masks[half:])]
+        else:  # the modes ran out, or the start is a leaf
+            leaves.append((*blocks(stack), dets, masks))
+        for rows in leaves:  # once the item's own rows pass their checks
+            finish(*rows)
     return np.divide(1.0, np.sqrt(out, out=out), out=out)  # IEEE-exact ops
 
 
@@ -394,13 +397,12 @@ def pattern_distribution(
 def _capped_distribution(state: GaussianState, k: int) -> tuple:
     """(masks, probabilities) of every click pattern of at most k clicks, the
     masks ascending and read-only (`_slice_masks`), the probabilities a new
-    vector. The capped recursion visits only these sum over j <= k of
-    C(M, j) subsets instead of all 2^M. While `_on_slice`, its values and
-    the subset transform stay on them: a pass writes S from S - {i}, which
-    is in the slice whenever S is, in the same passes as the full
-    transform, so every value keeps its bits. Otherwise they fill a 2^M
-    vector, transformed in full and then gathered. They must sum to at most
-    1, and to 1 when k = M."""
+    vector, from the capped recursion's sum over j <= k of C(M, j) subsets.
+    While `_on_slice`, its values and the subset transform stay on them: a
+    pass writes S from S - {i}, which is in the slice whenever S is, in the
+    same passes as the full transform, so every value keeps its bits.
+    Otherwise they fill a 2^M vector, transformed in full and then gathered.
+    They must sum to at most 1, and to 1 when k = M."""
     _check_size(state.modes, k)
     m = state.modes
     if _on_slice(m, k):

@@ -37,6 +37,7 @@ summed, once, before its loop.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -98,7 +99,7 @@ class Objective:
         v = self._haf_cache.get(key)
         if v is None:
             v = hafnian_sq_mod(self.graph, key)
-            self._remember(key, v)
+            self._remember([(key, v)])
         return v
 
     def values(self, subsets) -> np.ndarray:
@@ -125,16 +126,21 @@ class Objective:
         miss = [key for key, v in vals.items() if v is None]
         if miss:
             subs = self.graph.gather(ordered[[row_of[key] for key in miss]])
-            for key, h in zip(miss, _hafnians(subs).tolist()):
-                vals[key] = float(abs(h) ** 2)
-                self._remember(key, vals[key])
+            found = [(key, float(abs(h) ** 2))
+                     for key, h in zip(miss, _hafnians(subs).tolist())]
+            vals.update(found)
+            self._remember(found)
         return np.fromiter(map(vals.__getitem__, keys), float, len(keys))
 
-    def _remember(self, key: tuple, v: float) -> None:
-        cache = self._haf_cache
-        if len(cache) >= _HAF_CACHE_MAX:
-            del cache[next(iter(cache))]
-        cache[key] = v
+    def _remember(self, found: list) -> None:
+        """Cache new (key, value) pairs in one step, evicting oldest first as
+        one insert per pair would, so it never holds over `_HAF_CACHE_MAX`."""
+        cache, found = self._haf_cache, found[-_HAF_CACHE_MAX:]
+        drop = max(len(cache) + len(found) - _HAF_CACHE_MAX, 0)
+        for key in list(itertools.islice(cache, drop)):
+            del cache[key]
+        for key, v in found:
+            cache[key] = v
 
 
 @dataclass(frozen=True)
@@ -201,9 +207,7 @@ def _check_pool(obj: Objective, source: ProposalSource) -> _PoolCursor | None:
     return _PoolCursor(source.pool, obj.k)
 
 
-def _uniform_subsets(
-    rng: np.random.Generator, count: int, n: int, k: int
-) -> np.ndarray:
+def _uniform_subsets(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
     """`count` uniform k-subsets as a (count, k) array: row i holds the
     columns of the k smallest of row i of a (count, n) uniform block,
     ascending."""

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gbskit import bench, sampler
+from gbskit import bench, gaussian, sampler
+from gbskit.encoding import choose_scale, encode_graph
 from gbskit.errors import CostGuardError, ValidationError
+from gbskit.gaussian import apply_loss, apply_thermal
 from gbskit.generators import (
     planted_clique_graph,
     random_complex_graph,
@@ -311,6 +313,31 @@ class TestNoiseSweep:
         assert not pools
         assert len(bench.noise_sweep(g, 3, [1.0] * 40, [0.0] * 25, **kw)) == 1000
         assert len(pools) == 1000
+
+    def test_one_thermal_state_per_epsilon(self, monkeypatch):
+        # each epsilon's thermal state is built once and serves every eta;
+        # each point's state keeps the bytes of its own thermal-then-loss build
+        thermal, states = [], []
+
+        def counted(state, eps):
+            thermal.append(eps)
+            return apply_thermal(state, eps)
+
+        def pool_of(state, size, k, seed):
+            states.append(state)
+            return SamplePool(modes=8, samples=np.zeros((0, 8), dtype=np.uint8))
+
+        monkeypatch.setattr(gaussian, "apply_thermal", counted)
+        monkeypatch.setattr(sampler, "sample_k_clicks", pool_of)
+        g = zero_one_graph(8, 0.6, seed=2)
+        etas, epss = [1.0, 0.75, 0.5], [0.0, 0.25]
+        bench.noise_sweep(g, 3, etas, epss, trials=5, seed=0,
+                          classical_budget=20, classical_trials=3)
+        assert thermal == epss
+        pure = encode_graph(g, choose_scale(g, 3.0)).build_state()
+        want = [apply_loss(apply_thermal(pure, p), e) for e in etas for p in epss]
+        assert [s.husimi.tobytes() for s in states] == [
+            s.husimi.tobytes() for s in want]
 
     def test_rejects_bad_grid(self):
         g = zero_one_graph(8, 0.6, seed=2)

@@ -407,6 +407,25 @@ def capped_case(name, noise):
     return state, want, gaussian.pattern_distribution(state)
 
 
+# stacks split at every step (16 values), partway through the recursion,
+# with leaves made by the step before waiting at k = 3..10 (512 values), or
+# never (2^40)
+CHUNKS = {"split": 16, "partway": 1 << 9, "whole": 1 << 40}
+
+
+@functools.lru_cache(maxsize=None)
+def twelve_mode_case(noise):
+    """(Husimi matrix, frozen capped bytes at k = 0..12, frozen uncapped
+    bytes) of a random 12-mode graph encoded at 4 mean clicks under a named
+    noise level; the frozen steps' bits do not depend on the chunk."""
+    g = random_complex_graph(12, seed=4)
+    eta, eps = NOISE[noise]
+    state = encode_graph(g, choose_scale(g, 4.0)).build_state()
+    sq = apply_loss(apply_thermal(state, eps), eta).husimi
+    return (sq, [frozen_capped_step(sq, k).tobytes() for k in range(13)],
+            frozen_uncapped_step(sq).tobytes())
+
+
 class TestCappedDistribution:
     @pytest.mark.parametrize("k", [0, 1, 4, 7, 8])
     @pytest.mark.parametrize("noise", NOISE)
@@ -444,6 +463,20 @@ class TestCappedDistribution:
         object.__setattr__(state, "husimi", np.diag([1.0, -1.0, 1.0] * 2))
         with pytest.raises(PhysicalityError, match=r"modes \[1\]"):
             gaussian.pattern_distribution(state, k)
+
+    @pytest.mark.parametrize("on_slice", [True, False], ids=["slice", "vector"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_two_mode_block_is_refused_at_every_cap(self, monkeypatch, on_slice, k):
+        # the capped step runs on v^-1 = P (x) I_2, P = I but for
+        # P_01 = P_10 = 2: each single-mode block is I_2, and the block of
+        # modes 0 and 1 is indefinite; at k = 2 only the leaf {0} checks it
+        p = np.eye(4)
+        p[0, 1] = p[1, 0] = 2.0
+        state = vacuum(4)
+        object.__setattr__(state, "husimi", np.kron(np.eye(2), np.linalg.inv(p)))
+        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        with pytest.raises(PhysicalityError, match=r"modes \[0, 1\]"):
+            gaussian._capped_distribution(state, k)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_probabilities_above_one_are_refused(self, k):
@@ -489,6 +522,18 @@ class TestCappedBitsPinned:
             got = np.zeros(256)
             got[masks] = gaussian._vacuum_probabilities(sq, k, masks)
             assert got.tobytes() == want
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("noise", ["lossless", "thermal", "lossy"])
+    def test_twelve_modes_match_frozen_step(self, monkeypatch, noise, chunk):
+        sq, want, _ = twelve_mode_case(noise)
+        monkeypatch.setattr(gaussian, "_CHUNK", CHUNKS[chunk])
+        for k in range(13):
+            assert gaussian._vacuum_probabilities(sq, k).tobytes() == want[k]
+            masks = gaussian._slice_masks(12, k)
+            got = np.zeros(1 << 12)
+            got[masks] = gaussian._vacuum_probabilities(sq, k, masks)
+            assert got.tobytes() == want[k]
 
 
 class TestCappedPaths:
@@ -541,6 +586,13 @@ class TestUncappedBitsPinned:
         sq = capped_case("random", "thermal")[0].husimi
         assert gaussian._vacuum_probabilities(sq).tobytes() == (
             frozen_uncapped_step(sq).tobytes())
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("noise", ["lossless", "thermal", "lossy"])
+    def test_twelve_modes_match_frozen_step(self, monkeypatch, noise, chunk):
+        sq, _, want = twelve_mode_case(noise)
+        monkeypatch.setattr(gaussian, "_CHUNK", CHUNKS[chunk])
+        assert gaussian._vacuum_probabilities(sq).tobytes() == want
 
     @pytest.mark.parametrize("name", CAPPED_GRAPHS)
     def test_torontonian_matches_frozen_step(self, name):

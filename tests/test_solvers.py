@@ -516,3 +516,19 @@ class TestHafCacheBound:
         for s in ([0, 1], [0, 2], [0, 3]):
             obj.value(s)
         assert list(obj._haf_cache) == [(0, 2), (0, 3)]
+
+    @pytest.mark.parametrize("new", [2, 4, 9], ids=["fits", "evicts", "past-cap"])
+    def test_values_call_caches_like_one_insert_per_row(self, monkeypatch, new):
+        # a values call's misses go in at once, leaving the last cap keys of
+        # the old entries and the misses in first-seen order, as one insert
+        # per row did, and never more than the cap at any point
+        monkeypatch.setattr(solvers, "_HAF_CACHE_MAX", 5)
+        obj = Objective("maxhaf", complete_graph(12), 2, _haf_cache=_PeakDict())
+        for s in ([0, 1], [0, 2], [0, 3]):
+            obj.value(s)
+        rows = [[0, 2]] + [[v, 1] for v in range(2, 2 + new)] + [[0, 2], [2, 1]]
+        obj.values(np.array(rows))
+        seen = [(0, 1), (0, 2), (0, 3)] + [(1, v) for v in range(2, 2 + new)]
+        assert list(obj._haf_cache) == seen[-5:]
+        assert obj._haf_cache.peak == 5
+        assert all(v == 1.0 for v in obj._haf_cache.values())
