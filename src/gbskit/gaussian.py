@@ -14,12 +14,14 @@ sum. With a click cap k, the same step runs on the inverse matrix and visits
 only subsets of at most k modes, which by Jacobi's identity give every
 pattern of at most k clicks: P(C) = det(sigma)^(-1/2) sum over Y subset of C
 of (-1)^(|C|-|Y|) det((sigma^-1)_Y)^(-1/2), the Tor(O_C) / sqrt(det sigma)
-form. A subset of k - 1 modes is a leaf: the diagonal 2x2 blocks of its
-Schur complement give every subset it grows into, and it leaves the
-recursion. While k is small next to M, those values and their subset
-transform live on a compact slice, the ascending bitmasks of at most k
-modes; for larger k, where the slice's transform pairs would outgrow two
-2^M vectors, they fill a 2^M vector, transformed in full and then gathered.
+form. A subset that can gain at most two more modes (one of k - 2 modes,
+or any once two modes are left) is a leaf: the 2x2 blocks of its Schur
+complement, and of that after one more mode's rank-2 update, give every
+subset it grows into, and it leaves the recursion. While k is small next
+to M, those values and their subset transform live on a compact slice, the
+ascending bitmasks of at most k modes; for larger k, where the slice's
+transform pairs would outgrow two 2^M vectors, they fill a 2^M vector,
+transformed in full and then gathered.
 `sampler.sample_k_clicks` reads the slice, and `pattern_distribution(state,
 k)` scatters it into a 2^M vector.
 
@@ -224,6 +226,25 @@ def _quadrature_basis(m: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=MAX_TABLE_MODES + 1)
+def _leaf_plan(r: int) -> tuple:
+    """Flat indices into a 2r x 2r Schur complement, for the pairs of modes
+    j < l in `np.triu_indices` order: the a, b and c of each mode's diagonal
+    block (a, b; b, c), then of each pair's j; each pair's l's a, b and c;
+    and the entries x, y of l's two rows in j's two columns. With them, the
+    bit offsets of no mode, each mode and each pair. Read-only."""
+    i, (j, l), d = np.arange(r), np.triu_indices(r, 1), 2 * r
+    t = np.concatenate([i, j])
+    plan = np.concatenate([2 * t * (d + 1), 2 * t * (d + 1) + 1, (2 * t + 1) * (d + 1),
+                           2 * l * (d + 1), 2 * l * (d + 1) + 1, (2 * l + 1) * (d + 1),
+                           2 * l * d + 2 * j, (2 * l + 1) * d + 2 * j,
+                           2 * l * d + 2 * j + 1, (2 * l + 1) * d + 2 * j + 1])
+    bits = np.concatenate([[0], 1 << i, 1 << j | 1 << l])[:, None]
+    for arr in (plan, bits):
+        arr.setflags(write=False)
+    return plan, bits
+
+
 def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
                           slots: np.ndarray | None = None) -> np.ndarray:
     """det(sq_W)^(-1/2) at index ~W for every mode subset W of a checked
@@ -240,11 +261,16 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
     the last axis, so each entry's values are contiguous. Mode h is dropped
     by a slice, or added by a rank-2 update with the inverse of the leading
     2x2 block (a, b; b, c), which must have a > 0 and p = a c - b b > 0; p
-    multiplies dets[i]. A row of k - 1 modes (without a cap, of M: once the
-    modes run out) gains at most one more mode, so it leaves the stack when
-    made, as a leaf: it writes its det, and at each later mode its det times
-    the p of its diagonal block there, checked the same way once the item's
-    own steps are. Every row left in a stack grows. Stacks of more than
+    multiplies dets[i]. A row that can gain at most two more modes, one of
+    k - 2 modes or any once two modes are left (without a cap, k is M + 1),
+    leaves the stack as a leaf; below a cap of 3 the start is one. From the
+    entries of its Schur complement that `_leaf_plan` names, a leaf writes
+    its det; at each later mode, its det times the p of its diagonal block
+    there; and at each later pair j < l, its det times j's p times the p of
+    l's block after j's rank-2 update, by the loop's own operations, so
+    every value keeps its bits. Its single-mode blocks (at a cap of 0 too)
+    are checked before its pairs, once the item's own steps have passed
+    their checks. Every row left in a stack grows. Stacks of more than
     `_CHUNK` values (half that without a cap, where a stack doubles each
     step) are split along their rows first. The values are held at the ~W
     of a 2^M vector, every other index 0, or with `slots`, the ascending
@@ -268,23 +294,35 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
             modes = [i for i in range(m) if bad >> i & 1]
             raise PhysicalityError(f"modes {modes}: block not positive definite")
 
-    def blocks(stack):
-        i = np.arange(0, len(stack), 2)
-        return stack[i, i], stack[i, i + 1], stack[i + 1, i + 1]
+    def finish(stack, dets, masks):  # leaves, with r modes left
+        r, n = len(stack) // 2, len(dets)
+        plan, bits = _leaf_plan(r)
+        vals, p = stack.reshape(4 * r * r, n)[plan], r * (r - 1) // 2
+        grown = masks | bits << m - r  # no mode more, each mode, each pair
+        a, b, c = vals[:3 * (r + p)].reshape(3, r + p, n)
+        pivot = a * c - b * b  # each mode's block's, then each pair's j's
+        check(a[:r], pivot[:r], grown[1:r + 1])
+        res = np.empty(grown.shape)
+        res[0], res[1:r + 1] = dets, dets * pivot[:r]
+        if cap > 1 and p:
+            l_abc = vals[3 * (r + p):3 * r + 6 * p].reshape(3, p, n)
+            x, y = vals[3 * r + 6 * p:].reshape(2, 2, p, n)
+            aj, bj, cj, pj = a[r:], b[r:], c[r:], pivot[r:]
+            f, g = (cj * x - bj * y) / pj, (aj * y - bj * x) / pj
+            ab = l_abc[:2] - f[0] * x - g[0] * y  # l's block after j's update
+            c2 = l_abc[2] - f[1] * x[1] - g[1] * y[1]
+            pivot2 = ab[0] * c2 - ab[1] * ab[1]
+            check(ab[0], pivot2, grown[r + 1:])
+            res[r + 1:] = dets * pj * pivot2
+        # a cap of 0 writes the empty ~W alone, and one of 1 no pairs
+        size = 1 + r + p if cap > 1 else 1 + r if cap else 1
+        out[place(grown[:size])] = res[:size]
 
-    def finish(a, b, c, dets, masks):  # leaves, with a block per mode left
-        pivot, grown = a * c - b * b, masks | 1 << np.arange(m - len(a), m)[:, None]
-        check(a, pivot, grown)
-        out[place(masks)] = dets
-        if cap:  # a cap of 0 writes the empty ~W alone
-            out[place(grown)] = dets * pivot
-
-    leaf = max(cap - 1, 0)  # a leaf's mode count: below a cap of 2, the start's
     work = [(start[..., None], np.array([det]), np.zeros(1, dtype=int))]
     while work:
         stack, dets, masks = work.pop()
         leaves = []
-        while leaf and stack.shape[0] and (stack.size <= chunk or len(dets) == 1):
+        while cap > 2 and len(stack) > 4 and (stack.size <= chunk or len(dets) == 1):
             a, b, c = stack[0, 0], stack[0, 1], stack[1, 1]
             pivot, grown = a * c - b * b, masks | 1 << (m - len(stack) // 2)
             check(a, pivot, grown)
@@ -292,19 +330,18 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
             f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
             added = rest - f[:, None] * x[None]
             added -= g[:, None] * y[None]  # in place: one temporary at a time
-            dets_add, ends = dets * pivot, np.bitwise_count(grown) == leaf
+            dets_add, ends = dets * pivot, np.bitwise_count(grown) == cap - 2
             if ends.any():
-                leaves.append((*[d[:, ends] for d in blocks(added)],
-                               dets_add[ends], grown[ends]))
+                leaves.append((added[..., ends], dets_add[ends], grown[ends]))
                 added, dets_add, grown = added[..., ~ends], dets_add[~ends], grown[~ends]
             stack = np.concatenate([rest, added], axis=-1)
             dets, masks = np.concatenate([dets, dets_add]), np.concatenate([masks, grown])
-        if leaf and stack.shape[0]:
+        if cap > 2 and len(stack) > 4:
             half = len(dets) // 2
             work += [(stack[..., :half], dets[:half], masks[:half]),
                      (stack[..., half:], dets[half:], masks[half:])]
-        else:  # the modes ran out, or the start is a leaf
-            leaves.append((*blocks(stack), dets, masks))
+        else:  # two modes left, or the start is a leaf
+            leaves.append((stack, dets, masks))
         for rows in leaves:  # once the item's own rows pass their checks
             finish(*rows)
     return np.divide(1.0, np.sqrt(out, out=out), out=out)  # IEEE-exact ops
@@ -328,9 +365,12 @@ def _on_slice(modes: int, k: int) -> bool:
     pairs (S, S - {i}), sum over j <= k of j C(M, j). `_click_slice` keeps
     them at 16 bytes each, so they take no more than two 2^M float vectors,
     about what the 2^M path allocates for the call. Past that they cost
-    more than the full transform's strided passes too (whole calls, raw,
-    one BLAS thread: 20 modes at k = 7, 0.84 * 2^M pairs, take 104 ms on the
-    slice against 113 ms; at k = 8, 1.8 * 2^M, 182 against 168 ms)."""
+    more than the full transform's strided passes too, or save too little
+    for their memory (whole calls, raw, one BLAS thread: 20 modes at k = 7,
+    0.84 * 2^M pairs, take 44 ms on the slice against 58 ms; at k = 8,
+    1.8 * 2^M, 74 against 71 ms; 16 modes at k = 6, 1.21 * 2^M, 6.7 against
+    7.1 ms, but there the 1.3 MB of pairs raised the noise sweep
+    benchmark's peak RSS by about 0.6 MB for no clear gain in its op time)."""
     return modes * sum(math.comb(modes - 1, j) for j in range(k)) <= 1 << modes
 
 

@@ -32,7 +32,9 @@ r = a[:, S].sum(1) of its subset S and their sum t over S, and values a swap
 u -> w as |t - 2 r_u + a_uu + 2 (r_w - a_wu) + a_ww|, in O(1), and builds
 the swapped subset only if it is accepted; an accepted swap updates r in
 O(n). A chunk's pool jumps are taken from the pool, and their r and t
-summed, once, before its loop.
+summed, once, before its loop. Annealing on |Hafnian|^2 values a proposal
+missing from the cache alone, without the subset rule: every one is a pool
+row or a swap in a subset that already passed it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from .encoding import Graph
 from .errors import ValidationError
-from .matfn import _hafnians, hafnian_sq_mod
+from .matfn import _hafnians
 from .sampler import SamplePool
 
 __all__ = [
@@ -96,9 +98,17 @@ class Objective:
         if self.kind == "density":
             return density(self.graph, subset)
         key = tuple(sorted(subset))
+        if key not in self._haf_cache:
+            self.graph.checked_subsets([key])
+        return self._haf_of(key)
+
+    def _haf_of(self, key: tuple) -> float:
+        """`value` of a sorted maxhaf subset tuple that the subset rule
+        already passed, such as an annealing proposal, without running the
+        rule again; its bits are `hafnian_sq_mod`'s."""
         v = self._haf_cache.get(key)
         if v is None:
-            v = hafnian_sq_mod(self.graph, key)
+            v = float(abs(complex(_hafnians(self.graph.gather(np.array([key])))[0])) ** 2)
             self._remember([(key, v)])
         return v
 
@@ -299,8 +309,8 @@ def simulated_annealing(
     if density:
         (r,), (total,) = _row_sums(a, start)
         cur_val = abs(total)
-    else:
-        cur_val = obj.value(cur)
+    else:  # the pool's and the uniform rows pass the subset rule
+        cur_val = obj._haf_of(cur)
     best_val, best_sub = cur_val, cur
     best_values = []
     temp = t0
@@ -328,7 +338,7 @@ def simulated_annealing(
                                   + 2 * (r[w] - entries[w][u]) + entries[w][w])
                 else:
                     prop = tuple(sorted(cur[:i] + (w,) + cur[i + 1:]))
-            prop_val = abs(prop_total) if density else obj.value(prop)
+            prop_val = abs(prop_total) if density else obj._haf_of(prop)
             if prop_val >= cur_val or acc < math.exp(-(cur_val - prop_val) / temp):
                 if jump:
                     outside = [v for v in range(n) if v not in prop]

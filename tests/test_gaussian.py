@@ -426,6 +426,17 @@ def twelve_mode_case(noise):
             frozen_uncapped_step(sq).tobytes())
 
 
+@functools.lru_cache(maxsize=None)
+def fourteen_mode_case():
+    """(Husimi matrix, frozen capped bytes at k = 6, frozen uncapped bytes)
+    of a random 14-mode graph encoded at 4 mean clicks, thermal and lossy:
+    the sweep's k with leaves at up to 11 modes left."""
+    g = random_complex_graph(14, seed=5)
+    state = encode_graph(g, choose_scale(g, 4.0)).build_state()
+    sq = apply_loss(apply_thermal(state, 0.25), 0.75).husimi
+    return sq, frozen_capped_step(sq, 6).tobytes(), frozen_uncapped_step(sq).tobytes()
+
+
 class TestCappedDistribution:
     @pytest.mark.parametrize("k", [0, 1, 4, 7, 8])
     @pytest.mark.parametrize("noise", NOISE)
@@ -477,6 +488,39 @@ class TestCappedDistribution:
         monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
         with pytest.raises(PhysicalityError, match=r"modes \[0, 1\]"):
             gaussian._capped_distribution(state, k)
+
+    @pytest.mark.parametrize("on_slice", [True, False], ids=["slice", "vector"])
+    def test_cap_zero_checks_every_single_mode_block(self, monkeypatch, on_slice):
+        # a cap of 0 writes only the empty pattern, but the start still
+        # checks each single-mode block, as every other cap does
+        state = vacuum(3)
+        object.__setattr__(state, "husimi", np.diag([1.0, -1.0, 1.0] * 2))
+        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        with pytest.raises(PhysicalityError, match=r"modes \[1\]"):
+            gaussian._capped_distribution(state, 0)
+
+    @pytest.mark.parametrize("on_slice", [True, False], ids=["slice", "vector"])
+    @pytest.mark.parametrize("k", [3, 4, 5, None], ids=["k3", "k4", "k5", "uncapped"])
+    def test_pair_block_is_refused(self, monkeypatch, on_slice, k):
+        # P = I but for -0.6 between each two of modes 2, 3 and 4: every
+        # block of one or two modes is positive definite, the block of modes
+        # 2, 3 and 4 is not. Modes 3 and 4 are the last two, so only a leaf's
+        # pair (3, 4), l = 4's block after j = 3's update, sees it
+        p = np.eye(5)
+        p[2:, 2:] -= 0.6 * (1 - np.eye(3))
+        assert np.linalg.eigvalsh(p)[0] < 0
+        assert all(np.linalg.eigvalsh(p[np.ix_(s, s)])[0] > 0
+                   for s in itertools.combinations(range(5), 2))
+        state = vacuum(5)
+        # the capped start runs on v^-1, the uncapped one on v
+        husimi = np.kron(np.eye(2), p if k is None else np.linalg.inv(p))
+        object.__setattr__(state, "husimi", husimi)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        with pytest.raises(PhysicalityError, match=r"modes \[([01], )*2, 3, 4\]"):
+            if k is None:
+                gaussian.pattern_distribution(state)
+            else:
+                gaussian._capped_distribution(state, k)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_probabilities_above_one_are_refused(self, k):
@@ -535,6 +579,16 @@ class TestCappedBitsPinned:
             got[masks] = gaussian._vacuum_probabilities(sq, k, masks)
             assert got.tobytes() == want[k]
 
+    @pytest.mark.parametrize("chunk", [16, gaussian._CHUNK], ids=["split", "default"])
+    def test_fourteen_modes_match_frozen_step(self, monkeypatch, chunk):
+        sq, want, _ = fourteen_mode_case()
+        monkeypatch.setattr(gaussian, "_CHUNK", chunk)
+        assert gaussian._vacuum_probabilities(sq, 6).tobytes() == want
+        masks = gaussian._slice_masks(14, 6)
+        got = np.zeros(1 << 14)
+        got[masks] = gaussian._vacuum_probabilities(sq, 6, masks)
+        assert got.tobytes() == want
+
 
 class TestCappedPaths:
     @pytest.mark.parametrize("noise", NOISE)
@@ -592,6 +646,12 @@ class TestUncappedBitsPinned:
     def test_twelve_modes_match_frozen_step(self, monkeypatch, noise, chunk):
         sq, _, want = twelve_mode_case(noise)
         monkeypatch.setattr(gaussian, "_CHUNK", CHUNKS[chunk])
+        assert gaussian._vacuum_probabilities(sq).tobytes() == want
+
+    @pytest.mark.parametrize("chunk", [16, gaussian._CHUNK], ids=["split", "default"])
+    def test_fourteen_modes_match_frozen_step(self, monkeypatch, chunk):
+        sq, _, want = fourteen_mode_case()
+        monkeypatch.setattr(gaussian, "_CHUNK", chunk)
         assert gaussian._vacuum_probabilities(sq).tobytes() == want
 
     @pytest.mark.parametrize("name", CAPPED_GRAPHS)
