@@ -262,47 +262,6 @@ class NoisePoint:
     no_success: bool
 
 
-# `_subset_blocks` builds the index rows of at most this many subsets at once
-_SUBSET_ROWS = 1 << 16
-
-
-def _subset_blocks(n: int, k: int):
-    """Every k-subset of range(n) in `itertools.combinations` (lexicographic)
-    order, as (m, k) index arrays of `_CHUNK` rows, the last one possibly
-    fewer. The rows are built one column at a time: each row's last vertex
-    l is followed in turn by every l' > l that leaves room for the columns
-    after it. The first p columns are built once, p the fewest with at most
-    `_SUBSET_ROWS` completions for every prefix, and the rest for one range
-    of prefixes at a time, with at most `_SUBSET_ROWS` completions in all,
-    so fewer than `_SUBSET_ROWS` + `_CHUNK` rows wait to be yielded."""
-    def extend(rows, cols):  # rows lead with a column of -1
-        for col in range(rows.shape[1] - 1, cols):
-            start = rows[:, -1] + 1
-            reps = n - k + col + 1 - start
-            rows = np.repeat(rows, reps, axis=0)
-            first = np.cumsum(reps) - reps
-            last = np.repeat(start - first, reps) + np.arange(len(rows))
-            rows = np.concatenate([rows, last[:, None]], axis=1)
-        return rows
-
-    p = next(p for p in range(k + 1) if math.comb(n - p, k - p) <= _SUBSET_ROWS)
-    prefixes = extend(np.full((1, 1), -1, dtype=np.intp), p)
-    # completions of a prefix ending at vertex l, for l from p - 1 up
-    sizes = np.array([math.comb(n - 1 - l, k - p) for l in range(p - 1, n)])
-    ends = np.cumsum(sizes[prefixes[:, -1] - (p - 1)])
-    pending, lo = np.empty((0, k), dtype=np.intp), 0
-    while lo < len(prefixes):
-        done = ends[lo - 1] if lo else 0
-        hi = int(np.searchsorted(ends, done + _SUBSET_ROWS, "right"))
-        pending = np.concatenate([pending, extend(prefixes[lo:hi], k)[:, 1:]])
-        while len(pending) >= _CHUNK:
-            yield pending[:_CHUNK]
-            pending = pending[_CHUNK:]
-        lo = hi
-    if len(pending):
-        yield pending
-
-
 def _best_ranks(u: np.ndarray, size: int, budget: int) -> list:
     """Rank, in an ascending table of `size` values, of the best of `budget`
     i.i.d. uniform draws from it, one per uniform in u: the inverse CDF
@@ -317,12 +276,14 @@ def _classical_target(obj: Objective, budget: int, trials: int, seed: int) -> fl
     A run proposes i.i.d. uniform k-subsets, so its best has the exact law
     P(best <= v) = F(v)^budget, F the objective's CDF over all C(n, k)
     subsets. When that table costs no more valuations than the runs would,
-    C(n, k) <= trials * budget, every subset is valued once, in blocks of
-    `_CHUNK`, and run i's best is the sorted table's entry at rank
-    `_best_ranks(u, C(n, k), budget)[i]`, u one block of `trials` uniforms
-    from `default_rng([seed, 3000])`. Above that size the runs are simulated
-    by `random_search`, run i seeded from `default_rng([seed, i, 1])`, which
-    no two-word key of the sweep pads to."""
+    C(n, k) <= trials * budget, every subset is valued once, `_CHUNK` at a
+    time in ascending bitmask order: the popcount-k part of
+    `gaussian._slice_masks(n, k)`, the masks the sweep's k-click pools read,
+    each decoded lowest bit first into an ascending row. Run i's best is the
+    sorted table's entry at rank `_best_ranks(u, C(n, k), budget)[i]`, u one
+    block of `trials` uniforms from `default_rng([seed, 3000])`. Above that
+    size the runs are simulated by `random_search`, run i seeded from
+    `default_rng([seed, i, 1])`, which no two-word key of the sweep pads to."""
     n, k = obj.graph.n, obj.k
     size = math.comb(n, k)
     if size > trials * budget:
@@ -334,7 +295,18 @@ def _classical_target(obj: Objective, budget: int, trials: int, seed: int) -> fl
             for i in range(trials)
         ]
         return float(np.mean(vals))
-    table = np.sort(np.concatenate([obj.values(b) for b in _subset_blocks(n, k)]))
+    masks = gaussian._slice_masks(n, k)
+    masks = masks[np.bitwise_count(masks) == k]
+    vals = []
+    for lo in range(0, size, _CHUNK):
+        rest = masks[lo:lo + _CHUNK].copy()
+        rows = np.empty((len(rest), k), dtype=np.intp)
+        for j in range(k):
+            low = rest & -rest
+            rows[:, j] = np.bitwise_count(low - 1)
+            rest ^= low
+        vals.append(obj.values(rows))
+    table = np.sort(np.concatenate(vals))
     u = np.random.default_rng([seed, 3000]).random(trials)
     return float(np.mean(table[_best_ranks(u, size, budget)]))
 

@@ -221,6 +221,16 @@ class TestNoiseSweep:
         with pytest.raises(CostGuardError, match="25 modes"):
             bench.noise_sweep(g, 3, [1.0], [0.0], trials=5, seed=1)
 
+    def test_pools_reuse_the_targets_masks(self):
+        # the table's masks are the ones the k-click pools read: built once
+        gaussian._slice_masks.cache_clear()
+        gaussian._click_slice.cache_clear()
+        g = planted_clique_graph(8, 3, 0.2, seed=1)
+        bench.noise_sweep(g, 3, [1.0, 0.5], [0.0], trials=10, seed=7, pool_size=400,
+                          budget=200, classical_budget=50, classical_trials=5)
+        info = gaussian._slice_masks.cache_info()
+        assert info.misses == 1 and info.hits >= 1
+
     def test_deterministic(self):
         g = zero_one_graph(8, 0.6, seed=2)
         kw = dict(trials=5, seed=11, pool_size=200, budget=100,
@@ -401,30 +411,46 @@ class TestClassicalTarget:
         drawn = bench._classical_target(obj, budget, draws, seed=5)
         assert abs(drawn - mean) < 5 * se
 
-    # 3 subsets at a time: prefixes of up to k columns, several ranges per block
-    @pytest.mark.parametrize("rows", [3, 1 << 16])
-    @pytest.mark.parametrize("chunk", [7, 1024])
-    def test_blocks_follow_combinations_order(self, monkeypatch, chunk, rows):
+    @staticmethod
+    def table_calls(monkeypatch):
+        """The (rows, values) of every `Objective.values` call, in order."""
+        calls, values = [], Objective.values
+
+        def recorded(self, subsets):
+            out = values(self, subsets)
+            calls.append((subsets.copy(), out))
+            return out
+
+        monkeypatch.setattr(Objective, "values", recorded)
+        return calls
+
+    # one row a call, several calls a table, one call a table
+    @pytest.mark.parametrize("chunk", [1, 7, 1024])
+    def test_table_rows_hold_every_subset_once(self, monkeypatch, chunk):
         monkeypatch.setattr(bench, "_CHUNK", chunk)
-        monkeypatch.setattr(bench, "_SUBSET_ROWS", rows)
-        for n in range(12):
-            for k in range(n + 1):
-                blocks = list(bench._subset_blocks(n, k))
-                assert all(len(b) == chunk for b in blocks[:-1])
-                assert 0 < len(blocks[-1]) <= chunk
-                rows = np.concatenate(blocks)
-                assert rows.dtype == np.intp and rows.shape == (math.comb(n, k), k)
+        calls = self.table_calls(monkeypatch)
+        for n in range(2, 12):
+            g = zero_one_graph(n, 0.5, seed=n)
+            for k in range(1, n):
+                calls.clear()
+                size = math.comb(n, k)
+                bench._classical_target(Objective("density", g, k), size, 1, seed=0)
+                assert all(len(rows) == chunk for rows, _ in calls[:-1])
+                assert 0 < len(calls[-1][0]) <= chunk
+                rows = np.concatenate([rows for rows, _ in calls])
+                assert rows.dtype == np.intp and rows.shape == (size, k)
+                assert np.all(np.diff(rows, axis=1) > 0)
                 want = itertools.combinations(range(n), k)
-                assert rows.tolist() == [list(c) for c in want]
+                assert sorted(map(tuple, rows.tolist())) == list(want)
 
     @pytest.mark.parametrize("kind", ["density", "maxhaf"])
-    def test_block_values_are_one_call_bytes(self, monkeypatch, kind):
+    def test_table_is_the_combinations_table_bytes(self, monkeypatch, kind):
         monkeypatch.setattr(bench, "_CHUNK", 37)
-        g = random_complex_graph(10, seed=6)
-        blocks = list(bench._subset_blocks(10, 4))
-        chunked = np.concatenate([Objective(kind, g, 4).values(b) for b in blocks])
-        whole = Objective(kind, g, 4).values(np.concatenate(blocks))
-        assert chunked.tobytes() == whole.tobytes()
+        calls = self.table_calls(monkeypatch)
+        obj = Objective(kind, random_complex_graph(10, seed=6), 4)
+        bench._classical_target(obj, math.comb(10, 4), 1, seed=0)
+        table = np.sort(np.concatenate([vals for _, vals in calls]))
+        assert table.tobytes() == self.sorted_table(obj).tobytes()
 
     @pytest.mark.parametrize("trials, budget, runs, tables", [
         (7, 8, 0, 1),   # C(8, 3) = 56 = trials * budget: the drawn table
@@ -440,8 +466,9 @@ class TestClassicalTarget:
                 return fn(*args, **kw)
             return wrapper
 
-        for name, attr in [("runs", "random_search"), ("tables", "_subset_blocks")]:
-            monkeypatch.setattr(bench, attr, counted(name, getattr(bench, attr)))
+        for name, module, attr in [("runs", bench, "random_search"),
+                                   ("tables", gaussian, "_slice_masks")]:
+            monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
         g = planted_clique_graph(8, 3, 0.2, seed=1)
         obj = Objective(kind="density", graph=g, k=3)
         bench._classical_target(obj, budget, trials, seed=4)
@@ -524,7 +551,7 @@ def test_studies_refuse_degenerate_sizes_before_any_work(monkeypatch, study, kwa
     monkeypatch.setattr(bench, "random_search", no_work)
     monkeypatch.setattr(bench, "torontonian", no_work)
     # the noise-sweep base case values every subset for its target
-    monkeypatch.setattr(bench, "_subset_blocks", no_work)
+    monkeypatch.setattr(gaussian, "_slice_masks", no_work)
     monkeypatch.setattr(Objective, "values", no_work)
     g = planted_clique_graph(8, 3, 0.2, seed=1)
     base = {
