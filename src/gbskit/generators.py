@@ -37,17 +37,22 @@ def random_complex_graph(n: int, seed: int) -> Graph:
     return Graph(n=n, adjacency=a)
 
 
+def _zero_one(n: int, clique: int, prob: float, seed: int) -> Graph:
+    """0/1 graph whose pairs i < j < clique are edges; every other pair, in
+    `np.triu_indices` order, is one if its uniform draw is below prob."""
+    i, j = np.triu_indices(n, 1)
+    edge = j < clique
+    edge[~edge] = np.random.default_rng(seed).random(np.count_nonzero(~edge)) < prob
+    a = np.zeros((n, n))
+    a[i[edge], j[edge]] = a[j[edge], i[edge]] = 1.0
+    return Graph(n=n, adjacency=a)
+
+
 def zero_one_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Erdos-Renyi 0/1 graph."""
     if not 0.0 <= edge_prob <= 1.0:
         raise ValidationError("edge probability must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                a[i, j] = a[j, i] = 1.0
-    return Graph(n=n, adjacency=a)
+    return _zero_one(n, 0, edge_prob, seed)
 
 
 def planted_clique_graph(
@@ -59,12 +64,4 @@ def planted_clique_graph(
         raise ValidationError("clique size must lie in (0, n]")
     if not 0.0 <= noise_prob <= 1.0:
         raise ValidationError("noise edge probability must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i < clique_size and j < clique_size:
-                a[i, j] = a[j, i] = 1.0
-            elif rng.random() < noise_prob:
-                a[i, j] = a[j, i] = 1.0
-    return Graph(n=n, adjacency=a)
+    return _zero_one(n, clique_size, noise_prob, seed)

@@ -22,8 +22,9 @@ Streams 3 to 5 keep the searchers' stream above and change bench's pools,
 trial steps, classical target and seed keys; the README's "Determinism and
 cost guards" section has their history.
 
+`Objective.values` is the one valuation path; `value` is its one-row call.
 Random search does not adapt to the values it sees, so it values each chunk
-with one `Objective.values` call: |Hafnian|^2 of each distinct proposal
+with one `values` call: |Hafnian|^2 of each distinct proposal
 once, through matfn's stacked hafnian kernel (a perfect-matching table for
 k <= 10, the division-free recursion above) without re-checking the
 graph's already checked submatrices. Its traces are bit-identical to
@@ -33,8 +34,8 @@ u -> w as |t - 2 r_u + a_uu + 2 (r_w - a_wu) + a_ww|, in O(1), and builds
 the swapped subset only if it is accepted; an accepted swap updates r in
 O(n). A chunk's pool jumps are taken from the pool, and their r and t
 summed, once, before its loop. Annealing on |Hafnian|^2 values a proposal
-missing from the cache alone, without the subset rule: every one is a pool
-row or a swap in a subset that already passed it.
+missing from the cache alone, through `values`' miss step but without the
+subset rule: every one is a pool row or a swap in a subset that passed it.
 """
 
 from __future__ import annotations
@@ -95,27 +96,21 @@ class Objective:
             raise ValidationError("maxhaf requires an even subgraph size")
 
     def value(self, subset) -> float:
-        if self.kind == "density":
-            return density(self.graph, subset)
-        key = tuple(sorted(subset))
-        if key not in self._haf_cache:
-            self.graph.checked_subsets([key])
-        return self._haf_of(key)
+        """`values` of one k-subset: the same bits, cache and refusals."""
+        return float(self.values([list(subset)])[0])
 
     def _haf_of(self, key: tuple) -> float:
         """`value` of a sorted maxhaf subset tuple that the subset rule
         already passed, such as an annealing proposal, without running the
-        rule again; its bits are `hafnian_sq_mod`'s."""
+        rule again."""
         v = self._haf_cache.get(key)
-        if v is None:
-            v = float(abs(complex(_hafnians(self.graph.gather(np.array([key])))[0])) ** 2)
-            self._remember([(key, v)])
-        return v
+        return self._misses([key], np.array([key]))[0][1] if v is None else v
 
     def values(self, subsets) -> np.ndarray:
-        """Values of the rows of an (N, k) vertex-index array; row i gets the
-        bits of `value(subsets[i])`. |Hafnian|^2 values each distinct subset
-        once."""
+        """Values of the rows of an (N, k) vertex-index array, each passed
+        by `Graph.checked_subsets`: density sums each row's submatrix as
+        `density` does, and |Hafnian|^2 values each distinct sorted subset
+        once, with `hafnian_sq_mod`'s bits."""
         rows = np.asarray(subsets)
         if rows.ndim != 2 or rows.shape[1] != self.k:
             raise ValidationError(
@@ -126,31 +121,29 @@ class Objective:
             sums = self.graph.subgraphs(rows).reshape(len(rows), self.k**2).sum(axis=1)
             # Python's abs: numpy's complex abs can differ in the last bit
             return np.array([abs(z) for z in sums.tolist()], dtype=float)
-        # sorted subsets, as `value` keys them: each distinct one, in the
-        # order first seen, with a row that holds it; only the cache misses'
-        # submatrices are gathered and valued
+        # each distinct sorted subset once, with a row holding it, first seen first
         ordered = self.graph.checked_subsets(rows)[1]
         keys = list(map(tuple, ordered.tolist()))
         row_of = dict(zip(keys, range(len(keys))))
         vals = {key: self._haf_cache.get(key) for key in row_of}
         miss = [key for key, v in vals.items() if v is None]
         if miss:
-            subs = self.graph.gather(ordered[[row_of[key] for key in miss]])
-            found = [(key, float(abs(h) ** 2))
-                     for key, h in zip(miss, _hafnians(subs).tolist())]
-            vals.update(found)
-            self._remember(found)
+            vals.update(self._misses(miss, ordered[[row_of[key] for key in miss]]))
         return np.fromiter(map(vals.__getitem__, keys), float, len(keys))
 
-    def _remember(self, found: list) -> None:
-        """Cache new (key, value) pairs in one step, evicting oldest first as
-        one insert per pair would, so it never holds over `_HAF_CACHE_MAX`."""
-        cache, found = self._haf_cache, found[-_HAF_CACHE_MAX:]
-        drop = max(len(cache) + len(found) - _HAF_CACHE_MAX, 0)
+    def _misses(self, keys: list, rows: np.ndarray) -> list:
+        """(key, |Hafnian|^2) of uncached sorted subsets, `rows` their checked
+        array, valued in one stacked call and cached in order, evicting oldest
+        first as one insert per key would, never over `_HAF_CACHE_MAX`."""
+        haf = _hafnians(self.graph.gather(rows)).tolist()
+        found = [(key, float(abs(h) ** 2)) for key, h in zip(keys, haf)]
+        cache, new = self._haf_cache, found[-_HAF_CACHE_MAX:]
+        drop = max(len(cache) + len(new) - _HAF_CACHE_MAX, 0)
         for key in list(itertools.islice(cache, drop)):
             del cache[key]
-        for key, v in found:
+        for key, v in new:
             cache[key] = v
+        return found
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ over direct determinants, rank correlations by direct rank-pair counting,
 reduced states and photon numbers read off the covariance, thermal mixing
 at the squeezers before the interferometer. The graph
 families with degenerate or zero Takagi values (cycle, star, rank two) are
-built here for the encoding and distribution tests alike. The
+built here for the encoding and distribution tests alike, and the 0/1
+generators' adjacencies by one uniform draw per pair, pair by pair. The
 searchers' references read the seeded stream one step at a time (n uniforms
 per uniform proposal, 4 per annealing step) and value one proposal per step
 through `Objective.value`; annealing on density repeats the library's
@@ -77,6 +78,28 @@ def rank_two_graph(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     return Graph(n=n, adjacency=v @ v.T)
+
+
+def pairwise_zero_one(n, edge_prob, seed):
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                a[i, j] = a[j, i] = 1.0
+    return Graph(n=n, adjacency=a)
+
+
+def pairwise_planted_clique(n, clique_size, noise_prob, seed):
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i < clique_size and j < clique_size:
+                a[i, j] = a[j, i] = 1.0
+            elif rng.random() < noise_prob:
+                a[i, j] = a[j, i] = 1.0
+    return Graph(n=n, adjacency=a)
 
 
 def thermal_squeezer_husimi(r, u, epsilon):

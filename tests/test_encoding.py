@@ -11,7 +11,14 @@ from gbskit.generators import (
 )
 from gbskit.linalg import takagi
 
-from oracles import cycle_graph, rank_two_graph, star_graph, takagi_product
+from oracles import (
+    cycle_graph,
+    pairwise_planted_clique,
+    pairwise_zero_one,
+    rank_two_graph,
+    star_graph,
+    takagi_product,
+)
 
 
 class TestGraph:
@@ -62,6 +69,38 @@ class TestGraph:
         g = Graph(n=2, adjacency=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 1.0
+
+
+class TestZeroOneGenerators:
+    # n = 1 draws nothing; p = 0 and p = 1 fix every drawn pair
+    SIZES, PROBS, SEEDS = [1, 2, 3, 5, 8, 12, 16, 20], [0.0, 0.3, 0.5, 1.0], range(3)
+
+    def test_zero_one_matches_the_pairwise_draws(self):
+        for n in self.SIZES:
+            for p in self.PROBS:
+                for seed in self.SEEDS:
+                    got = zero_one_graph(n, p, seed).adjacency
+                    want = pairwise_zero_one(n, p, seed).adjacency
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", PROBS)
+    def test_planted_clique_matches_the_pairwise_draws(self, p):
+        for n in self.SIZES:
+            for c in range(1, n + 1):  # up to the full clique
+                for seed in self.SEEDS:
+                    got = planted_clique_graph(n, c, p, seed).adjacency
+                    want = pairwise_planted_clique(n, c, p, seed).adjacency
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: zero_one_graph(5, 1.5, 0), "edge probability"),
+        (lambda: planted_clique_graph(5, 0, 0.2, 0), "clique size"),
+        (lambda: planted_clique_graph(5, 6, 0.2, 0), "clique size"),
+        (lambda: planted_clique_graph(5, 3, -0.1, 0), "noise edge probability"),
+    ])
+    def test_refusals(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()
 
 
 # degenerate and real spectra (0/1 graphs, cycle, star) and zero singular

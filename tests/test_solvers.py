@@ -389,15 +389,25 @@ class TestStream:
 
 
 class TestObjectiveValues:
-    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
-    def test_rows_match_value(self, kind):
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_rows_match_the_one_subset_functions(self, k):
+        # |Hafnian|^2 is valued on the sorted subset, the cache key
         g = random_complex_graph(10, seed=2)
-        rng = np.random.default_rng(0)
-        rows = np.array([rng.choice(10, size=4, replace=False) for _ in range(300)])
-        obj = Objective(kind, g, 4)
-        got = obj.values(rows)
-        want = np.array([Objective(kind, g, 4).value(r.tolist()) for r in rows])
+        rng = np.random.default_rng(k)
+        rows = np.array([rng.choice(10, size=k, replace=False) for _ in range(300)])
+        got = Objective("density", g, k).values(rows)
+        assert got.tobytes() == np.array([density(g, r) for r in rows]).tobytes()
+        got = Objective("maxhaf", g, k).values(rows)
+        want = np.array([hafnian_sq_mod(g, np.sort(r)) for r in rows])
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    @pytest.mark.parametrize("subset", [[0, 1], [0, 1, 2, 3, 4, 5]])
+    def test_value_refuses_a_subset_of_the_wrong_size(self, kind, subset):
+        obj = Objective(kind, random_complex_graph(8, seed=1), 4)
+        with pytest.raises(ValidationError, match=r"expected an \(N, 4\)"):
+            obj.value(subset)
+        assert obj._haf_cache == {}
 
     @pytest.mark.parametrize("graph", [
         random_complex_graph(12, seed=4),
