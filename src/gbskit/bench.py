@@ -4,8 +4,8 @@ step-count fits, and noise sweeps.
 All entry points are deterministic given their master seed; per-trial,
 per-pool and per-grid-point generators are derived from (seed, index) so
 results do not depend on evaluation order. A noise sweep's classical
-random-search target is drawn from the exact law of a run's best whenever
-valuing every k-subset once costs no more than simulating the runs.
+random-search target is the exact expected best of a run whenever valuing
+every k-subset once costs no more than simulating the runs.
 """
 
 from __future__ import annotations
@@ -167,13 +167,13 @@ def advantage_study(
     steps at each subgraph size k. Each k post-selects `pool` to k clicks
     or, without one, draws the k-click part of a `pool_size` pool from the
     graph encoded at k clicks (`sampler.sample_k_clicks`)."""
-    if not all(isinstance(k, int) for k in k_values):
-        raise ValidationError("k_values must hold integers")
     if steps < 1 or trials < 1:
         raise ValidationError(f"steps ({steps}) and trials ({trials}) must be >= 1")
+    # every k passes Objective's rules before any pool is drawn
+    objs = [Objective(kind=objective, graph=graph, k=k) for k in k_values]
     reports = []
-    for ki, k in enumerate(k_values):
-        obj = Objective(kind=objective, graph=graph, k=k)
+    for ki, obj in enumerate(objs):
+        k = obj.k
         if pool is None:
             state = encode_graph(graph, choose_scale(graph, float(k))).build_state()
             # no trial key [seed, ki, t] pads with zeros to the pool's key
@@ -262,28 +262,19 @@ class NoisePoint:
     no_success: bool
 
 
-def _best_ranks(u: np.ndarray, size: int, budget: int) -> list:
-    """Rank, in an ascending table of `size` values, of the best of `budget`
-    i.i.d. uniform draws from it, one per uniform in u: the inverse CDF
-    max(ceil(size u^(1/budget)) - 1, 0) of P(rank <= j) = ((j + 1) / size)^budget."""
-    # libm pow, not numpy's SIMD power, whose last bit varies by CPU
-    return [max(math.ceil(size * x ** (1.0 / budget)) - 1, 0) for x in u.tolist()]
-
-
 def _classical_target(obj: Objective, budget: int, trials: int, seed: int) -> float:
-    """Mean best value of `trials` uniform random-search runs of `budget` steps.
+    """Expected best value of a uniform random-search run of `budget` steps.
 
     A run proposes i.i.d. uniform k-subsets, so its best has the exact law
     P(best <= v) = F(v)^budget, F the objective's CDF over all C(n, k)
-    subsets. When that table costs no more valuations than the runs would,
-    C(n, k) <= trials * budget, every subset is valued once, `_CHUNK` at a
-    time in ascending bitmask order: the popcount-k part of
+    subsets. When that table costs no more valuations than `trials` runs
+    would, C(n, k) <= trials * budget, every subset is valued once, `_CHUNK`
+    at a time in ascending bitmask order: the popcount-k part of
     `gaussian._slice_masks(n, k)`, the masks the sweep's k-click pools read,
-    each decoded lowest bit first into an ascending row. Run i's best is the
-    sorted table's entry at rank `_best_ranks(u, C(n, k), budget)[i]`, u one
-    block of `trials` uniforms from `default_rng([seed, 3000])`. Above that
-    size the runs are simulated by `random_search`, run i seeded from
-    `default_rng([seed, i, 1])`, which no two-word key of the sweep pads to."""
+    decoded as the pools are. The target is then exact, one term
+    v (F(v)^budget - F(v-)^budget) per distinct value v, and reads no seed.
+    Above that size it is the mean best of `trials` runs simulated by
+    `random_search`, run i seeded from `default_rng([seed, i, 1])`."""
     n, k = obj.graph.n, obj.k
     size = math.comb(n, k)
     if size > trials * budget:
@@ -299,21 +290,12 @@ def _classical_target(obj: Objective, budget: int, trials: int, seed: int) -> fl
     masks = masks[np.bitwise_count(masks) == k]
     vals = []
     for lo in range(0, size, _CHUNK):
-        rest = masks[lo:lo + _CHUNK].copy()
-        rows = np.empty((len(rest), k), dtype=np.intp)
-        for j in range(k):
-            low = rest & -rest
-            rows[:, j] = np.bitwise_count(low - 1)
-            rest ^= low
-        vals.append(obj.values(rows))
-    table = np.sort(np.concatenate(vals))
-    u = np.random.default_rng([seed, 3000]).random(trials)
-    return float(np.mean(table[_best_ranks(u, size, budget)]))
-
-
-# grid point gi seeds its pool from [seed, 1000 + gi] and its trial steps
-# from [seed, 2000 + gi]; past this many points those keys would collide
-MAX_GRID_POINTS = 1000
+        bits = sampler._bits(masks[lo:lo + _CHUNK], n)
+        vals.append(obj.values(np.nonzero(bits)[1].reshape(-1, k)))
+    values, counts = np.unique(np.concatenate(vals), return_counts=True)
+    # libm pow, not numpy's SIMD power, whose last bit varies by CPU
+    cdf = [(c / size) ** budget for c in np.cumsum(counts).tolist()]
+    return math.fsum(v * (f - g) for v, f, g in zip(values.tolist(), cdf, [0.0] + cdf))
 
 
 def noise_sweep(
@@ -340,13 +322,14 @@ def noise_sweep(
     Geometric(q), q the pool's fraction of such patterns: each point draws
     its `trials` step counts from one stream and fits a geometric success
     probability. Trials past the budget are right-censored and excluded
-    from the fit; an empty pool runs none. The grid has at most
-    `MAX_GRID_POINTS` points and the graph `gaussian.MAX_TABLE_MODES` vertices.
+    from the fit; an empty pool runs none. The graph has at most
+    `gaussian.MAX_TABLE_MODES` vertices. Point gi seeds its pool from
+    `[seed, gi, 2]` and its trial steps from `[seed, gi, 3]`.
 
-    The target, reported on every row, is the mean best value of
-    `classical_trials` uniform random-search runs of `classical_budget`
-    steps; up to C(n, k) <= classical_trials * classical_budget it is drawn
-    from that best's exact law rather than simulated (`_classical_target`).
+    The target, reported on every row, is the expected best value of a
+    uniform random-search run of `classical_budget` steps, exact up to
+    C(n, k) <= classical_trials * classical_budget and the mean best of
+    `classical_trials` simulated runs above it (`_classical_target`).
     """
     etas = list(eta_grid)
     epss = list(epsilon_grid)
@@ -357,12 +340,8 @@ def noise_sweep(
             "trials, pool_size, budget, classical_budget and classical_trials "
             "must be >= 1"
         )
-    if len(etas) * len(epss) > MAX_GRID_POINTS:
-        raise ValidationError(
-            f"noise grid of {len(etas) * len(epss)} points exceeds the limit of "
-            f"{MAX_GRID_POINTS} points"
-        )
     obj = Objective(kind=objective, graph=graph, k=k)
+    k = obj.k
     gaussian._check_size(graph.n, k)
     target = _classical_target(obj, classical_budget, classical_trials, seed)
     c = choose_scale(
@@ -373,12 +352,12 @@ def noise_sweep(
     rows = []
     for gi, (eta, (eps, mixed)) in enumerate([(e, p) for e in etas for p in thermal]):
         state = gaussian.apply_loss(mixed, eta)
-        pool_seed = int(np.random.default_rng([seed, 1000 + gi]).integers(2**32))
+        pool_seed = int(np.random.default_rng([seed, gi, 2]).integers(2**32))
         pool = sampler.sample_k_clicks(state, pool_size, k, pool_seed)
         # an empty pool has q = 0 and runs no trials
         q = (float(np.mean(obj.values(pool.subsets(k)) >= target))
              if len(pool) else 0.0)
-        steps = (np.random.default_rng([seed, 2000 + gi]).geometric(q, trials)
+        steps = (np.random.default_rng([seed, gi, 3]).geometric(q, trials)
                  if q > 0 else np.zeros(0, dtype=int))
         steps_hit = steps[steps <= budget]
         fit = geometric_fit(steps_hit) if steps_hit.size else None

@@ -18,9 +18,9 @@ trace independent of the chunk size.
   floor(u (n - k)) into the sorted complement, and the acceptance uniform,
   compared with libm's exp(-(current - proposed) / T).
 
-Streams 3 to 5 keep the searchers' stream above and change bench's pools,
-trial steps, classical target and seed keys; the README's "Determinism and
-cost guards" section has their history.
+Every stream since 2 keeps the searchers' stream above and changes only
+bench's draws; the README's "Determinism and cost guards" section has their
+history.
 
 `Objective.values` is the one valuation path; `value` is its one-row call.
 Random search does not adapt to the values it sees, so it values each chunk
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,7 @@ __all__ = [
 _HAF_CACHE_MAX = 1 << 16
 # version of the searchers' and bench pools' random stream, recorded with
 # their outputs
-STREAM = 5
+STREAM = 6
 # steps whose uniforms are drawn (and, in random search, valued) together
 _CHUNK = 1024
 
@@ -78,7 +79,8 @@ def density(g: Graph, subset) -> float:
 
 @dataclass
 class Objective:
-    """Either 'maxhaf' (|Hafnian|^2) or 'density' at fixed subgraph size k."""
+    """Either 'maxhaf' (|Hafnian|^2) or 'density' at fixed subgraph size k,
+    an integer other than a bool (numpy integers are stored as int)."""
 
     kind: str
     graph: Graph
@@ -88,6 +90,11 @@ class Objective:
     def __post_init__(self):
         if self.kind not in ("maxhaf", "density"):
             raise ValidationError(f"unknown objective kind {self.kind!r}")
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ValidationError(
+                f"subgraph size k must be an integer, not {type(self.k).__name__}"
+            )
+        self.k = int(self.k)
         if not 0 < self.k < self.graph.n:
             raise ValidationError(
                 f"subgraph size k must lie in (0, {self.graph.n}), got {self.k}"

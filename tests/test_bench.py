@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gbskit import bench, gaussian, sampler
+from gbskit import bench, files, gaussian, sampler
 from gbskit.encoding import choose_scale, encode_graph
 from gbskit.errors import CostGuardError, ValidationError
 from gbskit.gaussian import apply_loss, apply_thermal
@@ -306,23 +307,28 @@ class TestNoiseSweep:
                                    classical_budget=20, classical_trials=3)
         assert (row.p_hat, row.censored_fraction, row.no_success) == (1.0, 0.0, False)
 
-    def test_refuses_more_than_1000_grid_points(self, monkeypatch):
-        # point gi keys its pool [seed, 1000 + gi] and its trials
-        # [seed, 2000 + gi]: point 1000's pool would share point 0's trials
-        pools = []
+    def test_grid_of_1001_points_keeps_its_seeds_apart(self, monkeypatch):
+        # point gi keys its pool [seed, gi, 2] and simulated run i [seed, i, 1],
+        # so no grid size makes two of them meet
+        pools, runs = [], []
+        search = bench.random_search
 
         def pool_of(state, size, k, seed):
             pools.append(seed)
-            return SamplePool(modes=8, samples=np.zeros((0, 8), dtype=np.uint8))
+            return SamplePool(modes=16, samples=np.zeros((0, 16), dtype=np.uint8))
+
+        def run(*args, seed, **kw):
+            runs.append(seed)
+            return search(*args, seed=seed, **kw)
 
         monkeypatch.setattr(sampler, "sample_k_clicks", pool_of)
-        g = zero_one_graph(8, 0.6, seed=2)
-        kw = dict(trials=5, seed=0, classical_budget=20, classical_trials=3)
-        with pytest.raises(ValidationError, match="1001 points exceeds the limit"):
-            bench.noise_sweep(g, 3, [1.0] * 7, [0.0] * 143, **kw)
-        assert not pools
-        assert len(bench.noise_sweep(g, 3, [1.0] * 40, [0.0] * 25, **kw)) == 1000
-        assert len(pools) == 1000
+        monkeypatch.setattr(bench, "random_search", run)
+        # C(16, 8) = 12870 > 1001 * 1 subsets: the runs are simulated
+        rows = bench.noise_sweep(planted_clique_graph(16, 6, 0.2, seed=1), 8,
+                                 [1.0] * 7, [0.0] * 143, trials=2, seed=3, budget=5,
+                                 classical_budget=1, classical_trials=1001)
+        assert len(rows) == len(set(pools)) == len(runs) == 1001
+        assert not set(pools) & set(runs)
 
     def test_one_thermal_state_per_epsilon(self, monkeypatch):
         # each epsilon's thermal state is built once and serves every eta;
@@ -357,23 +363,18 @@ class TestNoiseSweep:
 
 
 class TestClassicalTarget:
-    """The noise sweep's classical target: the mean best of uniform random
-    search runs, drawn from the exact best-of-budget law over every k-subset
-    when C(n, k) <= trials * budget, simulated above that size."""
+    """The noise sweep's classical target: the expected best of a uniform
+    random search run, exact over every k-subset when C(n, k) <= trials *
+    budget, the mean best of simulated runs above that size."""
 
     @staticmethod
-    def rank_cdf(j, size, budget):
-        """P(rank <= j) under numpy's 53-bit uniforms m / 2^53: the largest
-        such m the (monotone) rank map sends to j or below, found by
-        bisection, plus one, over 2^53."""
-        lo, hi = 0, 1 << 53
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if bench._best_ranks(np.array([mid / 2**53]), size, budget)[0] <= j:
-                lo = mid
-            else:
-                hi = mid
-        return Fraction(lo + 1, 1 << 53)
+    def exact_mean(law):
+        """Mean of a {value: P(best <= value)} law, as a fraction."""
+        below, mean = Fraction(0), Fraction(0)
+        for v in sorted(law):
+            mean += Fraction(v) * (law[v] - below)
+            below = law[v]
+        return mean
 
     @staticmethod
     def sorted_table(obj):
@@ -386,30 +387,28 @@ class TestClassicalTarget:
         ("maxhaf", random_complex_graph(5, seed=4)),
     ])
     @pytest.mark.parametrize("budget", [1, 2, 3])
-    def test_rank_map_has_the_sequence_law(self, kind, graph, budget):
+    def test_table_target_is_the_sequence_law_mean(self, kind, graph, budget):
         obj = Objective(kind=kind, graph=graph, k=2)
-        table = self.sorted_table(obj)
-        law = uniform_best_law(obj, budget)
-        assert sorted(law) == sorted(set(table.tolist()))
-        for v, p in law.items():
-            below = int(np.sum(table <= v))
-            assert p == Fraction(below, len(table)) ** budget
-            # pow and the product round, so the map's jump may sit a few
-            # 2^-53 grid steps off the exact threshold
-            assert abs(self.rank_cdf(below - 1, len(table), budget) - p) <= Fraction(
-                4, 1 << 53)
+        # C(5, 2) = 10 <= 10 * budget: the table path, whatever the seed
+        (got,) = {bench._classical_target(obj, budget, 10, seed=s) for s in range(5)}
+        want = self.exact_mean(uniform_best_law(obj, budget))
+        # the quotients, pow, products and the sum each round
+        assert abs(Fraction(got) - want) <= Fraction(4, 1 << 53) * want
 
-    def test_large_draw_mean_matches_exact_expectation(self):
+    def test_readme_graph_target_is_the_exact_expectation(self):
         g = planted_clique_graph(16, 6, 0.2, 1)  # the README graph
         obj = Objective(kind="density", graph=g, k=6)
-        budget, draws = 1000, 200_000
-        table = self.sorted_table(obj)
-        cdf = (np.arange(len(table) + 1) / len(table)) ** budget
-        law = np.diff(cdf)
-        mean = float(table @ law)
-        se = np.sqrt(float((table - mean) ** 2 @ law) / draws)
-        drawn = bench._classical_target(obj, budget, draws, seed=5)
-        assert abs(drawn - mean) < 5 * se
+        budget, table = 1000, self.sorted_table(obj)
+        values, counts = np.unique(table, return_counts=True)
+        law = {v: Fraction(int(c), len(table)) ** budget
+               for v, c in zip(values.tolist(), np.cumsum(counts))}
+        got = bench._classical_target(obj, budget, 40, seed=42)
+        want = self.exact_mean(law)
+        # pow's rounding of F(v) is raised to the 1000th power
+        assert abs(Fraction(got) - want) <= Fraction(budget, 1 << 52) * want
+        assert math.isclose(got, 24.452102, rel_tol=1e-7)
+        # only the clique's 30-valued subsets beat it
+        assert set(table[table >= got].tolist()) == {30.0}
 
     @staticmethod
     def table_calls(monkeypatch):
@@ -475,8 +474,8 @@ class TestClassicalTarget:
         assert calls == {"runs": runs, "tables": tables}
 
     def test_simulated_run_seeds_are_no_pool_seeds(self, monkeypatch):
-        # past 1000 runs, run i keyed [seed, i] would share grid point
-        # i - 1000's pool stream [seed, 1000 + gi]
+        # numpy pads keys with zeros, so run i keyed [seed, i] would share
+        # a stream keyed [seed, i, 0]; it is keyed [seed, i, 1] instead
         pools, runs = [], []
         search = bench.random_search
 
@@ -503,9 +502,19 @@ class TestClassicalTarget:
 class TestAdvantageStudy:
     def test_rejects_non_integer_k(self):
         g = zero_one_graph(8, 0.6, seed=2)
-        with pytest.raises(ValidationError, match="k_values"):
+        with pytest.raises(ValidationError, match="k must be an integer"):
             bench.advantage_study(g, [2, "4"], steps=5, trials=1, seed=0,
                                   pool_size=50)
+
+    def test_numpy_integer_k_is_an_int(self, tmp_path):
+        g = zero_one_graph(8, 0.6, seed=2)
+        kw = dict(steps=5, trials=2, seed=0, pool_size=50)
+        reports = bench.advantage_study(g, [np.int64(2)], **kw)
+        assert reports == bench.advantage_study(g, [2], **kw)
+        assert type(reports[0].photon_click_k) is int
+        json_path = tmp_path / "advantage.json"
+        files.save_advantage_report(reports, tmp_path / "advantage.csv", json_path)
+        assert json.loads(json_path.read_text())["reports"][0]["photon_click_k"] == 2
 
     def test_pool_seed_is_no_trial_seed(self, monkeypatch):
         # numpy pads seed keys with zeros, so a pool keyed [seed, ki] would
@@ -530,6 +539,25 @@ class TestAdvantageStudy:
             bench.advantage_study(g, [2, 3, 2, 3], steps=2, trials=3, seed=seed)
         assert len(pools) == 12 and len(trials) == 36
         assert not set(pools) & set(trials)
+
+
+@pytest.mark.parametrize("study, k", [
+    ("advantage_study", [2, True]),
+    ("advantage_study", [2, 4.0]),
+    ("noise_sweep", True),
+    ("noise_sweep", 3.0),
+])
+def test_studies_refuse_a_non_integer_k_before_any_pool(monkeypatch, study, k):
+    def no_pool(*args, **kw):
+        raise AssertionError("a pool was drawn before k was checked")
+
+    monkeypatch.setattr(sampler, "sample_k_clicks", no_pool)
+    g = planted_clique_graph(8, 3, 0.2, seed=1)
+    kw = (dict(k_values=k, steps=5, trials=2) if study == "advantage_study" else
+          dict(k=k, eta_grid=[1.0], epsilon_grid=[0.0], trials=5,
+               classical_budget=20, classical_trials=3))
+    with pytest.raises(ValidationError, match="k must be an integer"):
+        getattr(bench, study)(g, seed=0, **kw)
 
 
 @pytest.mark.parametrize("study, kwargs", [

@@ -211,7 +211,7 @@ class TestBench:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["command"] == "bench correlate"
         assert manifest["parameters"]["seed"] == 1
-        assert manifest["stream"] == 5
+        assert manifest["stream"] == 6
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -259,15 +259,6 @@ class TestBench:
         assert run("bench", study, "--config", path, "--out", outdir) == 2
         err = capsys.readouterr().err
         assert repr(field) in err and "got bool" in err
-        assert not outdir.exists()
-
-    def test_noise_grid_over_the_limit_exits_2(self, k6_graph, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"graph": str(k6_graph), "k": 2, "seed": 1,
-                                    "eta_grid": [1.0] * 1001}))
-        outdir = tmp_path / "r"
-        assert run("bench", "noise-sweep", "--config", path, "--out", outdir) == 2
-        assert "limit of 1000 points" in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("study, cfg, defaults", [

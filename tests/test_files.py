@@ -104,7 +104,7 @@ class TestReports:
         assert data["best_value"] == 2.0
         assert data["best_subset"] == [0, 3]
         assert data["parameters"]["algo"] == "rs"
-        assert data["stream"] == 5
+        assert data["stream"] == 6
 
     def test_noise_table_handles_no_success(self, tmp_path):
         rows = [

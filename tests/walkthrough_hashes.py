@@ -1,0 +1,66 @@
+"""Run the README walkthrough and two small bench studies through the CLI,
+then print `sha256  file` for every output, one line each, sorted by name.
+
+Usage: python tests/walkthrough_hashes.py OUTDIR
+
+OUTDIR must not exist yet; the commands run inside it, with relative paths,
+so the outputs do not name it. The package is imported from the `src`
+directory beside this file's parent, so running this script from two
+checkouts and diffing the printed lines shows which output bytes a change
+moved. pytest does not collect it (its name does not start with `test_`).
+"""
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from gbskit.cli import main  # noqa: E402
+
+
+def run(*argv) -> None:
+    code = main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"gbskit {' '.join(map(str, argv))} exited {code}")
+
+
+def bench(study: str, name: str, cfg: dict) -> None:
+    Path(f"{name}.json").write_text(json.dumps(cfg))
+    run("bench", study, "--config", f"{name}.json", "--out", name)
+
+
+def walkthrough() -> None:
+    graph, device, pool = "graph.json", "device.json", "pool.txt"
+    run("gen", "--kind", "planted-clique", "--n", 16, "--clique-size", 6,
+        "--noise-prob", 0.2, "--seed", 1, "--out", graph)
+    run("encode", graph, "--mean-clicks", 6, "--out", device)
+    run("sample", device, "--count", 20000, "--eta", 0.75, "--seed", 7,
+        "--out", pool)
+    solve = ("solve", graph, "--objective", "density", "--k", 6)
+    run(*solve, "--algo", "rs", "--pool", pool, "--steps", 1000, "--seed", 3,
+        "--out", "trace.csv")
+    run(*solve, "--algo", "rs", "--steps", 1000, "--seed", 3,
+        "--out", "trace-uniform.csv")
+    run(*solve, "--algo", "greedy", "--out", "greedy.csv")
+    bench("noise-sweep", "sweep", {
+        "graph": graph, "k": 6, "eta_grid": [1.0, 0.75, 0.5],
+        "epsilon_grid": [0.0], "trials": 200, "seed": 42})
+    bench("advantage", "advantage", {
+        "graph": graph, "objective": "maxhaf", "k_values": [4, 6],
+        "steps": 100, "trials": 5, "seed": 12, "pool_size": 2000})
+    bench("correlate", "correlate", {"n_matrices": 30, "seed": 11})
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    out = Path(sys.argv[1]).resolve()
+    out.mkdir(parents=True)
+    os.chdir(out)
+    walkthrough()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
