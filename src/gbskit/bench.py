@@ -4,8 +4,9 @@ step-count fits, and noise sweeps.
 All entry points are deterministic given their master seed; per-trial,
 per-pool and per-grid-point generators are derived from (seed, index) so
 results do not depend on evaluation order. A noise sweep's classical
-random-search target is the exact expected best of a run whenever valuing
-every k-subset once costs no more than simulating the runs.
+random-search target is the exact expected best of a run, and its pools are
+valued from one table, whenever valuing every k-subset once costs no more
+than simulating the runs.
 """
 
 from __future__ import annotations
@@ -262,39 +263,38 @@ class NoisePoint:
     no_success: bool
 
 
-def _classical_target(obj: Objective, budget: int, trials: int, seed: int) -> float:
+def _subset_table(obj: Objective, budget: int, trials: int) -> tuple | None:
+    """The popcount-k masks of `gaussian._slice_masks(n, k)`, ascending, and
+    their rows' values, decoded as a pool's and valued `_CHUNK` at a time; None
+    when C(n, k) > trials * budget, more valuations than `trials` runs make."""
+    n, k = obj.graph.n, obj.k
+    if math.comb(n, k) > trials * budget:
+        return None
+    masks = gaussian._slice_masks(n, k)
+    masks = masks[np.bitwise_count(masks) == k]
+    vals = [obj.values(sampler._clicked_modes(sampler._bits(chunk, n), k))
+            for chunk in np.split(masks, range(_CHUNK, masks.size, _CHUNK))]
+    return masks, np.concatenate(vals)
+
+
+def _classical_target(obj: Objective, table: tuple | None, budget: int, trials: int,
+                      seed: int) -> float:
     """Expected best value of a uniform random-search run of `budget` steps.
 
     A run proposes i.i.d. uniform k-subsets, so its best has the exact law
     P(best <= v) = F(v)^budget, F the objective's CDF over all C(n, k)
-    subsets. When that table costs no more valuations than `trials` runs
-    would, C(n, k) <= trials * budget, every subset is valued once, `_CHUNK`
-    at a time in ascending bitmask order: the popcount-k part of
-    `gaussian._slice_masks(n, k)`, the masks the sweep's k-click pools read,
-    decoded as the pools are. The target is then exact, one term
-    v (F(v)^budget - F(v-)^budget) per distinct value v, and reads no seed.
-    Above that size it is the mean best of `trials` runs simulated by
+    subsets. With the `table` of `_subset_table(obj, budget, trials)` it is
+    exact, one term v (F(v)^budget - F(v-)^budget) per distinct value v, and
+    reads no seed; without, the mean best of `trials` runs of
     `random_search`, run i seeded from `default_rng([seed, i, 1])`."""
-    n, k = obj.graph.n, obj.k
-    size = math.comb(n, k)
-    if size > trials * budget:
-        vals = [
-            random_search(
-                obj, ProposalSource(kind="uniform"), budget,
-                seed=int(np.random.default_rng([seed, i, 1]).integers(2**32)),
-            ).value_at(budget)
-            for i in range(trials)
-        ]
-        return float(np.mean(vals))
-    masks = gaussian._slice_masks(n, k)
-    masks = masks[np.bitwise_count(masks) == k]
-    vals = []
-    for lo in range(0, size, _CHUNK):
-        bits = sampler._bits(masks[lo:lo + _CHUNK], n)
-        vals.append(obj.values(np.nonzero(bits)[1].reshape(-1, k)))
-    values, counts = np.unique(np.concatenate(vals), return_counts=True)
+    if table is None:
+        keys = (np.random.default_rng([seed, i, 1]) for i in range(trials))
+        runs = (random_search(obj, ProposalSource(kind="uniform"), budget,
+                              seed=int(key.integers(2**32))) for key in keys)
+        return float(np.mean([run.value_at(budget) for run in runs]))
+    values, counts = np.unique(table[1], return_counts=True)
     # libm pow, not numpy's SIMD power, whose last bit varies by CPU
-    cdf = [(c / size) ** budget for c in np.cumsum(counts).tolist()]
+    cdf = [(c / len(table[1])) ** budget for c in np.cumsum(counts).tolist()]
     return math.fsum(v * (f - g) for v, f, g in zip(values.tolist(), cdf, [0.0] + cdf))
 
 
@@ -326,10 +326,11 @@ def noise_sweep(
     `gaussian.MAX_TABLE_MODES` vertices. Point gi seeds its pool from
     `[seed, gi, 2]` and its trial steps from `[seed, gi, 3]`.
 
-    The target, reported on every row, is the expected best value of a
-    uniform random-search run of `classical_budget` steps, exact up to
-    C(n, k) <= classical_trials * classical_budget and the mean best of
-    `classical_trials` simulated runs above it (`_classical_target`).
+    The target, on every row, is the expected best of a uniform run of
+    `classical_budget` steps (`_classical_target`): exact, with each kept
+    pattern's value read from `_subset_table` by its mask, up to C(n, k) <=
+    classical_trials * classical_budget, and the mean best of
+    `classical_trials` simulated runs, pools valued by `Objective.values`, above.
     """
     etas = list(eta_grid)
     epss = list(epsilon_grid)
@@ -343,7 +344,8 @@ def noise_sweep(
     obj = Objective(kind=objective, graph=graph, k=k)
     k = obj.k
     gaussian._check_size(graph.n, k)
-    target = _classical_target(obj, classical_budget, classical_trials, seed)
+    table = _subset_table(obj, classical_budget, classical_trials)
+    target = _classical_target(obj, table, classical_budget, classical_trials, seed)
     c = choose_scale(
         graph, target_mean_clicks=float(k) if mean_clicks is None else mean_clicks
     )
@@ -354,9 +356,11 @@ def noise_sweep(
         state = gaussian.apply_loss(mixed, eta)
         pool_seed = int(np.random.default_rng([seed, gi, 2]).integers(2**32))
         pool = sampler.sample_k_clicks(state, pool_size, k, pool_seed)
+        subsets = pool.subsets(k)  # refuses a pattern without k clicks
+        vals = (obj.values(subsets) if table is None  # else read by mask
+                else table[1][np.searchsorted(table[0], (1 << subsets).sum(axis=1))])
         # an empty pool has q = 0 and runs no trials
-        q = (float(np.mean(obj.values(pool.subsets(k)) >= target))
-             if len(pool) else 0.0)
+        q = float(np.mean(vals >= target)) if len(pool) else 0.0
         steps = (np.random.default_rng([seed, gi, 3]).geometric(q, trials)
                  if q > 0 else np.zeros(0, dtype=int))
         steps_hit = steps[steps <= budget]

@@ -12,12 +12,13 @@ no state is built until `DeviceParams.build_state`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import gaussian
 from .errors import ValidationError
-from .linalg import as_matrix, symmetrized, takagi
+from .linalg import TakagiFactorization, as_matrix, symmetrized, takagi
 
 __all__ = ["Graph", "DeviceParams", "encode_graph", "choose_scale"]
 
@@ -65,12 +66,19 @@ class Graph:
     def gather(self, rows: np.ndarray) -> np.ndarray:
         """Adjacency submatrices (N, k, k) of the rows of an (N, k) intp
         array that `checked_subsets` passed, each in its row's order."""
-        return self.adjacency[rows[:, :, None], rows[:, None, :]]
+        return self.adjacency.ravel().take(rows[:, :, None] * self.n + rows[:, None, :])
 
     def subgraphs(self, subsets) -> np.ndarray:
         """Adjacency submatrices (N, k, k) of the rows of an (N, k) integer
         vertex array, each in its row's order, checked by `checked_subsets`."""
         return self.gather(self.checked_subsets(subsets)[0])
+
+    @cached_property
+    def _takagi(self) -> TakagiFactorization:
+        """The adjacency's Takagi factorization, computed once per graph."""
+        fac = takagi(self.adjacency)
+        fac.unitary.setflags(write=False)  # each encoded device holds it
+        return fac
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class DeviceParams:
 
 def encode_graph(g: Graph, c: float) -> DeviceParams:
     """Encode adjacency Delta so the device sampling matrix equals c*Delta."""
-    fac = takagi(g.adjacency)
+    fac = g._takagi
     lam_max = fac.values[0] if fac.values.size else 0.0
     if c <= 0 or (lam_max > 0 and c * lam_max >= 1.0):
         raise ValidationError(
@@ -107,7 +115,7 @@ def choose_scale(g: Graph, target_mean_clicks: float) -> float:
         raise ValidationError(
             f"target mean clicks must lie in (0, {g.n}), got {target_mean_clicks}"
         )
-    fac = takagi(g.adjacency)
+    fac = g._takagi
     lam_max = fac.values[0] if fac.values.size else 0.0
     if lam_max == 0.0:
         raise ValidationError("zero graph cannot reach a positive click target")

@@ -63,7 +63,7 @@ class SamplePool:
             raise ValidationError(
                 f"pool pattern {bad[0]} has {counts[bad[0]]} clicks, expected {k}"
             )
-        return np.nonzero(self.samples)[1].reshape(len(self), k)
+        return _clicked_modes(self.samples, k)
 
 
 def _pattern_array(samples, modes: int) -> np.ndarray:
@@ -157,6 +157,11 @@ def sample_k_clicks(
 def _bits(clicked: np.ndarray, modes: int) -> np.ndarray:
     """Click bitmasks as an (N, modes) 0/1 array, bit i in column i."""
     return ((clicked[:, None] >> np.arange(modes)) & 1).astype(np.uint8)
+
+
+def _clicked_modes(bits: np.ndarray, k: int) -> np.ndarray:
+    """`np.nonzero(bits)[1]` of an (N, M) 0/1 array of k ones a row, as (N, k)."""
+    return (np.flatnonzero(bits) % bits.shape[1]).reshape(len(bits), k)
 
 
 def postselect(pool: SamplePool, k: int) -> SamplePool:

@@ -126,8 +126,12 @@ class Objective:
         if self.kind == "density":
             # one gathered sum per row, in the order given, as `density` sums
             sums = self.graph.subgraphs(rows).reshape(len(rows), self.k**2).sum(axis=1)
-            # Python's abs: numpy's complex abs can differ in the last bit
-            return np.array([abs(z) for z in sums.tolist()], dtype=float)
+            # Python's abs bits, by libm's hypot; abs again where it overflows, to raise
+            with np.errstate(over="ignore"):
+                mods = np.hypot(sums.real, sums.imag)
+            for z in sums[np.isinf(mods)].tolist():
+                abs(z)
+            return mods
         # each distinct sorted subset once, with a row holding it, first seen first
         ordered = self.graph.checked_subsets(rows)[1]
         keys = list(map(tuple, ordered.tolist()))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gbskit import bench, files, gaussian, sampler
+from gbskit import bench, encoding, files, gaussian, sampler
 from gbskit.encoding import choose_scale, encode_graph
 from gbskit.errors import CostGuardError, ValidationError
 from gbskit.gaussian import apply_loss, apply_thermal
@@ -22,6 +22,12 @@ from gbskit.sampler import SamplePool
 from gbskit.solvers import Objective, RunTrace
 
 from oracles import rank_pair_spearman, state_with_sampling_matrix, uniform_best_law
+
+
+def classical_target(obj, budget, trials, seed):
+    """The sweep's target, from the table it builds or without one."""
+    table = bench._subset_table(obj, budget, trials)
+    return bench._classical_target(obj, table, budget, trials, seed)
 
 
 def make_trace(values, seed=0):
@@ -191,7 +197,7 @@ class TestNoiseSweep:
             pool_size=400, budget=200, classical_budget=50, classical_trials=5,
         )
         assert [(r.eta, r.epsilon) for r in rows] == [(1.0, 0.0), (0.5, 0.0)]
-        target = bench._classical_target(Objective("density", g, 3), 50, 5, 7)
+        target = classical_target(Objective("density", g, 3), 50, 5, 7)
         assert [r.target for r in rows] == [target, target]
         for r in rows:
             if not r.no_success:
@@ -261,7 +267,7 @@ class TestNoiseSweep:
 
         # the loop the geometric draws replace: each trial replays its own
         # `budget` uniform pool indices and keeps the first hit
-        target = bench._classical_target(obj, 20, 3, seed)
+        target = classical_target(obj, 20, 3, seed)
         good = obj.values(pool.subsets(3)) >= target
         assert good.sum() == 1
         steps, censored = [], 0
@@ -355,6 +361,101 @@ class TestNoiseSweep:
         assert [s.husimi.tobytes() for s in states] == [
             s.husimi.tobytes() for s in want]
 
+    @staticmethod
+    def recorded_pools(monkeypatch):
+        """Each k-click pool a sweep draws, in order."""
+        pools, draw = [], sampler.sample_k_clicks
+
+        def pool_of(*args):
+            pools.append(draw(*args))
+            return pools[-1]
+
+        monkeypatch.setattr(sampler, "sample_k_clicks", pool_of)
+        return pools
+
+    @staticmethod
+    def recorded_qs(monkeypatch):
+        """The q of each point's geometric step draws, in order: every
+        `np.random.default_rng` generator records it and defers the rest."""
+        qs, rng = [], np.random.default_rng
+
+        class Recorder:
+            def __init__(self, key):
+                self.gen = rng(key)
+
+            def geometric(self, q, size):
+                qs.append(q)
+                return self.gen.geometric(q, size)
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        return qs
+
+    @pytest.mark.parametrize("objective", ["density", "maxhaf"])
+    @pytest.mark.parametrize("graph", [
+        planted_clique_graph(16, 6, 0.2, 1), random_complex_graph(16, 29),
+    ], ids=["readme", "complex"])
+    def test_table_q_is_the_objective_values_q(self, monkeypatch, graph, objective):
+        # C(16, 6) = 8008 <= 40 * 1000: each pool is read from the table
+        pools, qs = self.recorded_pools(monkeypatch), self.recorded_qs(monkeypatch)
+        rows = bench.noise_sweep(graph, 6, [1.0, 0.75], [0.0, 0.25], trials=50, seed=7,
+                                 pool_size=3000, objective=objective, mean_clicks=4.0)
+        obj = Objective(objective, graph, 6)
+        want = [float(np.mean(obj.values(p.subsets(6)) >= rows[0].target))
+                for p in pools]
+        assert len(pools) == 4 and min(map(len, pools)) > 0
+        assert len(qs) >= 2 and qs == [q for q in want if q > 0]
+
+    def test_table_path_refuses_a_pattern_without_k_clicks(self, monkeypatch):
+        bits = np.zeros((3, 8), dtype=np.uint8)
+        bits[:, :3] = 1
+        bits[1, 5] = 1
+        pool = SamplePool(modes=8, samples=bits)
+        with pytest.raises(ValidationError) as refused:
+            pool.subsets(3)
+        monkeypatch.setattr(sampler, "sample_k_clicks", lambda *args: pool)
+        # C(8, 3) = 56 <= 3 * 20: the table path
+        with pytest.raises(ValidationError) as swept:
+            bench.noise_sweep(planted_clique_graph(8, 3, 0.2, seed=1), 3, [1.0], [0.0],
+                              trials=5, seed=1, classical_budget=20, classical_trials=3)
+        assert str(swept.value) == str(refused.value) == (
+            "pool pattern 1 has 4 clicks, expected 3")
+
+    # C(8, 3) = 56: at most 3 * 20 = 60 the table, above 3 * 18 = 54 none
+    @pytest.mark.parametrize("classical_budget, table", [(20, True), (18, False)])
+    def test_pools_are_valued_through_values_only_above_the_table(
+            self, monkeypatch, classical_budget, table):
+        pools, valued, values = self.recorded_pools(monkeypatch), [], Objective.values
+
+        def recorded(self, subsets):
+            valued.append(subsets.tobytes())
+            return values(self, subsets)
+
+        monkeypatch.setattr(Objective, "values", recorded)
+        bench.noise_sweep(planted_clique_graph(8, 3, 0.2, seed=1), 3, [1.0, 0.5], [0.0],
+                          trials=10, seed=7, pool_size=400, budget=200,
+                          classical_budget=classical_budget, classical_trials=3)
+        assert len(pools) == 2 and min(map(len, pools)) > 0
+        assert [p.subsets(3).tobytes() in valued for p in pools] == [not table] * 2
+
+    def test_one_takagi_factorization_per_study(self, monkeypatch):
+        calls, takagi = [], encoding.takagi
+
+        def counting(a):
+            calls.append(1)
+            return takagi(a)
+
+        monkeypatch.setattr(encoding, "takagi", counting)
+        g = planted_clique_graph(8, 3, 0.2, seed=1)
+        bench.noise_sweep(g, 3, [1.0, 0.5], [0.0, 0.5], trials=5, seed=7, pool_size=200,
+                          budget=50, classical_budget=20, classical_trials=3)
+        assert len(calls) == 1
+        bench.advantage_study(zero_one_graph(8, 0.6, seed=2), [2, 4], steps=5, trials=2,
+                              seed=3, pool_size=200)
+        assert len(calls) == 2
+
     def test_rejects_bad_grid(self):
         g = zero_one_graph(8, 0.6, seed=2)
         for etas, epss in [([1.5], [0.0]), (["a"], [0.0]), ([1.0], [None])]:
@@ -390,7 +491,7 @@ class TestClassicalTarget:
     def test_table_target_is_the_sequence_law_mean(self, kind, graph, budget):
         obj = Objective(kind=kind, graph=graph, k=2)
         # C(5, 2) = 10 <= 10 * budget: the table path, whatever the seed
-        (got,) = {bench._classical_target(obj, budget, 10, seed=s) for s in range(5)}
+        (got,) = {classical_target(obj, budget, 10, seed=s) for s in range(5)}
         want = self.exact_mean(uniform_best_law(obj, budget))
         # the quotients, pow, products and the sum each round
         assert abs(Fraction(got) - want) <= Fraction(4, 1 << 53) * want
@@ -402,7 +503,7 @@ class TestClassicalTarget:
         values, counts = np.unique(table, return_counts=True)
         law = {v: Fraction(int(c), len(table)) ** budget
                for v, c in zip(values.tolist(), np.cumsum(counts))}
-        got = bench._classical_target(obj, budget, 40, seed=42)
+        got = classical_target(obj, budget, 40, seed=42)
         want = self.exact_mean(law)
         # pow's rounding of F(v) is raised to the 1000th power
         assert abs(Fraction(got) - want) <= Fraction(budget, 1 << 52) * want
@@ -433,7 +534,7 @@ class TestClassicalTarget:
             for k in range(1, n):
                 calls.clear()
                 size = math.comb(n, k)
-                bench._classical_target(Objective("density", g, k), size, 1, seed=0)
+                classical_target(Objective("density", g, k), size, 1, seed=0)
                 assert all(len(rows) == chunk for rows, _ in calls[:-1])
                 assert 0 < len(calls[-1][0]) <= chunk
                 rows = np.concatenate([rows for rows, _ in calls])
@@ -447,7 +548,7 @@ class TestClassicalTarget:
         monkeypatch.setattr(bench, "_CHUNK", 37)
         calls = self.table_calls(monkeypatch)
         obj = Objective(kind, random_complex_graph(10, seed=6), 4)
-        bench._classical_target(obj, math.comb(10, 4), 1, seed=0)
+        classical_target(obj, math.comb(10, 4), 1, seed=0)
         table = np.sort(np.concatenate([vals for _, vals in calls]))
         assert table.tobytes() == self.sorted_table(obj).tobytes()
 
@@ -470,7 +571,7 @@ class TestClassicalTarget:
             monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
         g = planted_clique_graph(8, 3, 0.2, seed=1)
         obj = Objective(kind="density", graph=g, k=3)
-        bench._classical_target(obj, budget, trials, seed=4)
+        classical_target(obj, budget, trials, seed=4)
         assert calls == {"runs": runs, "tables": tables}
 
     def test_simulated_run_seeds_are_no_pool_seeds(self, monkeypatch):

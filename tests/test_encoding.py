@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,18 @@ class TestGraph:
         assert got.shape == (4, 3, 3)
         for row, sub in zip(rows, got):
             assert np.array_equal(sub, g.adjacency[np.ix_(row, row)])
+
+    @pytest.mark.parametrize("rows", [
+        np.array(list(itertools.combinations(range(16), 6))),
+        np.random.default_rng(3).permuted(np.tile(np.arange(16), (50, 1)), axis=1)[:, :7],
+        np.empty((0, 3), dtype=np.intp),
+    ], ids=["table", "unsorted", "empty"])
+    def test_gather_is_the_two_index_gather(self, rows):
+        g = random_complex_graph(16, seed=29)
+        got = g.gather(rows.astype(np.intp))
+        want = g.adjacency[rows[:, :, None], rows[:, None, :]]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_checked_subsets_keep_rows_and_sort_a_copy(self):
         g = random_complex_graph(9, seed=4)
@@ -187,6 +201,24 @@ class TestChooseScale:
         g = planted_clique_graph(16, 6, 0.2, seed=1)
         assert choose_scale(g, 4.0) == pytest.approx(0.1642854711448079, rel=1e-12)
         assert len(calls) == 1
+
+    def test_graph_is_factorized_once_for_scale_and_encoding(self, monkeypatch):
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(1)
+            return takagi(a, *args, **kwargs)
+
+        monkeypatch.setattr("gbskit.encoding.takagi", counting)
+        g = planted_clique_graph(16, 6, 0.2, seed=1)
+        dev = encode_graph(g, choose_scale(g, 4.0))
+        encode_graph(g, 0.1)
+        assert len(calls) == 1
+        # the factorization the devices share cannot be written through them
+        with pytest.raises(ValueError):
+            dev.interferometer[0, 0] = 0
+        choose_scale(planted_clique_graph(16, 6, 0.2, seed=1), 4.0)
+        assert len(calls) == 2
 
     def test_builds_no_state(self, monkeypatch):
         built = []

@@ -627,6 +627,39 @@ class TestCappedPaths:
         assert 0.0 < probs.sum() <= 1.0
 
 
+class TestSubsetTransform:
+    @staticmethod
+    def yates_loop(dist):
+        """The loop `_subset_transform` replaced: every pass on a view."""
+        for i in range(dist.size.bit_length() - 1):
+            pairs = dist.reshape(-1, 2, 1 << i)
+            pairs[:, 1] -= pairs[:, 0]
+        return dist
+
+    @pytest.mark.parametrize("m", range(1, 19))
+    def test_matches_the_view_loop_bytes(self, m):
+        rng = np.random.default_rng(m)
+        dist = rng.random(1 << m) * 10.0 ** rng.integers(-12, 1, 1 << m)
+        want = self.yates_loop(dist.copy())
+        got = gaussian._subset_transform(dist)
+        assert got is dist and got.tobytes() == want.tobytes()
+
+    def test_distribution_paths_use_it(self, monkeypatch):
+        calls = []
+        transform = gaussian._subset_transform
+
+        def counted(dist):
+            calls.append(dist.size)
+            return transform(dist)
+
+        state = capped_case("random", "thermal")[0]
+        monkeypatch.setattr(gaussian, "_subset_transform", counted)
+        gaussian.pattern_distribution(state)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: False)
+        gaussian._capped_distribution(state, 3)
+        assert calls == [1 << state.modes] * 2
+
+
 class TestUncappedBitsPinned:
     @pytest.mark.parametrize("noise", ["lossless", "thermal", "lossy"])
     @pytest.mark.parametrize("name", CAPPED_GRAPHS)

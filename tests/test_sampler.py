@@ -11,6 +11,8 @@ from gbskit.generators import random_complex_symmetric
 from gbskit.matfn import hafnian, torontonian
 from gbskit.sampler import (
     SamplePool,
+    _bits,
+    _clicked_modes,
     _prefix_marginals,
     load_pool,
     postselect,
@@ -419,6 +421,19 @@ class TestSamplePool:
     def test_subsets(self):
         pool = SamplePool(modes=4, samples=((1, 0, 1, 0), (0, 1, 0, 1)))
         assert pool.subsets(2).tolist() == [[0, 2], [1, 3]]
+
+    @pytest.mark.parametrize("masks", [
+        np.zeros(0, dtype=np.int64),
+        np.array([0b1000110000100101]),
+        gaussian._slice_masks(16, 6)[np.bitwise_count(gaussian._slice_masks(16, 6)) == 6],
+    ], ids=["empty", "one-row", "table"])
+    def test_decoder_is_nonzero_bytes(self, masks):
+        bits = _bits(masks, 16)
+        got, want = _clicked_modes(bits, 6), np.nonzero(bits)[1].reshape(len(bits), 6)
+        assert got.dtype == want.dtype == np.intp and got.shape == (len(masks), 6)
+        assert got.tobytes() == want.tobytes()
+        pool = SamplePool(modes=16, samples=bits)
+        assert pool.subsets(6).tobytes() == want.tobytes()
 
     def test_subsets_rejects_wrong_click_count(self):
         pool = SamplePool(modes=4, samples=((1, 0, 1, 0), (1, 1, 1, 0)))

@@ -424,6 +424,27 @@ class TestObjectiveValues:
         assert Objective("maxhaf", graph, k).values(rows).tobytes() == checked
         assert np.array([hafnian_sq_mod(graph, r) for r in rows]).tobytes() == checked
 
+    def test_density_moduli_are_python_abs_bits(self):
+        # libm's hypot, as Python's abs, over moduli from 1e-200 to 1e200
+        rng = np.random.default_rng(5)
+        scale = 10.0 ** rng.integers(-200, 201, (2, 100_000))
+        re, im = rng.standard_normal((2, 100_000)) * scale
+        want = np.array([abs(complex(x, y)) for x, y in zip(re.tolist(), im.tolist())])
+        assert np.hypot(re, im).tobytes() == want.tobytes()
+        g = random_complex_graph(16, seed=29)
+        rows = np.array(list(combinations(range(16), 6)))
+        sums = g.subgraphs(rows).reshape(len(rows), 36).sum(axis=1).tolist()
+        got = Objective("density", g, 6).values(rows)
+        assert got.tobytes() == np.array([abs(z) for z in sums]).tobytes()
+
+    def test_density_modulus_overflow_raises_as_abs_does(self):
+        # each 3-subset sums to 1.35e308 (1 + i), finite, whose modulus is not
+        g = Graph(n=6, adjacency=np.full((6, 6), 1.5e307 * (1 + 1j)))
+        with pytest.raises(OverflowError):
+            abs(complex(1.35e308, 1.35e308))
+        with pytest.raises(OverflowError):
+            Objective("density", g, 3).values([[0, 1, 2]])
+
     def test_values_each_distinct_subset_once(self, monkeypatch):
         g = random_complex_graph(8, seed=1)
         stacks = []

@@ -1,5 +1,6 @@
-"""Run the README walkthrough and two small bench studies through the CLI,
-then print `sha256  file` for every output, one line each, sorted by name.
+"""Run the README walkthrough, two small bench studies and two small noise
+sweeps on a 16-vertex complex graph through the CLI, then print
+`sha256  file` for every output, one line each, sorted by name.
 
 Usage: python tests/walkthrough_hashes.py OUTDIR
 
@@ -52,6 +53,14 @@ def walkthrough() -> None:
         "graph": graph, "objective": "maxhaf", "k_values": [4, 6],
         "steps": 100, "trials": 5, "seed": 12, "pool_size": 2000})
     bench("correlate", "correlate", {"n_matrices": 30, "seed": 11})
+    # non-integer densities and |Haf|^2 values, each read from the sweep's table
+    run("gen", "--kind", "random-complex", "--n", 16, "--seed", 29,
+        "--out", "complex.json")
+    for objective in ("density", "maxhaf"):
+        bench("noise-sweep", f"sweep-{objective}", {
+            "graph": "complex.json", "k": 6, "eta_grid": [1.0, 0.75],
+            "epsilon_grid": [0.0, 0.25], "trials": 100, "seed": 29,
+            "pool_size": 3000, "objective": objective, "mean_clicks": 4.0})
 
 
 if __name__ == "__main__":
