@@ -55,12 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="planted clique size (planted-clique)")
     p.add_argument("--noise-prob", type=float, default=0.1,
                    help="background edge probability (planted-clique)")
+    p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("encode", help="encode a graph into device parameters")
     p.add_argument("graph")
     p.add_argument("--mean-clicks", type=float, default=None)
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=_cmd_encode)
 
     p = sub.add_parser("sample", help="sample click patterns from a device")
     p.add_argument("device")
@@ -69,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--seed", type=_int_from(0), required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("solve", help="run a solver on a graph instance")
     p.add_argument("graph")
@@ -83,17 +86,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jump-prob", type=float, default=0.0)
     p.add_argument("--out", required=True,
                    help="trace CSV path; JSON summary goes next to it")
+    p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("bench", help="run a benchmark study from a config file")
-    p.add_argument("subcommand", choices=["correlate", "advantage", "noise-sweep"])
+    p.add_argument("subcommand", choices=list(_STUDIES))
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output report directory")
+    p.set_defaults(handler=_cmd_bench)
     return parser
 
 
 # -- command implementations --------------------------------------------------
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     if args.kind == "random-complex":
         g = generators.random_complex_graph(args.n, args.seed)
     elif args.kind == "zero-one":
@@ -105,20 +110,18 @@ def _cmd_gen(args) -> int:
             args.n, args.clique_size, args.noise_prob, args.seed
         )
     files.save_graph(g, args.out)
-    return 0
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> None:
     if (args.mean_clicks is None) == (args.scale is None):
         raise ValidationError("specify exactly one of --mean-clicks or --scale")
     g = files.load_graph(args.graph)
     c = args.scale if args.scale is not None else choose_scale(g, args.mean_clicks)
     dev = encode_graph(g, c)
     files.save_device(dev, args.out)
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     dev = files.load_device(args.device)
     state = dev.build_state()
     # a channel is skipped only at its identity value, so bad values reach its check
@@ -137,10 +140,9 @@ def _cmd_sample(args) -> int:
         },
     )
     sampler.save_pool(pool, args.out)
-    return 0
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     g = files.load_graph(args.graph)
     obj = Objective(kind=args.objective, graph=g, k=args.k)
     params = {
@@ -174,7 +176,6 @@ def _cmd_solve(args) -> int:
         )
         params.update({"t0": args.t0, "alpha": args.alpha, "jump_prob": args.jump_prob})
     files.save_trace(trace, args.out, os.path.splitext(args.out)[0] + ".json", params)
-    return 0
 
 
 # Each bench study: its `bench` function, its `files` writer and output file
@@ -246,7 +247,7 @@ def _parse_config(cfg: dict, fields) -> dict:
     return parsed
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> None:
     study, writer, stem, fields = _STUDIES[args.subcommand]
     parameters = _parse_config(files.load_json(args.config), fields)
     kwargs = dict(parameters)
@@ -266,24 +267,19 @@ def _cmd_bench(args) -> int:
         command=f"bench {args.subcommand}",
         parameters=parameters,
     )
-    return 0
+
+
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "encode": _cmd_encode,
-        "sample": _cmd_sample,
-        "solve": _cmd_solve,
-        "bench": _cmd_bench,
-    }
+    args = _PARSER.parse_args(argv)
     try:
-        return handlers[args.command](args)
+        args.handler(args)
     except (GbskitError, OSError) as exc:
         print(f"gbskit: error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, GbskitError) else 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -187,12 +187,31 @@ def save_pool(pool: SamplePool, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n" + body.tobytes().decode("ascii"))
 
 
+# Each pool-file header: how its value parses, its type, and the refusal otherwise.
+_HEADERS = {
+    "provenance": (json.loads, dict, "provenance header is not a JSON object"),
+    "seed": (int, int, "seed header is not an integer"),
+    "modes": (int, int, "malformed mode count in header"),
+}
+
+
+def _header_value(path, lineno: int, name: str, text: str):
+    """`text` parsed by header `name`'s rule, or refused at `path:lineno`."""
+    parse, kind, refusal = _HEADERS[name]
+    try:
+        value = parse(text)
+    except ValueError:  # json.JSONDecodeError is one
+        value = None
+    if not isinstance(value, kind):
+        raise ValidationError(f"{path}:{lineno}: {refusal}")
+    return value
+
+
 def load_pool(path) -> SamplePool:
     """Read a sample file: 'modes=M' header, one 0/1 string per line,
     '#' lines ignored except provenance/seed comments, which are restored
     and must parse."""
-    provenance: dict = {}
-    seed = None
+    comments = {"provenance": {}, "seed": None}  # pool fields kept in '#' headers
     modes = None
     patterns = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -201,50 +220,29 @@ def load_pool(path) -> SamplePool:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("provenance:"):
-                    try:
-                        provenance = json.loads(body[len("provenance:"):])
-                    except json.JSONDecodeError:
-                        provenance = None
-                    if not isinstance(provenance, dict):
-                        raise ValidationError(
-                            f"{path}:{lineno}: provenance header is not a JSON object"
-                        )
-                elif body.startswith("seed:"):
-                    try:
-                        seed = int(body[len("seed:"):])
-                    except ValueError:
-                        raise ValidationError(
-                            f"{path}:{lineno}: seed header is not an integer"
-                        ) from None
-                continue
-            if modes is None:
+                name, colon, text = line[1:].lstrip().partition(":")
+                if colon and name in comments:
+                    comments[name] = _header_value(path, lineno, name, text)
+            elif modes is None:
                 if not line.startswith("modes="):
                     raise ValidationError(
                         f"{path}:{lineno}: expected 'modes=M' header, got {line!r}"
                     )
-                try:
-                    modes = int(line[len("modes="):])
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{lineno}: malformed mode count in header"
-                    ) from None
+                modes = _header_value(path, lineno, "modes", line[len("modes="):])
                 if modes <= 0:
                     raise ValidationError(f"{path}:{lineno}: modes must be positive")
-                continue
-            if len(line) != modes or line.strip("01"):
+            elif len(line) != modes or line.strip("01"):
                 raise ValidationError(
                     f"{path}:{lineno}: expected a {modes}-character 0/1 pattern, "
                     f"got {line!r}"
                 )
-            patterns.append(line)
+            else:
+                patterns.append(line)
     if modes is None:
         raise ValidationError(f"{path}: missing 'modes=M' header")
     digits = np.frombuffer("".join(patterns).encode("ascii"), dtype=np.uint8)
     return SamplePool(
         modes=modes,
         samples=digits.reshape(-1, modes) - ord("0"),
-        provenance=provenance,
-        seed=seed,
+        **comments,
     )

@@ -151,6 +151,11 @@ class TestSpeedAdvantage:
         with pytest.raises(ValidationError):
             bench.speed_advantage([make_trace([1.0])], [], budget=1)
 
+    def test_rejects_unequal_lengths(self):
+        traces = [make_trace([1.0]), make_trace([2.0])]
+        with pytest.raises(ValidationError, match="requires paired trace sets"):
+            bench.speed_advantage(traces, traces[:1], budget=1)
+
 
 class TestGeometricFit:
     def test_immediate_success(self):
@@ -175,6 +180,14 @@ class TestGeometricFit:
     def test_rejects_below_one(self):
         with pytest.raises(ValidationError):
             bench.geometric_fit([0, 2])
+
+    def test_rejects_zero_p_hat(self):
+        with pytest.raises(ValidationError, match=r"p_hat must lie in \(0, 1\]"):
+            bench.GeometricFit(p_hat=0.0, n_trials=3, ci95=(0.0, 0.1))
+
+    def test_rejects_interval_missing_p_hat(self):
+        with pytest.raises(ValidationError, match="interval must contain p_hat"):
+            bench.GeometricFit(p_hat=0.5, n_trials=3, ci95=(0.6, 0.9))
 
 
 class TestResampledPoolSource:
@@ -601,6 +614,13 @@ class TestClassicalTarget:
 
 
 class TestAdvantageStudy:
+    def test_rejects_pool_without_k_clicks(self):
+        g = zero_one_graph(4, 0.6, seed=2)
+        pool = SamplePool(modes=4, samples=((1, 1, 1, 0), (0, 0, 0, 0)))
+        with pytest.raises(ValidationError,
+                           match="no pool samples left after post-selecting to 2 clicks"):
+            bench.advantage_study(g, [2], steps=5, trials=1, seed=0, pool=pool)
+
     def test_rejects_non_integer_k(self):
         g = zero_one_graph(8, 0.6, seed=2)
         with pytest.raises(ValidationError, match="k must be an integer"):

@@ -1,10 +1,12 @@
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from gbskit import bench, files, sampler
+from gbskit import bench, cli, files, sampler
 from gbskit.cli import main
 from gbskit.encoding import DeviceParams, encode_graph
 from gbskit.sampler import load_pool
@@ -167,6 +169,20 @@ class TestSolve:
         assert summary["best_value"] == pytest.approx(12.0)
         first = out.read_text().splitlines()[1]
         assert first.startswith("1,") and float(first.split(",")[1]) == 12.0
+
+    def test_pool_of_other_size_exits_2(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        assert run("gen", "--kind", "zero-one", "--n", 8, "--seed", 0,
+                   "--out", graph) == 0
+        pool = tmp_path / "pool.txt"
+        pool.write_text("modes=6\n110000\n")
+        out = tmp_path / "trace.csv"
+        assert run("solve", graph, "--objective", "density", "--k", 2,
+                   "--algo", "rs", "--pool", pool, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "gbskit: error: pool pattern length 6 does not match graph size 8\n"
+        )
+        assert not out.exists()
 
     def test_odd_k_maxhaf_exits_2(self, k6_graph, tmp_path):
         assert run("solve", k6_graph, "--objective", "maxhaf", "--k", 3,
@@ -429,3 +445,71 @@ class TestWrongFieldTypes:
         assert run("sample", dev, "--count", 5, "--seed", 0,
                    "--out", tmp_path / "pool.txt") == 2
         assert "scale" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_commands_dispatch_in_one_process(self, tmp_path):
+        graph, dev = tmp_path / "g.json", tmp_path / "dev.json"
+        assert run("gen", "--kind", "zero-one", "--n", 4, "--seed", 0,
+                   "--out", graph) == 0
+        assert run("encode", graph, "--scale", 0.1, "--out", dev) == 0
+        assert files.load_graph(graph).n == 4
+        assert files.load_device(dev).squeezing.shape == (4,)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.json", "g.json"]
+
+    def test_main_reuses_one_parser(self, k6_graph, tmp_path, monkeypatch):
+        def rebuild():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "_build_parser", rebuild)
+        assert run("encode", k6_graph, "--scale", 0.1, "--out", tmp_path / "d.json") == 0
+
+    def test_bench_help_lists_studies(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--help"])
+        assert exc.value.code == 0
+        choices = re.findall(r"\{(.*?)\}", capsys.readouterr().out)
+        assert choices and all(c.split(",") == list(cli._STUDIES) for c in choices)
+
+    def test_unknown_study_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("bench", "nope", "--config", tmp_path / "c.json", "--out", tmp_path / "r")
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
+
+
+class TestStudyFields:
+    """`_STUDIES` restates each study's parameters and some of its defaults."""
+
+    @pytest.mark.parametrize("study", list(cli._STUDIES))
+    def test_fields_are_the_study_parameters(self, study):
+        function, writer, _, fields = cli._STUDIES[study]
+        params = inspect.signature(getattr(bench, function)).parameters
+        assert sorted(name for name, _, _ in fields) == sorted(params)
+        assert callable(getattr(files, writer))
+
+    @pytest.mark.parametrize("study, shared", [
+        ("correlate", ["mode_count"]),
+        ("advantage", ["objective", "pool", "pool_size"]),
+        ("noise-sweep", ["pool_size", "budget", "classical_budget", "classical_trials",
+                         "objective", "mean_clicks"]),
+    ])
+    def test_shared_defaults_agree(self, study, shared):
+        function, _, _, fields = cli._STUDIES[study]
+        params = inspect.signature(getattr(bench, function)).parameters
+        stated = []
+        for name, _, default in fields:
+            own = params[name].default
+            if default is cli._REQUIRED:
+                assert own is inspect.Parameter.empty, name
+            elif own is not inspect.Parameter.empty:
+                assert default == own, name
+                stated.append(name)
+        assert stated == shared

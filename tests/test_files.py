@@ -69,6 +69,17 @@ class TestDeviceIO:
         assert np.allclose(loaded.interferometer, dev.interferometer, atol=1e-15)
         assert loaded.scale == dev.scale
 
+    def test_missing_field_rejected(self, tmp_path):
+        dev = encode_graph(random_complex_graph(2, seed=2), 0.1)
+        path = tmp_path / "dev.json"
+        files.save_device(dev, path)
+        data = json.loads(path.read_text())
+        del data["interferometer_im"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError,
+                           match="device file missing field 'interferometer_im'"):
+            files.load_device(path)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "dev.json"
         path.write_text(json.dumps({

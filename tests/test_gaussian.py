@@ -83,6 +83,10 @@ class TestStateFromDevice:
         with pytest.raises(ValidationError):
             state_from_device([-0.1], [[1.0]])
 
+    def test_rejects_size_mismatch(self):
+        with pytest.raises(ValidationError, match="interferometer size mismatch"):
+            state_from_device([0.1, 0.2], np.eye(3))
+
 
 class TestSamplingMatrix:
     def test_vacuum_gives_zero(self):
@@ -123,6 +127,12 @@ class TestLoss:
         r, u = random_device(3, 5)
         state = state_from_device(r, u)
         assert np.allclose(apply_loss(state, 1.0).husimi, state.husimi)
+
+    @pytest.mark.parametrize("eta", [[1.0, 0.5], [[1.0, 1.0, 1.0]]])
+    def test_rejects_eta_of_wrong_shape(self, eta):
+        state = state_from_device(*random_device(3, 5))
+        with pytest.raises(ValidationError, match="eta must be a scalar or one value"):
+            apply_loss(state, eta)
 
     def test_eta_zero_gives_vacuum(self):
         r, u = random_device(3, 5)
@@ -710,6 +720,11 @@ class TestReduce:
 
 
 class TestStateValidation:
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValidationError,
+                           match=r"husimi matrix shape \(2, 2\) does not match 2 modes"):
+            GaussianState(modes=2, husimi=np.eye(2))
+
     def test_rejects_non_hermitian(self):
         bad = np.eye(2, dtype=complex)
         bad[0, 1] = 1.0

@@ -5,7 +5,7 @@ import pytest
 
 from gbskit.encoding import Graph
 from gbskit.errors import ValidationError
-from gbskit.linalg import inverse, symmetrized, takagi
+from gbskit.linalg import as_matrix, inverse, symmetrized, takagi
 from gbskit.matfn import hafnian, hafnians
 
 from oracles import takagi_product
@@ -42,8 +42,20 @@ class TestInverse:
         with pytest.raises(ValidationError):
             inverse([[np.nan, 0], [0, 1]])
 
+    def test_rejects_vector(self):
+        with pytest.raises(ValidationError, match="expected a 2-D matrix, got ndim=1"):
+            as_matrix([1.0, 2.0])
+
+    def test_empty_matrix(self):
+        out = inverse(np.zeros((0, 0)))
+        assert out.shape == (0, 0) and out.dtype == np.complex128
+
 
 class TestTakagi:
+    def test_empty_matrix(self):
+        f = takagi(np.zeros((0, 0)))
+        assert f.unitary.shape == (0, 0) and f.values.shape == (0,)
+
     def test_real_diagonal(self):
         f = takagi(np.diag([4.0, 1.0]))
         assert np.allclose(f.values, [4.0, 1.0])

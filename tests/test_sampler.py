@@ -378,6 +378,65 @@ class TestPoolIO:
         with pytest.raises(ValidationError):
             load_pool(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("modes=x\n10\n", r"bad\.txt:1: malformed mode count in header$"),
+            ("# seed: 1\nmodes=1.5\n", r"bad\.txt:2: malformed mode count in header$"),
+            ("modes=0\n", r"bad\.txt:1: modes must be positive$"),
+            ("modes=-2\n", r"bad\.txt:1: modes must be positive$"),
+            ("# provenance: [1]\nmodes=2\n",
+             r"bad\.txt:1: provenance header is not a JSON object$"),
+            ("# provenance: 3\nmodes=2\n",
+             r"bad\.txt:1: provenance header is not a JSON object$"),
+            # a JSON number too long for int() fails as a ValueError, not a JSONDecodeError
+            pytest.param(f'# provenance: {{"n": {"1" * 5000}}}\nmodes=2\n',
+                         r"bad\.txt:1: provenance header is not a JSON object$",
+                         id="provenance-int-too-long"),
+            ("modes=2\n# seed:\n", r"bad\.txt:2: seed header is not an integer$"),
+            ("modes=2\n# seed: 2.0\n", r"bad\.txt:2: seed header is not an integer$"),
+            ("mode=2\n", r"bad\.txt:1: expected 'modes=M' header, got 'mode=2'$"),
+            ("modes\n", r"bad\.txt:1: expected 'modes=M' header, got 'modes'$"),
+        ],
+    )
+    def test_header_refusals_name_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            load_pool(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.txt"
+        path.write_text("\n# seed: 4\n\nmodes=2\n10\n\n  \n01\n\n")
+        pool = load_pool(path)
+        assert pool.samples.tolist() == [[1, 0], [0, 1]]
+        assert pool.seed == 4
+
+    def test_header_comments_by_name_and_colon(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text(
+            "#provenance:{\"kind\": \"x\"}\n"
+            "#   seed:  5 \n"
+            "# provenance\n"  # no colon: a plain comment
+            "# seed : 6\n"  # not the seed header
+            "# modes: 9\n"  # not a comment header
+            "# note: 7\n"
+            "modes=2\n11\n"
+        )
+        pool = load_pool(path)
+        assert (pool.provenance, pool.seed, pool.modes) == ({"kind": "x"}, 5, 2)
+
+    def test_later_header_wins(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("# seed: 1\n# seed: 2\nmodes=1\n# seed: 3\n1\n")
+        assert load_pool(path).seed == 3
+
+    def test_missing_comment_headers_default(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("modes=1\n1\n")
+        pool = load_pool(path)
+        assert (pool.provenance, pool.seed) == ({}, None)
+
 
 class TestSamplePool:
     def test_rejects_wrong_length_pattern(self):
@@ -417,6 +476,10 @@ class TestSamplePool:
 
     def test_empty_pool_has_mode_columns(self):
         assert SamplePool(modes=4, samples=()).samples.shape == (0, 4)
+
+    def test_rejects_array_of_wrong_rank(self):
+        with pytest.raises(ValidationError, match=r"patterns do not form an \(N, 3\) array"):
+            SamplePool(modes=3, samples=np.zeros((2, 3, 1)))
 
     def test_subsets(self):
         pool = SamplePool(modes=4, samples=((1, 0, 1, 0), (0, 1, 0, 1)))

@@ -178,6 +178,8 @@ class TestSimulatedAnnealing:
     def test_schedule_validation(self):
         obj = Objective(kind="density", graph=complete_graph(4), k=2)
         src = ProposalSource(kind="uniform")
+        with pytest.raises(ValidationError, match="steps must be >= 1"):
+            simulated_annealing(obj, src, 0)
         with pytest.raises(ValidationError):
             simulated_annealing(obj, src, 10, t0=0.0)
         with pytest.raises(ValidationError):

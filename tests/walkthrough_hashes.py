@@ -1,6 +1,9 @@
 """Run the README walkthrough, two small bench studies and two small noise
 sweeps on a 16-vertex complex graph through the CLI, then print
-`sha256  file` for every output, one line each, sorted by name.
+`sha256  file` for every output, one line each, sorted by name. Then print
+one line per CLI text output (help, version and usage errors):
+`sha256(stdout)  sha256(stderr)  exit=CODE  gbskit ARGS`, with help wrapped
+at 80 columns.
 
 Usage: python tests/walkthrough_hashes.py OUTDIR
 
@@ -11,7 +14,9 @@ checkouts and diffing the printed lines shows which output bytes a change
 moved. pytest does not collect it (its name does not start with `test_`).
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -63,6 +68,28 @@ def walkthrough() -> None:
             "pool_size": 3000, "objective": objective, "mean_clicks": 4.0})
 
 
+# argument lists whose output is text only: help, version and usage errors
+CLI_TEXT = [
+    ["--help"],
+    *([command, "--help"] for command in ("gen", "encode", "sample", "solve", "bench")),
+    ["bench", "nope", "--config", "c.json", "--out", "o"],
+    ["--version"],
+    [],
+]
+
+
+def cli_text(argv) -> str:
+    """Hashes of what `main(argv)` prints on stdout and stderr, and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    digests = (hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
+    return f"{'  '.join(digests)}  exit={code}  gbskit {' '.join(argv)}".rstrip()
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
@@ -73,3 +100,6 @@ if __name__ == "__main__":
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
+    for argv in CLI_TEXT:
+        print(cli_text(argv))
