@@ -60,9 +60,10 @@ __all__ = [
 
 # the click distribution holds 2^M float64 values: 128 MB at this many modes
 MAX_TABLE_MODES = 24
-# values per stack of Schur complements handled in one numpy call, half that
-# without a cap (raw, one BLAS thread, at 2^15/2^16/2^17: 16 modes at k = 6 took
-# 4.6/3.9/3.7 ms; uncapped, 13.0/10.7/12.0 ms with 1.6/2.3/3.4 MB numpy peak)
+# values per stack of Schur complements handled in one numpy call (raw, one BLAS
+# thread, at 2^15/2^16/2^17: 16 modes at k = 6 took 4.6/3.9/3.7 ms, uncapped
+# 13.0/10.7/12.0 ms; at 2^15/2^16 a 3000-draw 20-mode `sampler.sample` took
+# 121.2/111.2 ms, its kernel's traced peak 11.8/14.4 MB)
 _CHUNK = 1 << 16
 
 _HERM_TOL = 1e-10
@@ -271,17 +272,16 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
     every value keeps its bits. Its single-mode blocks (at a cap of 0 too)
     are checked before its pairs, once the item's own steps have passed
     their checks. Every row left in a stack grows. Stacks of more than
-    `_CHUNK` values (half that without a cap, where a stack doubles each
-    step) are split along their rows first. The values are held at the ~W
-    of a 2^M vector, every other index 0, or with `slots`, the ascending
-    masks of at most k modes, at the ~W's slot there."""
+    `_CHUNK` values are split along their rows first. The values are held
+    at the ~W of a 2^M vector, every other index 0, or with `slots`, the
+    ascending masks of at most k modes, at the ~W's slot there."""
     m = len(sq) // 2
     w = _quadrature_basis(m)
     v = (w @ sq @ w.conj().T / 2.0).real
     if cap is None:
-        cap, start, det, flip, chunk = m + 1, v, 1.0, (1 << m) - 1, _CHUNK // 2
+        cap, start, det, flip = m + 1, v, 1.0, (1 << m) - 1
     else:
-        start, det, flip, chunk = inverse(v).real, np.linalg.det(v), 0, _CHUNK
+        start, det, flip = inverse(v).real, np.linalg.det(v), 0
     # 1 / sqrt(inf) leaves 0 at every index no row reaches
     out = np.full(1 << m, np.inf) if slots is None else np.empty(slots.size)
 
@@ -322,7 +322,7 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
     while work:
         stack, dets, masks = work.pop()
         leaves = []
-        while cap > 2 and len(stack) > 4 and (stack.size <= chunk or len(dets) == 1):
+        while cap > 2 and len(stack) > 4 and (stack.size <= _CHUNK or len(dets) == 1):
             a, b, c = stack[0, 0], stack[0, 1], stack[1, 1]
             pivot, grown = a * c - b * b, masks | 1 << (m - len(stack) // 2)
             check(a, pivot, grown)

@@ -7,7 +7,8 @@ explicit cost caps.
 Hafnians pick their algorithm by size: up to `_MATCHING_MAX_DIM` they sum
 over every perfect matching read from a fixed index table, above it they
 run Bjorklund's division-free recursion. Both only add and multiply, so
-0/1 graphs get exact matching counts.
+0/1 graphs get exact matching counts; the recursion, which scales a row
+that would overflow, redoes a matching-table row that overflowed.
 """
 
 from __future__ import annotations
@@ -134,18 +135,23 @@ def _matching_chunk(a: np.ndarray) -> np.ndarray:
     as sums over its perfect matchings. Each matching's n / 2 factors are
     multiplied in pair order with real and imaginary parts formed by
     separate operations, and the products summed one after another in table
-    order, so each row has the same bits whatever stack it is in."""
+    order, so each row has the same bits whatever stack it is in. A row
+    that overflows to NaN or inf is redone by `_recursion_chunk`."""
     count, n = a.shape[:2]
     table = _matching_table(n)
     flat = a.reshape(count, n * n)
     re, im = flat.real[:, table], flat.imag[:, table]  # (N, n / 2, P)
     pr, pi = re[:, 0], im[:, 0]
-    for k in range(1, n // 2):
-        xr, xi = re[:, k], im[:, k]
-        pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
     out = np.empty(count, dtype=np.complex128)
-    out.real = np.add.accumulate(pr, axis=1)[:, -1]
-    out.imag = np.add.accumulate(pi, axis=1)[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # seen in the result
+        for k in range(1, n // 2):
+            xr, xi = re[:, k], im[:, k]
+            pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
+        out.real = np.add.accumulate(pr, axis=1)[:, -1]
+        out.imag = np.add.accumulate(pi, axis=1)[:, -1]
+    redo = np.flatnonzero(~np.isfinite(out))
+    if redo.size:
+        out[redo] = _recursion_chunk(a[redo])
     return out
 
 
@@ -184,12 +190,13 @@ def hafnians(stack) -> np.ndarray:
     Bjorklund's division-free recursion runs on polynomials in x, under
     1.5 n^2 2^(n/2) coefficient products per row, vectorized over a chunk of
     rows and their branch states. Both only add and multiply, so integer
-    matrices get exact hafnians while partial values stay below 2^53. In
-    the recursion a row with an entry part of 2^960 or more is scaled by a
-    power of two and its hafnian scaled back, and a row that still
-    overflows is redone with each vertex's row and column scaled by its own
-    power of two, exact unless a scaled product underflows: pair entries
-    2^1000, 2^200 and 2^-300 give exactly 2^900. Each row gives the same
+    matrices get exact hafnians while partial values stay below 2^53. A
+    matching-table row that overflows is redone by the recursion. There a
+    row with an entry part of 2^960 or more is scaled by a power of two and
+    its hafnian scaled back, and a row that still overflows is redone with
+    each vertex's row and column scaled by its own power of two, exact
+    unless a scaled product underflows: pair entries 2^1000, 2^200 and
+    2^-300 give exactly 2^900 at any even n from 6. Each row gives the same
     bits whatever stack it is in. The diagonal never enters a perfect
     matching and is ignored. Every input is checked here: shape, finiteness
     and symmetry, then dimension and cost cap.

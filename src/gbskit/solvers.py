@@ -18,6 +18,11 @@ trace independent of the chunk size.
   floor(u (n - k)) into the sorted complement, and the acceptance uniform,
   compared with libm's exp(-(current - proposed) / T).
 
+Pool proposals are the pool's P clicked subsets in order, back to the first
+after the last: row i mod P at random search's step i (from 0), and row 0 as
+annealing's start, then the next row at each jump. `RunTrace.pool_wrapped`
+is whether a run took row P - 1.
+
 Every stream since 2 keeps the searchers' stream above and changes only
 bench's draws; the README's "Determinism and cost guards" section has their
 history.
@@ -192,25 +197,8 @@ class RunTrace:
         return int(hits[0]) + 1 if hits.size else None
 
 
-class _PoolCursor:
-    """Sequential pool consumption with wrap-around."""
-
-    def __init__(self, pool: SamplePool, k: int):
-        self._subsets = pool.subsets(k)
-        self._pos = 0
-        self.wrapped = False
-
-    def take(self, count: int) -> np.ndarray:
-        """The next `count` subsets as a (count, k) array; `wrapped` is set
-        as `count` takes of one subset would set it."""
-        size = len(self._subsets)
-        rows = self._subsets[(self._pos + np.arange(count)) % size]
-        self.wrapped = self.wrapped or self._pos + count >= size
-        self._pos = (self._pos + count) % size
-        return rows
-
-
-def _check_pool(obj: Objective, source: ProposalSource) -> _PoolCursor | None:
+def _pool_subsets(obj: Objective, source: ProposalSource) -> np.ndarray | None:
+    """The pool's (P, k) subset array, or None for uniform proposals."""
     if source.kind != "pool":
         return None
     if source.pool.modes != obj.graph.n:
@@ -218,7 +206,7 @@ def _check_pool(obj: Objective, source: ProposalSource) -> _PoolCursor | None:
             f"pool mode count {source.pool.modes} does not match graph size "
             f"{obj.graph.n}"
         )
-    return _PoolCursor(source.pool, obj.k)
+    return source.pool.subsets(obj.k)
 
 
 def _uniform_subsets(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
@@ -248,7 +236,7 @@ def random_search(
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    cursor = _check_pool(obj, source)
+    pool = _pool_subsets(obj, source)
     rng = np.random.default_rng(seed)
     n, k = obj.graph.n, obj.k
     best_values = np.empty(steps)
@@ -256,7 +244,8 @@ def random_search(
     best_sub: tuple = ()
     for lo in range(0, steps, _CHUNK):
         count = min(_CHUNK, steps - lo)
-        props = cursor.take(count) if cursor else _uniform_subsets(rng, count, n, k)
+        props = (_uniform_subsets(rng, count, n, k) if pool is None
+                 else pool[np.arange(lo, lo + count) % len(pool)])
         vals = obj.values(props)
         # fmax skips NaN, as the comparison `v > best` of one step does
         run = np.fmax.accumulate(vals)
@@ -270,7 +259,7 @@ def random_search(
         best_subset=best_sub,
         steps_used=steps,
         seed=seed,
-        pool_wrapped=bool(cursor.wrapped) if cursor else False,
+        pool_wrapped=bool(pool is not None and steps >= len(pool)),
     )
 
 
@@ -299,8 +288,8 @@ def simulated_annealing(
         raise ValidationError("cooling factor alpha must lie in (0, 1)")
     if not 0.0 <= jump_prob < 1.0:
         raise ValidationError("jump probability must lie in [0, 1)")
-    cursor = _check_pool(obj, source)
-    if cursor is None:
+    pool = _pool_subsets(obj, source)
+    if pool is None:
         jump_prob = 0.0
     rng = np.random.default_rng(seed)
     n, k = obj.graph.n, obj.k
@@ -308,7 +297,8 @@ def simulated_annealing(
     entries = a.tolist()
     density = obj.kind == "density"
 
-    start = cursor.take(1) if cursor else _uniform_subsets(rng, 1, n, k)
+    start = _uniform_subsets(rng, 1, n, k) if pool is None else pool[:1]
+    taken = 1  # pool rows taken so far, the start included
     cur = tuple(start[0].tolist())
     if density:
         (r,), (total,) = _row_sums(a, start)
@@ -325,9 +315,10 @@ def simulated_annealing(
         ins = (draws[:, 1] * k).astype(int).tolist()
         outs = (draws[:, 2] * (n - k)).astype(int).tolist()
         accepts = draws[:, 3].tolist()
-        if cursor:
+        if pool is not None:
             # the chunk's pool jumps, in order, taken and summed at once
-            hops = cursor.take(jumps.count(True))
+            hops = pool[(taken + np.arange(jumps.count(True))) % len(pool)]
+            taken += len(hops)
             hop_subs = map(tuple, hops.tolist())
             hop_sums = zip(*_row_sums(a, hops)) if density else None
         for jump, i, j, acc in zip(jumps, ins, outs, accepts):
@@ -365,7 +356,7 @@ def simulated_annealing(
         best_subset=best_sub,
         steps_used=steps,
         seed=seed,
-        pool_wrapped=bool(cursor.wrapped) if cursor else False,
+        pool_wrapped=pool is not None and taken >= len(pool),
     )
 
 

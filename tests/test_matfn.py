@@ -77,6 +77,31 @@ class TestHafnian:
         both = hafnians(np.stack([a, ordinary]))
         assert both[1].tobytes() == np.complex128(hafnian(ordinary)).tobytes()
 
+    # one matching of pair entries 2^1000, 2^100 and 2^-300 and ones: the
+    # matching table's product overflows (6, 10), so its row is redone by
+    # the recursion, and is exact as the recursion's own row is (12)
+    @pytest.mark.parametrize("n", [6, 10, 12])
+    def test_matching_table_overflow_is_redone(self, n):
+        a = np.kron(np.eye(n // 2), [[0.0, 1.0], [1.0, 0.0]])
+        for i, w in enumerate([2.0 ** 1000, 2.0 ** 100, 2.0 ** -300]):
+            a[2 * i, 2 * i + 1] = a[2 * i + 1, 2 * i] = w
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hafnian(a) == 2.0 ** 800
+            # a redone row leaves the other rows of its stack alone
+            ordinary = random_symmetric(n, 3)
+            both = hafnians(np.stack([a, ordinary]))
+        assert both[0] == 2.0 ** 800
+        assert both[1].tobytes() == np.complex128(hafnian(ordinary)).tobytes()
+
+    # every pair 2^300: (n - 1)!! 2^(150 n) overflows at 10 as at 12, to an
+    # infinite real part and a zero imaginary part, not NaN
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_overflowing_hafnian_is_infinite_not_nan(self, n):
+        with np.errstate(over="ignore"):
+            h = hafnian(np.full((n, n), 2.0 ** 300))
+        assert h.real == np.inf and h.imag == 0.0
+
     # a01 = 2^1000 and a02 = a13 = 2^-80, the other pairs 1: the only perfect
     # matching gives 2^-160, and scaling vertices 0 and 1 by half of 2^1000
     # would take a02 a13 below float64's range

@@ -339,6 +339,35 @@ class TestMatchesStepwiseLoops:
         assert_same_trace(tr, ref)
         assert tr.pool_wrapped
 
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    def test_random_search_wraps_at_the_pool_size(self, kind):
+        # the flag is set by the step that takes the pool's last pattern
+        g, k = SEARCH_GRAPHS["complex"]
+        src = stepwise_sources(g.n, k, 3)["pool"]
+        size = len(src.pool)
+        for steps, wrapped in [(size - 1, False), (size, True), (size + 1, True)]:
+            for count in (steps, np.int64(steps)):
+                tr = random_search(Objective(kind, g, k), src, count, 8)
+                assert tr.pool_wrapped is wrapped
+            ref = stepwise_random_search(Objective(kind, g, k), src, steps, 8)
+            assert_same_trace(tr, ref)
+
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    def test_simulated_annealing_wraps_at_the_pool_size(self, kind):
+        # the start and 9 jumps take all 10 patterns: the flag turns at the
+        # step of the 9th jump, as in the stepwise loop
+        g, k = SEARCH_GRAPHS["complex"]
+        src = ProposalSource(kind="pool", pool=SamplePool(
+            modes=g.n, samples=stepwise_sources(g.n, k, 3)["pool"].pool.samples[:10]))
+        flags = []
+        for steps in range(1, 41):
+            args = (src, steps, 2.0, 0.99, 0.5, 6)
+            tr = simulated_annealing(Objective(kind, g, k), *args)
+            ref = stepwise_simulated_annealing(Objective(kind, g, k), *args)
+            assert_same_trace(tr, ref)
+            flags.append(tr.pool_wrapped)
+        assert flags == sorted(flags) and False in flags and True in flags
+
     @pytest.mark.parametrize("graph", sorted(SEARCH_GRAPHS))
     @pytest.mark.parametrize("kind", ["density", "maxhaf"])
     @pytest.mark.parametrize("source", ["uniform", "pool", "short-pool", "resampled"])

@@ -1,7 +1,8 @@
-"""Run the README walkthrough, two small bench studies and two small noise
-sweeps on a 16-vertex complex graph through the CLI, then print
-`sha256  file` for every output, one line each, sorted by name. Then print
-one line per CLI text output (help, version and usage errors):
+"""Run the README walkthrough with annealing and pool wrap-around solves,
+two small bench studies and two small noise sweeps on a 16-vertex complex
+graph through the CLI, then print `sha256  file` for every output, one line
+each, sorted by name. Then print one line per CLI text output (help,
+version and usage errors):
 `sha256(stdout)  sha256(stderr)  exit=CODE  gbskit ARGS`, with help wrapped
 at 80 columns.
 
@@ -51,6 +52,18 @@ def walkthrough() -> None:
     run(*solve, "--algo", "rs", "--steps", 1000, "--seed", 3,
         "--out", "trace-uniform.csv")
     run(*solve, "--algo", "greedy", "--out", "greedy.csv")
+    # annealing, pool-started and uniform
+    anneal = ("--algo", "sa", "--steps", 1000, "--seed", 3)
+    jumps = ("--pool", pool, "--jump-prob", 0.2)
+    run(*solve, *anneal, *jumps, "--out", "sa.csv")
+    run("solve", graph, "--objective", "maxhaf", "--k", 6, *anneal, *jumps,
+        "--out", "sa-maxhaf.csv")
+    run(*solve, *anneal, "--out", "sa-uniform.csv")
+    # the pool's 68 patterns of 14 clicks run out: both write "pool_wrapped": true
+    wrap = ("solve", graph, "--objective", "density", "--k", 14)
+    run(*wrap, "--algo", "rs", "--pool", pool, "--steps", 1000, "--seed", 3,
+        "--out", "rs-wrap.csv")
+    run(*wrap, *anneal, *jumps, "--out", "sa-wrap.csv")
     bench("noise-sweep", "sweep", {
         "graph": graph, "k": 6, "eta_grid": [1.0, 0.75, 0.5],
         "epsilon_grid": [0.0], "trials": 200, "seed": 42})
