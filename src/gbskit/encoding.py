@@ -97,7 +97,7 @@ def encode_graph(g: Graph, c: float) -> DeviceParams:
     """Encode adjacency Delta so the device sampling matrix equals c*Delta."""
     fac = g._takagi
     lam_max = fac.values[0] if fac.values.size else 0.0
-    if c <= 0 or (lam_max > 0 and c * lam_max >= 1.0):
+    if not 0 < c < np.inf or c * lam_max >= 1.0:
         raise ValidationError(
             f"scale must satisfy 0 < c < 1/lambda_max = "
             f"{np.inf if lam_max == 0 else 1.0 / lam_max:.6g}, got {c}"

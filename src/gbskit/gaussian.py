@@ -77,14 +77,16 @@ _PROB_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Immutable M-mode Gaussian state; `husimi` is validated on construction:
-    Hermitian, within the uncertainty bound, and real in the quadrature basis
-    (the bosonic block structure [[N, M], [M*, N*]])."""
+    """Immutable M-mode Gaussian state, M >= 1; `husimi` is validated on
+    construction: Hermitian, within the uncertainty bound, and real in the
+    quadrature basis (the bosonic block structure [[N, M], [M*, N*]])."""
 
     modes: int
     husimi: np.ndarray
 
     def __post_init__(self):
+        if self.modes < 1:
+            raise ValidationError(f"a state needs at least 1 mode, got {self.modes}")
         sq = as_matrix(self.husimi)
         if sq.shape != (2 * self.modes, 2 * self.modes):
             raise ValidationError(

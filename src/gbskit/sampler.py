@@ -3,10 +3,10 @@
 Sampling works mode by mode through the chain rule: the conditional click
 probability of mode k given a prefix outcome is a ratio of two marginal
 probabilities on the first k + 1 modes. All draws of a pool advance in
-lockstep, one mode at a time. Every marginal is read from one buffer of
-prefix marginals, each level summed from the halves of the level above it,
-starting from the state's whole click distribution
-(`gaussian.pattern_distribution`), so a mode costs one lookup per draw.
+lockstep, one mode at a time. Every marginal is read from one 2^M vector:
+the state's whole click distribution (`gaussian.pattern_distribution`), each
+level of prefix marginals summed from the halves of the level above it and
+folded into it in place, so a mode costs one lookup per draw.
 
 `sample_k_clicks` draws what post-selecting such a pool to k clicks keeps,
 without drawing the rest: a Binomial kept count, then i.i.d. k-click
@@ -86,15 +86,15 @@ def _pattern_array(samples, modes: int) -> np.ndarray:
     return rows
 
 
-def _prefix_marginals(dist: np.ndarray) -> list:
-    """levels[j][x] is the probability of outcome x on the modes below j; each
-    level sums the halves of the one above, all but `dist` in one buffer."""
-    buf = np.empty(dist.size)
-    levels = [dist]
+def _prefix_marginals(dist: np.ndarray) -> np.ndarray:
+    """`dist` with every prefix level folded into it, in place: level j, the
+    probability of each outcome on the modes below j, is the sum of the
+    halves of level j + 1, written over its upper half, so it ends at
+    `dist[-2^j:]`. Each lower half, all the chain rule reads, keeps its value."""
     for j in reversed(range(dist.size.bit_length() - 1)):
-        top = levels[-1]
-        levels.append(np.add(top[:1 << j], top[1 << j:], out=buf[1 << j:2 << j]))
-    return levels[::-1]
+        top = dist[dist.size - (2 << j):]
+        np.add(top[:1 << j], top[1 << j:], out=top[1 << j:])
+    return dist
 
 
 def sample(state: gaussian.GaussianState, count: int, seed: int) -> SamplePool:
@@ -106,12 +106,12 @@ def sample(state: gaussian.GaussianState, count: int, seed: int) -> SamplePool:
     """
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
-    levels = _prefix_marginals(gaussian.pattern_distribution(state))
+    dist = _prefix_marginals(gaussian.pattern_distribution(state))
     uniforms = np.random.default_rng(seed).random((count, state.modes))
     clicked = np.zeros(count, dtype=np.int64)
     p = np.ones(count)
     for k in range(state.modes):
-        p0 = levels[k + 1][clicked]
+        p0 = dist[dist.size - (2 << k) + clicked]
         click = uniforms[:, k] * p < p - p0
         clicked[click] |= 1 << k
         p = np.where(click, p - p0, p0)

@@ -282,8 +282,8 @@ def simulated_annealing(
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    if t0 <= 0:
-        raise ValidationError("initial temperature must be positive")
+    if not 0 < t0 < np.inf:
+        raise ValidationError("initial temperature must be positive and finite")
     if not 0.0 < alpha < 1.0:
         raise ValidationError("cooling factor alpha must lie in (0, 1)")
     if not 0.0 <= jump_prob < 1.0:

@@ -70,9 +70,12 @@ class TestEncode:
         assert run("encode", k6_graph, "--scale", 0.1, "--mean-clicks", 2.0,
                    "--out", tmp_path / "d.json") == 2
 
-    def test_bad_scale_exits_2(self, k6_graph, tmp_path):
-        assert run("encode", k6_graph, "--scale", 5.0,
-                   "--out", tmp_path / "d.json") == 2
+    @pytest.mark.parametrize("scale", [5.0, "nan", "inf"])
+    def test_bad_scale_exits_2(self, k6_graph, tmp_path, capsys, scale):
+        out = tmp_path / "d.json"
+        assert run("encode", k6_graph, "--scale", scale, "--out", out) == 2
+        assert "scale must satisfy" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSample:
@@ -195,6 +198,14 @@ class TestSolve:
         lines = out.read_text().splitlines()
         assert lines[0] == "step,best_value"
         assert len(lines) == 51
+
+    @pytest.mark.parametrize("t0", ["nan", "inf"])
+    def test_sa_non_finite_t0_exits_2(self, k6_graph, tmp_path, capsys, t0):
+        out = tmp_path / "trace.csv"
+        assert run("solve", k6_graph, "--objective", "density", "--k", 3,
+                   "--algo", "sa", "--t0", t0, "--out", out) == 2
+        assert "initial temperature must be positive" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "trace.json").exists()
 
 
 class TestBench:

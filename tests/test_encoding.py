@@ -169,6 +169,15 @@ class TestEncodeGraph:
         with pytest.raises(ValidationError):
             encode_graph(g, 0.0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("adjacency", [[[0, 1], [1, 0]], [[0, 0], [0, 0]]],
+                             ids=["edge", "zero"])
+    def test_rejects_non_finite_scale(self, adjacency, c):
+        # NaN fails every comparison, and inf * lambda_max is NaN on the zero
+        # graph
+        with pytest.raises(ValidationError, match="scale must satisfy"):
+            encode_graph(Graph(n=2, adjacency=adjacency), c)
+
     def test_squeezing_values(self):
         g = Graph(n=2, adjacency=[[0, 1], [1, 0]])
         dev = encode_graph(g, 0.5)

@@ -87,6 +87,10 @@ class TestStateFromDevice:
         with pytest.raises(ValidationError, match="interferometer size mismatch"):
             state_from_device([0.1, 0.2], np.eye(3))
 
+    def test_rejects_zero_modes(self):
+        with pytest.raises(ValidationError, match="at least 1 mode, got 0"):
+            state_from_device([], np.zeros((0, 0)))
+
 
 class TestSamplingMatrix:
     def test_vacuum_gives_zero(self):

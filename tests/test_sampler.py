@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ def random_state(m, seed, r_max=0.8):
     return gaussian.state_from_device(r, u)
 
 
-def noisy_state():
-    state = gaussian.apply_thermal(random_state(5, 12), 0.3)
+def noisy_state(m=5):
+    state = gaussian.apply_thermal(random_state(m, 12), 0.3)
     return gaussian.apply_loss(state, 0.7)
 
 
@@ -70,27 +71,49 @@ class TestSample:
         )
 
     def test_prefix_probabilities_match_torontonian(self):
-        # every prefix marginal the chain rule uses, against Tor(O_S)/sqrt(det)
-        # on the reduced state of the prefix modes
+        # every prefix marginal the chain rule reads, the lower half of each
+        # level j at dist[2^M - 2^j:], against Tor(O_S)/sqrt(det) on the
+        # reduced state of the prefix modes
         state = noisy_state()
-        levels = _prefix_marginals(gaussian.pattern_distribution(state))
-        assert len(levels) == 6 and levels[0].tolist() == [pytest.approx(1.0)]
-        for k in range(1, 6):
-            assert levels[k].shape == (1 << k,)
-            for clicked in range(1 << k):
-                assert levels[k][clicked] == pytest.approx(
-                    torontonian_prefix(state, k, clicked), abs=1e-12
+        dist = _prefix_marginals(gaussian.pattern_distribution(state))
+        assert dist[-1] == pytest.approx(1.0)
+        for j in range(1, 6):
+            for clicked in range(1 << j - 1):
+                assert dist[dist.size - (1 << j) + clicked] == pytest.approx(
+                    torontonian_prefix(state, j, clicked), abs=1e-12
                 )
 
-    def test_lockstep_draws_replay_torontonian_chain_rule(self):
+    def test_fold_allocates_no_second_vector(self):
+        dist = np.random.default_rng(8).random(1 << 16)
+        dist /= dist.sum()
+        # each level summed into a fresh vector; the chain rule reads the
+        # lower halves, which the fold must leave with the same bits
+        want, levels = dist.copy(), []
+        for j in reversed(range(16)):
+            levels.append(want)
+            want = want[:1 << j] + want[1 << j:]
+        tracemalloc.start()
+        try:
+            folded = _prefix_marginals(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert folded is dist and peak < dist.nbytes / 16
+        for level in levels:
+            half = level.size // 2
+            assert np.array_equal(dist[dist.size - level.size:][:half], level[:half])
+        assert dist[-1] == want[0]
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_lockstep_draws_replay_torontonian_chain_rule(self, m):
         # each draw walked on its own with its own uniforms and the reference
         # prefix probabilities makes the same click decision at every mode
-        state = noisy_state()
+        state = noisy_state(m)
         pool = sample(state, 300, seed=23)
-        uniforms = np.random.default_rng(23).random((300, 5))
+        uniforms = np.random.default_rng(23).random((300, m))
         for u, drawn in zip(uniforms, pool.samples):
             clicked, p = 0, 1.0
-            for k in range(5):
+            for k in range(m):
                 p0 = torontonian_prefix(state, k + 1, clicked)
                 if u[k] * p < p - p0:
                     clicked |= 1 << k

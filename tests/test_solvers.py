@@ -180,8 +180,9 @@ class TestSimulatedAnnealing:
         src = ProposalSource(kind="uniform")
         with pytest.raises(ValidationError, match="steps must be >= 1"):
             simulated_annealing(obj, src, 0)
-        with pytest.raises(ValidationError):
-            simulated_annealing(obj, src, 10, t0=0.0)
+        for t0 in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="initial temperature must be positive"):
+                simulated_annealing(obj, src, 10, t0=t0)
         with pytest.raises(ValidationError):
             simulated_annealing(obj, src, 10, alpha=1.0)
         with pytest.raises(ValidationError):
