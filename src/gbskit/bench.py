@@ -6,7 +6,9 @@ per-pool and per-grid-point generators are derived from (seed, index) so
 results do not depend on evaluation order. A noise sweep's classical
 random-search target is the exact expected best of a run, and its pools are
 valued from one table, whenever valuing every k-subset once costs no more
-than simulating the runs.
+than simulating the runs. On integer weights a density table comes from
+exact matrix products. The sweep's grid points draw their pools from the
+click laws of one stacked recursion.
 """
 
 from __future__ import annotations
@@ -265,16 +267,36 @@ class NoisePoint:
 
 def _subset_table(obj: Objective, budget: int, trials: int) -> tuple | None:
     """The popcount-k masks of `gaussian._slice_masks(n, k)`, ascending, and
-    their rows' values, decoded as a pool's and valued `_CHUNK` at a time; None
-    when C(n, k) > trials * budget, more valuations than `trials` runs make."""
+    their rows' values, each with `Objective.values`' bits, `_CHUNK` masks
+    at a time; None when C(n, k) > trials * budget, more valuations than
+    `trials` runs make.
+
+    Density on an adjacency whose entries have integer real and imaginary
+    parts, k^2 max |a_ij| < 2^53, is a float64 product: with B the masks'
+    0/1 bit matrix, each row of (B A) * B sums to the subset's edge sum, and
+    every partial sum is an integer below 2^53, so exact in any order. Its
+    modulus is then `values`' too. Other rows are decoded as a pool's and
+    valued by `Objective.values`."""
     n, k = obj.graph.n, obj.k
     if math.comb(n, k) > trials * budget:
         return None
     masks = gaussian._slice_masks(n, k)
     masks = masks[np.bitwise_count(masks) == k]
-    vals = [obj.values(sampler._clicked_modes(sampler._bits(chunk, n), k))
-            for chunk in np.split(masks, range(_CHUNK, masks.size, _CHUNK))]
-    return masks, np.concatenate(vals)
+    a = obj.graph.adjacency
+    parts = np.concatenate([a.real, a.imag], axis=1)  # [Re A, Im A]
+    exact = (obj.kind == "density" and np.all(parts == np.round(parts))
+             and k * k * np.abs(parts).max() < 2.0**53)
+
+    def values(chunk):
+        bits = sampler._bits(chunk, n)
+        if not exact:
+            return obj.values(sampler._clicked_modes(bits, k))
+        bits = bits.astype(float)
+        sums = np.einsum("ijk,ik->ji", (bits @ parts).reshape(-1, 2, n), bits)
+        return np.hypot(*sums)
+
+    chunks = np.split(masks, range(_CHUNK, masks.size, _CHUNK))
+    return masks, np.concatenate([values(chunk) for chunk in chunks])
 
 
 def _classical_target(obj: Objective, table: tuple | None, budget: int, trials: int,
@@ -323,8 +345,11 @@ def noise_sweep(
     its `trials` step counts from one stream and fits a geometric success
     probability. Trials past the budget are right-censored and excluded
     from the fit; an empty pool runs none. The graph has at most
-    `gaussian.MAX_TABLE_MODES` vertices. Point gi seeds its pool from
-    `[seed, gi, 2]` and its trial steps from `[seed, gi, 3]`.
+    `gaussian.MAX_TABLE_MODES` vertices. Every point's k-click law comes
+    from one stacked recursion (`gaussian._capped_distributions`), with the
+    bytes of its own; point gi draws its pool from its law as
+    `sample_k_clicks` would, seeded from `[seed, gi, 2]`, and its trial
+    steps from `[seed, gi, 3]`.
 
     The target, on every row, is the expected best of a uniform run of
     `classical_budget` steps (`_classical_target`): exact, with each kept
@@ -350,12 +375,15 @@ def noise_sweep(
         graph, target_mean_clicks=float(k) if mean_clicks is None else mean_clicks
     )
     pure = encode_graph(graph, c).build_state()
-    thermal = [(eps, gaussian.apply_thermal(pure, eps)) for eps in epss]  # once each
+    grid = [(eta, eps) for eta in etas for eps in epss]
+    thermal = [gaussian.apply_thermal(pure, eps) for eps in epss]  # once each
+    states = [gaussian.apply_loss(mixed, eta) for eta in etas for mixed in thermal]
+    # every point's k-click law from one recursion, point gi's from row gi
+    laws = gaussian._capped_distributions(states, k)
     rows = []
-    for gi, (eta, (eps, mixed)) in enumerate([(e, p) for e in etas for p in thermal]):
-        state = gaussian.apply_loss(mixed, eta)
+    for gi, ((eta, eps), law) in enumerate(zip(grid, laws)):
         pool_seed = int(np.random.default_rng([seed, gi, 2]).integers(2**32))
-        pool = sampler.sample_k_clicks(state, pool_size, k, pool_seed)
+        pool = sampler._k_click_pool(graph.n, law, pool_size, k, pool_seed)
         subsets = pool.subsets(k)  # refuses a pattern without k clicks
         vals = (obj.values(subsets) if table is None  # else read by mask
                 else table[1][np.searchsorted(table[0], (1 << subsets).sum(axis=1))])

@@ -23,7 +23,9 @@ ascending bitmasks of at most k modes; for larger k, where the slice's
 transform pairs would outgrow two 2^M vectors, they fill a 2^M vector,
 transformed in full (`_subset_transform`) and then gathered.
 `sampler.sample_k_clicks` reads the slice, and `pattern_distribution(state,
-k)` scatters it into a 2^M vector.
+k)` scatters it into a 2^M vector. The recursion also takes a stack of
+states as one: a noise sweep's grid points share each step, and each
+state's values keep the bits of its own call (`_capped_distributions`).
 
 One formula gives every single-mode click probability, 1 - P_vac({j}) =
 1 - (sigma_jj sigma_{j+M,j+M} - |sigma_{j,j+M}|^2)^(-1/2): `mean_clicks` and
@@ -252,8 +254,9 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
                           slots: np.ndarray | None = None) -> np.ndarray:
     """det(sq_W)^(-1/2) at index ~W for every mode subset W of a checked
     2M x 2M matrix (P_vac(W) when sq is a Husimi matrix), or with a `cap` k,
-    for every W whose complement ~W has at most k modes. The matrix is taken
-    to the real quadrature basis x0, p0, x1, p1, ..., a change that acts on
+    for every W whose complement ~W has at most k modes; for a (B, 2M, 2M)
+    stack of such matrices, one row of values each. Each matrix is taken to
+    the real quadrature basis x0, p0, x1, p1, ..., a change that acts on
     each mode alone and keeps subset determinants, giving v.
 
     One loop has two starts: v with det 1, its masks the W, or with a cap,
@@ -261,34 +264,44 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
     (Jacobi's identity). A work item covers every subset whose modes below
     h are those of some masks[i]: stack[..., i] is the Schur complement on
     modes h and up given those modes, and dets[i] their det; rows lie along
-    the last axis, so each entry's values are contiguous. Mode h is dropped
-    by a slice, or added by a rank-2 update with the inverse of the leading
-    2x2 block (a, b; b, c), which must have a > 0 and p = a c - b b > 0; p
-    multiplies dets[i]. A row that can gain at most two more modes, one of
-    k - 2 modes or any once two modes are left (without a cap, k is M + 1),
-    leaves the stack as a leaf; below a cap of 3 the start is one. From the
-    entries of its Schur complement that `_leaf_plan` names, a leaf writes
-    its det; at each later mode, its det times the p of its diagonal block
-    there; and at each later pair j < l, its det times j's p times the p of
-    l's block after j's rank-2 update, by the loop's own operations, so
-    every value keeps its bits. Its single-mode blocks (at a cap of 0 too)
-    are checked before its pairs, once the item's own steps have passed
-    their checks. Every row left in a stack grows. Stacks of more than
-    `_CHUNK` values are split along their rows first. The values are held
-    at the ~W of a 2^M vector, every other index 0, or with `slots`, the
-    ascending masks of at most k modes, at the ~W's slot there."""
-    m = len(sq) // 2
+    the last axis, so each entry's values are contiguous. The B matrices
+    start as B rows of one item, each row's mask carrying its matrix's
+    index in the bits above M, which no popcount or refusal reads, so each
+    step and leaf costs its numpy calls once for the whole stack. Mode h is
+    dropped by a slice, or added by a rank-2 update with the inverse of the
+    leading 2x2 block (a, b; b, c), which must have a > 0 and
+    p = a c - b b > 0; p multiplies dets[i]. A row that can gain at most two
+    more modes, one of k - 2 modes or any once two modes are left (without
+    a cap, k is M + 1), leaves the stack as a leaf; below a cap of 3 the
+    start is one. From the entries of its Schur complement that `_leaf_plan`
+    names, a leaf writes its det; at each later mode, its det times the p of
+    its diagonal block there; and at each later pair j < l, its det times
+    j's p times the p of l's block after j's rank-2 update, by the loop's
+    own operations. Every operation is elementwise along the rows, so every
+    value keeps its bits whatever else shares its stack. Its single-mode
+    blocks (at a cap of 0 too) are checked before its pairs, once the item's
+    own steps have passed their checks. Every row left in a stack grows.
+    Stacks of more than `_CHUNK` values are split along their rows first.
+    The values are held at the ~W of a 2^M vector, every other index 0, or
+    with `slots`, the ascending masks of at most k modes, at the ~W's slot
+    there."""
+    m = sq.shape[-1] // 2
     w = _quadrature_basis(m)
-    v = (w @ sq @ w.conj().T / 2.0).real
+    mats = sq.reshape(math.prod(sq.shape[:-2]), 2 * m, 2 * m)
+    vs = [(w @ one @ w.conj().T / 2.0).real for one in mats]
     if cap is None:
-        cap, start, det, flip = m + 1, v, 1.0, (1 << m) - 1
+        cap, starts, dets, flip = m + 1, vs, np.ones(len(vs)), (1 << m) - 1
     else:
-        start, det, flip = inverse(v).real, np.linalg.det(v), 0
+        starts, flip = [inverse(v).real for v in vs], 0
+        dets = np.array([np.linalg.det(v) for v in vs])
+    low, width = (1 << m) - 1, 1 << m if slots is None else slots.size
     # 1 / sqrt(inf) leaves 0 at every index no row reaches
-    out = np.full(1 << m, np.inf) if slots is None else np.empty(slots.size)
+    out = np.full(len(vs) * width, np.inf) if slots is None else np.empty(len(vs) * width)
 
     def place(masks):
-        return flip ^ masks if slots is None else np.searchsorted(slots, masks)
+        if slots is None:
+            return flip ^ masks
+        return np.searchsorted(slots, masks & low) + (masks >> m) * width
 
     def check(a, pivot, grown):
         if a.size and not (a.min() > 0 and pivot.min() > 0):
@@ -320,7 +333,7 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
         size = 1 + r + p if cap > 1 else 1 + r if cap else 1
         out[place(grown[:size])] = res[:size]
 
-    work = [(start[..., None], np.array([det]), np.zeros(1, dtype=int))]
+    work = [(np.stack(starts, axis=-1), dets, np.arange(len(vs)) << m)]
     while work:
         stack, dets, masks = work.pop()
         leaves = []
@@ -332,7 +345,7 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
             f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
             added = rest - f[:, None] * x[None]
             added -= g[:, None] * y[None]  # in place: one temporary at a time
-            dets_add, ends = dets * pivot, np.bitwise_count(grown) == cap - 2
+            dets_add, ends = dets * pivot, np.bitwise_count(grown & low) == cap - 2
             if ends.any():
                 leaves.append((added[..., ends], dets_add[ends], grown[ends]))
                 added, dets_add, grown = added[..., ~ends], dets_add[~ends], grown[~ends]
@@ -346,7 +359,8 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
             leaves.append((stack, dets, masks))
         for rows in leaves:  # once the item's own rows pass their checks
             finish(*rows)
-    return np.divide(1.0, np.sqrt(out, out=out), out=out)  # IEEE-exact ops
+    out = np.divide(1.0, np.sqrt(out, out=out), out=out)  # IEEE-exact ops
+    return out.reshape(*sq.shape[:-2], width)
 
 
 @lru_cache(maxsize=1)
@@ -381,12 +395,39 @@ def _click_slice(modes: int, k: int) -> tuple:
     """`_slice_masks(modes, k)` and, for each mode i, the slots (with,
     without) of every pair S and S - {i} with i in S. Read-only, and held
     for the last (modes, k) only: at 24 modes and k = 6, 190 051 masks and
-    17 MB of pairs."""
+    17 MB of pairs.
+
+    The slots come from counts, not searches. With n(m, c) the number of
+    subsets of at most c of m modes, the slice of m + 1 modes at cap c is
+    that of m modes, then mode m added to each of its subsets of at most
+    c - 1 modes, in order, from slot n(m, c). So mode i's pairs there are
+    its pairs at (m, c), then its pairs at (m, c - 1) moved up by n(m, c);
+    at m = i, the S are slots n(i, c) on, and the S - {i} the slots of the
+    subsets of at most c - 1 modes among those of at most c."""
     masks = _slice_masks(modes, k)
+    sums = [list(itertools.accumulate(math.comb(m, j) for j in range(k + 1)))
+            for m in range(modes + 1)]
+
+    def count(m, c):  # n(m, c)
+        return sums[m][c] if c >= 0 else 0
+
+    sizes = np.bitwise_count(masks)
     pairs = []
     for i in range(modes):
-        hi = np.flatnonzero(masks >> i & 1)
-        pairs.append((hi, np.searchsorted(masks, masks[hi] ^ 1 << i)))
+        head = sizes[:count(i, k)]  # the slice of the modes below i
+        prev = np.zeros((2, 0), dtype=np.intp)  # the (S, S - {i}) slots at cap 0
+        for c in range(1, k + 1):
+            top = modes - k + c  # cap k at `modes` modes reads cap c up to here
+            if top <= i:
+                continue
+            cur, base = np.empty((2, count(top - 1, c - 1)), dtype=np.intp), count(i, c - 1)
+            cur[0, :base] = count(i, c) + np.arange(base)
+            cur[1, :base] = np.flatnonzero(head[head <= c] < c)
+            for m in range(i + 1, top):
+                src, dst = count(m - 1, c - 2), count(m - 1, c - 1)
+                np.add(prev[:, :src], count(m, c), out=cur[:, dst:dst + src])
+            prev = cur
+        pairs.append(tuple(prev))
     for arr in itertools.chain.from_iterable(pairs):
         arr.setflags(write=False)
     return masks, tuple(pairs)
@@ -448,25 +489,52 @@ def pattern_distribution(
 
 
 def _capped_distribution(state: GaussianState, k: int) -> tuple:
-    """(masks, probabilities) of every click pattern of at most k clicks, the
-    masks ascending and read-only (`_slice_masks`), the probabilities a new
-    vector, from the capped recursion's sum over j <= k of C(M, j) subsets.
-    While `_on_slice`, its values and the subset transform stay on them: a
+    """(masks, probabilities) of every click pattern of at most k clicks: the
+    one-state `_capped_distributions`."""
+    return next(_capped_distributions([state], k))
+
+
+def _capped_distributions(states: list, k: int):
+    """Yield, for each of `states` (all of one mode count) in turn, (masks,
+    probabilities) of every click pattern of at most k clicks, the masks
+    ascending and read-only (`_slice_masks`), the probabilities a new
+    vector (on the slice, a row of its batch's array), from the capped
+    recursion's sum over j <= k of C(M, j) subsets. Each state's must sum
+    to at most 1, and to 1 when k = M.
+
+    The states' Husimi matrices run through `_vacuum_probabilities` as one
+    stack, as many at a time as fill two 2^M vectors, about what the 2^M
+    path allocates for one state (`_on_slice`), and at most
+    2^`MAX_TABLE_MODES` values: off the slice, two states at a time below
+    24 modes and one at 24. Each state's values keep the bits of its own
+    one-state call. Larger batches save no time where a state's recursion
+    is long, and cost memory: 16 states of `random_complex_graph(20, 1)` at
+    k = 8, off the slice, took 60-67 / 63-72 / 64-83 ms a state at batches
+    of 1 / 4 / 16, at +1-19 / +32-49 / +151-171 MB peak (three runs each,
+    raw, one BLAS thread).
+
+    While `_on_slice`, the values and the subset transform stay on it: a
     pass writes S from S - {i}, which is in the slice whenever S is, in the
     same passes as the full transform, so every value keeps its bits.
-    Otherwise they fill a 2^M vector, transformed in full and then gathered.
-    They must sum to at most 1, and to 1 when k = M."""
-    _check_size(state.modes, k)
-    m = state.modes
-    if _on_slice(m, k):
-        masks, pairs = _click_slice(m, k)
-        dist = _vacuum_probabilities(state.husimi, k, masks)
-        for hi, lo in pairs:
-            dist[hi] -= dist[lo]
-    else:
-        masks = _slice_masks(m, k)
-        dist = _subset_transform(_vacuum_probabilities(state.husimi, k))[masks]
-    return masks, _checked(dist, whole=k == m)
+    Otherwise each state's values fill a 2^M vector, transformed in full
+    and then gathered."""
+    if not states:
+        return
+    m = states[0].modes
+    _check_size(m, k)
+    on_slice = _on_slice(m, k)
+    masks, pairs = _click_slice(m, k) if on_slice else (_slice_masks(m, k), ())
+    width = masks.size if on_slice else 1 << m
+    batch = max(1, min(2 << m, 1 << MAX_TABLE_MODES) // width)
+    for first in range(0, len(states), batch):
+        sq = np.stack([state.husimi for state in states[first:first + batch]])
+        dists = _vacuum_probabilities(sq, k, masks if on_slice else None)
+        if not on_slice:  # gathered, so the 2^M rows go before any is read
+            dists = [_subset_transform(dist)[masks] for dist in dists]
+        for dist in dists:
+            for hi, lo in pairs:  # none off the slice
+                dist[hi] -= dist[lo]
+            yield masks, _checked(dist, whole=k == m)
 
 
 def pattern_probability(state: GaussianState, pattern) -> float:

@@ -134,11 +134,19 @@ def sample_k_clicks(
     probabilities over P_k, one uniform per draw through the inverse of their
     cumulative sum. Only patterns of at most k clicks are computed, in
     ascending mask order (`gaussian._capped_distribution`), and the k-click
-    ones are read from them in that order.
+    ones are read from them in that order (`_k_click_pool`).
     """
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
-    masks, dist = gaussian._capped_distribution(state, k)
+    return _k_click_pool(state.modes, gaussian._capped_distribution(state, k),
+                         count, k, seed)
+
+
+def _k_click_pool(modes: int, law: tuple, count: int, k: int, seed: int) -> SamplePool:
+    """`sample_k_clicks`' pool from `law`, the (masks, probabilities) of a
+    `modes`-mode state's patterns of at most k clicks that
+    `gaussian._capped_distributions` yields."""
+    masks, dist = law
     keep = (np.bitwise_count(masks) == k) & (dist > 0)
     masks, cdf = masks[keep], np.cumsum(dist[keep])
     rng = np.random.default_rng(seed)
@@ -147,8 +155,8 @@ def sample_k_clicks(
     picks = np.searchsorted(cdf, rng.random(kept) * cdf[-1:], side="right")
     clicked = masks[np.minimum(picks, masks.size - 1)]
     return SamplePool(
-        modes=state.modes,
-        samples=_bits(clicked, state.modes),
+        modes=modes,
+        samples=_bits(clicked, modes),
         provenance={"kind": "simulated", "count": count, "postselected_clicks": k},
         seed=seed,
     )
@@ -207,42 +215,64 @@ def _header_value(path, lineno: int, name: str, text: str):
     return value
 
 
+def _read_comment(path, lineno: int, line: str, comments: dict) -> None:
+    """Store a '#' line's header in `comments` if it names one of its keys."""
+    name, colon, text = line[1:].lstrip().partition(":")
+    if colon and name in comments:
+        comments[name] = _header_value(path, lineno, name, text)
+
+
 def load_pool(path) -> SamplePool:
     """Read a sample file: 'modes=M' header, one 0/1 string per line,
     '#' lines ignored except provenance/seed comments, which are restored
-    and must parse."""
+    and must parse. After the header, the lines of exactly M characters,
+    each 0 or 1, are found all at once; only the others (blank, comment,
+    padded or bad) are read one at a time, in order, up to the first bad
+    one, which is refused."""
     comments = {"provenance": {}, "seed": None}  # pool fields kept in '#' headers
-    modes = None
-    patterns = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                name, colon, text = line[1:].lstrip().partition(":")
-                if colon and name in comments:
-                    comments[name] = _header_value(path, lineno, name, text)
-            elif modes is None:
-                if not line.startswith("modes="):
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected 'modes=M' header, got {line!r}"
-                    )
-                modes = _header_value(path, lineno, "modes", line[len("modes="):])
-                if modes <= 0:
-                    raise ValidationError(f"{path}:{lineno}: modes must be positive")
-            elif len(line) != modes or line.strip("01"):
+        text = fh.read()
+    modes, lineno, pos = None, 0, 0
+    while modes is None and pos <= len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line, lineno, pos = text[pos:end].strip(), lineno + 1, end + 1
+        if line.startswith("#"):
+            _read_comment(path, lineno, line, comments)
+        elif line:
+            if not line.startswith("modes="):
                 raise ValidationError(
-                    f"{path}:{lineno}: expected a {modes}-character 0/1 pattern, "
-                    f"got {line!r}"
+                    f"{path}:{lineno}: expected 'modes=M' header, got {line!r}"
                 )
-            else:
-                patterns.append(line)
+            modes = _header_value(path, lineno, "modes", line[len("modes="):])
+            if modes <= 0:
+                raise ValidationError(f"{path}:{lineno}: modes must be positive")
     if modes is None:
         raise ValidationError(f"{path}: missing 'modes=M' header")
-    digits = np.frombuffer("".join(patterns).encode("ascii"), dtype=np.uint8)
-    return SamplePool(
-        modes=modes,
-        samples=digits.reshape(-1, modes) - ord("0"),
-        **comments,
-    )
+    # the later lines as UTF-8 bytes, in which '\n' is part of no other character
+    body = np.frombuffer(text[pos:].encode("utf-8"), dtype=np.uint8)
+    ends = np.append(np.flatnonzero(body == ord("\n")), body.size)
+    starts = np.append(0, ends[:-1] + 1)
+    sized = np.flatnonzero(ends - starts == modes)
+    # each line's first M bytes, through a view of M-byte windows
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(body, (0, modes)), modes)
+    rows = windows[starts[sized]]
+    ok = ((rows | 1) == ord("1")).all(axis=1)  # each byte '0' or '1'
+    plain = np.zeros(starts.size, dtype=bool)
+    plain[sized[ok]] = True
+    padded = {}  # line index: the pattern a padded line holds
+    for i in np.flatnonzero(~plain).tolist():
+        line = body[starts[i]:ends[i]].tobytes().decode("utf-8").strip()
+        if line.startswith("#"):
+            _read_comment(path, lineno + 1 + i, line, comments)
+        elif len(line) == modes and not line.strip("01"):
+            padded[i] = line
+        elif line:
+            raise ValidationError(
+                f"{path}:{lineno + 1 + i}: expected a {modes}-character 0/1 "
+                f"pattern, got {line!r}"
+            )
+    extra = np.frombuffer("".join(padded.values()).encode("ascii"), dtype=np.uint8)
+    rows = np.insert(rows[ok], np.searchsorted(sized[ok], list(padded)),
+                     extra.reshape(-1, modes), axis=0)
+    return SamplePool(modes=modes, samples=rows - ord("0"), **comments)

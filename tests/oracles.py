@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's algorithms: Hafnians by explicit
 perfect-matching enumeration, click distributions by inclusion-exclusion
-over direct determinants, rank correlations by direct rank-pair counting,
-reduced states and photon numbers read off the covariance, thermal mixing
-at the squeezers before the interferometer. The graph
+over direct determinants (for an epsilon = 1 state, vacuum probabilities
+from the N block's principal minors), rank correlations by direct rank-pair
+counting, reduced states and photon numbers read off the covariance,
+thermal mixing at the squeezers before the interferometer. The graph
 families with degenerate or zero Takagi values (cycle, star, rank two) are
 built here for the encoding and distribution tests alike, and the 0/1
 generators' adjacencies by one uniform draw per pair, pair by pair. The
@@ -58,6 +59,24 @@ def inclusion_exclusion_distribution(state):
             if not z:
                 break
             z = (z - 1) & c
+    return out
+
+
+def classical_vacuum_probabilities(state, masks):
+    """P_vac(W) = 1 / det(N_W) for each mode subset W given as a bitmask, on
+    a state without anomalous blocks (thermal mixing at epsilon = 1, then
+    any loss): its Husimi matrix is N (+) N*, so det(sigma_W) = det(N_W)^2.
+    Each determinant is taken directly from the N block, the subsets of one
+    size in one stacked call."""
+    m, masks = state.modes, np.asarray(masks)
+    n = state.husimi[:m, :m]
+    members = (masks[:, None] >> np.arange(m)) & 1
+    out = np.empty(len(masks))
+    sizes = members.sum(axis=1)
+    for size in np.unique(sizes):
+        rows = sizes == size
+        idx = np.nonzero(members[rows])[1].reshape(rows.sum(), size)
+        out[rows] = 1.0 / np.linalg.det(n[idx[:, :, None], idx[:, None, :]]).real
     return out
 
 

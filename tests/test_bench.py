@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from gbskit import bench, encoding, files, gaussian, sampler
-from gbskit.encoding import choose_scale, encode_graph
+from gbskit.encoding import Graph, choose_scale, encode_graph
 from gbskit.errors import CostGuardError, ValidationError
 from gbskit.gaussian import apply_loss, apply_thermal
 from gbskit.generators import (
@@ -236,7 +236,8 @@ class TestNoiseSweep:
 
         monkeypatch.setattr(Objective, "values", refuse)
         monkeypatch.setattr(bench, "random_search", refuse)
-        monkeypatch.setattr(sampler, "sample_k_clicks", refuse)
+        monkeypatch.setattr(gaussian, "_capped_distributions", refuse)
+        monkeypatch.setattr(sampler, "_k_click_pool", refuse)
         g = zero_one_graph(25, 0.5, seed=0)
         with pytest.raises(CostGuardError, match="25 modes"):
             bench.noise_sweep(g, 3, [1.0], [0.0], trials=5, seed=1)
@@ -271,7 +272,7 @@ class TestNoiseSweep:
         bits[0, best] = 1
         bits[1:, worst] = 1
         pool = SamplePool(modes=8, samples=bits)
-        monkeypatch.setattr(sampler, "sample_k_clicks", lambda *args: pool)
+        monkeypatch.setattr(sampler, "_k_click_pool", lambda *args: pool)
         seed, trials, budget = 3, 4000, 60
         kw = dict(trials=trials, seed=seed, budget=budget, classical_budget=20,
                   classical_trials=3)
@@ -306,7 +307,7 @@ class TestNoiseSweep:
         subsets = np.array([s for s in itertools.combinations(range(8), 3)])
         bits = np.zeros((5, 8), dtype=np.uint8)
         bits[:, subsets[obj.values(subsets).argmin()]] = 1
-        monkeypatch.setattr(sampler, "sample_k_clicks",
+        monkeypatch.setattr(sampler, "_k_click_pool",
                             lambda *args: SamplePool(modes=8, samples=bits))
         (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], trials=7, seed=3, budget=50,
                                    classical_budget=20, classical_trials=3)
@@ -320,7 +321,7 @@ class TestNoiseSweep:
         subsets = np.array([s for s in itertools.combinations(range(8), 3)])
         bits = np.zeros((5, 8), dtype=np.uint8)
         bits[:, subsets[obj.values(subsets).argmax()]] = 1
-        monkeypatch.setattr(sampler, "sample_k_clicks",
+        monkeypatch.setattr(sampler, "_k_click_pool",
                             lambda *args: SamplePool(modes=8, samples=bits))
         (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], trials=7, seed=3, budget=1,
                                    classical_budget=20, classical_trials=3)
@@ -332,7 +333,7 @@ class TestNoiseSweep:
         pools, runs = [], []
         search = bench.random_search
 
-        def pool_of(state, size, k, seed):
+        def pool_of(modes, law, size, k, seed):
             pools.append(seed)
             return SamplePool(modes=16, samples=np.zeros((0, 16), dtype=np.uint8))
 
@@ -340,7 +341,9 @@ class TestNoiseSweep:
             runs.append(seed)
             return search(*args, seed=seed, **kw)
 
-        monkeypatch.setattr(sampler, "sample_k_clicks", pool_of)
+        monkeypatch.setattr(gaussian, "_capped_distributions",
+                            lambda states, k: itertools.repeat(None))
+        monkeypatch.setattr(sampler, "_k_click_pool", pool_of)
         monkeypatch.setattr(bench, "random_search", run)
         # C(16, 8) = 12870 > 1001 * 1 subsets: the runs are simulated
         rows = bench.noise_sweep(planted_clique_graph(16, 6, 0.2, seed=1), 8,
@@ -352,18 +355,18 @@ class TestNoiseSweep:
     def test_one_thermal_state_per_epsilon(self, monkeypatch):
         # each epsilon's thermal state is built once and serves every eta;
         # each point's state keeps the bytes of its own thermal-then-loss build
-        thermal, states = [], []
+        thermal, states, laws = [], [], gaussian._capped_distributions
 
         def counted(state, eps):
             thermal.append(eps)
             return apply_thermal(state, eps)
 
-        def pool_of(state, size, k, seed):
-            states.append(state)
-            return SamplePool(modes=8, samples=np.zeros((0, 8), dtype=np.uint8))
+        def laws_of(grid, k):
+            states.extend(grid)
+            return laws(grid, k)
 
         monkeypatch.setattr(gaussian, "apply_thermal", counted)
-        monkeypatch.setattr(sampler, "sample_k_clicks", pool_of)
+        monkeypatch.setattr(gaussian, "_capped_distributions", laws_of)
         g = zero_one_graph(8, 0.6, seed=2)
         etas, epss = [1.0, 0.75, 0.5], [0.0, 0.25]
         bench.noise_sweep(g, 3, etas, epss, trials=5, seed=0,
@@ -377,13 +380,13 @@ class TestNoiseSweep:
     @staticmethod
     def recorded_pools(monkeypatch):
         """Each k-click pool a sweep draws, in order."""
-        pools, draw = [], sampler.sample_k_clicks
+        pools, draw = [], sampler._k_click_pool
 
         def pool_of(*args):
             pools.append(draw(*args))
             return pools[-1]
 
-        monkeypatch.setattr(sampler, "sample_k_clicks", pool_of)
+        monkeypatch.setattr(sampler, "_k_click_pool", pool_of)
         return pools
 
     @staticmethod
@@ -428,7 +431,7 @@ class TestNoiseSweep:
         pool = SamplePool(modes=8, samples=bits)
         with pytest.raises(ValidationError) as refused:
             pool.subsets(3)
-        monkeypatch.setattr(sampler, "sample_k_clicks", lambda *args: pool)
+        monkeypatch.setattr(sampler, "_k_click_pool", lambda *args: pool)
         # C(8, 3) = 56 <= 3 * 20: the table path
         with pytest.raises(ValidationError) as swept:
             bench.noise_sweep(planted_clique_graph(8, 3, 0.2, seed=1), 3, [1.0], [0.0],
@@ -537,13 +540,14 @@ class TestClassicalTarget:
         monkeypatch.setattr(Objective, "values", recorded)
         return calls
 
-    # one row a call, several calls a table, one call a table
+    # one row a call, several calls a table, one call a table; complex
+    # weights, so the rows go through `Objective.values`
     @pytest.mark.parametrize("chunk", [1, 7, 1024])
     def test_table_rows_hold_every_subset_once(self, monkeypatch, chunk):
         monkeypatch.setattr(bench, "_CHUNK", chunk)
         calls = self.table_calls(monkeypatch)
         for n in range(2, 12):
-            g = zero_one_graph(n, 0.5, seed=n)
+            g = random_complex_graph(n, seed=n)
             for k in range(1, n):
                 calls.clear()
                 size = math.comb(n, k)
@@ -564,6 +568,56 @@ class TestClassicalTarget:
         classical_target(obj, math.comb(10, 4), 1, seed=0)
         table = np.sort(np.concatenate([vals for _, vals in calls]))
         assert table.tobytes() == self.sorted_table(obj).tobytes()
+
+    @staticmethod
+    def mask_rows(masks, n):
+        """The vertices of each mask, ascending, as an (N, k) array."""
+        return np.array([[i for i in range(n) if mask >> i & 1] for mask in masks.tolist()])
+
+    @staticmethod
+    def signed_integer_graph(n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-40, 41, (n, n)) + 1j * rng.integers(-40, 41, (n, n))
+        return Graph(n=n, adjacency=a + a.T)
+
+    @pytest.mark.parametrize("graph", [
+        zero_one_graph(12, 0.5, seed=3),
+        planted_clique_graph(16, 6, 0.2, 1),
+        signed_integer_graph(11, seed=5),
+    ], ids=["zero-one", "planted-clique", "signed-integer"])
+    def test_integer_density_table_is_one_product_with_values_bits(self, monkeypatch,
+                                                                   graph):
+        calls, n = self.table_calls(monkeypatch), graph.n
+        for k in sorted({1, 2, 5, n // 2, n - 1}):
+            obj = Objective("density", graph, k)
+            masks, table = bench._subset_table(obj, math.comb(n, k), 1)
+            assert not calls  # no row went through `values`
+            want = obj.values(self.mask_rows(masks, n))
+            calls.clear()
+            assert table.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, graph", [
+        ("density", random_complex_graph(10, seed=6)),
+        ("density", Graph(n=10, adjacency=0.5 * zero_one_graph(10, 0.5, seed=3).adjacency)),
+        ("maxhaf", planted_clique_graph(10, 4, 0.2, seed=1)),
+    ], ids=["complex", "half-integer", "maxhaf"])
+    def test_other_tables_are_valued_row_by_row(self, monkeypatch, kind, graph):
+        calls = self.table_calls(monkeypatch)
+        masks, table = bench._subset_table(Objective(kind, graph, 4), math.comb(10, 4), 1)
+        assert len(calls) == 1 and calls[0][1].tobytes() == table.tobytes()
+        assert calls[0][0].tolist() == self.mask_rows(masks, 10).tolist()
+
+    def test_sums_past_two_to_the_53_are_valued_row_by_row(self, monkeypatch):
+        # entries 2^50: k^2 2^50 is below 2^53 at k = 2, not at k = 3
+        calls = self.table_calls(monkeypatch)
+        a = 2.0**50 * zero_one_graph(8, 0.6, seed=2).adjacency
+        g = Graph(n=8, adjacency=a - 1j * a)
+        for k, rows in [(2, False), (3, True)]:
+            calls.clear()
+            obj = Objective("density", g, k)
+            masks, table = bench._subset_table(obj, math.comb(8, k), 1)
+            assert bool(calls) == rows
+            assert table.tobytes() == obj.values(self.mask_rows(masks, 8)).tobytes()
 
     @pytest.mark.parametrize("trials, budget, runs, tables", [
         (7, 8, 0, 1),   # C(8, 3) = 56 = trials * budget: the drawn table
@@ -593,7 +647,7 @@ class TestClassicalTarget:
         pools, runs = [], []
         search = bench.random_search
 
-        def pool_of(state, size, k, seed):
+        def pool_of(modes, law, size, k, seed):
             pools.append(seed)
             bits = np.zeros((3, 16), dtype=np.uint8)
             bits[:, :k] = 1
@@ -603,7 +657,7 @@ class TestClassicalTarget:
             runs.append(seed)
             return search(*args, seed=seed, **kw)
 
-        monkeypatch.setattr(sampler, "sample_k_clicks", pool_of)
+        monkeypatch.setattr(sampler, "_k_click_pool", pool_of)
         monkeypatch.setattr(bench, "random_search", run)
         # C(16, 8) = 12870 > 1004 * 1 subsets: the runs are simulated
         bench.noise_sweep(planted_clique_graph(16, 6, 0.2, seed=1), 8, [1.0, 0.5],
@@ -673,6 +727,8 @@ def test_studies_refuse_a_non_integer_k_before_any_pool(monkeypatch, study, k):
         raise AssertionError("a pool was drawn before k was checked")
 
     monkeypatch.setattr(sampler, "sample_k_clicks", no_pool)
+    monkeypatch.setattr(gaussian, "_capped_distributions", no_pool)
+    monkeypatch.setattr(sampler, "_k_click_pool", no_pool)
     g = planted_clique_graph(8, 3, 0.2, seed=1)
     kw = (dict(k_values=k, steps=5, trials=2) if study == "advantage_study" else
           dict(k=k, eta_grid=[1.0], epsilon_grid=[0.0], trials=5,
@@ -697,6 +753,8 @@ def test_studies_refuse_degenerate_sizes_before_any_work(monkeypatch, study, kwa
 
     monkeypatch.setattr(sampler, "sample", no_work)
     monkeypatch.setattr(sampler, "sample_k_clicks", no_work)
+    monkeypatch.setattr(gaussian, "_capped_distributions", no_work)
+    monkeypatch.setattr(sampler, "_k_click_pool", no_work)
     monkeypatch.setattr(bench, "random_search", no_work)
     monkeypatch.setattr(bench, "torontonian", no_work)
     # the noise-sweep base case values every subset for its target

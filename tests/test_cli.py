@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from gbskit import bench, cli, files, sampler
+from gbskit import bench, cli, files, gaussian, sampler
 from gbskit.cli import main
 from gbskit.encoding import DeviceParams, encode_graph
 from gbskit.sampler import load_pool
@@ -217,7 +217,8 @@ class TestBench:
 
         monkeypatch.setattr(Objective, "values", refuse)
         monkeypatch.setattr(bench, "random_search", refuse)
-        monkeypatch.setattr(sampler, "sample_k_clicks", refuse)
+        monkeypatch.setattr(gaussian, "_capped_distributions", refuse)
+        monkeypatch.setattr(sampler, "_k_click_pool", refuse)
         graph = tmp_path / "g.json"
         assert run("gen", "--kind", "zero-one", "--n", 25, "--seed", 0,
                    "--out", graph) == 0

@@ -25,6 +25,7 @@ from gbskit.matfn import torontonian
 
 from oracles import (
     all_patterns,
+    classical_vacuum_probabilities,
     cycle_graph,
     inclusion_exclusion_distribution,
     mean_photons,
@@ -564,6 +565,149 @@ class TestClickSlice:
             dist = gaussian.pattern_distribution(state, k)
             assert dist[masks].tobytes() == probs.tobytes()
             assert not np.delete(dist, masks).any()
+
+
+    @pytest.mark.parametrize("modes, k", [(16, 3), (16, 6), (18, 5), (20, 4), (20, 7)])
+    def test_pairs_are_the_searched_slots(self, modes, k):
+        # the counted slots are the ones a binary search of the masks finds
+        gaussian._click_slice.cache_clear()
+        masks, pairs = gaussian._click_slice(modes, k)
+        for i, (hi, lo) in enumerate(pairs):
+            want_hi = np.flatnonzero(masks >> i & 1)
+            assert hi.dtype == lo.dtype == np.intp
+            assert np.array_equal(hi, want_hi)
+            assert np.array_equal(lo, np.searchsorted(masks, masks[want_hi] ^ 1 << i))
+            assert not (hi.flags.writeable or lo.flags.writeable)
+
+
+# the states of a batch: the random 8-mode graph lossless, thermal, lossy, lost
+BATCH = list(NOISE)
+
+
+def batch_states(size):
+    return [capped_case("random", noise)[0] for noise in BATCH[:size]]
+
+
+class TestBatchedRecursion:
+    """A stack of B states runs as one recursion; each row keeps the bytes
+    of its state's one-state call."""
+
+    @pytest.mark.parametrize("chunk", [16, gaussian._CHUNK], ids=["split", "default"])
+    @pytest.mark.parametrize("path", ["uncapped", "vector", "slice"])
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_rows_keep_their_one_state_bytes(self, monkeypatch, size, path, chunk):
+        monkeypatch.setattr(gaussian, "_CHUNK", chunk)
+        sqs = [state.husimi for state in batch_states(size)]
+        for k in [None] if path == "uncapped" else range(9):
+            slots = gaussian._slice_masks(8, k) if path == "slice" else None
+            rows = gaussian._vacuum_probabilities(np.stack(sqs), k, slots)
+            assert rows.shape == (size, 256 if slots is None else slots.size)
+            for sq, row in zip(sqs, rows):
+                assert row.tobytes() == gaussian._vacuum_probabilities(sq, k, slots).tobytes()
+
+    @pytest.mark.parametrize("chunk", [16, gaussian._CHUNK], ids=["split", "default"])
+    @pytest.mark.parametrize("on_slice", [True, False], ids=["slice", "vector"])
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_distributions_keep_their_one_state_bytes(self, monkeypatch, size, on_slice,
+                                                      chunk):
+        monkeypatch.setattr(gaussian, "_CHUNK", chunk)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        states = batch_states(size)
+        for k in range(9):
+            laws = list(gaussian._capped_distributions(states, k))
+            assert len(laws) == size
+            for state, (masks, probs) in zip(states, laws):
+                want_masks, want = gaussian._capped_distribution(state, k)
+                assert masks.tobytes() == want_masks.tobytes()
+                assert probs.tobytes() == want.tobytes()
+
+    # two 2^8 vectors hold five 93-value slices at k = 3, or two vectors;
+    # a table budget of 2^8 values two slices, or one vector
+    @pytest.mark.parametrize("budget, on_slice, batch", [
+        (24, True, 5), (24, False, 2), (8, True, 2), (8, False, 1),
+    ], ids=["slice", "vector", "slice-budget", "vector-budget"])
+    def test_batches_hold_two_vectors_within_the_table_budget(self, monkeypatch, budget,
+                                                              on_slice, batch):
+        stacks, run = [], gaussian._vacuum_probabilities
+
+        def recorded(sq, *args):
+            stacks.append(len(sq))
+            return run(sq, *args)
+
+        monkeypatch.setattr(gaussian, "MAX_TABLE_MODES", budget)
+        monkeypatch.setattr(gaussian, "_vacuum_probabilities", recorded)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        states = batch_states(4) + batch_states(3)
+        laws = list(gaussian._capped_distributions(states, 3))
+        assert stacks == [batch] * (7 // batch) + [7 % batch] * (7 % batch > 0)
+        for state, (_, probs) in zip(states, laws):
+            assert probs.tobytes() == gaussian._capped_distribution(state, 3)[1].tobytes()
+
+    def test_no_states_yield_nothing(self):
+        assert list(gaussian._capped_distributions([], 3)) == []
+
+    @pytest.mark.parametrize("on_slice", [True, False], ids=["slice", "vector"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, None], ids=["k0", "k1", "k2", "k3", "uncapped"])
+    def test_a_non_physical_state_in_a_batch_is_refused(self, monkeypatch, on_slice, k):
+        bad = vacuum(3)
+        object.__setattr__(bad, "husimi", np.diag([1.0, -1.0, 1.0] * 2))
+        good = apply_loss(state_from_device(*random_device(3, 1)), 0.75)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        # the refusal names the modes the bad state's own call names
+        with pytest.raises(PhysicalityError, match=r"modes \[(0, )?1\]") as alone:
+            gaussian._vacuum_probabilities(bad.husimi, k)
+        with pytest.raises(PhysicalityError) as batched:
+            if k is None:
+                gaussian._vacuum_probabilities(np.stack([good.husimi, bad.husimi]))
+            else:
+                list(gaussian._capped_distributions([good, bad, good], k))
+        assert str(batched.value) == str(alone.value)
+
+    def test_probabilities_above_one_in_a_batch_are_refused(self):
+        # P_vac of both modes of the second state is 1.5625
+        good = state_from_device(*random_device(2, 1))
+        bad = GaussianState(modes=2, husimi=0.8 * np.eye(4))
+        laws = gaussian._capped_distributions([good, bad], 2)
+        assert next(laws)[1].sum() == pytest.approx(1.0)
+        with pytest.raises(PhysicalityError, match="click probabilities"):
+            next(laws)
+
+
+class TestClassicalStateStarts:
+    """Both Schur starts on epsilon = 1 states, against the principal minors
+    of the N block, at sizes where the inclusion-exclusion oracle is too
+    slow."""
+
+    @staticmethod
+    def classical_state(modes, eta):
+        g = random_complex_graph(modes, seed=modes)
+        pure = encode_graph(g, choose_scale(g, modes / 3)).build_state()
+        return apply_loss(apply_thermal(pure, 1.0), eta)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    @pytest.mark.parametrize("modes", [12, 16, 20])
+    def test_both_starts_match_the_minor_oracle(self, modes, eta):
+        state, full = self.classical_state(modes, eta), (1 << modes) - 1
+        # values sit at the complement ~W; every one at 12 modes, else 300
+        picked = (np.arange(1 << modes) if modes == 12 else
+                  np.random.default_rng(modes).integers(1 << modes, size=300))
+        got = gaussian._vacuum_probabilities(state.husimi)[picked]
+        want = classical_vacuum_probabilities(state, full ^ picked)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        masks = gaussian._slice_masks(modes, 4)
+        got = gaussian._vacuum_probabilities(state.husimi, 4, masks)
+        want = classical_vacuum_probabilities(state, full ^ masks)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_batched_capped_start_matches_the_minor_oracle(self):
+        etas, full = [1.0, 0.75, 0.5, 0.25], (1 << 20) - 1
+        states = [self.classical_state(20, eta) for eta in etas]
+        masks = gaussian._slice_masks(20, 3)
+        rows = gaussian._vacuum_probabilities(
+            np.stack([state.husimi for state in states]), 3, masks)
+        for state, row in zip(states, rows):
+            want = classical_vacuum_probabilities(state, full ^ masks)
+            np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
 
 
 class TestCappedBitsPinned:

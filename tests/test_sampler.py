@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 from scipy.stats import unitary_group
 
-from gbskit import gaussian
+from gbskit import gaussian, sampler
 from gbskit.errors import CostGuardError, ValidationError
 from gbskit.generators import random_complex_symmetric
 from gbskit.matfn import hafnian, torontonian
@@ -448,6 +448,80 @@ class TestPoolIO:
         )
         pool = load_pool(path)
         assert (pool.provenance, pool.seed, pool.modes) == ({"kind": "x"}, 5, 2)
+
+    @staticmethod
+    def line_by_line(path):
+        """`load_pool` as it stood reading one line per Python iteration:
+        (modes, sample bytes, provenance, seed), or the refusal text."""
+        comments, modes, patterns = {"provenance": {}, "seed": None}, None, []
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    line = raw.strip()
+                    if not line:
+                        continue
+                    if line.startswith("#"):
+                        name, colon, text = line[1:].lstrip().partition(":")
+                        if colon and name in comments:
+                            comments[name] = sampler._header_value(path, lineno, name, text)
+                    elif modes is None:
+                        if not line.startswith("modes="):
+                            raise ValidationError(
+                                f"{path}:{lineno}: expected 'modes=M' header, got {line!r}")
+                        modes = sampler._header_value(path, lineno, "modes", line[6:])
+                        if modes <= 0:
+                            raise ValidationError(f"{path}:{lineno}: modes must be positive")
+                    elif len(line) != modes or line.strip("01"):
+                        raise ValidationError(
+                            f"{path}:{lineno}: expected a {modes}-character 0/1 pattern, "
+                            f"got {line!r}")
+                    else:
+                        patterns.append(line)
+            if modes is None:
+                raise ValidationError(f"{path}: missing 'modes=M' header")
+        except ValidationError as exc:
+            return str(exc)
+        digits = "".join(patterns).encode("ascii")
+        return modes, digits, comments["provenance"], comments["seed"]
+
+    @pytest.mark.parametrize("text", [
+        "modes=4\n0101\n1100\n",
+        "modes=4\r\n0101\r\n1100\r\n",
+        "modes=4\r0101\r1100",
+        "modes=4\n 0101 \n\t1100\x0b\n\x1c0011\u3000\n\u00850000\n",
+        "modes=2\n10\n 01\n11\n\t00\n10\n00 \n",
+        "\n# c\n\n  modes=3 \n\n111\n  \n000\n\n",
+        "modes=4",
+        "modes=4\n0101",
+        "modes=4\n0101\x00\n",
+        "modes=4\n\x00\n",
+        "modes=4\n# seed: 3\x00\n0101\n",
+        "modes=4\n010\n# seed: x\n",
+        "modes=4\n# seed: x\n010\n",
+        "modes=4\n0101\n#seed:9\n1111\n# seed : 4\n#\n# seed 5\n",
+        "modes=4\n0121\n",
+        "modes=4\n01010\n",
+        "modes=4\n\u0661\u0660\u0661\u0660\n",
+        "modes=2\n1 0\n",
+        "modes=2\n# provenance: {\"a\": 1}\n10\n# provenance: [1]\n",
+        "modes=2\n10\n01\n11\nx\n00\n",
+        "modes=0\n",
+        "0101\n",
+        "",
+    ])
+    def test_reads_as_line_by_line(self, tmp_path, text):
+        # the lines after the header are sorted all at once; every pool and
+        # every refusal is the one reading them one at a time gave
+        path = tmp_path / "p.txt"
+        path.write_bytes(text.encode("utf-8"))
+        want = self.line_by_line(path)
+        try:
+            pool = load_pool(path)
+        except ValidationError as exc:
+            assert str(exc) == want
+        else:
+            assert (pool.modes, (pool.samples + ord("0")).tobytes(), pool.provenance,
+                    pool.seed) == want
 
     def test_later_header_wins(self, tmp_path):
         path = tmp_path / "c.txt"

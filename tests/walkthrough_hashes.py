@@ -10,9 +10,11 @@ Usage: python tests/walkthrough_hashes.py OUTDIR
 
 OUTDIR must not exist yet; the commands run inside it, with relative paths,
 so the outputs do not name it. The package is imported from the `src`
-directory beside this file's parent, so running this script from two
-checkouts and diffing the printed lines shows which output bytes a change
-moved. pytest does not collect it (its name does not start with `test_`).
+directory beside this file's parent. `walkthrough.sha256` beside this file
+holds the lines it prints, and `test_walkthrough.py` compares a fresh run
+with them, so a change that moves output bytes shows as a diff of that
+file. pytest does not collect this script (its name does not start with
+`test_`).
 """
 
 import contextlib
