@@ -359,7 +359,8 @@ def noise_sweep(
     """
     etas = list(eta_grid)
     epss = list(epsilon_grid)
-    if any(not isinstance(e, numbers.Real) or not 0 <= e <= 1 for e in etas + epss):
+    if any(isinstance(e, bool) or not isinstance(e, numbers.Real) or not 0 <= e <= 1
+           for e in etas + epss):
         raise ValidationError("noise grids must hold real numbers within [0, 1]")
     if min(trials, pool_size, budget, classical_budget, classical_trials) < 1:
         raise ValidationError(

@@ -19,9 +19,10 @@ or any once two modes are left) is a leaf: the 2x2 blocks of its Schur
 complement, and of that after one more mode's rank-2 update, give every
 subset it grows into, and it leaves the recursion. While k is small next
 to M, those values and their subset transform live on a compact slice, the
-ascending bitmasks of at most k modes; for larger k, where the slice's
-transform pairs would outgrow two 2^M vectors, they fill a 2^M vector,
-transformed in full (`_subset_transform`) and then gathered.
+ascending bitmasks of at most k modes, each pass selecting its pairs of
+slots as it runs; for larger k, where the slice's transform pairs would
+outnumber 2^M, they fill a 2^M vector, transformed in full
+(`_subset_transform`) and then gathered.
 `sampler.sample_k_clicks` reads the slice, and `pattern_distribution(state,
 k)` scatters it into a 2^M vector. The recursion also takes a stack of
 states as one: a noise sweep's grid points share each step, and each
@@ -36,7 +37,6 @@ state built.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -378,59 +378,23 @@ def _slice_masks(modes: int, k: int) -> np.ndarray:
 def _on_slice(modes: int, k: int) -> bool:
     """Whether the capped distribution runs on the compact slice rather than
     on a 2^M vector: while the slice's subset transform has at most 2^M
-    pairs (S, S - {i}), sum over j <= k of j C(M, j). `_click_slice` keeps
-    them at 16 bytes each, so they take no more than two 2^M float vectors,
-    about what the 2^M path allocates for the call. Past that they cost
-    more than the full transform's strided passes too, or save too little
-    for their memory (whole calls, raw, one BLAS thread: 20 modes at k = 7,
-    0.84 * 2^M pairs, take 44 ms on the slice against 58 ms; at k = 8,
-    1.8 * 2^M, 74 against 71 ms; 16 modes at k = 6, 1.21 * 2^M, 6.7 against
-    7.1 ms, but there the 1.3 MB of pairs raised the noise sweep
-    benchmark's peak RSS by about 0.6 MB for no clear gain in its op time)."""
+    pairs (S, S - {i}), sum over j <= k of j C(M, j). Each pass selects its
+    pairs (`_mode_pairs`) and gathers both sides, which costs more per pair
+    than a strided 2^M pass per entry. Whole calls, each layout forced,
+    median cold / warm ms of five processes (raw, one BLAS thread), vector
+    against slice: 16 modes at k = 6 (1.21 * 2^M pairs) 9/6 against 10/6;
+    20 modes at k = 8 (1.8 * 2^M) 84/71 against 120/103, at k = 7
+    (0.84 * 2^M) 58/48 against 63/51 but +15 against +8 MB peak RSS; 24
+    modes at k = 8 (0.56 * 2^M) 858/809 against 644/598, +154 against +50 MB."""
     return modes * sum(math.comb(modes - 1, j) for j in range(k)) <= 1 << modes
 
 
-@lru_cache(maxsize=1)
-def _click_slice(modes: int, k: int) -> tuple:
-    """`_slice_masks(modes, k)` and, for each mode i, the slots (with,
-    without) of every pair S and S - {i} with i in S. Read-only, and held
-    for the last (modes, k) only: at 24 modes and k = 6, 190 051 masks and
-    17 MB of pairs.
-
-    The slots come from counts, not searches. With n(m, c) the number of
-    subsets of at most c of m modes, the slice of m + 1 modes at cap c is
-    that of m modes, then mode m added to each of its subsets of at most
-    c - 1 modes, in order, from slot n(m, c). So mode i's pairs there are
-    its pairs at (m, c), then its pairs at (m, c - 1) moved up by n(m, c);
-    at m = i, the S are slots n(i, c) on, and the S - {i} the slots of the
-    subsets of at most c - 1 modes among those of at most c."""
-    masks = _slice_masks(modes, k)
-    sums = [list(itertools.accumulate(math.comb(m, j) for j in range(k + 1)))
-            for m in range(modes + 1)]
-
-    def count(m, c):  # n(m, c)
-        return sums[m][c] if c >= 0 else 0
-
-    sizes = np.bitwise_count(masks)
-    pairs = []
-    for i in range(modes):
-        head = sizes[:count(i, k)]  # the slice of the modes below i
-        prev = np.zeros((2, 0), dtype=np.intp)  # the (S, S - {i}) slots at cap 0
-        for c in range(1, k + 1):
-            top = modes - k + c  # cap k at `modes` modes reads cap c up to here
-            if top <= i:
-                continue
-            cur, base = np.empty((2, count(top - 1, c - 1)), dtype=np.intp), count(i, c - 1)
-            cur[0, :base] = count(i, c) + np.arange(base)
-            cur[1, :base] = np.flatnonzero(head[head <= c] < c)
-            for m in range(i + 1, top):
-                src, dst = count(m - 1, c - 2), count(m - 1, c - 1)
-                np.add(prev[:, :src], count(m, c), out=cur[:, dst:dst + src])
-            prev = cur
-        pairs.append(tuple(prev))
-    for arr in itertools.chain.from_iterable(pairs):
-        arr.setflags(write=False)
-    return masks, tuple(pairs)
+def _mode_pairs(masks: np.ndarray, small: np.ndarray, i: int) -> tuple:
+    """The slots (S, S - {i}) of every S holding mode i in the slice `masks`:
+    dropping i keeps their order, so the S - {i} are the masks without i
+    that `small` marks (those of fewer than k modes), in order."""
+    has = masks & 1 << i != 0
+    return np.flatnonzero(has), np.flatnonzero(small & ~has)
 
 
 def _check_size(modes: int, max_clicks: int | None) -> None:
@@ -504,7 +468,7 @@ def _capped_distributions(states: list, k: int):
 
     The states' Husimi matrices run through `_vacuum_probabilities` as one
     stack, as many at a time as fill two 2^M vectors, about what the 2^M
-    path allocates for one state (`_on_slice`), and at most
+    path allocates for one state, and at most
     2^`MAX_TABLE_MODES` values: off the slice, two states at a time below
     24 modes and one at 24. Each state's values keep the bits of its own
     one-state call. Larger batches save no time where a state's recursion
@@ -515,25 +479,29 @@ def _capped_distributions(states: list, k: int):
 
     While `_on_slice`, the values and the subset transform stay on it: a
     pass writes S from S - {i}, which is in the slice whenever S is, in the
-    same passes as the full transform, so every value keeps its bits.
+    same passes as the full transform, so every value keeps its bits; each
+    pass selects its pairs (`_mode_pairs`) for the batch and drops them.
     Otherwise each state's values fill a 2^M vector, transformed in full
     and then gathered."""
     if not states:
         return
     m = states[0].modes
     _check_size(m, k)
-    on_slice = _on_slice(m, k)
-    masks, pairs = _click_slice(m, k) if on_slice else (_slice_masks(m, k), ())
+    on_slice, masks = _on_slice(m, k), _slice_masks(m, k)
+    small = np.bitwise_count(masks) < k if on_slice else None
     width = masks.size if on_slice else 1 << m
     batch = max(1, min(2 << m, 1 << MAX_TABLE_MODES) // width)
     for first in range(0, len(states), batch):
         sq = np.stack([state.husimi for state in states[first:first + batch]])
         dists = _vacuum_probabilities(sq, k, masks if on_slice else None)
-        if not on_slice:  # gathered, so the 2^M rows go before any is read
+        if on_slice:
+            for i in range(m):
+                hi, lo = _mode_pairs(masks, small, i)
+                for dist in dists:  # row by row: a 2-D gather took 2-3 times as long
+                    dist[hi] -= dist[lo]
+        else:  # gathered, so the 2^M rows go before any is read
             dists = [_subset_transform(dist)[masks] for dist in dists]
         for dist in dists:
-            for hi, lo in pairs:  # none off the slice
-                dist[hi] -= dist[lo]
             yield masks, _checked(dist, whole=k == m)
 
 

@@ -254,9 +254,9 @@ def load_pool(path) -> SamplePool:
     ends = np.append(np.flatnonzero(body == ord("\n")), body.size)
     starts = np.append(0, ends[:-1] + 1)
     sized = np.flatnonzero(ends - starts == modes)
-    # each line's first M bytes, through a view of M-byte windows
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(body, (0, modes)), modes)
-    rows = windows[starts[sized]]
+    # each M-byte line's bytes, through a view of M-byte windows if there is one
+    rows = (np.lib.stride_tricks.sliding_window_view(body, modes)[starts[sized]]
+            if sized.size else np.empty((0, modes), dtype=np.uint8))
     ok = ((rows | 1) == ord("1")).all(axis=1)  # each byte '0' or '1'
     plain = np.zeros(starts.size, dtype=bool)
     plain[sized[ok]] = True

@@ -245,7 +245,6 @@ class TestNoiseSweep:
     def test_pools_reuse_the_targets_masks(self):
         # the table's masks are the ones the k-click pools read: built once
         gaussian._slice_masks.cache_clear()
-        gaussian._click_slice.cache_clear()
         g = planted_clique_graph(8, 3, 0.2, seed=1)
         bench.noise_sweep(g, 3, [1.0, 0.5], [0.0], trials=10, seed=7, pool_size=400,
                           budget=200, classical_budget=50, classical_trials=5)
@@ -474,8 +473,10 @@ class TestNoiseSweep:
 
     def test_rejects_bad_grid(self):
         g = zero_one_graph(8, 0.6, seed=2)
-        for etas, epss in [([1.5], [0.0]), (["a"], [0.0]), ([1.0], [None])]:
-            with pytest.raises(ValidationError):
+        # a bool is an int, so only its type tells it from 1 or 0
+        for etas, epss in [([1.5], [0.0]), (["a"], [0.0]), ([1.0], [None]),
+                           ([True], [0.0]), ([1.0], [False])]:
+            with pytest.raises(ValidationError, match="must hold real numbers within"):
                 bench.noise_sweep(g, 3, etas, epss, trials=5, seed=0)
 
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -546,13 +547,19 @@ class TestCappedDistribution:
 
 
 class TestClickSlice:
+    @staticmethod
+    def slice_pairs(modes, k):
+        """The slice's masks and each mode's pair slots from `_mode_pairs`."""
+        masks = gaussian._slice_masks(modes, k)
+        small = np.bitwise_count(masks) < k
+        return masks, [gaussian._mode_pairs(masks, small, i) for i in range(modes)]
+
     @pytest.mark.parametrize("modes", [0, 1, 5, 8])
     def test_layout(self, modes):
         for k in range(modes + 1):
-            masks, pairs = gaussian._click_slice(modes, k)
+            masks, pairs = self.slice_pairs(modes, k)
             assert (np.diff(masks) > 0).all() and (np.bitwise_count(masks) <= k).all()
             assert len(masks) == sum(math.comb(modes, j) for j in range(k + 1))
-            assert len(pairs) == modes
             # each pass pairs every S that holds mode i with S - {i}
             for i, (hi, lo) in enumerate(pairs):
                 assert np.array_equal(hi, np.flatnonzero(masks >> i & 1))
@@ -569,15 +576,27 @@ class TestClickSlice:
 
     @pytest.mark.parametrize("modes, k", [(16, 3), (16, 6), (18, 5), (20, 4), (20, 7)])
     def test_pairs_are_the_searched_slots(self, modes, k):
-        # the counted slots are the ones a binary search of the masks finds
-        gaussian._click_slice.cache_clear()
-        masks, pairs = gaussian._click_slice(modes, k)
+        # the selected slots are the ones a binary search of the masks finds
+        masks, pairs = self.slice_pairs(modes, k)
         for i, (hi, lo) in enumerate(pairs):
             want_hi = np.flatnonzero(masks >> i & 1)
             assert hi.dtype == lo.dtype == np.intp
             assert np.array_equal(hi, want_hi)
             assert np.array_equal(lo, np.searchsorted(masks, masks[want_hi] ^ 1 << i))
-            assert not (hi.flags.writeable or lo.flags.writeable)
+
+    def test_a_slice_call_keeps_no_pairs(self):
+        state = apply_loss(state_from_device(*random_device(16, 3)), 0.75)
+        assert gaussian._on_slice(16, 5)
+        gaussian._capped_distribution(state, 4)  # fills the kernel's own caches
+        tracemalloc.start()
+        try:
+            masks, probs = gaussian._capped_distribution(state, 5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # each mode's pairs were dropped after its pass: what is still held
+        # is the result and the cached masks, and a few small objects
+        assert held <= probs.nbytes + masks.nbytes + (1 << 14)
 
 
 # the states of a batch: the random 8-mode graph lossless, thermal, lossy, lost
@@ -775,9 +794,9 @@ class TestCappedPaths:
 
     def test_half_the_modes_build_no_slice_pairs(self, monkeypatch):
         def refused(*args):
-            raise AssertionError("slice pairs built")
+            raise AssertionError("slice pairs selected")
 
-        monkeypatch.setattr(gaussian, "_click_slice", refused)
+        monkeypatch.setattr(gaussian, "_mode_pairs", refused)
         g = random_complex_graph(20, seed=1)
         state = apply_loss(encode_graph(g, choose_scale(g, 10.0)).build_state(), 0.75)
         masks, probs = gaussian._capped_distribution(state, 10)

@@ -523,6 +523,20 @@ class TestPoolIO:
             assert (pool.modes, (pool.samples + ord("0")).tobytes(), pool.provenance,
                     pool.seed) == want
 
+    def test_large_mode_count_allocates_no_windows(self, tmp_path):
+        # no line has M bytes, so no M-byte window is built before the refusal
+        path = tmp_path / "p.txt"
+        path.write_text(f"modes={10 ** 8}\n0101\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as refused:
+                load_pool(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == self.line_by_line(path)
+        assert peak < 1 << 20
+
     def test_later_header_wins(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# seed: 1\n# seed: 2\nmodes=1\n# seed: 3\n1\n")
