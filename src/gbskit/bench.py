@@ -351,11 +351,15 @@ def noise_sweep(
     `sample_k_clicks` would, seeded from `[seed, gi, 2]`, and its trial
     steps from `[seed, gi, 3]`.
 
-    The target, on every row, is the expected best of a uniform run of
-    `classical_budget` steps (`_classical_target`): exact, with each kept
-    pattern's value read from `_subset_table` by its mask, up to C(n, k) <=
-    classical_trials * classical_budget, and the mean best of
-    `classical_trials` simulated runs, pools valued by `Objective.values`, above.
+    The pool stays as its drawn click bitmasks (`sampler._k_click_masks`),
+    and a mask whose popcount is not k is refused as `SamplePool.subsets`
+    refuses its pattern. The target, on every row, is the expected best of
+    a uniform run of `classical_budget` steps (`_classical_target`): exact,
+    up to C(n, k) <= classical_trials * classical_budget, with q read from
+    the masks, each one's value found in `_subset_table`'s ascending masks
+    by binary search, and no pattern array built; above, the mean best of
+    `classical_trials` simulated runs, the masks decoded to subsets for
+    `Objective.values`.
     """
     etas = list(eta_grid)
     epss = list(epsilon_grid)
@@ -384,12 +388,12 @@ def noise_sweep(
     rows = []
     for gi, ((eta, eps), law) in enumerate(zip(grid, laws)):
         pool_seed = int(np.random.default_rng([seed, gi, 2]).integers(2**32))
-        pool = sampler._k_click_pool(graph.n, law, pool_size, k, pool_seed)
-        subsets = pool.subsets(k)  # refuses a pattern without k clicks
-        vals = (obj.values(subsets) if table is None  # else read by mask
-                else table[1][np.searchsorted(table[0], (1 << subsets).sum(axis=1))])
+        clicked = sampler._k_click_masks(law, pool_size, k, pool_seed)
+        sampler._check_clicks(np.bitwise_count(clicked), k)
+        vals = (table[1][np.searchsorted(table[0], clicked)] if table is not None
+                else obj.values(sampler._clicked_modes(sampler._bits(clicked, graph.n), k)))
         # an empty pool has q = 0 and runs no trials
-        q = float(np.mean(vals >= target)) if len(pool) else 0.0
+        q = float(np.mean(vals >= target)) if clicked.size else 0.0
         steps = (np.random.default_rng([seed, gi, 3]).geometric(q, trials)
                  if q > 0 else np.zeros(0, dtype=int))
         steps_hit = steps[steps <= budget]
@@ -401,8 +405,8 @@ def noise_sweep(
                 target=target,
                 p_hat=fit.p_hat if fit else None,
                 ci95=fit.ci95 if fit else None,
-                trials=trials if len(pool) else 0,
-                kept=len(pool),
+                trials=trials if clicked.size else 0,
+                kept=clicked.size,
                 censored_fraction=(trials - steps_hit.size) / trials,
                 no_success=fit is None,
             )

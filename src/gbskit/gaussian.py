@@ -19,14 +19,17 @@ or any once two modes are left) is a leaf: the 2x2 blocks of its Schur
 complement, and of that after one more mode's rank-2 update, give every
 subset it grows into, and it leaves the recursion. While k is small next
 to M, those values and their subset transform live on a compact slice, the
-ascending bitmasks of at most k modes, each pass selecting its pairs of
-slots as it runs; for larger k, where the slice's transform pairs would
-outnumber 2^M, they fill a 2^M vector, transformed in full
+ascending bitmasks of at most k modes: each value goes to its mask's rank
+there, the sum of two ranks read from small tables built per call
+(`_slot_places`), and each transform pass selects its pairs of slots as it
+runs. For larger k, where those pairs cost more than the passes over 2^M
+values (`_on_slice`), they fill a 2^M vector, transformed in full
 (`_subset_transform`) and then gathered.
 `sampler.sample_k_clicks` reads the slice, and `pattern_distribution(state,
 k)` scatters it into a 2^M vector. The recursion also takes a stack of
-states as one: a noise sweep's grid points share each step, and each
-state's values keep the bits of its own call (`_capped_distributions`).
+states as one: a noise sweep's grid points share each step and each pass's
+pair selection, which moves the rule toward the slice, and each state's
+values keep the bits of its own call (`_capped_distributions`).
 
 One formula gives every single-mode click probability, 1 - P_vac({j}) =
 1 - (sigma_jj sigma_{j+M,j+M} - |sigma_{j,j+M}|^2)^(-1/2): `mean_clicks` and
@@ -65,8 +68,16 @@ MAX_TABLE_MODES = 24
 # values per stack of Schur complements handled in one numpy call (raw, one BLAS
 # thread, at 2^15/2^16/2^17: 16 modes at k = 6 took 4.6/3.9/3.7 ms, uncapped
 # 13.0/10.7/12.0 ms; at 2^15/2^16 a 3000-draw 20-mode `sampler.sample` took
-# 121.2/111.2 ms, its kernel's traced peak 11.8/14.4 MB)
+# 121.2/111.2 ms, its kernel's traced peak 11.8/14.4 MB). Ten alternating
+# process pairs at 2^16 against 2^17, median ms: the uncapped 16-mode
+# `pattern_distribution` 11.12 against 11.57 (2^17 faster in 6 pairs, the
+# median ratio 0.994), the four-state 16-mode k = 6 slice stack 14.69
+# against 14.52 (9 pairs, 0.956); the uncapped start gains nothing.
 _CHUNK = 1 << 16
+# the time `_mode_pairs` takes to select a slice's pairs over that of one
+# state's subtractions on them (`_on_slice`): 0.60-0.82 against 0.32-0.50 ms
+# at 16 modes and k = 6, 1.6-1.9 (raw, one BLAS thread, three runs)
+_SELECT_COST = 1.75
 
 _HERM_TOL = 1e-10
 _UNITARY_TOL = 1e-9
@@ -283,8 +294,9 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
     own steps have passed their checks. Every row left in a stack grows.
     Stacks of more than `_CHUNK` values are split along their rows first.
     The values are held at the ~W of a 2^M vector, every other index 0, or
-    with `slots`, the ascending masks of at most k modes, at the ~W's slot
-    there."""
+    with `slots`, the ascending masks of at most k modes
+    (`_slice_masks(M, k)`), at the ~W's slot there, its rank from
+    `_slot_places`."""
     m = sq.shape[-1] // 2
     w = _quadrature_basis(m)
     mats = sq.reshape(math.prod(sq.shape[:-2]), 2 * m, 2 * m)
@@ -297,11 +309,7 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
     low, width = (1 << m) - 1, 1 << m if slots is None else slots.size
     # 1 / sqrt(inf) leaves 0 at every index no row reaches
     out = np.full(len(vs) * width, np.inf) if slots is None else np.empty(len(vs) * width)
-
-    def place(masks):
-        if slots is None:
-            return flip ^ masks
-        return np.searchsorted(slots, masks & low) + (masks >> m) * width
+    place = (lambda masks: flip ^ masks) if slots is None else _slot_places(m, cap, len(vs))
 
     def check(a, pivot, grown):
         if a.size and not (a.min() > 0 and pivot.min() > 0):
@@ -352,6 +360,9 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
             stack = np.concatenate([rest, added], axis=-1)
             dets, masks = np.concatenate([dets, dets_add]), np.concatenate([masks, grown])
         if cap > 2 and len(stack) > 4:
+            # views of the stack: halves of their own rows raised the traced
+            # peak of four 16-mode states at k = 6 (3.06 to 3.47 MB) and
+            # slowed the sweep, though they cut 20-mode peaks by 1-2 MB
             half = len(dets) // 2
             work += [(stack[..., :half], dets[:half], masks[:half]),
                      (stack[..., half:], dets[half:], masks[half:])]
@@ -375,18 +386,57 @@ def _slice_masks(modes: int, k: int) -> np.ndarray:
     return masks
 
 
-def _on_slice(modes: int, k: int) -> bool:
-    """Whether the capped distribution runs on the compact slice rather than
-    on a 2^M vector: while the slice's subset transform has at most 2^M
-    pairs (S, S - {i}), sum over j <= k of j C(M, j). Each pass selects its
-    pairs (`_mode_pairs`) and gathers both sides, which costs more per pair
-    than a strided 2^M pass per entry. Whole calls, each layout forced,
-    median cold / warm ms of five processes (raw, one BLAS thread), vector
-    against slice: 16 modes at k = 6 (1.21 * 2^M pairs) 9/6 against 10/6;
-    20 modes at k = 8 (1.8 * 2^M) 84/71 against 120/103, at k = 7
-    (0.84 * 2^M) 58/48 against 63/51 but +15 against +8 MB peak RSS; 24
-    modes at k = 8 (0.56 * 2^M) 858/809 against 644/598, +154 against +50 MB."""
-    return modes * sum(math.comb(modes - 1, j) for j in range(k)) <= 1 << modes
+def _slot_places(modes: int, k: int, states: int):
+    """The function that takes bitmasks of at most k of `modes` modes, each
+    carrying the index i < `states` of its state in the bits from `modes`
+    up, to their slots in a stack of slice rows: i times the slice's size,
+    plus the mask's rank in `_slice_masks(modes, k)`, the number of slice
+    masks below it.
+
+    With h the mask's bits from `modes // 2` up, the state's index among
+    them, and l the bits below, that slot is high[h], i times the slice's
+    size plus the number of slice masks whose mode bits from `modes // 2`
+    up are below h's, plus the rank of l among the low bits of at most
+    k - popcount(h) modes, read from row rows[h] = k - popcount(h) of the
+    low table. The tables are built per call: (k + 1) 2^(modes // 2) and
+    2 states 2^(modes - modes // 2) ranks."""
+    bits = modes // 2
+    fits = np.bitwise_count(np.arange(1 << bits)) <= np.arange(k + 1)[:, None]
+    low = (np.cumsum(fits, axis=1) - fits).ravel()  # masks below l, in each row
+    spare = k - np.bitwise_count(np.arange(1 << modes - bits)).astype(np.intp)
+    sizes = np.where(spare < 0, 0, fits.sum(axis=1)[spare.clip(0)])  # masks per h
+    high = (np.cumsum(sizes) - sizes + np.arange(states)[:, None] * sizes.sum()).ravel()
+    rows = np.tile(spare.clip(0) << bits, states)
+
+    def place(masks):
+        h = masks >> bits
+        return high[h] + low[rows[h] | masks & (1 << bits) - 1]
+
+    return place
+
+
+def _on_slice(modes: int, k: int, states: int = 1) -> bool:
+    """Whether the capped distribution of a stack of `states` states runs
+    on the compact slice rather than on 2^M vectors. The slice's subset
+    transform has pairs = sum over j <= k of j C(M, j) pairs (S, S - {i});
+    each pass selects its pairs (`_mode_pairs`) once for the stack, at
+    `_SELECT_COST` times one state's subtractions on them, so the slice is
+    taken iff pairs (S + B) <= (S + 1) B 2^M, S that cost and B `states`.
+    At B = 1 that is pairs <= 2^M: a selected and gathered pair costs about
+    a strided 2^M pass entry. Whole calls, each layout forced, slice
+    against vector, median ms (process time, one BLAS thread,
+    `random_complex_graph(M, 1)` at 6 mean clicks, B states at
+    eta 1, .75, .5, .25; pairs 1.21, 2.43, 1.80, 1.26 * 2^M):
+
+    | B | 16/6        | 16/7        | 20/8        | 24/9       |
+    | 1 | 4.2 vs 3.9  | 6.0 vs 5.0  | 56.6 vs 48.5 | 812 vs 894 |
+    | 4 | 12.1 vs 13.9 | 17.9 vs 18.0 | 193 vs 203 | -          |
+
+    At B = 4 the bound is 1.91 * 2^M. Near it the layouts tie: in three
+    runs 17/7 (1.93 * 2^M) and 14/6 (2.03 * 2^M) were within 9 % either
+    way, while at 22/9 (2.11 * 2^M) the vector was 6-11 % faster."""
+    return (modes * sum(math.comb(modes - 1, j) for j in range(k)) * (_SELECT_COST + states)
+            <= (_SELECT_COST + 1) * states * (1 << modes))
 
 
 def _mode_pairs(masks: np.ndarray, small: np.ndarray, i: int) -> tuple:
@@ -477,20 +527,26 @@ def _capped_distributions(states: list, k: int):
     of 1 / 4 / 16, at +1-19 / +32-49 / +151-171 MB peak (three runs each,
     raw, one BLAS thread).
 
-    While `_on_slice`, the values and the subset transform stay on it: a
-    pass writes S from S - {i}, which is in the slice whenever S is, in the
-    same passes as the full transform, so every value keeps its bits; each
-    pass selects its pairs (`_mode_pairs`) for the batch and drops them.
-    Otherwise each state's values fill a 2^M vector, transformed in full
-    and then gathered."""
+    While `_on_slice` for a stack of as many states as one slice batch
+    holds (at most all of them), the values and the subset transform stay
+    on it. The recursion writes each value at its mask's slot, two ranks
+    read from small tables that `_slot_places` builds per call rather than
+    a binary search of the slice: at 16 modes and k = 6 placing four states'
+    values took 0.70-0.75 ms against 1.81-1.84 ms of a 13-16 ms recursion
+    (three runs, one BLAS thread). A pass writes S from S - {i}, which is
+    in the slice whenever S is, in the same passes as the full transform,
+    so every value keeps its bits; each pass selects its pairs
+    (`_mode_pairs`) once for the batch and drops them. Otherwise each
+    state's values fill a 2^M vector, transformed in full and then
+    gathered."""
     if not states:
         return
     m = states[0].modes
     _check_size(m, k)
-    on_slice, masks = _on_slice(m, k), _slice_masks(m, k)
+    masks, values = _slice_masks(m, k), min(2 << m, 1 << MAX_TABLE_MODES)
+    on_slice = _on_slice(m, k, min(max(1, values // masks.size), len(states)))
     small = np.bitwise_count(masks) < k if on_slice else None
-    width = masks.size if on_slice else 1 << m
-    batch = max(1, min(2 << m, 1 << MAX_TABLE_MODES) // width)
+    batch = max(1, values // (masks.size if on_slice else 1 << m))
     for first in range(0, len(states), batch):
         sq = np.stack([state.husimi for state in states[first:first + batch]])
         dists = _vacuum_probabilities(sq, k, masks if on_slice else None)

@@ -57,13 +57,18 @@ class SamplePool:
     def subsets(self, k: int) -> np.ndarray:
         """The clicked modes of each pattern, ascending, as an (N, k) index
         array; every pattern must have exactly k clicks."""
-        counts = self.click_counts()
-        bad = np.flatnonzero(counts != k)
-        if bad.size:
-            raise ValidationError(
-                f"pool pattern {bad[0]} has {counts[bad[0]]} clicks, expected {k}"
-            )
+        _check_clicks(self.click_counts(), k)
         return _clicked_modes(self.samples, k)
+
+
+def _check_clicks(counts: np.ndarray, k: int) -> None:
+    """Refuse the first pattern of a pool whose click count in `counts` is
+    not k."""
+    bad = np.flatnonzero(counts != k)
+    if bad.size:
+        raise ValidationError(
+            f"pool pattern {bad[0]} has {counts[bad[0]]} clicks, expected {k}"
+        )
 
 
 def _pattern_array(samples, modes: int) -> np.ndarray:
@@ -134,18 +139,23 @@ def sample_k_clicks(
     probabilities over P_k, one uniform per draw through the inverse of their
     cumulative sum. Only patterns of at most k clicks are computed, in
     ascending mask order (`gaussian._capped_distribution`), and the k-click
-    ones are read from them in that order (`_k_click_pool`).
+    ones are read from them in that order (`_k_click_masks`).
     """
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
-    return _k_click_pool(state.modes, gaussian._capped_distribution(state, k),
-                         count, k, seed)
+    law = gaussian._capped_distribution(state, k)
+    return SamplePool(
+        modes=state.modes,
+        samples=_bits(_k_click_masks(law, count, k, seed), state.modes),
+        provenance={"kind": "simulated", "count": count, "postselected_clicks": k},
+        seed=seed,
+    )
 
 
-def _k_click_pool(modes: int, law: tuple, count: int, k: int, seed: int) -> SamplePool:
-    """`sample_k_clicks`' pool from `law`, the (masks, probabilities) of a
-    `modes`-mode state's patterns of at most k clicks that
-    `gaussian._capped_distributions` yields."""
+def _k_click_masks(law: tuple, count: int, k: int, seed: int) -> np.ndarray:
+    """The click bitmasks of `sample_k_clicks`' pool, in draw order, from
+    `law`, the (masks, probabilities) of a state's patterns of at most k
+    clicks that `gaussian._capped_distributions` yields."""
     masks, dist = law
     keep = (np.bitwise_count(masks) == k) & (dist > 0)
     masks, cdf = masks[keep], np.cumsum(dist[keep])
@@ -153,13 +163,7 @@ def _k_click_pool(modes: int, law: tuple, count: int, k: int, seed: int) -> Samp
     kept = rng.binomial(count, min(cdf[-1], 1.0)) if masks.size else 0
     # u * P_k can round up to P_k itself, past the last bin
     picks = np.searchsorted(cdf, rng.random(kept) * cdf[-1:], side="right")
-    clicked = masks[np.minimum(picks, masks.size - 1)]
-    return SamplePool(
-        modes=modes,
-        samples=_bits(clicked, modes),
-        provenance={"kind": "simulated", "count": count, "postselected_clicks": k},
-        seed=seed,
-    )
+    return masks[np.minimum(picks, masks.size - 1)]
 
 
 def _bits(clicked: np.ndarray, modes: int) -> np.ndarray:

@@ -16,7 +16,8 @@ trace independent of the chunk size.
   chunk: the jump uniform (a pool jump iff it is below jump_prob), the
   inside index floor(u k) into the sorted subset, the outside index
   floor(u (n - k)) into the sorted complement, and the acceptance uniform,
-  compared with libm's exp(-(current - proposed) / T).
+  compared with libm's exp((proposed - current) / T); once T has
+  underflowed to 0, every worse proposal is rejected.
 
 Pool proposals are the pool's P clicked subsets in order, back to the first
 after the last: row i mod P at random search's step i (from 0), and row 0 as
@@ -277,8 +278,10 @@ def simulated_annealing(
     With a pool source, the initial subset comes from the pool and each step
     proposes a whole-subset jump to the next pool pattern with probability
     jump_prob; otherwise one inside vertex is swapped with one outside vertex.
-    Density is valued from row sums, so its trace can differ from `density`
-    of the same subset in the last bits on complex weights.
+    A worse proposal is taken with probability exp(-drop / T); once T
+    underflows to 0, never, the limit of that probability. Density is
+    valued from row sums, so its trace can differ from `density` of the
+    same subset in the last bits on complex weights.
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
@@ -307,7 +310,7 @@ def simulated_annealing(
         cur_val = obj._haf_of(cur)
     best_val, best_sub = cur_val, cur
     best_values = []
-    temp = t0
+    temp, exp = t0, math.exp
     outside = [v for v in range(n) if v not in cur]
     for lo in range(0, steps, _CHUNK):
         draws = rng.random((min(_CHUNK, steps - lo), 4))
@@ -334,7 +337,7 @@ def simulated_annealing(
                 else:
                     prop = tuple(sorted(cur[:i] + (w,) + cur[i + 1:]))
             prop_val = abs(prop_total) if density else obj._haf_of(prop)
-            if prop_val >= cur_val or acc < math.exp(-(cur_val - prop_val) / temp):
+            if prop_val >= cur_val or temp > 0 and acc < exp((prop_val - cur_val) / temp):
                 if jump:
                     outside = [v for v in range(n) if v not in prop]
                 else:

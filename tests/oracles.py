@@ -310,7 +310,7 @@ def stepwise_simulated_annealing(obj, source, steps, t0, alpha, jump_prob, seed)
                 prop_r = [r[x] + (complex(a[w, x]) - complex(a[u, x]))
                           for x in range(n)]
         prop_val = abs(prop_total) if density else obj.value(prop)
-        if prop_val >= cur_val or acc < math.exp(-(cur_val - prop_val) / temp):
+        if prop_val >= cur_val or temp > 0 and acc < math.exp(-(cur_val - prop_val) / temp):
             cur, cur_val = prop, prop_val
             if density:
                 r, total = prop_r, prop_total

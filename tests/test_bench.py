@@ -30,6 +30,11 @@ def classical_target(obj, budget, trials, seed):
     return bench._classical_target(obj, table, budget, trials, seed)
 
 
+def click_masks(bits):
+    """The click bitmask of each row of a 0/1 pattern array, bit i = column i."""
+    return (bits.astype(np.int64) << np.arange(bits.shape[1])).sum(axis=1)
+
+
 def make_trace(values, seed=0):
     arr = np.maximum.accumulate(np.asarray(values, dtype=float))
     return RunTrace(best_values=arr, best_subset=(0, 1), steps_used=len(arr), seed=seed)
@@ -237,7 +242,7 @@ class TestNoiseSweep:
         monkeypatch.setattr(Objective, "values", refuse)
         monkeypatch.setattr(bench, "random_search", refuse)
         monkeypatch.setattr(gaussian, "_capped_distributions", refuse)
-        monkeypatch.setattr(sampler, "_k_click_pool", refuse)
+        monkeypatch.setattr(sampler, "_k_click_masks", refuse)
         g = zero_one_graph(25, 0.5, seed=0)
         with pytest.raises(CostGuardError, match="25 modes"):
             bench.noise_sweep(g, 3, [1.0], [0.0], trials=5, seed=1)
@@ -271,7 +276,7 @@ class TestNoiseSweep:
         bits[0, best] = 1
         bits[1:, worst] = 1
         pool = SamplePool(modes=8, samples=bits)
-        monkeypatch.setattr(sampler, "_k_click_pool", lambda *args: pool)
+        monkeypatch.setattr(sampler, "_k_click_masks", lambda *args: click_masks(bits))
         seed, trials, budget = 3, 4000, 60
         kw = dict(trials=trials, seed=seed, budget=budget, classical_budget=20,
                   classical_trials=3)
@@ -306,8 +311,7 @@ class TestNoiseSweep:
         subsets = np.array([s for s in itertools.combinations(range(8), 3)])
         bits = np.zeros((5, 8), dtype=np.uint8)
         bits[:, subsets[obj.values(subsets).argmin()]] = 1
-        monkeypatch.setattr(sampler, "_k_click_pool",
-                            lambda *args: SamplePool(modes=8, samples=bits))
+        monkeypatch.setattr(sampler, "_k_click_masks", lambda *args: click_masks(bits))
         (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], trials=7, seed=3, budget=50,
                                    classical_budget=20, classical_trials=3)
         assert row.no_success and row.censored_fraction == 1.0
@@ -320,8 +324,7 @@ class TestNoiseSweep:
         subsets = np.array([s for s in itertools.combinations(range(8), 3)])
         bits = np.zeros((5, 8), dtype=np.uint8)
         bits[:, subsets[obj.values(subsets).argmax()]] = 1
-        monkeypatch.setattr(sampler, "_k_click_pool",
-                            lambda *args: SamplePool(modes=8, samples=bits))
+        monkeypatch.setattr(sampler, "_k_click_masks", lambda *args: click_masks(bits))
         (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], trials=7, seed=3, budget=1,
                                    classical_budget=20, classical_trials=3)
         assert (row.p_hat, row.censored_fraction, row.no_success) == (1.0, 0.0, False)
@@ -332,9 +335,9 @@ class TestNoiseSweep:
         pools, runs = [], []
         search = bench.random_search
 
-        def pool_of(modes, law, size, k, seed):
+        def pool_of(law, size, k, seed):
             pools.append(seed)
-            return SamplePool(modes=16, samples=np.zeros((0, 16), dtype=np.uint8))
+            return np.zeros(0, dtype=np.int64)
 
         def run(*args, seed, **kw):
             runs.append(seed)
@@ -342,7 +345,7 @@ class TestNoiseSweep:
 
         monkeypatch.setattr(gaussian, "_capped_distributions",
                             lambda states, k: itertools.repeat(None))
-        monkeypatch.setattr(sampler, "_k_click_pool", pool_of)
+        monkeypatch.setattr(sampler, "_k_click_masks", pool_of)
         monkeypatch.setattr(bench, "random_search", run)
         # C(16, 8) = 12870 > 1001 * 1 subsets: the runs are simulated
         rows = bench.noise_sweep(planted_clique_graph(16, 6, 0.2, seed=1), 8,
@@ -377,15 +380,16 @@ class TestNoiseSweep:
             s.husimi.tobytes() for s in want]
 
     @staticmethod
-    def recorded_pools(monkeypatch):
-        """Each k-click pool a sweep draws, in order."""
-        pools, draw = [], sampler._k_click_pool
+    def recorded_pools(monkeypatch, modes):
+        """Each k-click pool a sweep of a `modes`-vertex graph draws, in order."""
+        pools, draw = [], sampler._k_click_masks
 
-        def pool_of(*args):
-            pools.append(draw(*args))
-            return pools[-1]
+        def masks_of(*args):
+            masks = draw(*args)
+            pools.append(SamplePool(modes=modes, samples=sampler._bits(masks, modes)))
+            return masks
 
-        monkeypatch.setattr(sampler, "_k_click_pool", pool_of)
+        monkeypatch.setattr(sampler, "_k_click_masks", masks_of)
         return pools
 
     @staticmethod
@@ -414,7 +418,7 @@ class TestNoiseSweep:
     ], ids=["readme", "complex"])
     def test_table_q_is_the_objective_values_q(self, monkeypatch, graph, objective):
         # C(16, 6) = 8008 <= 40 * 1000: each pool is read from the table
-        pools, qs = self.recorded_pools(monkeypatch), self.recorded_qs(monkeypatch)
+        pools, qs = self.recorded_pools(monkeypatch, 16), self.recorded_qs(monkeypatch)
         rows = bench.noise_sweep(graph, 6, [1.0, 0.75], [0.0, 0.25], trials=50, seed=7,
                                  pool_size=3000, objective=objective, mean_clicks=4.0)
         obj = Objective(objective, graph, 6)
@@ -430,7 +434,7 @@ class TestNoiseSweep:
         pool = SamplePool(modes=8, samples=bits)
         with pytest.raises(ValidationError) as refused:
             pool.subsets(3)
-        monkeypatch.setattr(sampler, "_k_click_pool", lambda *args: pool)
+        monkeypatch.setattr(sampler, "_k_click_masks", lambda *args: click_masks(bits))
         # C(8, 3) = 56 <= 3 * 20: the table path
         with pytest.raises(ValidationError) as swept:
             bench.noise_sweep(planted_clique_graph(8, 3, 0.2, seed=1), 3, [1.0], [0.0],
@@ -442,7 +446,7 @@ class TestNoiseSweep:
     @pytest.mark.parametrize("classical_budget, table", [(20, True), (18, False)])
     def test_pools_are_valued_through_values_only_above_the_table(
             self, monkeypatch, classical_budget, table):
-        pools, valued, values = self.recorded_pools(monkeypatch), [], Objective.values
+        pools, valued, values = self.recorded_pools(monkeypatch, 8), [], Objective.values
 
         def recorded(self, subsets):
             valued.append(subsets.tobytes())
@@ -648,17 +652,15 @@ class TestClassicalTarget:
         pools, runs = [], []
         search = bench.random_search
 
-        def pool_of(modes, law, size, k, seed):
+        def pool_of(law, size, k, seed):
             pools.append(seed)
-            bits = np.zeros((3, 16), dtype=np.uint8)
-            bits[:, :k] = 1
-            return SamplePool(modes=16, samples=bits)
+            return np.full(3, (1 << k) - 1)
 
         def run(*args, seed, **kw):
             runs.append(seed)
             return search(*args, seed=seed, **kw)
 
-        monkeypatch.setattr(sampler, "_k_click_pool", pool_of)
+        monkeypatch.setattr(sampler, "_k_click_masks", pool_of)
         monkeypatch.setattr(bench, "random_search", run)
         # C(16, 8) = 12870 > 1004 * 1 subsets: the runs are simulated
         bench.noise_sweep(planted_clique_graph(16, 6, 0.2, seed=1), 8, [1.0, 0.5],
@@ -729,7 +731,7 @@ def test_studies_refuse_a_non_integer_k_before_any_pool(monkeypatch, study, k):
 
     monkeypatch.setattr(sampler, "sample_k_clicks", no_pool)
     monkeypatch.setattr(gaussian, "_capped_distributions", no_pool)
-    monkeypatch.setattr(sampler, "_k_click_pool", no_pool)
+    monkeypatch.setattr(sampler, "_k_click_masks", no_pool)
     g = planted_clique_graph(8, 3, 0.2, seed=1)
     kw = (dict(k_values=k, steps=5, trials=2) if study == "advantage_study" else
           dict(k=k, eta_grid=[1.0], epsilon_grid=[0.0], trials=5,
@@ -755,7 +757,7 @@ def test_studies_refuse_degenerate_sizes_before_any_work(monkeypatch, study, kwa
     monkeypatch.setattr(sampler, "sample", no_work)
     monkeypatch.setattr(sampler, "sample_k_clicks", no_work)
     monkeypatch.setattr(gaussian, "_capped_distributions", no_work)
-    monkeypatch.setattr(sampler, "_k_click_pool", no_work)
+    monkeypatch.setattr(sampler, "_k_click_masks", no_work)
     monkeypatch.setattr(bench, "random_search", no_work)
     monkeypatch.setattr(bench, "torontonian", no_work)
     # the noise-sweep base case values every subset for its target

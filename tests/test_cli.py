@@ -199,6 +199,15 @@ class TestSolve:
         assert lines[0] == "step,best_value"
         assert len(lines) == 51
 
+    def test_sa_past_zero_temperature_exits_0(self, tmp_path):
+        # at alpha 0.3 the temperature underflows to 0 after about 620 steps
+        graph, out = tmp_path / "g.json", tmp_path / "t.csv"
+        assert run("gen", "--kind", "random-complex", "--n", 12, "--seed", 3,
+                   "--out", graph) == 0
+        assert run("solve", graph, "--objective", "density", "--k", 4, "--algo", "sa",
+                   "--steps", 2000, "--alpha", 0.3, "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 2001
+
     @pytest.mark.parametrize("t0", ["nan", "inf"])
     def test_sa_non_finite_t0_exits_2(self, k6_graph, tmp_path, capsys, t0):
         out = tmp_path / "trace.csv"
@@ -218,7 +227,7 @@ class TestBench:
         monkeypatch.setattr(Objective, "values", refuse)
         monkeypatch.setattr(bench, "random_search", refuse)
         monkeypatch.setattr(gaussian, "_capped_distributions", refuse)
-        monkeypatch.setattr(sampler, "_k_click_pool", refuse)
+        monkeypatch.setattr(sampler, "_k_click_masks", refuse)
         graph = tmp_path / "g.json"
         assert run("gen", "--kind", "zero-one", "--n", 25, "--seed", 0,
                    "--out", graph) == 0

@@ -501,7 +501,7 @@ class TestCappedDistribution:
         p[0, 1] = p[1, 0] = 2.0
         state = vacuum(4)
         object.__setattr__(state, "husimi", np.kron(np.eye(2), np.linalg.inv(p)))
-        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda *args: on_slice)
         with pytest.raises(PhysicalityError, match=r"modes \[0, 1\]"):
             gaussian._capped_distribution(state, k)
 
@@ -511,7 +511,7 @@ class TestCappedDistribution:
         # checks each single-mode block, as every other cap does
         state = vacuum(3)
         object.__setattr__(state, "husimi", np.diag([1.0, -1.0, 1.0] * 2))
-        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda *args: on_slice)
         with pytest.raises(PhysicalityError, match=r"modes \[1\]"):
             gaussian._capped_distribution(state, 0)
 
@@ -531,7 +531,7 @@ class TestCappedDistribution:
         # the capped start runs on v^-1, the uncapped one on v
         husimi = np.kron(np.eye(2), p if k is None else np.linalg.inv(p))
         object.__setattr__(state, "husimi", husimi)
-        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda *args: on_slice)
         with pytest.raises(PhysicalityError, match=r"modes \[([01], )*2, 3, 4\]"):
             if k is None:
                 gaussian.pattern_distribution(state)
@@ -584,6 +584,33 @@ class TestClickSlice:
             assert np.array_equal(hi, want_hi)
             assert np.array_equal(lo, np.searchsorted(masks, masks[want_hi] ^ 1 << i))
 
+    @staticmethod
+    def searched_places(masks, states, modes, k):
+        """Each of `masks` of state i's row at i times the slice's size plus
+        the mask's slot, as a binary search of the slice finds it."""
+        slots = gaussian._slice_masks(modes, k)
+        return np.searchsorted(slots, masks) + states * slots.size
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_slot_places_are_the_searched_slots(self, size):
+        # a state's index sits above the mode bits, in the high tables' reach
+        for modes in range(15):
+            for k in range(modes + 1):
+                masks = np.tile(gaussian._slice_masks(modes, k), size)
+                states = np.repeat(np.arange(size), masks.size // size)
+                got = gaussian._slot_places(modes, k, size)(masks | states << modes)
+                assert np.array_equal(got, self.searched_places(masks, states, modes, k))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("modes, k", [(20, 3), (20, 8), (20, 20), (24, 6), (24, 9)])
+    def test_sampled_slot_places_are_the_searched_slots(self, modes, k, size):
+        rng = np.random.default_rng(modes * k + size)
+        slots = gaussian._slice_masks(modes, k)
+        masks = slots[rng.integers(slots.size, size=3000)]
+        states = rng.integers(size, size=3000)
+        got = gaussian._slot_places(modes, k, size)(masks | states << modes)
+        assert np.array_equal(got, self.searched_places(masks, states, modes, k))
+
     def test_a_slice_call_keeps_no_pairs(self):
         state = apply_loss(state_from_device(*random_device(16, 3)), 0.75)
         assert gaussian._on_slice(16, 5)
@@ -630,7 +657,7 @@ class TestBatchedRecursion:
     def test_distributions_keep_their_one_state_bytes(self, monkeypatch, size, on_slice,
                                                       chunk):
         monkeypatch.setattr(gaussian, "_CHUNK", chunk)
-        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda *args: on_slice)
         states = batch_states(size)
         for k in range(9):
             laws = list(gaussian._capped_distributions(states, k))
@@ -655,7 +682,7 @@ class TestBatchedRecursion:
 
         monkeypatch.setattr(gaussian, "MAX_TABLE_MODES", budget)
         monkeypatch.setattr(gaussian, "_vacuum_probabilities", recorded)
-        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda *args: on_slice)
         states = batch_states(4) + batch_states(3)
         laws = list(gaussian._capped_distributions(states, 3))
         assert stacks == [batch] * (7 // batch) + [7 % batch] * (7 % batch > 0)
@@ -671,7 +698,7 @@ class TestBatchedRecursion:
         bad = vacuum(3)
         object.__setattr__(bad, "husimi", np.diag([1.0, -1.0, 1.0] * 2))
         good = apply_loss(state_from_device(*random_device(3, 1)), 0.75)
-        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda *args: on_slice)
         # the refusal names the modes the bad state's own call names
         with pytest.raises(PhysicalityError, match=r"modes \[(0, )?1\]") as alone:
             gaussian._vacuum_probabilities(bad.husimi, k)
@@ -774,7 +801,7 @@ class TestCappedPaths:
         for k in range(9):
             runs = []
             for on_slice in (True, False):
-                monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: on_slice)
+                monkeypatch.setattr(gaussian, "_on_slice", lambda *args: on_slice)
                 runs.append(gaussian._capped_distribution(state, k))
             (masks, probs), (full_masks, full_probs) = runs
             assert masks.tobytes() == full_masks.tobytes()
@@ -791,6 +818,31 @@ class TestCappedPaths:
             for k in range(m + 1):
                 pairs = sum(j * math.comb(m, j) for j in range(k + 1))
                 assert gaussian._on_slice(m, k) == (pairs <= 2 ** m)
+        # a stack of four: pairs (S + 4) <= (S + 1) 4 * 2^M, up to 1.91 * 2^M
+        # at S = 1.75
+        assert gaussian._on_slice(16, 6, 4)  # 1.21 * 2^16
+        assert gaussian._on_slice(20, 8, 4)  # 1.80 * 2^20
+        assert not gaussian._on_slice(17, 7, 4)  # 1.93 * 2^17
+        assert not gaussian._on_slice(16, 7, 4)  # 2.43 * 2^16
+        assert not gaussian._on_slice(24, 10, 4)  # 2.43 * 2^24
+
+    def test_the_sweeps_grid_runs_as_one_slice_stack(self, monkeypatch):
+        # four 16-mode states at k = 6 fit one slice stack, which takes the
+        # slice; one state alone takes the vector
+        stacks, run = [], gaussian._vacuum_probabilities
+
+        def recorded(sq, k, slots=None):
+            stacks.append((len(sq), slots is not None))
+            return run(sq, k, slots)
+
+        monkeypatch.setattr(gaussian, "_vacuum_probabilities", recorded)
+        g = planted_clique_graph(16, 6, 0.2, 1)
+        pure = encode_graph(g, choose_scale(g, 4.0)).build_state()
+        states = [apply_loss(pure, eta) for eta in (1.0, 0.75, 0.5, 0.25)]
+        laws = list(gaussian._capped_distributions(states, 6))
+        alone = gaussian._capped_distribution(states[0], 6)
+        assert stacks == [(4, True), (1, False)]
+        assert laws[0][1].tobytes() == alone[1].tobytes()
 
     def test_half_the_modes_build_no_slice_pairs(self, monkeypatch):
         def refused(*args):
@@ -832,7 +884,7 @@ class TestSubsetTransform:
         state = capped_case("random", "thermal")[0]
         monkeypatch.setattr(gaussian, "_subset_transform", counted)
         gaussian.pattern_distribution(state)
-        monkeypatch.setattr(gaussian, "_on_slice", lambda m, k: False)
+        monkeypatch.setattr(gaussian, "_on_slice", lambda *args: False)
         gaussian._capped_distribution(state, 3)
         assert calls == [1 << state.modes] * 2
 

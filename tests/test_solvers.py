@@ -381,6 +381,16 @@ class TestMatchesStepwiseLoops:
             ref = stepwise_simulated_annealing(Objective(kind, g, k), *args)
             assert_same_trace(tr, ref)
 
+    @pytest.mark.parametrize("kind", ["density", "maxhaf"])
+    def test_simulated_annealing_past_zero_temperature(self, kind):
+        # at alpha 0.3 the temperature underflows to 0 after about 620 steps;
+        # from then on every worse proposal is rejected
+        g = random_complex_graph(12, seed=3)
+        args = (ProposalSource(), 2000, 1.0, 0.3, 0.0, 1)
+        tr = simulated_annealing(Objective(kind, g, 4), *args)
+        ref = stepwise_simulated_annealing(Objective(kind, g, 4), *args)
+        assert_same_trace(tr, ref)
+
 
 class TestStream:
     def test_uniform_proposals_include_each_vertex_at_rate_k_over_n(self):
