@@ -43,16 +43,20 @@ __all__ = [
 
 def atomic_write_text(path, text: str) -> None:
     """Write through a uniquely named temp file in the target directory,
-    renamed over `path`; on failure the temp file is removed."""
+    renamed over `path`; on failure the temp file is closed and removed."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    fh = None
     try:
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh = os.fdopen(fd, "w", encoding="utf-8")
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
+        if fh is None:  # no file object owns fd yet
+            os.close(fd)
         os.unlink(tmp)
         raise
 

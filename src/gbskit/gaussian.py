@@ -14,10 +14,13 @@ sum. With a click cap k, the same step runs on the inverse matrix and visits
 only subsets of at most k modes, which by Jacobi's identity give every
 pattern of at most k clicks: P(C) = det(sigma)^(-1/2) sum over Y subset of C
 of (-1)^(|C|-|Y|) det((sigma^-1)_Y)^(-1/2), the Tor(O_C) / sqrt(det sigma)
-form. A subset that can gain at most two more modes (one of k - 2 modes,
-or any once two modes are left) is a leaf: the 2x2 blocks of its Schur
-complement, and of that after one more mode's rank-2 update, give every
-subset it grows into, and it leaves the recursion. While k is small next
+form. Each Schur complement is held as its lower 2x2 blocks alone, the
+only entries the recursion reads, so dropping a mode is a view and adding
+one updates about half the entries of a full complement, each by the full
+update's operations. A subset that can gain at most two more modes (one of
+k - 2 modes, or any once two modes are left) is a leaf: the 2x2 blocks of
+its Schur complement, and of that after one more mode's rank-2 update, give
+every subset it grows into, and it leaves the recursion. While k is small next
 to M, those values and their subset transform live on a compact slice, the
 ascending bitmasks of at most k modes: each value goes to its mask's rank
 there, the sum of two ranks read from small tables built per call
@@ -65,14 +68,16 @@ __all__ = [
 
 # the click distribution holds 2^M float64 values: 128 MB at this many modes
 MAX_TABLE_MODES = 24
-# values per stack of Schur complements handled in one numpy call (raw, one BLAS
-# thread, at 2^15/2^16/2^17: 16 modes at k = 6 took 4.6/3.9/3.7 ms, uncapped
-# 13.0/10.7/12.0 ms; at 2^15/2^16 a 3000-draw 20-mode `sampler.sample` took
-# 121.2/111.2 ms, its kernel's traced peak 11.8/14.4 MB). Ten alternating
-# process pairs at 2^16 against 2^17, median ms: the uncapped 16-mode
-# `pattern_distribution` 11.12 against 11.57 (2^17 faster in 6 pairs, the
-# median ratio 0.994), the four-state 16-mode k = 6 slice stack 14.69
-# against 14.52 (9 pairs, 0.956); the uncapped start gains nothing.
+# values per stack of Schur complements handled in one numpy call, counted as
+# full 2r x 2r complements, 4 r^2 a row, though a packed row holds 2 r (r + 1)
+# (raw, one BLAS thread; full stacks at 2^15/2^16/2^17: 16 modes at k = 6 took
+# 4.6/3.9/3.7 ms, uncapped 13.0/10.7/12.0 ms; at 2^15/2^16 a 3000-draw 20-mode
+# `sampler.sample` took 121.2/111.2 ms, its kernel's traced peak 11.8/14.4 MB).
+# Packed stacks, two runs of ten alternating process pairs at 2^16 against
+# 2^17, median ms (process time): the uncapped 16-mode `pattern_distribution`
+# 7.08/7.05 against 7.21/6.97 (2^17 faster in 5/7 pairs, the median ratio
+# 0.995/0.994), the four-state 16-mode k = 6 slice stack 10.42/9.98 against
+# 10.00/9.28 (6/8 pairs, 0.974/0.931); neither start wins nine pairs of ten.
 _CHUNK = 1 << 16
 # the time `_mode_pairs` takes to select a slice's pairs over that of one
 # state's subtractions on them (`_on_slice`): 0.60-0.82 against 0.32-0.50 ms
@@ -243,18 +248,35 @@ def _quadrature_basis(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=MAX_TABLE_MODES + 1)
+def _blocks(r: int) -> tuple:
+    """The block rows I and columns J of the r(r+1)/2 lower 2x2 blocks
+    I >= J of a 2r x 2r matrix in column-major block order, the layout of a
+    packed Schur stack: mode 0's column (I, 0) first, then the packed
+    layout of modes 1 and up. Read-only."""
+    cols, rows = np.triu_indices(r)
+    for arr in (rows, cols):
+        arr.setflags(write=False)
+    return rows, cols
+
+
+@lru_cache(maxsize=MAX_TABLE_MODES + 1)
 def _leaf_plan(r: int) -> tuple:
-    """Flat indices into a 2r x 2r Schur complement, for the pairs of modes
-    j < l in `np.triu_indices` order: the a, b and c of each mode's diagonal
-    block (a, b; b, c), then of each pair's j; each pair's l's a, b and c;
-    and the entries x, y of l's two rows in j's two columns. With them, the
-    bit offsets of no mode, each mode and each pair. Read-only."""
-    i, (j, l), d = np.arange(r), np.triu_indices(r, 1), 2 * r
-    t = np.concatenate([i, j])
-    plan = np.concatenate([2 * t * (d + 1), 2 * t * (d + 1) + 1, (2 * t + 1) * (d + 1),
-                           2 * l * (d + 1), 2 * l * (d + 1) + 1, (2 * l + 1) * (d + 1),
-                           2 * l * d + 2 * j, (2 * l + 1) * d + 2 * j,
-                           2 * l * d + 2 * j + 1, (2 * l + 1) * d + 2 * j + 1])
+    """Flat indices into a packed Schur complement of r modes (`_blocks`),
+    for the pairs of modes j < l in `np.triu_indices` order: the a, b and c
+    of each mode's diagonal block (a, b; b, c), then of each pair's j; each
+    pair's l's a, b and c; and the entries x, y of l's two rows in j's two
+    columns, block (l, j). With them, the bit offsets of no mode, each mode
+    and each pair. Read-only."""
+    i, (j, l) = np.arange(r), np.triu_indices(r, 1)
+    t, block = np.concatenate([i, j]), np.zeros((r, r), dtype=np.intp)
+    block[_blocks(r)] = np.arange(r * (r + 1) // 2)
+
+    def at(row, col, p, q):  # entry (p, q) of block (row, col), row >= col
+        return 4 * block[row, col] + 2 * p + q
+
+    plan = np.concatenate([at(t, t, 0, 0), at(t, t, 0, 1), at(t, t, 1, 1),
+                           at(l, l, 0, 0), at(l, l, 0, 1), at(l, l, 1, 1),
+                           at(l, j, 0, 0), at(l, j, 1, 0), at(l, j, 0, 1), at(l, j, 1, 1)])
     bits = np.concatenate([[0], 1 << i, 1 << j | 1 << l])[:, None]
     for arr in (plan, bits):
         arr.setflags(write=False)
@@ -273,15 +295,28 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
     One loop has two starts: v with det 1, its masks the W, or with a cap,
     v^-1 with det v, its masks the ~W: det v_W = det v * det (v^-1)_~W
     (Jacobi's identity). A work item covers every subset whose modes below
-    h are those of some masks[i]: stack[..., i] is the Schur complement on
-    modes h and up given those modes, and dets[i] their det; rows lie along
-    the last axis, so each entry's values are contiguous. The B matrices
-    start as B rows of one item, each row's mask carrying its matrix's
-    index in the bits above M, which no popcount or refusal reads, so each
-    step and leaf costs its numpy calls once for the whole stack. Mode h is
-    dropped by a slice, or added by a rank-2 update with the inverse of the
-    leading 2x2 block (a, b; b, c), which must have a > 0 and
-    p = a c - b b > 0; p multiplies dets[i]. A row that can gain at most two
+    h are those of some masks[i]: with r = M - h modes left, stack[..., i]
+    holds the r(r+1)/2 lower 2x2 blocks (I, J), I >= J, of the Schur
+    complement on modes h and up given those modes, in column-major block
+    order (`_blocks`), (r(r+1)/2, 2, 2, rows) in all, and dets[i] their det;
+    rows lie along the last axis, so each entry's values are contiguous. The
+    start is packed once, and r rides in the item. The B matrices start as
+    B rows of one item, each row's mask carrying its matrix's index in the
+    bits above M, which no popcount or refusal reads, so each step and leaf
+    costs its numpy calls once for the whole stack. The first r blocks are
+    mode h's column: block (0, 0) is the leading block (a, b; b, c) and the
+    blocks (I, 0) below it give x and y, its two columns. Mode h is dropped
+    by the view stack[r:], which is the packed complement of the modes
+    after h, or added by a rank-2 update of that view with the inverse of
+    (a, b; b, c), which must have a > 0 and p = a c - b b > 0; p multiplies
+    dets[i]. The update computes only the lower blocks, block (I, J) as
+    rest - f[I] x[J] - g[I] y[J] in that order, f and g the rows of
+    (x y) (a, b; b, c)^-1, which is what the full 2r x 2r update computed
+    on those entries, so each keeps its bits. The recursion reads no other
+    entry: each step's a, b, c, x and y, and the diagonal blocks and blocks
+    (l, j) that `_leaf_plan` names, are all lower-block entries (b is the
+    upper corner of a diagonal block), and an update of lower blocks reads
+    only lower blocks. A row that can gain at most two
     more modes, one of k - 2 modes or any once two modes are left (without
     a cap, k is M + 1), leaves the stack as a leaf; below a cap of 3 the
     start is one. From the entries of its Schur complement that `_leaf_plan`
@@ -292,7 +327,9 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
     value keeps its bits whatever else shares its stack. Its single-mode
     blocks (at a cap of 0 too) are checked before its pairs, once the item's
     own steps have passed their checks. Every row left in a stack grows.
-    Stacks of more than `_CHUNK` values are split along their rows first.
+    Stacks of more than `_CHUNK` values, counted as 4 r^2 a row, the size of
+    a full complement, are split along their rows first, so the work items,
+    their order and every refusal are those of full 2r x 2r stacks.
     The values are held at the ~W of a 2^M vector, every other index 0, or
     with `slots`, the ascending masks of at most k modes
     (`_slice_masks(M, k)`), at the ~W's slot there, its rank from
@@ -317,10 +354,10 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
             modes = [i for i in range(m) if bad >> i & 1]
             raise PhysicalityError(f"modes {modes}: block not positive definite")
 
-    def finish(stack, dets, masks):  # leaves, with r modes left
-        r, n = len(stack) // 2, len(dets)
+    def finish(stack, dets, masks, r):  # leaves, with r modes left
+        n = len(dets)
         plan, bits = _leaf_plan(r)
-        vals, p = stack.reshape(4 * r * r, n)[plan], r * (r - 1) // 2
+        vals, p = stack.reshape(4 * len(stack), n)[plan], r * (r - 1) // 2
         grown = masks | bits << m - r  # no mode more, each mode, each pair
         a, b, c = vals[:3 * (r + p)].reshape(3, r + p, n)
         pivot = a * c - b * b  # each mode's block's, then each pair's j's
@@ -341,35 +378,39 @@ def _vacuum_probabilities(sq: np.ndarray, cap: int | None = None,
         size = 1 + r + p if cap > 1 else 1 + r if cap else 1
         out[place(grown[:size])] = res[:size]
 
-    work = [(np.stack(starts, axis=-1), dets, np.arange(len(vs)) << m)]
+    rows, cols = _blocks(m)
+    start = np.stack(starts, axis=-1).reshape(m, 2, m, 2, len(vs))[rows, :, cols]
+    work = [(start, dets, np.arange(len(vs)) << m, m)]
     while work:
-        stack, dets, masks = work.pop()
+        stack, dets, masks, r = work.pop()
         leaves = []
-        while cap > 2 and len(stack) > 4 and (stack.size <= _CHUNK or len(dets) == 1):
-            a, b, c = stack[0, 0], stack[0, 1], stack[1, 1]
-            pivot, grown = a * c - b * b, masks | 1 << (m - len(stack) // 2)
+        # the full 4 r^2 values per row, so items split where 2r x 2r stacks did
+        while cap > 2 and r > 2 and (4 * r * r * len(dets) <= _CHUNK or len(dets) == 1):
+            a, b, c = stack[0, 0, 0], stack[0, 0, 1], stack[0, 1, 1]
+            pivot, grown = a * c - b * b, masks | 1 << (m - r)
             check(a, pivot, grown)
-            x, y, rest = stack[2:, 0], stack[2:, 1], stack[2:, 2:]
+            x, y, rest = stack[1:r, :, 0], stack[1:r, :, 1], stack[r:]
             f, g = (c * x - b * y) / pivot, (a * y - b * x) / pivot
-            added = rest - f[:, None] * x[None]
-            added -= g[:, None] * y[None]  # in place: one temporary at a time
+            rows, cols = _blocks(r - 1)  # of rest's blocks (I, J): f[I] x[J], g[I] y[J]
+            added = rest - f[rows, :, None] * x[cols, None]
+            added -= g[rows, :, None] * y[cols, None]  # in place: one temporary at a time
             dets_add, ends = dets * pivot, np.bitwise_count(grown & low) == cap - 2
             if ends.any():
-                leaves.append((added[..., ends], dets_add[ends], grown[ends]))
+                leaves.append((added[..., ends], dets_add[ends], grown[ends], r - 1))
                 added, dets_add, grown = added[..., ~ends], dets_add[~ends], grown[~ends]
-            stack = np.concatenate([rest, added], axis=-1)
+            stack, r = np.concatenate([rest, added], axis=-1), r - 1
             dets, masks = np.concatenate([dets, dets_add]), np.concatenate([masks, grown])
-        if cap > 2 and len(stack) > 4:
+        if cap > 2 and r > 2:
             # views of the stack: halves of their own rows raised the traced
             # peak of four 16-mode states at k = 6 (3.06 to 3.47 MB) and
             # slowed the sweep, though they cut 20-mode peaks by 1-2 MB
             half = len(dets) // 2
-            work += [(stack[..., :half], dets[:half], masks[:half]),
-                     (stack[..., half:], dets[half:], masks[half:])]
+            work += [(stack[..., :half], dets[:half], masks[:half], r),
+                     (stack[..., half:], dets[half:], masks[half:], r)]
         else:  # two modes left, or the start is a leaf
-            leaves.append((stack, dets, masks))
-        for rows in leaves:  # once the item's own rows pass their checks
-            finish(*rows)
+            leaves.append((stack, dets, masks, r))
+        for item in leaves:  # once the item's own rows pass their checks
+            finish(*item)
     out = np.divide(1.0, np.sqrt(out, out=out), out=out)  # IEEE-exact ops
     return out.reshape(*sq.shape[:-2], width)
 

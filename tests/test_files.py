@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -160,3 +161,17 @@ class TestReports:
             files.atomic_write_text(path, "new")
         assert path.read_text() == "old"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_chmod_closes_and_removes_the_temp_file(self, tmp_path, monkeypatch):
+        path, seen = tmp_path / "x.txt", []
+
+        def fail(fd, mode):
+            seen.append(fd)
+            raise OSError("chmod refused")
+
+        monkeypatch.setattr(files.os, "fchmod", fail)
+        with pytest.raises(OSError, match="chmod refused"):
+            files.atomic_write_text(path, "new")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(OSError):  # EBADF: the descriptor was closed
+            os.fstat(seen[0])

@@ -405,6 +405,106 @@ def frozen_capped_step(sq, cap):
     return np.divide(1.0, np.sqrt(out, out=out), out=out)
 
 
+def unpacked_entries(r):
+    """(row, column) in the 2r x 2r Schur complement of each flat entry of a
+    packed stack of r modes: entry (p, q) of block k is (2 I_k + p, 2 J_k + q)."""
+    rows, cols = gaussian._blocks(r)
+    p, q = np.divmod(np.arange(4), 2)
+    return (2 * rows[:, None] + p).ravel(), (2 * cols[:, None] + q).ravel()
+
+
+def full_leaf_plan(r):
+    """`gaussian._leaf_plan`'s flat indices as they stood before stacks were
+    packed: into the full 2r x 2r complement, row-major."""
+    i, (j, l), d = np.arange(r), np.triu_indices(r, 1), 2 * r
+    t = np.concatenate([i, j])
+    return np.concatenate([2 * t * (d + 1), 2 * t * (d + 1) + 1, (2 * t + 1) * (d + 1),
+                           2 * l * (d + 1), 2 * l * (d + 1) + 1, (2 * l + 1) * (d + 1),
+                           2 * l * d + 2 * j, (2 * l + 1) * d + 2 * j,
+                           2 * l * d + 2 * j + 1, (2 * l + 1) * d + 2 * j + 1])
+
+
+class TestPackedLayout:
+    """A Schur stack holds the lower 2x2 blocks (I, J), I >= J, of each
+    row's complement, in column-major block order."""
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_blocks_list_each_lower_block_once_column_major(self, r):
+        rows, cols = gaussian._blocks(r)
+        assert list(zip(rows.tolist(), cols.tolist())) == [
+            (i, j) for j in range(r) for i in range(j, r)]
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_the_tail_is_the_packed_rest(self, r):
+        # blocks r and up are those of modes 1 and up, in their own layout,
+        # and the first r are mode 0's column
+        rows, cols = gaussian._blocks(r)
+        rest_rows, rest_cols = gaussian._blocks(r - 1)
+        assert np.array_equal(rows[r:], rest_rows + 1)
+        assert np.array_equal(cols[r:], rest_cols + 1)
+        assert np.array_equal(rows[:r], np.arange(r)) and not cols[:r].any()
+        full = np.random.default_rng(r).random((2 * r, 2 * r, 3))
+        packed = full.reshape(r, 2, r, 2, 3)[rows, :, cols]
+        rest = full[2:, 2:].reshape(r - 1, 2, r - 1, 2, 3)[rest_rows, :, rest_cols]
+        assert packed[r:].tobytes() == rest.tobytes()
+        row, col = unpacked_entries(r)
+        assert packed.reshape(4 * len(rows), 3).tobytes() == full[row, col].tobytes()
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_leaf_plan_names_the_full_plans_entries(self, r):
+        plan, _ = gaussian._leaf_plan(r)
+        row, col = unpacked_entries(r)
+        assert np.array_equal(row[plan] * 2 * r + col[plan], full_leaf_plan(r))
+        # of a diagonal block it reads a, b and c, never the lower (1, 0)
+        on_diagonal = row[plan] // 2 == col[plan] // 2
+        assert not (on_diagonal & (row[plan] % 2 == 1) & (col[plan] % 2 == 0)).any()
+
+
+# seeded random diag(P, P) matrices of 2-6 modes, P = I + s (G + G^T) / 2 with
+# G standard normal, alternately with P's diagonal kept at 1: some refused at
+# a cap of 0, some only from 2 or 3 modes up, some at no cap
+REFUSAL_CASES = 16
+
+
+class TestRefusalParity:
+    @staticmethod
+    def frozen_values(sq, k):
+        """The frozen step's values, or None where its pivot assertion fails."""
+        try:
+            return frozen_uncapped_step(sq) if k is None else frozen_capped_step(sq, k)
+        except AssertionError:
+            return None
+
+    @pytest.mark.parametrize("chunk", [16, gaussian._CHUNK], ids=["split", "default"])
+    @pytest.mark.parametrize("modes", range(2, 7))
+    def test_kernel_refuses_where_the_frozen_steps_fail(self, monkeypatch, modes, chunk):
+        monkeypatch.setattr(gaussian, "_CHUNK", chunk)
+        rng = np.random.default_rng(600 + modes)
+        outcomes = set()
+        for case in range(REFUSAL_CASES):
+            g = rng.normal(size=(modes, modes))
+            off = rng.uniform(0.2, 1.2) * (g + g.T) / 2
+            p = np.eye(modes) + off - (case % 2) * np.diag(np.diag(off))
+            sq = np.kron(np.eye(2), p)
+            for k in [None, *range(modes + 1)]:
+                layouts = [None] if k is None else [None, gaussian._slice_masks(modes, k)]
+                # a negative det v, with every block of at most k modes
+                # positive definite, leaves NaN, which neither side refuses
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    want = self.frozen_values(sq, k)
+                    outcomes.add(want is None)
+                    for slots in layouts:
+                        if want is None:
+                            with pytest.raises(PhysicalityError, match="not positive definite"):
+                                gaussian._vacuum_probabilities(sq, k, slots)
+                            continue
+                        got = gaussian._vacuum_probabilities(sq, k, slots)
+                        if slots is not None:
+                            got, got[slots] = np.zeros(1 << modes), got
+                        assert got.tobytes() == want.tobytes()
+        assert outcomes == {True, False}
+
+
 CAPPED_GRAPHS = dict(ORACLE_GRAPHS, random=random_complex_graph(8, seed=3))
 # lossless, thermal, lossy and fully lost
 NOISE = {"lossless": (1.0, 0.0), "thermal": (1.0, 0.25), "lossy": (0.5, 0.0),
