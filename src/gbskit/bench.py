@@ -68,6 +68,7 @@ def correlation_study(
         raise ValidationError("need at least 2 matrices for a correlation study")
     if mode_count < 2 or mode_count % 2:
         raise ValidationError(f"mode_count must be even and >= 2, got {mode_count}")
+    gaussian._check_size(mode_count, None)  # the torontonian's cap, before any matrix
     rows = []
     for i in range(n_matrices):
         a = random_complex_symmetric(

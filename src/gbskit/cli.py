@@ -3,8 +3,8 @@
 Subcommands: gen, encode, sample, solve, bench. Every command is
 deterministic given its seed and input files; bench writes a manifest that
 makes runs replayable. Exit codes: 0 success, 2 validation error or a file
-that cannot be read or written, 3 cost-guard refusal, 4
-numerical-physicality error.
+that cannot be read or written, 3 cost-guard refusal or a request too large
+to allocate, 4 numerical-physicality error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, bench, files, gaussian, generators, sampler
 from .encoding import choose_scale, encode_graph
-from .errors import GbskitError, ValidationError
+from .errors import CostGuardError, GbskitError, ValidationError
 from .solvers import (
     Objective, ProposalSource, RunTrace, greedy_peel, random_search,
     simulated_annealing,
@@ -276,9 +276,12 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         args.handler(args)
-    except (GbskitError, OSError) as exc:
+    except (GbskitError, OSError, MemoryError) as exc:
         print(f"gbskit: error: {exc}", file=sys.stderr)
-        return exc.exit_code if isinstance(exc, GbskitError) else 2
+        if isinstance(exc, GbskitError):
+            return exc.exit_code
+        # a request too large to allocate is refused as too costly
+        return CostGuardError.exit_code if isinstance(exc, MemoryError) else 2
     return 0
 
 

@@ -166,7 +166,7 @@ def state_from_device(squeezing, interferometer) -> GaussianState:
     sampling matrix A block equals U diag(tanh r) U^T.
     """
     r = np.asarray(squeezing, dtype=float)
-    if r.ndim != 1 or np.any(r < 0):
+    if r.ndim != 1 or not np.all((0 <= r) & (r < np.inf)):
         raise ValidationError("squeezing must be a 1-D list of nonnegative reals")
     u = as_matrix(interferometer)
     m = r.shape[0]
@@ -174,13 +174,15 @@ def state_from_device(squeezing, interferometer) -> GaussianState:
         raise ValidationError("squeezing list and interferometer size mismatch")
     if np.linalg.norm(u.conj().T @ u - np.eye(m)) > _UNITARY_TOL * max(1.0, np.sqrt(m)):
         raise ValidationError("interferometer matrix is not unitary")
-    d = np.diag(np.cosh(r) ** 2).astype(np.complex128)
-    off = np.diag(np.sinh(r) * np.cosh(r)).astype(np.complex128)
-    sigma_in = np.block([[d, off], [off, d]])
     t = np.zeros((2 * m, 2 * m), dtype=np.complex128)
     t[:m, :m] = u.conj()
     t[m:, m:] = u
-    return GaussianState(modes=m, husimi=t @ sigma_in @ t.conj().T)
+    # cosh^2 r overflows from r ~ 355: the state refuses the non-finite matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.diag(np.cosh(r) ** 2).astype(np.complex128)
+        off = np.diag(np.sinh(r) * np.cosh(r)).astype(np.complex128)
+        husimi = t @ np.block([[d, off], [off, d]]) @ t.conj().T
+    return GaussianState(modes=m, husimi=husimi)
 
 
 def sampling_matrix(state: GaussianState) -> SamplingMatrix:

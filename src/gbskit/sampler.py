@@ -13,10 +13,16 @@ without drawing the rest: a Binomial kept count, then i.i.d. k-click
 patterns by inverse CDF over the k-click part of the capped distribution,
 which holds only the patterns of at most k clicks, with no 2^M vector while
 k is small next to M.
+
+A pool file is a 'modes=M' header and one M-character 0/1 pattern a line.
+`load_pool` reads every file by one line rule, and takes a body in
+`save_pool`'s own layout as one array of bytes instead; a body with any other
+line in it is read line by line, about three times slower.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -227,23 +233,24 @@ def _read_comment(path, lineno: int, line: str, comments: dict) -> None:
 
 
 def load_pool(path) -> SamplePool:
-    """Read a sample file: 'modes=M' header, one 0/1 string per line,
-    '#' lines ignored except provenance/seed comments, which are restored
-    and must parse. After the header, the lines of exactly M characters,
-    each 0 or 1, are found all at once; only the others (blank, comment,
-    padded or bad) are read one at a time, in order, up to the first bad
-    one, which is refused."""
+    """Read a sample file: a 'modes=M' header, then one M-character 0/1
+    pattern a line. Each line is stripped: blank lines are skipped, '#'
+    lines are comments, of which the provenance/seed headers are restored
+    and must parse, and the first other line that is not a pattern is
+    refused by its number. CR and CRLF endings read as newlines. A body in
+    `save_pool`'s layout, M bytes of 0/1 and a newline a line, is one
+    (N, M + 1) byte array; a body with a comment, blank, padded or bad line
+    in it is read line by line, at Python speed."""
     comments = {"provenance": {}, "seed": None}  # pool fields kept in '#' headers
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    modes, lineno, pos = None, 0, 0
-    while modes is None and pos <= len(text):
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
-        line, lineno, pos = text[pos:end].strip(), lineno + 1, end + 1
+    lines, modes, patterns = io.StringIO(text), None, []
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
         if line.startswith("#"):
             _read_comment(path, lineno, line, comments)
-        elif line:
+        elif not line:
+            continue
+        elif modes is None:
             if not line.startswith("modes="):
                 raise ValidationError(
                     f"{path}:{lineno}: expected 'modes=M' header, got {line!r}"
@@ -251,32 +258,20 @@ def load_pool(path) -> SamplePool:
             modes = _header_value(path, lineno, "modes", line[len("modes="):])
             if modes <= 0:
                 raise ValidationError(f"{path}:{lineno}: modes must be positive")
+            # the rest in save_pool's layout, as an (N, M + 1) view of its
+            # bytes; a size that is no multiple of M + 1 builds no view
+            body = np.frombuffer(text[lines.tell():].encode("utf-8"), dtype=np.uint8)
+            if body.size % (modes + 1) == 0:
+                rows = body.reshape(-1, modes + 1)
+                digits = rows[:, :modes]
+                if ((digits | 1) == ord("1")).all() and (rows[:, modes] == ord("\n")).all():
+                    return SamplePool(modes=modes, samples=digits - ord("0"), **comments)
+        elif len(line) == modes and not line.strip("01"):
+            patterns.append(line)
+        else:
+            raise ValidationError(f"{path}:{lineno}: expected a {modes}-character "
+                                  f"0/1 pattern, got {line!r}")
     if modes is None:
         raise ValidationError(f"{path}: missing 'modes=M' header")
-    # the later lines as UTF-8 bytes, in which '\n' is part of no other character
-    body = np.frombuffer(text[pos:].encode("utf-8"), dtype=np.uint8)
-    ends = np.append(np.flatnonzero(body == ord("\n")), body.size)
-    starts = np.append(0, ends[:-1] + 1)
-    sized = np.flatnonzero(ends - starts == modes)
-    # each M-byte line's bytes, through a view of M-byte windows if there is one
-    rows = (np.lib.stride_tricks.sliding_window_view(body, modes)[starts[sized]]
-            if sized.size else np.empty((0, modes), dtype=np.uint8))
-    ok = ((rows | 1) == ord("1")).all(axis=1)  # each byte '0' or '1'
-    plain = np.zeros(starts.size, dtype=bool)
-    plain[sized[ok]] = True
-    padded = {}  # line index: the pattern a padded line holds
-    for i in np.flatnonzero(~plain).tolist():
-        line = body[starts[i]:ends[i]].tobytes().decode("utf-8").strip()
-        if line.startswith("#"):
-            _read_comment(path, lineno + 1 + i, line, comments)
-        elif len(line) == modes and not line.strip("01"):
-            padded[i] = line
-        elif line:
-            raise ValidationError(
-                f"{path}:{lineno + 1 + i}: expected a {modes}-character 0/1 "
-                f"pattern, got {line!r}"
-            )
-    extra = np.frombuffer("".join(padded.values()).encode("ascii"), dtype=np.uint8)
-    rows = np.insert(rows[ok], np.searchsorted(sized[ok], list(padded)),
-                     extra.reshape(-1, modes), axis=0)
-    return SamplePool(modes=modes, samples=rows - ord("0"), **comments)
+    rows = np.frombuffer("".join(patterns).encode("ascii"), dtype=np.uint8)
+    return SamplePool(modes=modes, samples=rows.reshape(-1, modes) - ord("0"), **comments)

@@ -86,6 +86,16 @@ class TestCorrelationStudy:
         with pytest.raises(ValidationError):
             bench.correlation_study(1, seed=0)
 
+    @pytest.mark.parametrize("mode_count", [26, 10 ** 6])
+    def test_cost_cap_before_any_matrix(self, monkeypatch, mode_count):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a matrix was drawn before the cost cap")
+
+        monkeypatch.setattr(bench, "random_complex_symmetric", no_work)
+        with pytest.raises(CostGuardError, match=f"2\\^M table of {mode_count} modes "
+                           "exceeds the cap of 24 modes$"):
+            bench.correlation_study(2, seed=0, mode_count=mode_count)
+
 
 class TestScoreAdvantage:
     def test_identical_sets_give_one(self):

@@ -138,6 +138,25 @@ class TestSample:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_squeezing_exits_2_without_warning(self, tmp_path, capsys):
+        # cosh^2(400) overflows: one error line, no RuntimeWarning before it
+        dev = tmp_path / "dev.json"
+        files.save_device(DeviceParams(np.array([0.5, 400.0]), np.eye(2), 1.0), dev)
+        assert run("sample", dev, "--count", 10, "--seed", 0,
+                   "--out", tmp_path / "pool.txt") == 2
+        err = capsys.readouterr().err
+        assert err == "gbskit: error: matrix contains NaN or Inf entries\n"
+
+    def test_count_too_large_to_allocate_exits_3(self, k6_graph, tmp_path, capsys):
+        # numpy refuses the PiB request before allocating any of it
+        dev = tmp_path / "dev.json"
+        out = tmp_path / "pool.txt"
+        assert run("encode", k6_graph, "--mean-clicks", 2.0, "--out", dev) == 0
+        assert run("sample", dev, "--count", 10 ** 15, "--seed", 0, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gbskit: error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_cost_guard_exits_3(self, tmp_path):
         # one mode above gaussian.MAX_TABLE_MODES
         graph = tmp_path / "g.json"
@@ -235,6 +254,16 @@ class TestBench:
         cfg.write_text(json.dumps({"graph": str(graph), "k": 3, "seed": 1}))
         outdir = tmp_path / "report"
         assert run("bench", "noise-sweep", "--config", cfg, "--out", outdir) == 3
+        assert not outdir.exists()
+
+    def test_trials_too_large_to_allocate_exits_3(self, k6_graph, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": str(k6_graph), "k": 3, "seed": 1,
+                                   "trials": 10 ** 15, "pool_size": 300}))
+        outdir = tmp_path / "report"
+        assert run("bench", "noise-sweep", "--config", cfg, "--out", outdir) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gbskit: error: Unable to allocate") and err.count("\n") == 1
         assert not outdir.exists()
 
     def test_correlate_two_rows(self, tmp_path):

@@ -85,6 +85,16 @@ class TestStateFromDevice:
         with pytest.raises(ValidationError):
             state_from_device([-0.1], [[1.0]])
 
+    @pytest.mark.parametrize("r, message", [
+        (np.inf, "squeezing must be a 1-D list of nonnegative reals"),
+        (np.nan, "squeezing must be a 1-D list of nonnegative reals"),
+        # cosh^2 400 overflows: the matrix it makes is refused, with no warning
+        (400.0, "matrix contains NaN or Inf entries"),
+    ], ids=["inf", "nan", "400"])
+    def test_rejects_non_finite_squeezing_without_warning(self, r, message):
+        with pytest.raises(ValidationError, match=message):
+            state_from_device([0.5, r], np.eye(2))
+
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValidationError, match="interferometer size mismatch"):
             state_from_device([0.1, 0.2], np.eye(3))

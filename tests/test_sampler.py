@@ -523,6 +523,70 @@ class TestPoolIO:
             assert (pool.modes, (pool.samples + ord("0")).tobytes(), pool.provenance,
                     pool.seed) == want
 
+    # ASCII and Unicode whitespace that str.strip removes; none ends a line
+    _PADDING = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028",
+                "\u3000"]
+
+    @classmethod
+    def _mixed_file(cls, rng, modes):
+        """A seeded pool file at `modes` modes, mixing every line kind."""
+        def pick(options):
+            return options[rng.integers(len(options))]
+
+        def pattern():
+            return "".join(pick("01") for _ in range(modes))
+
+        kinds = [
+            pattern,
+            lambda: pick(cls._PADDING) + pattern() + pick(["", *cls._PADDING]),
+            lambda: pick(["", " ", "\t", "\u3000"]),
+            lambda: pick(["#", "# a comment", "# seed 5", "# seed : 4", "# modes: 9"]),
+            lambda: pick([f"# seed: {rng.integers(100)}", "#seed:7", "# seed: x",
+                          "# seed: 2.0"]),
+            lambda: pick(['# provenance: {"a": 1}', "#provenance:{}", "# provenance: [1]",
+                          '# provenance: {"a": ']),
+            lambda: pick([pattern()[1:] + "\x00", "\x00" + pattern(), "# seed: 3\x00"]),
+            lambda: pattern().replace("1", pick(["\u0661", "\uff11", "\u00b9"])),
+            lambda: pick([pattern() + "0", pattern()[1:], "2" * modes, "x", "1 0"]),
+        ]
+        if rng.random() < 0.25:  # save_pool's layout, or one byte off it at the end
+            lines = [*(kinds[4]() for _ in range(rng.integers(0, 3))), f"modes={modes}",
+                     *(pattern() for _ in range(rng.integers(0, 12)))]
+            return "\n".join(lines) + pick(["\n", "\n", "", "0", "1\n"])
+        weights = np.array([60, 8, 6, 4, 3, 3, 2, 2, 2]) / 90
+        lines = [kinds[i]() for i in rng.choice(9, rng.integers(0, 4), p=weights)]
+        lines.append(pick([f"modes={modes}", f" modes={modes}\t", "modes=x", "mode=2",
+                           pattern()]) if rng.random() < 0.1 else f"modes={modes}")
+        lines += [kinds[i]() for i in rng.choice(9, rng.integers(0, 15), p=weights)]
+        ends = [pick(["\n", "\r\n", "\r"]) for _ in lines]
+        if rng.random() < 0.5:  # one ending for every line
+            ends = [ends[0]] * len(lines)
+        if rng.random() < 0.2:  # no final newline
+            ends[-1] = ""
+        return "".join(line + end for line, end in zip(lines, ends))
+
+    def test_mixed_files_read_as_line_by_line(self, tmp_path):
+        # seeded files at 1-6 modes mixing plain, padded, CR- and CRLF-ended,
+        # blank, comment, header, NUL, non-ASCII digit and bad lines: each
+        # gives line_by_line's pool, provenance and seed, or its refusal text
+        rng = np.random.default_rng(35)
+        path = tmp_path / "p.txt"
+        outcomes = {"read": 0, "refused": 0}
+        for _ in range(3000):
+            text = self._mixed_file(rng, int(rng.integers(1, 7)))
+            path.write_bytes(text.encode("utf-8"))
+            want = self.line_by_line(path)
+            try:
+                pool = load_pool(path)
+            except ValidationError as exc:
+                got, outcomes["refused"] = str(exc), outcomes["refused"] + 1
+            else:
+                got = (pool.modes, (pool.samples + ord("0")).tobytes(), pool.provenance,
+                       pool.seed)
+                outcomes["read"] += 1
+            assert got == want, repr(text)
+        assert min(outcomes.values()) > 500
+
     def test_large_mode_count_allocates_no_windows(self, tmp_path):
         # no line has M bytes, so no M-byte window is built before the refusal
         path = tmp_path / "p.txt"
