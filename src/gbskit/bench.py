@@ -5,10 +5,9 @@ All entry points are deterministic given their master seed; per-trial,
 per-pool and per-grid-point generators are derived from (seed, index) so
 results do not depend on evaluation order. A noise sweep's classical
 random-search target is the exact expected best of a run, and its pools are
-valued from one table, whenever valuing every k-subset once costs no more
-than simulating the runs. On integer weights a density table comes from
-exact matrix products. The sweep's grid points draw their pools from the
-click laws of one stacked recursion.
+valued from one table (`Objective._table`), whenever valuing every k-subset
+once costs no more than simulating the runs. The sweep's grid points draw
+their pools from the capped click laws of one stacked recursion.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .errors import ValidationError
 from .generators import random_complex_symmetric
 from .matfn import hafnian, torontonian
 from .sampler import SamplePool
-from .solvers import _CHUNK, Objective, ProposalSource, RunTrace, random_search
+from .solvers import Objective, ProposalSource, RunTrace, random_search
 
 __all__ = [
     "CorrelationTable",
@@ -175,6 +174,8 @@ def advantage_study(
         raise ValidationError(f"steps ({steps}) and trials ({trials}) must be >= 1")
     # every k passes Objective's rules before any pool is drawn
     objs = [Objective(kind=objective, graph=graph, k=k) for k in k_values]
+    if not objs:
+        raise ValidationError("k_values must hold at least one subgraph size")
     reports = []
     for ki, obj in enumerate(objs):
         k = obj.k
@@ -267,37 +268,11 @@ class NoisePoint:
 
 
 def _subset_table(obj: Objective, budget: int, trials: int) -> tuple | None:
-    """The popcount-k masks of `gaussian._slice_masks(n, k)`, ascending, and
-    their rows' values, each with `Objective.values`' bits, `_CHUNK` masks
-    at a time; None when C(n, k) > trials * budget, more valuations than
-    `trials` runs make.
-
-    Density on an adjacency whose entries have integer real and imaginary
-    parts, k^2 max |a_ij| < 2^53, is a float64 product: with B the masks'
-    0/1 bit matrix, each row of (B A) * B sums to the subset's edge sum, and
-    every partial sum is an integer below 2^53, so exact in any order. Its
-    modulus is then `values`' too. Other rows are decoded as a pool's and
-    valued by `Objective.values`."""
-    n, k = obj.graph.n, obj.k
-    if math.comb(n, k) > trials * budget:
+    """`obj._table()`, or None when C(n, k) > trials * budget, more
+    valuations than `trials` runs make."""
+    if math.comb(obj.graph.n, obj.k) > trials * budget:
         return None
-    masks = gaussian._slice_masks(n, k)
-    masks = masks[np.bitwise_count(masks) == k]
-    a = obj.graph.adjacency
-    parts = np.concatenate([a.real, a.imag], axis=1)  # [Re A, Im A]
-    exact = (obj.kind == "density" and np.all(parts == np.round(parts))
-             and k * k * np.abs(parts).max() < 2.0**53)
-
-    def values(chunk):
-        bits = sampler._bits(chunk, n)
-        if not exact:
-            return obj.values(sampler._clicked_modes(bits, k))
-        bits = bits.astype(float)
-        sums = np.einsum("ijk,ik->ji", (bits @ parts).reshape(-1, 2, n), bits)
-        return np.hypot(*sums)
-
-    chunks = np.split(masks, range(_CHUNK, masks.size, _CHUNK))
-    return masks, np.concatenate([values(chunk) for chunk in chunks])
+    return obj._table()
 
 
 def _classical_target(obj: Objective, table: tuple | None, budget: int, trials: int,
@@ -357,16 +332,17 @@ def noise_sweep(
     refuses its pattern. The target, on every row, is the expected best of
     a uniform run of `classical_budget` steps (`_classical_target`): exact,
     up to C(n, k) <= classical_trials * classical_budget, with q read from
-    the masks, each one's value found in `_subset_table`'s ascending masks
+    the masks, each one's value found in `Objective._table`'s ascending masks
     by binary search, and no pattern array built; above, the mean best of
     `classical_trials` simulated runs, the masks decoded to subsets for
     `Objective.values`.
     """
     etas = list(eta_grid)
     epss = list(epsilon_grid)
-    if any(isinstance(e, bool) or not isinstance(e, numbers.Real) or not 0 <= e <= 1
-           for e in etas + epss):
-        raise ValidationError("noise grids must hold real numbers within [0, 1]")
+    if not (etas and epss) or any(isinstance(e, bool) or not isinstance(e, numbers.Real)
+                                  or not 0 <= e <= 1 for e in etas + epss):
+        raise ValidationError("noise grids must hold real numbers within [0, 1], "
+                              "none empty")
     if min(trials, pool_size, budget, classical_budget, classical_trials) < 1:
         raise ValidationError(
             "trials, pool_size, budget, classical_budget and classical_trials "

@@ -2,9 +2,10 @@
 
 Subcommands: gen, encode, sample, solve, bench. Every command is
 deterministic given its seed and input files; bench writes a manifest that
-makes runs replayable. Exit codes: 0 success, 2 validation error or a file
-that cannot be read or written, 3 cost-guard refusal or a request too large
-to allocate, 4 numerical-physicality error.
+makes runs replayable. Exit codes: 0 success, 2 validation error, a value
+beyond float64 (an OverflowError) or a file that cannot be read or written,
+3 cost-guard refusal or a request too large to allocate, 4
+numerical-physicality error.
 """
 
 from __future__ import annotations
@@ -276,8 +277,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         args.handler(args)
-    except (GbskitError, OSError, MemoryError) as exc:
-        print(f"gbskit: error: {exc}", file=sys.stderr)
+    except (GbskitError, OSError, MemoryError, OverflowError) as exc:
+        # an OverflowError, a value beyond float64, is invalid input
+        why = f"beyond float64: {exc.args[-1]}" if isinstance(exc, OverflowError) else exc
+        print(f"gbskit: error: {why}", file=sys.stderr)
         if isinstance(exc, GbskitError):
             return exc.exit_code
         # a request too large to allocate is refused as too costly

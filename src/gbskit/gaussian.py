@@ -27,12 +27,11 @@ there, the sum of two ranks read from small tables built per call
 (`_slot_places`), and each transform pass selects its pairs of slots as it
 runs. For larger k, where those pairs cost more than the passes over 2^M
 values (`_on_slice`), they fill a 2^M vector, transformed in full
-(`_subset_transform`) and then gathered.
-`sampler.sample_k_clicks` reads the slice, and `pattern_distribution(state,
-k)` scatters it into a 2^M vector. The recursion also takes a stack of
-states as one: a noise sweep's grid points share each step and each pass's
-pair selection, which moves the rule toward the slice, and each state's
-values keep the bits of its own call (`_capped_distributions`).
+(`_subset_transform`) and then gathered. The capped law has one form,
+(masks, probabilities), read by `sampler.sample_k_clicks` and the noise
+sweep, whose grid states run as one stack: they share each step and each
+pass's pair selection, which moves the rule toward the slice, and each
+state's values keep the bits of its own call (`_capped_distributions`).
 
 One formula gives every single-mode click probability, 1 - P_vac({j}) =
 1 - (sigma_jj sigma_{j+M,j+M} - |sigma_{j,j+M}|^2)^(-1/2): `mean_clicks` and
@@ -524,21 +523,10 @@ def _subset_transform(dist: np.ndarray) -> np.ndarray:
     return dist
 
 
-def pattern_distribution(
-    state: GaussianState, max_clicks: int | None = None
-) -> np.ndarray:
+def pattern_distribution(state: GaussianState) -> np.ndarray:
     """Exact probability of every click pattern, as a new vector indexed by
-    click bitmask (bit i = mode i).
-
-    With `max_clicks` k, every pattern of more than k clicks reads 0, and
-    only the sum over j <= k of C(M, j) others are computed
-    (`_capped_distribution`), and this vector scatters them. They must sum
-    to at most 1, and to 1 when k = M."""
-    if max_clicks is not None:
-        masks, probs = _capped_distribution(state, max_clicks)
-        dist = np.zeros(1 << state.modes)
-        dist[masks] = probs
-        return dist
+    click bitmask (bit i = mode i). The capped law, the patterns of at most
+    k clicks, is `_capped_distributions`' (masks, probabilities)."""
     _check_size(state.modes, None)
     # at complement masks; then Yates
     dist = _subset_transform(_vacuum_probabilities(state.husimi))

@@ -89,7 +89,7 @@ def _pattern_array(samples, modes: int) -> np.ndarray:
             if not hasattr(row, "__len__") or len(row) != modes:
                 raise ValidationError(f"pattern {i} does not have {modes} entries")
         raise ValidationError(f"patterns do not form an (N, {modes}) array")
-    bad = np.flatnonzero(~np.isin(arr, (0, 1)).all(axis=1))
+    bad = np.flatnonzero(~((arr == 0) | (arr == 1)).all(axis=1))
     if bad.size:
         raise ValidationError(f"pattern {bad[0]} is not a 0/1 pattern")
     rows = np.array(arr, dtype=np.uint8, order="C")

@@ -28,7 +28,9 @@ Every stream since 2 keeps the searchers' stream above and changes only
 bench's draws; the README's "Determinism and cost guards" section has their
 history.
 
-`Objective.values` is the one valuation path; `value` is its one-row call.
+`Objective.values` is the one valuation path; `value` is its one-row call,
+and `_table` values every k-subset for a noise sweep's table, an integer
+density table as one exact matrix product with `values`' bits.
 Random search does not adapt to the values it sees, so it values each chunk
 with one `values` call: |Hafnian|^2 of each distinct proposal
 once, through matfn's stacked hafnian kernel (a perfect-matching table for
@@ -53,10 +55,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gaussian, sampler
 from .encoding import Graph
 from .errors import ValidationError
 from .matfn import _hafnians
-from .sampler import SamplePool
 
 __all__ = [
     "Objective",
@@ -148,6 +150,34 @@ class Objective:
             vals.update(self._misses(miss, ordered[[row_of[key] for key in miss]]))
         return np.fromiter(map(vals.__getitem__, keys), float, len(keys))
 
+    def _table(self) -> tuple:
+        """Every k-subset's ascending click mask (from
+        `gaussian._slice_masks(n, k)`) and value, with `values`' bits,
+        `_CHUNK` masks at a time. Density on entries with integer real and
+        imaginary parts, k^2 max |a_ij| < 2^53, is a float64 product: with B
+        the masks' 0/1 bit matrix, each row of (B A) * B sums to the
+        subset's edge sum and every partial sum is an integer below 2^53, so
+        exact in any order: `values`' sums, whose modulus hypot takes as
+        there. Other rows are decoded as a pool's and valued by `values`."""
+        n, k = self.graph.n, self.k
+        masks = gaussian._slice_masks(n, k)
+        masks = masks[np.bitwise_count(masks) == k]
+        a = self.graph.adjacency
+        parts = np.concatenate([a.real, a.imag], axis=1)  # [Re A, Im A]
+        exact = (self.kind == "density" and np.all(parts == np.round(parts))
+                 and k * k * np.abs(parts).max() < 2.0**53)
+
+        def valued(chunk):
+            bits = sampler._bits(chunk, n)
+            if not exact:
+                return self.values(sampler._clicked_modes(bits, k))
+            bits = bits.astype(float)
+            sums = np.einsum("ijk,ik->ji", (bits @ parts).reshape(-1, 2, n), bits)
+            return np.hypot(*sums)
+
+        chunks = np.split(masks, range(_CHUNK, masks.size, _CHUNK))
+        return masks, np.concatenate([valued(chunk) for chunk in chunks])
+
     def _misses(self, keys: list, rows: np.ndarray) -> list:
         """(key, |Hafnian|^2) of uncached sorted subsets, `rows` their checked
         array, valued in one stacked call and cached in order, evicting oldest
@@ -168,7 +198,7 @@ class ProposalSource:
     """Uniform k-subsets or the clicked vertex sets of a sample pool."""
 
     kind: str = "uniform"
-    pool: SamplePool | None = None
+    pool: sampler.SamplePool | None = None
 
     def __post_init__(self):
         if self.kind not in ("uniform", "pool"):

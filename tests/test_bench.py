@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gbskit import bench, encoding, files, gaussian, sampler
+from gbskit import bench, encoding, files, gaussian, sampler, solvers
 from gbskit.encoding import Graph, choose_scale, encode_graph
 from gbskit.errors import CostGuardError, ValidationError
 from gbskit.gaussian import apply_loss, apply_thermal
@@ -559,7 +559,7 @@ class TestClassicalTarget:
     # weights, so the rows go through `Objective.values`
     @pytest.mark.parametrize("chunk", [1, 7, 1024])
     def test_table_rows_hold_every_subset_once(self, monkeypatch, chunk):
-        monkeypatch.setattr(bench, "_CHUNK", chunk)
+        monkeypatch.setattr(solvers, "_CHUNK", chunk)
         calls = self.table_calls(monkeypatch)
         for n in range(2, 12):
             g = random_complex_graph(n, seed=n)
@@ -577,7 +577,7 @@ class TestClassicalTarget:
 
     @pytest.mark.parametrize("kind", ["density", "maxhaf"])
     def test_table_is_the_combinations_table_bytes(self, monkeypatch, kind):
-        monkeypatch.setattr(bench, "_CHUNK", 37)
+        monkeypatch.setattr(solvers, "_CHUNK", 37)
         calls = self.table_calls(monkeypatch)
         obj = Objective(kind, random_complex_graph(10, seed=6), 4)
         classical_target(obj, math.comb(10, 4), 1, seed=0)
@@ -748,6 +748,34 @@ def test_studies_refuse_a_non_integer_k_before_any_pool(monkeypatch, study, k):
                classical_budget=20, classical_trials=3))
     with pytest.raises(ValidationError, match="k must be an integer"):
         getattr(bench, study)(g, seed=0, **kw)
+
+
+@pytest.mark.parametrize("study, kwargs, message", [
+    ("noise_sweep", dict(eta_grid=[]), "noise grids"),
+    ("noise_sweep", dict(epsilon_grid=[]), "noise grids"),
+    ("noise_sweep", dict(eta_grid=[], epsilon_grid=[]), "noise grids"),
+    ("advantage_study", dict(k_values=[]), "k_values"),
+], ids=["eta_grid", "epsilon_grid", "both", "k_values"])
+def test_studies_refuse_an_empty_grid_before_any_work(monkeypatch, study, kwargs,
+                                                      message):
+    def no_work(*args, **kw):
+        raise AssertionError("the study ran before checking its grid")
+
+    for module, name in [(sampler, "sample_k_clicks"), (sampler, "_k_click_masks"),
+                         (gaussian, "_capped_distributions"), (gaussian, "_slice_masks"),
+                         (bench, "choose_scale"), (bench, "random_search")]:
+        monkeypatch.setattr(module, name, no_work)
+    monkeypatch.setattr(Objective, "values", no_work)
+    g = planted_clique_graph(8, 3, 0.2, seed=1)
+    base = {
+        "noise_sweep": dict(graph=g, k=3, eta_grid=[1.0], epsilon_grid=[0.0],
+                            trials=5, seed=7, pool_size=100, budget=50,
+                            classical_budget=20, classical_trials=3),
+        "advantage_study": dict(graph=g, k_values=[2], steps=5, trials=2, seed=0,
+                                pool_size=50),
+    }[study]
+    with pytest.raises(ValidationError, match=message):
+        getattr(bench, study)(**dict(base, **kwargs))
 
 
 @pytest.mark.parametrize("study, kwargs", [

@@ -235,6 +235,25 @@ class TestSolve:
         assert "initial temperature must be positive" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "trace.json").exists()
 
+    # an objective value beyond float64: density of a self-loop whose modulus
+    # overflows, and |Haf|^2 of a K4 of weight 1e100, (3e200)^2
+    @pytest.mark.parametrize("algo", ["rs", "sa"])
+    @pytest.mark.parametrize("objective, n, entries, k", [
+        ("density", 3, [[0, 0, 1.5e308, 1.5e308], [0, 1, 1.0, 0.0]], 1),
+        ("maxhaf", 5, [[i, j, 1e100, 0.0] for i in range(4) for j in range(i + 1, 4)]
+         + [[3, 4, 1.0, 0.0]], 4),
+    ], ids=["density", "maxhaf"])
+    def test_value_beyond_float64_exits_2(self, tmp_path, capsys, objective, n,
+                                          entries, k, algo):
+        graph, out = tmp_path / "g.json", tmp_path / "trace.csv"
+        graph.write_text(json.dumps({"format_version": 1, "n": n, "entries": entries}))
+        assert run("solve", graph, "--objective", objective, "--k", k, "--algo", algo,
+                   "--steps", 50, "--seed", 1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gbskit: error: beyond float64: ")
+        assert err.count("\n") == 1
+        assert not out.exists() and not (tmp_path / "trace.json").exists()
+
 
 class TestBench:
     def test_noise_sweep_cost_guard_exits_3(self, tmp_path, monkeypatch):
@@ -299,6 +318,19 @@ class TestBench:
         outdir = tmp_path / "out"
         assert run("bench", "correlate", "--config", cfg, "--out", outdir) == 2
         assert capsys.readouterr().err.startswith("gbskit: error:")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("study, cfg, field", [
+        ("noise-sweep", {"k": 3, "eta_grid": [], "seed": 1}, "noise grids"),
+        ("noise-sweep", {"k": 3, "epsilon_grid": [], "seed": 1}, "noise grids"),
+        ("advantage", {"k_values": [], "seed": 1}, "k_values"),
+    ], ids=["eta_grid", "epsilon_grid", "k_values"])
+    def test_empty_grid_exits_2(self, k6_graph, tmp_path, capsys, study, cfg, field):
+        config, outdir = tmp_path / "cfg.json", tmp_path / "out"
+        config.write_text(json.dumps(dict(cfg, graph=str(k6_graph))))
+        assert run("bench", study, "--config", config, "--out", outdir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gbskit: error: ") and field in err
         assert not outdir.exists()
 
     def test_unknown_field_exits_2(self, tmp_path, capsys):

@@ -563,13 +563,22 @@ def fourteen_mode_case():
     return sq, frozen_capped_step(sq, 6).tobytes(), frozen_uncapped_step(sq).tobytes()
 
 
+def capped_vector(state, k):
+    """The capped law, (masks, probabilities), scattered into a 2^M vector:
+    every pattern of more than k clicks reads 0."""
+    masks, probs = gaussian._capped_distribution(state, k)
+    dist = np.zeros(1 << state.modes)
+    dist[masks] = probs
+    return dist
+
+
 class TestCappedDistribution:
     @pytest.mark.parametrize("k", [0, 1, 4, 7, 8])
     @pytest.mark.parametrize("noise", NOISE)
     @pytest.mark.parametrize("name", CAPPED_GRAPHS)
     def test_matches_oracle_and_full_distribution(self, name, noise, k):
         state, want, full = capped_case(name, noise)
-        got = gaussian.pattern_distribution(state, k)
+        got = capped_vector(state, k)
         kept = np.bitwise_count(np.arange(256)) <= k
         # the oracle's tolerance in TestPatternDistribution
         np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=1e-14)
@@ -583,15 +592,15 @@ class TestCappedDistribution:
         state = state_from_device(*random_device(3, 1))
         for k in (-1, 4):
             with pytest.raises(ValidationError, match="out of range"):
-                gaussian.pattern_distribution(state, k)
+                capped_vector(state, k)
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_split_stacks_are_bit_identical(self, monkeypatch, k):
         state = apply_loss(state_from_device(*random_device(8, 5)), 0.75)
         monkeypatch.setattr(gaussian, "_CHUNK", 1 << 40)
-        whole = gaussian.pattern_distribution(state, k)
+        whole = capped_vector(state, k)
         monkeypatch.setattr(gaussian, "_CHUNK", 16)
-        split = gaussian.pattern_distribution(state, k)
+        split = capped_vector(state, k)
         assert whole.tobytes() == split.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -599,7 +608,7 @@ class TestCappedDistribution:
         state = vacuum(3)
         object.__setattr__(state, "husimi", np.diag([1.0, -1.0, 1.0] * 2))
         with pytest.raises(PhysicalityError, match=r"modes \[1\]"):
-            gaussian.pattern_distribution(state, k)
+            capped_vector(state, k)
 
     @pytest.mark.parametrize("on_slice", [True, False], ids=["slice", "vector"])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -653,7 +662,7 @@ class TestCappedDistribution:
         # P_vac of both modes is 1.5625
         state = GaussianState(modes=2, husimi=0.8 * np.eye(4))
         with pytest.raises(PhysicalityError):
-            gaussian.pattern_distribution(state, k)
+            capped_vector(state, k)
 
 
 class TestClickSlice:
@@ -674,15 +683,6 @@ class TestClickSlice:
             for i, (hi, lo) in enumerate(pairs):
                 assert np.array_equal(hi, np.flatnonzero(masks >> i & 1))
                 assert np.array_equal(masks[lo], masks[hi] ^ 1 << i)
-
-    def test_pattern_distribution_scatters_the_slice(self):
-        state = capped_case("random", "thermal")[0]
-        for k in range(9):
-            masks, probs = gaussian._capped_distribution(state, k)
-            dist = gaussian.pattern_distribution(state, k)
-            assert dist[masks].tobytes() == probs.tobytes()
-            assert not np.delete(dist, masks).any()
-
 
     @pytest.mark.parametrize("modes, k", [(16, 3), (16, 6), (18, 5), (20, 4), (20, 7)])
     def test_pairs_are_the_searched_slots(self, modes, k):

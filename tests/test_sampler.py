@@ -635,6 +635,32 @@ class TestSamplePool:
         with pytest.raises(ValidationError, match=message):
             SamplePool(modes=3, samples=((1, 0, 1), bad_row, (0, 0, 0)))
 
+    # the 0/1 check against `np.isin(arr, (0, 1))`, the rule it replaced: the
+    # same first bad row, or none, on every kind of input, with no warning
+    @pytest.mark.parametrize("samples", [
+        [[0, 1], [1, 2]],
+        [[0.0, 1.0], [1.0, 0.5]],
+        [[True, False], [False, True]],
+        [[0j, 1 + 0j], [1j, 1]],
+        [["0", "1"], ["1", "0"]],
+        [[b"0", b"1"], [b"1", b"0"]],
+        np.array([[0, 1.0], [True, np.uint8(0)]], dtype=object),
+        np.array([[0, 1], ["1", None]], dtype=object),
+        [[1.0, 0.0], [np.nan, 1.0]],
+        [[-0.0, 1.0], [0.0, -0.0]],
+        np.zeros((0, 2)),
+    ], ids=["int", "float", "bool", "complex", "str", "bytes", "object", "object-bad",
+            "nan", "negative-zero", "empty"])
+    def test_zero_one_check_matches_isin(self, samples):
+        arr = np.asarray(samples)
+        bad = np.flatnonzero(~np.isin(arr, (0, 1)).all(axis=1))
+        if bad.size:
+            with pytest.raises(ValidationError, match=f"pattern {bad[0]} is not a 0/1"):
+                SamplePool(modes=2, samples=samples)
+        else:
+            pool = SamplePool(modes=2, samples=samples)
+            assert pool.samples.tolist() == arr.astype(np.uint8).tolist()
+
     def test_samples_are_read_only_uint8_array(self):
         pool = SamplePool(modes=3, samples=[[1, 0, 1], [0, 1, 0]])
         assert pool.samples.dtype == np.uint8
