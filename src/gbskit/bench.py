@@ -7,7 +7,8 @@ results do not depend on evaluation order. A noise sweep's classical
 random-search target is the exact expected best of a run, and its pools are
 valued from one table (`Objective._table`), whenever valuing every k-subset
 once costs no more than simulating the runs. The sweep's grid points draw
-their pools from the capped click laws of one stacked recursion.
+their pools from the capped click laws of one stacked recursion, and each
+point's p_hat and CI are the geometric fit of all its trials' step counts.
 """
 
 from __future__ import annotations
@@ -228,8 +229,8 @@ def geometric_fit(steps) -> GeometricFit:
     arr = np.asarray(list(steps), dtype=float)
     if arr.size == 0:
         raise ValidationError("cannot fit an empty list of step counts")
-    if np.any(arr < 1):
-        raise ValidationError("step counts must be >= 1")
+    if not (np.isfinite(arr) & (arr >= 1)).all():
+        raise ValidationError("step counts must be finite and >= 1")
     mean, se_mean = _mean_se(arr)
     half = 1.959963984540054 * se_mean  # the normal 97.5% quantile
     ci95 = (1.0 / (mean + half), min(1.0 / max(mean - half, 1.0), 1.0))
@@ -263,7 +264,6 @@ class NoisePoint:
     ci95: tuple[float, float] | None
     trials: int
     kept: int  # pool patterns left after post-selection to k clicks
-    censored_fraction: float
     no_success: bool
 
 
@@ -304,7 +304,6 @@ def noise_sweep(
     trials: int,
     seed: int,
     pool_size: int = 20000,
-    budget: int = 4000,
     classical_budget: int = 1000,
     classical_trials: int = 40,
     objective: str = "density",
@@ -318,9 +317,9 @@ def noise_sweep(
     Pool-RS trial's steps to reach the classical-RS target are the first of
     its i.i.d. pool draws to land on a target-beating pattern, so they are
     Geometric(q), q the pool's fraction of such patterns: each point draws
-    its `trials` step counts from one stream and fits a geometric success
-    probability. Trials past the budget are right-censored and excluded
-    from the fit; an empty pool runs none. The graph has at most
+    its `trials` step counts from one stream and fits p_hat and its CI to
+    all of them; a point with q = 0 (an empty pool, which runs no trials, or
+    none that beats the target) reports `no_success`, with no fit. The graph has at most
     `gaussian.MAX_TABLE_MODES` vertices. Every point's k-click law comes
     from one stacked recursion (`gaussian._capped_distributions`), with the
     bytes of its own; point gi draws its pool from its law as
@@ -343,10 +342,9 @@ def noise_sweep(
                                   or not 0 <= e <= 1 for e in etas + epss):
         raise ValidationError("noise grids must hold real numbers within [0, 1], "
                               "none empty")
-    if min(trials, pool_size, budget, classical_budget, classical_trials) < 1:
+    if min(trials, pool_size, classical_budget, classical_trials) < 1:
         raise ValidationError(
-            "trials, pool_size, budget, classical_budget and classical_trials "
-            "must be >= 1"
+            "trials, pool_size, classical_budget and classical_trials must be >= 1"
         )
     obj = Objective(kind=objective, graph=graph, k=k)
     k = obj.k
@@ -371,10 +369,8 @@ def noise_sweep(
                 else obj.values(sampler._clicked_modes(sampler._bits(clicked, graph.n), k)))
         # an empty pool has q = 0 and runs no trials
         q = float(np.mean(vals >= target)) if clicked.size else 0.0
-        steps = (np.random.default_rng([seed, gi, 3]).geometric(q, trials)
-                 if q > 0 else np.zeros(0, dtype=int))
-        steps_hit = steps[steps <= budget]
-        fit = geometric_fit(steps_hit) if steps_hit.size else None
+        fit = (geometric_fit(np.random.default_rng([seed, gi, 3]).geometric(q, trials))
+               if q > 0 else None)
         rows.append(
             NoisePoint(
                 eta=eta,
@@ -384,7 +380,6 @@ def noise_sweep(
                 ci95=fit.ci95 if fit else None,
                 trials=trials if clicked.size else 0,
                 kept=clicked.size,
-                censored_fraction=(trials - steps_hit.size) / trials,
                 no_success=fit is None,
             )
         )

@@ -2,10 +2,10 @@
 
 Subcommands: gen, encode, sample, solve, bench. Every command is
 deterministic given its seed and input files; bench writes a manifest that
-makes runs replayable. Exit codes: 0 success, 2 validation error, a value
-beyond float64 (an OverflowError) or a file that cannot be read or written,
-3 cost-guard refusal or a request too large to allocate, 4
-numerical-physicality error.
+makes runs replayable, and refuses a config field its study does not take.
+Exit codes: 0 success, 2 validation error (such as that field), a value beyond
+float64 (an OverflowError) or a file that cannot be read or written, 3
+cost-guard refusal or a request too large to allocate, 4 numerical-physicality error.
 """
 
 from __future__ import annotations
@@ -210,7 +210,6 @@ _STUDIES = {
         ("trials", int, 200),
         ("seed", int, _REQUIRED),
         ("pool_size", int, 20000),
-        ("budget", int, 4000),
         ("classical_budget", int, 1000),
         ("classical_trials", int, 40),
         ("objective", str, "density"),

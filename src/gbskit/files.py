@@ -198,11 +198,10 @@ def save_advantage_report(reports: list[AdvantageReport], csv_path, json_path) -
 
 
 def save_noise_table(rows: list[NoisePoint], csv_path, json_path) -> None:
-    header = ("eta,epsilon,target,p_hat,ci_lo,ci_hi,trials,kept,censored_fraction,"
-              "no_success")
+    header = "eta,epsilon,target,p_hat,ci_lo,ci_hi,trials,kept,no_success"
     cells = [
         (r.eta, r.epsilon, r.target, r.p_hat, *(r.ci95 or (None, None)), r.trials,
-         r.kept, r.censored_fraction, int(r.no_success))
+         r.kept, int(r.no_success))
         for r in rows
     ]
     _save_table(csv_path, header, cells, json_path,

@@ -489,13 +489,20 @@ def _mode_pairs(masks: np.ndarray, small: np.ndarray, i: int) -> tuple:
     return np.flatnonzero(has), np.flatnonzero(small & ~has)
 
 
+def _integer(value, name: str) -> int:
+    """`value` as an int; a bool or a non-integral number is refused as `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, not {type(value).__name__}")
+    return int(value)
+
+
 def _check_size(modes: int, max_clicks: int | None) -> None:
     """Refuse the 2^M recursion (click tables, torontonians) above
-    `MAX_TABLE_MODES` modes, then a click cap outside [0, modes]."""
+    `MAX_TABLE_MODES` modes, then a click cap other than an integer in [0, modes]."""
     if modes > MAX_TABLE_MODES:
         raise CostGuardError(f"2^M table of {modes} modes exceeds the cap "
                              f"of {MAX_TABLE_MODES} modes")
-    if max_clicks is not None and not 0 <= max_clicks <= modes:
+    if max_clicks is not None and not 0 <= _integer(max_clicks, "click count k") <= modes:
         raise ValidationError(f"click count {max_clicks} out of range [0, {modes}]")
 
 
@@ -635,11 +642,10 @@ def _device_click_probabilities(r: np.ndarray, u: np.ndarray) -> list:
 
 def mode_click_probability(state: GaussianState, mode: int) -> float:
     """Marginal click probability of a single mode, 1 - P_vac({mode})."""
-    if isinstance(mode, bool) or not isinstance(mode, numbers.Integral):
-        raise ValidationError(f"mode index must be an integer, not {type(mode).__name__}")
+    mode = _integer(mode, "mode index")
     if not 0 <= mode < state.modes:
         raise ValidationError("mode index out of range")
-    return _state_click_probabilities(state, np.array([int(mode)]))[0]
+    return _state_click_probabilities(state, np.array([mode]))[0]
 
 
 def mean_clicks(state: GaussianState) -> float:

@@ -42,8 +42,8 @@ class SamplePool:
     """Ordered click patterns from one device or file.
 
     Any array-like of patterns is stored as a read-only (N, modes) uint8
-    array; ragged rows, rows of the wrong length and entries other than 0
-    or 1 raise ValidationError naming the first bad row.
+    array, `modes` an integer >= 1; ragged rows, rows of the wrong length and
+    entries other than a real 0 or 1 raise ValidationError naming the first bad row.
     """
 
     modes: int
@@ -78,6 +78,8 @@ def _check_clicks(counts: np.ndarray, k: int) -> None:
 
 
 def _pattern_array(samples, modes: int) -> np.ndarray:
+    if gaussian._integer(modes, "modes") < 1:
+        raise ValidationError(f"a pool needs at least 1 mode, got {modes}")
     try:
         arr = np.asarray(samples)
     except ValueError:  # ragged rows
@@ -89,7 +91,10 @@ def _pattern_array(samples, modes: int) -> np.ndarray:
             if not hasattr(row, "__len__") or len(row) != modes:
                 raise ValidationError(f"pattern {i} does not have {modes} entries")
         raise ValidationError(f"patterns do not form an (N, {modes}) array")
-    bad = np.flatnonzero(~((arr == 0) | (arr == 1)).all(axis=1))
+    binary = (arr == 0) | (arr == 1)
+    if arr.dtype.kind in "cO":  # 1+0j equals 1, but no complex entry is 0/1
+        binary &= ~np.vectorize(np.iscomplexobj, otypes=[bool])(arr)
+    bad = np.flatnonzero(~binary.all(axis=1))
     if bad.size:
         raise ValidationError(f"pattern {bad[0]} is not a 0/1 pattern")
     rows = np.array(arr, dtype=np.uint8, order="C")
@@ -184,7 +189,7 @@ def _clicked_modes(bits: np.ndarray, k: int) -> np.ndarray:
 
 def postselect(pool: SamplePool, k: int) -> SamplePool:
     """Keep only patterns with exactly k clicks, order preserved."""
-    if not 0 <= k <= pool.modes:
+    if not 0 <= gaussian._integer(k, "click count k") <= pool.modes:
         raise ValidationError(f"click count {k} out of range [0, {pool.modes}]")
     return SamplePool(
         modes=pool.modes,

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,11 +97,7 @@ class Objective:
     def __post_init__(self):
         if self.kind not in ("maxhaf", "density"):
             raise ValidationError(f"unknown objective kind {self.kind!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise ValidationError(
-                f"subgraph size k must be an integer, not {type(self.k).__name__}"
-            )
-        self.k = int(self.k)
+        self.k = gaussian._integer(self.k, "subgraph size k")
         if not 0 < self.k < self.graph.n:
             raise ValidationError(
                 f"subgraph size k must lie in (0, {self.graph.n}), got {self.k}"
@@ -397,7 +392,7 @@ def greedy_peel(g: Graph, k: int) -> tuple:
     """Repeatedly remove the minimum weighted-degree vertex (ties broken by
     lowest index) until k vertices remain. Defined for real nonnegative
     weights only."""
-    if not 0 < k < g.n:
+    if not 0 < gaussian._integer(k, "subgraph size k") < g.n:
         raise ValidationError(f"k must lie in (0, {g.n}), got {k}")
     a = g.adjacency
     if np.any(np.abs(a.imag) > 0) or np.any(a.real < 0):

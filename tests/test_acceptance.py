@@ -198,8 +198,7 @@ class TestAcceptance:
         # 42 realizes z = 4.2, 4.7, 9.4 and 4.1 (stream 6).
         g = random_complex_graph(16, seed=29)
         kw = dict(trials=3000, seed=42, objective="maxhaf", pool_size=400000,
-                  budget=20000, classical_budget=3000, classical_trials=40,
-                  mean_clicks=4.0)
+                  classical_budget=3000, classical_trials=40, mean_clicks=4.0)
         eta_rows = bench.noise_sweep(g, 6, [1.0, 0.75, 0.5], [0.0], **kw)
         eps_rows = bench.noise_sweep(g, 6, [1.0], [0.0, 0.25, 0.5], **kw)
         zs = []
@@ -276,8 +275,8 @@ class TestAcceptance:
              ["advantage.csv", "advantage.json", "manifest.json"]),
             ("noise-sweep", {"graph": str(graph), "k": 4, "eta_grid": [1.0],
                              "epsilon_grid": [0.0], "trials": 10, "seed": 13,
-                             "pool_size": 500, "budget": 200,
-                             "classical_budget": 50, "classical_trials": 5},
+                             "pool_size": 500, "classical_budget": 50,
+                             "classical_trials": 5},
              ["noise_sweep.csv", "noise_sweep.json", "manifest.json"]),
         ]:
             cfg_path = tmp_path / f"{cmd}.json"

@@ -196,6 +196,12 @@ class TestGeometricFit:
         with pytest.raises(ValidationError):
             bench.geometric_fit([0, 2])
 
+    @pytest.mark.parametrize("steps", [[np.nan], [np.inf, 1], [2, -np.inf]],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_steps(self, steps):
+        with pytest.raises(ValidationError, match="step counts must be finite"):
+            bench.geometric_fit(steps)
+
     def test_rejects_zero_p_hat(self):
         with pytest.raises(ValidationError, match=r"p_hat must lie in \(0, 1\]"):
             bench.GeometricFit(p_hat=0.0, n_trials=3, ci95=(0.0, 0.1))
@@ -222,7 +228,7 @@ class TestNoiseSweep:
         g = planted_clique_graph(8, 3, 0.2, seed=1)
         rows = bench.noise_sweep(
             g, 3, [1.0, 0.5], [0.0], trials=10, seed=7,
-            pool_size=400, budget=200, classical_budget=50, classical_trials=5,
+            pool_size=400, classical_budget=50, classical_trials=5,
         )
         assert [(r.eta, r.epsilon) for r in rows] == [(1.0, 0.0), (0.5, 0.0)]
         target = classical_target(Objective("density", g, 3), 50, 5, 7)
@@ -236,11 +242,11 @@ class TestNoiseSweep:
         g = planted_clique_graph(8, 3, 0.2, seed=1)
         rows = bench.noise_sweep(
             g, 3, [0.0], [0.0], trials=5, seed=7,
-            pool_size=100, budget=50, classical_budget=20, classical_trials=3,
+            pool_size=100, classical_budget=20, classical_trials=3,
         )
         assert rows[0].no_success
         # an empty pool runs no trials and fits nothing
-        assert (rows[0].trials, rows[0].kept, rows[0].censored_fraction) == (0, 0, 1.0)
+        assert (rows[0].trials, rows[0].kept) == (0, 0)
         assert (rows[0].p_hat, rows[0].ci95) == (None, None)
 
     def test_refuses_too_many_modes_before_the_target(self, monkeypatch):
@@ -262,82 +268,81 @@ class TestNoiseSweep:
         gaussian._slice_masks.cache_clear()
         g = planted_clique_graph(8, 3, 0.2, seed=1)
         bench.noise_sweep(g, 3, [1.0, 0.5], [0.0], trials=10, seed=7, pool_size=400,
-                          budget=200, classical_budget=50, classical_trials=5)
+                          classical_budget=50, classical_trials=5)
         info = gaussian._slice_masks.cache_info()
         assert info.misses == 1 and info.hits >= 1
 
     def test_deterministic(self):
         g = zero_one_graph(8, 0.6, seed=2)
-        kw = dict(trials=5, seed=11, pool_size=200, budget=100,
+        kw = dict(trials=5, seed=11, pool_size=200,
                   classical_budget=30, classical_trials=3)
         a = bench.noise_sweep(g, 3, [1.0], [0.0], **kw)
         b = bench.noise_sweep(g, 3, [1.0], [0.0], **kw)
         assert a == b
 
-    def test_trial_steps_keep_the_per_trial_loop_law(self, monkeypatch):
-        # one target-beating pattern in a pool of 40, so q = 1/40 exactly and
-        # (39/40)^60 = 0.22 of the trials are censored
+    @staticmethod
+    def one_beating_pool(monkeypatch, size):
+        """Patch every sweep pool of `planted_clique_graph(8, 3, 0.2, 1)` at
+        k 3 to `size` patterns, the first the best 3-subset and the rest the
+        worst, so one pattern beats the target and q = 1/size exactly."""
         g = planted_clique_graph(8, 3, 0.2, seed=1)
         obj = Objective(kind="density", graph=g, k=3)
         subsets = np.array([s for s in itertools.combinations(range(8), 3)])
         vals = obj.values(subsets)
-        best, worst = subsets[vals.argmax()], subsets[vals.argmin()]
-        bits = np.zeros((40, 8), dtype=np.uint8)
-        bits[0, best] = 1
-        bits[1:, worst] = 1
-        pool = SamplePool(modes=8, samples=bits)
+        bits = np.zeros((size, 8), dtype=np.uint8)
+        bits[0, subsets[vals.argmax()]] = 1
+        bits[1:, subsets[vals.argmin()]] = 1
         monkeypatch.setattr(sampler, "_k_click_masks", lambda *args: click_masks(bits))
-        seed, trials, budget = 3, 4000, 60
-        kw = dict(trials=trials, seed=seed, budget=budget, classical_budget=20,
-                  classical_trials=3)
-        (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], **kw)
-        assert row.kept == 40
+        return g, obj, SamplePool(modes=8, samples=bits)
 
-        # the loop the geometric draws replace: each trial replays its own
-        # `budget` uniform pool indices and keeps the first hit
+    def test_trial_steps_keep_the_per_trial_loop_law(self, monkeypatch):
+        # one target-beating pattern in a pool of 40, so q = 1/40 exactly
+        g, obj, pool = self.one_beating_pool(monkeypatch, 40)
+        seed, trials = 3, 4000
+        (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], trials=trials, seed=seed,
+                                   classical_budget=20, classical_trials=3)
+        assert (row.kept, row.trials) == (40, trials)
+
+        # the loop the geometric draws replace: each trial replays uniform
+        # pool indices, 64 at a time, until its first hit
         target = classical_target(obj, 20, 3, seed)
         good = obj.values(pool.subsets(3)) >= target
         assert good.sum() == 1
-        steps, censored = [], 0
+        steps = []
         for t in range(trials):
-            idx = np.random.default_rng([seed, 2000, t]).integers(40, size=budget)
-            hits = np.flatnonzero(good[idx])
-            if hits.size:
-                steps.append(hits[0] + 1)
-            else:
-                censored += 1
-        exact = (39 / 40) ** budget
-        se = np.sqrt(exact * (1 - exact) / trials)
-        assert abs(censored / trials - exact) < 5 * se
-        assert abs(row.censored_fraction - exact) < 5 * se
+            rng, drawn = np.random.default_rng([seed, 2000, t]), 0
+            while not (hits := np.flatnonzero(good[rng.integers(40, size=64)])).size:
+                drawn += 64
+            steps.append(drawn + hits[0] + 1)
         steps = np.array(steps, dtype=float)
-        n_hit = trials - round(row.censored_fraction * trials)
-        se_mean = steps.std(ddof=1) * np.sqrt(1 / len(steps) + 1 / n_hit)
+        se_mean = steps.std(ddof=1) * np.sqrt(2 / trials)
         assert abs(1 / row.p_hat - steps.mean()) < 5 * se_mean
 
-    def test_zero_fraction_censors_every_trial(self, monkeypatch):
+    def test_p_hat_is_calibrated(self, monkeypatch):
+        # q = 1/2000 at the default settings: every one of 200 trials is
+        # fitted, so p_hat is unbiased up to 1/mean's O(1/trials) and its
+        # CI covers q at about the nominal 95 %
+        g, _, _ = self.one_beating_pool(monkeypatch, 2000)
+        q, seeds = 1 / 2000, 200
+        rows = [bench.noise_sweep(g, 3, [1.0], [0.0], trials=200, seed=s)[0]
+                for s in range(seeds)]
+        assert all(r.kept == 2000 and not r.no_success for r in rows)
+        covered = sum(r.ci95[0] <= q <= r.ci95[1] for r in rows)
+        # 0.88 is 0.95 less 4.5 binomial standard deviations (0.0154) of 200 seeds
+        assert covered / seeds >= 0.88
+        assert abs(np.mean([r.p_hat for r in rows]) / q - 1) < 0.05
+
+    def test_zero_fraction_reports_no_success(self, monkeypatch):
         g = planted_clique_graph(8, 3, 0.2, seed=1)
         obj = Objective(kind="density", graph=g, k=3)
         subsets = np.array([s for s in itertools.combinations(range(8), 3)])
         bits = np.zeros((5, 8), dtype=np.uint8)
         bits[:, subsets[obj.values(subsets).argmin()]] = 1
         monkeypatch.setattr(sampler, "_k_click_masks", lambda *args: click_masks(bits))
-        (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], trials=7, seed=3, budget=50,
+        (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], trials=7, seed=3,
                                    classical_budget=20, classical_trials=3)
-        assert row.no_success and row.censored_fraction == 1.0
-        assert (row.trials, row.kept, row.p_hat) == (7, 5, None)
-
-    def test_budget_bounds_steps_inclusively(self, monkeypatch):
-        # every pool pattern beats the target, so every trial hits at step 1
-        g = planted_clique_graph(8, 3, 0.2, seed=1)
-        obj = Objective(kind="density", graph=g, k=3)
-        subsets = np.array([s for s in itertools.combinations(range(8), 3)])
-        bits = np.zeros((5, 8), dtype=np.uint8)
-        bits[:, subsets[obj.values(subsets).argmax()]] = 1
-        monkeypatch.setattr(sampler, "_k_click_masks", lambda *args: click_masks(bits))
-        (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], trials=7, seed=3, budget=1,
-                                   classical_budget=20, classical_trials=3)
-        assert (row.p_hat, row.censored_fraction, row.no_success) == (1.0, 0.0, False)
+        assert row.no_success
+        assert (row.trials, row.kept, row.p_hat, row.ci95) == (7, 5, None, None)
 
     def test_grid_of_1001_points_keeps_its_seeds_apart(self, monkeypatch):
         # point gi keys its pool [seed, gi, 2] and simulated run i [seed, i, 1],
@@ -359,7 +364,7 @@ class TestNoiseSweep:
         monkeypatch.setattr(bench, "random_search", run)
         # C(16, 8) = 12870 > 1001 * 1 subsets: the runs are simulated
         rows = bench.noise_sweep(planted_clique_graph(16, 6, 0.2, seed=1), 8,
-                                 [1.0] * 7, [0.0] * 143, trials=2, seed=3, budget=5,
+                                 [1.0] * 7, [0.0] * 143, trials=2, seed=3,
                                  classical_budget=1, classical_trials=1001)
         assert len(rows) == len(set(pools)) == len(runs) == 1001
         assert not set(pools) & set(runs)
@@ -464,7 +469,7 @@ class TestNoiseSweep:
 
         monkeypatch.setattr(Objective, "values", recorded)
         bench.noise_sweep(planted_clique_graph(8, 3, 0.2, seed=1), 3, [1.0, 0.5], [0.0],
-                          trials=10, seed=7, pool_size=400, budget=200,
+                          trials=10, seed=7, pool_size=400,
                           classical_budget=classical_budget, classical_trials=3)
         assert len(pools) == 2 and min(map(len, pools)) > 0
         assert [p.subsets(3).tobytes() in valued for p in pools] == [not table] * 2
@@ -479,7 +484,7 @@ class TestNoiseSweep:
         monkeypatch.setattr(encoding, "takagi", counting)
         g = planted_clique_graph(8, 3, 0.2, seed=1)
         bench.noise_sweep(g, 3, [1.0, 0.5], [0.0, 0.5], trials=5, seed=7, pool_size=200,
-                          budget=50, classical_budget=20, classical_trials=3)
+                          classical_budget=20, classical_trials=3)
         assert len(calls) == 1
         bench.advantage_study(zero_one_graph(8, 0.6, seed=2), [2, 4], steps=5, trials=2,
                               seed=3, pool_size=200)
@@ -674,7 +679,7 @@ class TestClassicalTarget:
         monkeypatch.setattr(bench, "random_search", run)
         # C(16, 8) = 12870 > 1004 * 1 subsets: the runs are simulated
         bench.noise_sweep(planted_clique_graph(16, 6, 0.2, seed=1), 8, [1.0, 0.5],
-                          [0.0, 0.25], trials=2, seed=3, budget=5,
+                          [0.0, 0.25], trials=2, seed=3,
                           classical_budget=1, classical_trials=1004)
         assert len(pools) == 4 and len(runs) == 1004
         assert not set(pools) & set(runs)
@@ -769,7 +774,7 @@ def test_studies_refuse_an_empty_grid_before_any_work(monkeypatch, study, kwargs
     g = planted_clique_graph(8, 3, 0.2, seed=1)
     base = {
         "noise_sweep": dict(graph=g, k=3, eta_grid=[1.0], epsilon_grid=[0.0],
-                            trials=5, seed=7, pool_size=100, budget=50,
+                            trials=5, seed=7, pool_size=100,
                             classical_budget=20, classical_trials=3),
         "advantage_study": dict(graph=g, k_values=[2], steps=5, trials=2, seed=0,
                                 pool_size=50),
@@ -781,7 +786,6 @@ def test_studies_refuse_an_empty_grid_before_any_work(monkeypatch, study, kwargs
 @pytest.mark.parametrize("study, kwargs", [
     ("noise_sweep", dict(classical_trials=0)),
     ("noise_sweep", dict(classical_budget=0)),
-    ("noise_sweep", dict(budget=0)),
     ("noise_sweep", dict(trials=0)),
     ("noise_sweep", dict(pool_size=0)),
     ("correlation_study", dict(mode_count=0)),
@@ -804,7 +808,7 @@ def test_studies_refuse_degenerate_sizes_before_any_work(monkeypatch, study, kwa
     g = planted_clique_graph(8, 3, 0.2, seed=1)
     base = {
         "noise_sweep": dict(graph=g, k=3, eta_grid=[1.0], epsilon_grid=[0.0],
-                            trials=5, seed=7, pool_size=100, budget=50,
+                            trials=5, seed=7, pool_size=100,
                             classical_budget=20, classical_trials=3),
         "correlation_study": dict(n_matrices=3, seed=1),
         "advantage_study": dict(graph=g, k_values=[2], steps=5, trials=2, seed=0,

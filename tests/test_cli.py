@@ -341,6 +341,15 @@ class TestBench:
         assert "'mode_cont'" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_noise_sweep_budget_is_an_unknown_field(self, tmp_path, capsys):
+        # a noise sweep fits every trial, so no step budget is a setting
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "g.json", "k": 2, "seed": 1, "budget": 4000}))
+        outdir = tmp_path / "r"
+        assert run("bench", "noise-sweep", "--config", cfg, "--out", outdir) == 2
+        assert "unknown config fields ['budget']" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("study, cfg, field", [
         ("correlate", {"n_matrices": 3, "seed": True}, "seed"),
         ("noise-sweep", {"graph": "g.json", "k": 2, "seed": 1, "mean_clicks": False},
@@ -366,7 +375,7 @@ class TestBench:
           "pool_size": 20000}),
         ("noise-sweep", {"k": 2, "seed": 3},
          {"eta_grid": [1.0], "epsilon_grid": [0.0], "trials": 200,
-          "pool_size": 20000, "budget": 4000, "classical_budget": 1000,
+          "pool_size": 20000, "classical_budget": 1000,
           "classical_trials": 40, "objective": "density", "mean_clicks": None}),
     ], ids=["correlate", "advantage", "noise-sweep"])
     def test_manifest_records_defaults(self, k6_graph, tmp_path, study, cfg,
@@ -580,7 +589,7 @@ class TestStudyFields:
     @pytest.mark.parametrize("study, shared", [
         ("correlate", ["mode_count"]),
         ("advantage", ["objective", "pool", "pool_size"]),
-        ("noise-sweep", ["pool_size", "budget", "classical_budget", "classical_trials",
+        ("noise-sweep", ["pool_size", "classical_budget", "classical_trials",
                          "objective", "mean_clicks"]),
     ])
     def test_shared_defaults_agree(self, study, shared):

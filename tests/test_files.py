@@ -120,15 +120,14 @@ class TestReports:
 
     def test_noise_table_handles_no_success(self, tmp_path):
         rows = [
-            NoisePoint(1.0, 0.0, 24.5, 0.1, (0.08, 0.12), 10, 412, 0.0, False),
-            NoisePoint(0.0, 0.0, 24.5, None, None, 0, 0, 1.0, True),
+            NoisePoint(1.0, 0.0, 24.5, 0.1, (0.08, 0.12), 10, 412, False),
+            NoisePoint(0.0, 0.0, 24.5, None, None, 0, 0, True),
         ]
         csv, js = tmp_path / "n.csv", tmp_path / "n.json"
         files.save_noise_table(rows, csv, js)
         lines = csv.read_text().splitlines()
         assert len(lines) == 3
-        assert lines[0] == ("eta,epsilon,target,p_hat,ci_lo,ci_hi,trials,kept,"
-                            "censored_fraction,no_success")
+        assert lines[0] == "eta,epsilon,target,p_hat,ci_lo,ci_hi,trials,kept,no_success"
         assert lines[1].split(",")[2:8] == ["24.5", "0.1", "0.08", "0.12", "10", "412"]
         assert lines[2].endswith(",1")
         data = json.loads(js.read_text())

@@ -199,6 +199,17 @@ class TestPostselect:
         with pytest.raises(ValidationError):
             postselect(pool, 4)
 
+    @pytest.mark.parametrize("k, kind", [(1.5, "float"), (1.0, "float"), (True, "bool")])
+    def test_rejects_a_non_integer_k(self, k, kind):
+        pool = SamplePool(modes=3, samples=((1, 0, 0), (1, 1, 0)))
+        with pytest.raises(ValidationError,
+                           match=f"click count k must be an integer, not {kind}"):
+            postselect(pool, k)
+
+    def test_numpy_integer_k(self):
+        pool = SamplePool(modes=3, samples=((1, 0, 0), (1, 1, 0)))
+        assert postselect(pool, np.int64(2)).samples.tolist() == [[1, 1, 0]]
+
 
 def vacuum_state(m):
     return gaussian.GaussianState(modes=m, husimi=np.eye(2 * m, dtype=complex))
@@ -216,6 +227,12 @@ def pool_masks(pool):
 
 
 class TestSampleKClicks:
+    @pytest.mark.parametrize("k, kind", [(1.5, "float"), (True, "bool")])
+    def test_rejects_a_non_integer_k(self, k, kind):
+        with pytest.raises(ValidationError,
+                           match=f"click count k must be an integer, not {kind}"):
+            sample_k_clicks(random_state(4, 7), 10, k, 0)
+
     def test_kept_count_is_binomial(self):
         state, n, k, runs = random_state(4, 7), 200, 2, 600
         p_k = k_click_slice(state, k)[2]
@@ -306,9 +323,14 @@ class TestChainRulePoolsPinned:
 
 
 class TestPoolIO:
-    def test_roundtrip(self, tmp_path):
-        state = random_state(4, 8)
-        pool = sample(state, 300, seed=17)
+    # every pool save_pool writes, load_pool reads back
+    @pytest.mark.parametrize("pool", [
+        sample(random_state(4, 8), 300, seed=17),
+        SamplePool(modes=1, samples=[[0], [1]]),
+        SamplePool(modes=3, samples=[]),
+        SamplePool(modes=np.int64(4), samples=np.eye(4, dtype=np.uint8)),
+    ], ids=["sampled", "one-mode", "empty", "numpy-modes"])
+    def test_roundtrip(self, tmp_path, pool):
         path = tmp_path / "pool.txt"
         save_pool(pool, path)
         loaded = load_pool(path)
@@ -641,7 +663,6 @@ class TestSamplePool:
         [[0, 1], [1, 2]],
         [[0.0, 1.0], [1.0, 0.5]],
         [[True, False], [False, True]],
-        [[0j, 1 + 0j], [1j, 1]],
         [["0", "1"], ["1", "0"]],
         [[b"0", b"1"], [b"1", b"0"]],
         np.array([[0, 1.0], [True, np.uint8(0)]], dtype=object),
@@ -649,7 +670,7 @@ class TestSamplePool:
         [[1.0, 0.0], [np.nan, 1.0]],
         [[-0.0, 1.0], [0.0, -0.0]],
         np.zeros((0, 2)),
-    ], ids=["int", "float", "bool", "complex", "str", "bytes", "object", "object-bad",
+    ], ids=["int", "float", "bool", "str", "bytes", "object", "object-bad",
             "nan", "negative-zero", "empty"])
     def test_zero_one_check_matches_isin(self, samples):
         arr = np.asarray(samples)
@@ -660,6 +681,28 @@ class TestSamplePool:
         else:
             pool = SamplePool(modes=2, samples=samples)
             assert pool.samples.tolist() == arr.astype(np.uint8).tolist()
+
+    # unlike `np.isin`, the rule refuses a complex entry, even 1+0j, which
+    # the uint8 cast would otherwise meet
+    @pytest.mark.parametrize("samples, bad", [
+        ([[1 + 0j, 0j]], 0),
+        (np.array([[1 + 0j, 0j]], dtype=object), 0),
+        ([[0j, 1 + 0j], [1j, 1]], 0),
+        (np.array([[1, 0], [0, np.complex64(1)]], dtype=object), 1),
+    ], ids=["complex", "object", "complex-rows", "object-row"])
+    def test_rejects_complex_entries(self, samples, bad):
+        with pytest.raises(ValidationError, match=f"pattern {bad} is not a 0/1 pattern"):
+            SamplePool(modes=2, samples=samples)
+
+    @pytest.mark.parametrize("modes, samples, message", [
+        (-1, [], "a pool needs at least 1 mode, got -1"),
+        (0, [[], []], "a pool needs at least 1 mode, got 0"),
+        (2.0, [[1, 0]], "modes must be an integer, not float"),
+        (True, [[1]], "modes must be an integer, not bool"),
+    ])
+    def test_rejects_modes_below_one_or_not_integer(self, modes, samples, message):
+        with pytest.raises(ValidationError, match=message):
+            SamplePool(modes=modes, samples=samples)
 
     def test_samples_are_read_only_uint8_array(self):
         pool = SamplePool(modes=3, samples=[[1, 0, 1], [0, 1, 0]])

@@ -254,6 +254,12 @@ class TestGreedyPeel:
         with pytest.raises(ValidationError):
             greedy_peel(complete_graph(4), 4)
 
+    @pytest.mark.parametrize("k, kind", [(2.5, "float"), (2.0, "float"), (True, "bool")])
+    def test_rejects_a_non_integer_k(self, k, kind):
+        with pytest.raises(ValidationError,
+                           match=f"subgraph size k must be an integer, not {kind}"):
+            greedy_peel(planted_clique_graph(8, 3, 0.2, seed=1), k)
+
 
 def stepwise_sources(n, k, seed):
     """Uniform, a pool, a 7-pattern pool (wraps) and a resampled pool."""
