@@ -18,7 +18,6 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from . import gaussian, sampler
 from .encoding import Graph, choose_scale, encode_graph
@@ -64,6 +63,8 @@ def correlation_study(
     sampling matrix of a pure device; per matrix: full-click Torontonian,
     |Hafnian|^2, and density. The Torontonian's O = I - sigma^-1 of that
     device is X (A + A*) with X the block swap, written down from A."""
+    from scipy import stats  # here alone, so no other path loads scipy
+
     if n_matrices < 2:
         raise ValidationError("need at least 2 matrices for a correlation study")
     if mode_count < 2 or mode_count % 2:
@@ -262,7 +263,7 @@ class NoisePoint:
     target: float  # classical random-search target a pool draw must reach
     p_hat: float | None
     ci95: tuple[float, float] | None
-    trials: int
+    trials: int  # step counts drawn and fitted: 0 when no_success
     kept: int  # pool patterns left after post-selection to k clicks
     no_success: bool
 
@@ -318,13 +319,13 @@ def noise_sweep(
     its i.i.d. pool draws to land on a target-beating pattern, so they are
     Geometric(q), q the pool's fraction of such patterns: each point draws
     its `trials` step counts from one stream and fits p_hat and its CI to
-    all of them; a point with q = 0 (an empty pool, which runs no trials, or
-    none that beats the target) reports `no_success`, with no fit. The graph has at most
-    `gaussian.MAX_TABLE_MODES` vertices. Every point's k-click law comes
-    from one stacked recursion (`gaussian._capped_distributions`), with the
-    bytes of its own; point gi draws its pool from its law as
-    `sample_k_clicks` would, seeded from `[seed, gi, 2]`, and its trial
-    steps from `[seed, gi, 3]`.
+    all of them; a point with q = 0 (an empty pool, or none that beats the
+    target) draws none and reports `no_success`, 0 trials and no fit. The
+    graph has at most `gaussian.MAX_TABLE_MODES` vertices. Every point's
+    k-click law comes from one stacked recursion
+    (`gaussian._capped_distributions`), with the bytes of its own; point gi
+    draws its pool from its law as `sample_k_clicks` would, seeded from
+    `[seed, gi, 2]`, and its trial steps from `[seed, gi, 3]`.
 
     The pool stays as its drawn click bitmasks (`sampler._k_click_masks`),
     and a mask whose popcount is not k is refused as `SamplePool.subsets`
@@ -367,7 +368,7 @@ def noise_sweep(
         sampler._check_clicks(np.bitwise_count(clicked), k)
         vals = (table[1][np.searchsorted(table[0], clicked)] if table is not None
                 else obj.values(sampler._clicked_modes(sampler._bits(clicked, graph.n), k)))
-        # an empty pool has q = 0 and runs no trials
+        # an empty pool has q = 0
         q = float(np.mean(vals >= target)) if clicked.size else 0.0
         fit = (geometric_fit(np.random.default_rng([seed, gi, 3]).geometric(q, trials))
                if q > 0 else None)
@@ -378,7 +379,7 @@ def noise_sweep(
                 target=target,
                 p_hat=fit.p_hat if fit else None,
                 ci95=fit.ci95 if fit else None,
-                trials=trials if clicked.size else 0,
+                trials=fit.n_trials if fit else 0,
                 kept=clicked.size,
                 no_success=fit is None,
             )

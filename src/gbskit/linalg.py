@@ -2,7 +2,8 @@
 
 Thin, validated wrappers around LAPACK (via numpy) plus the Takagi-Autonne
 decomposition of complex symmetric matrices, which is the one primitive the
-rest of the toolkit needs that numpy does not ship.
+rest of the toolkit needs that numpy does not ship. It is built from numpy
+alone: an eigendecomposition, and a full SVD that completes the basis.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 
@@ -77,7 +77,10 @@ def takagi(s) -> TakagiFactorization:
     give orthonormal u. Values at or below `_SYM_TOL` * d_max (also the
     relative symmetry tolerance) count as zero: their vectors complete the
     others to an orthonormal basis, as S conj(v) = 0 for every v orthogonal
-    to them.
+    to them. The r kept columns u are orthonormal, so u^H has r unit
+    singular values, and the last n - r right singular vectors of its full
+    SVD (LAPACK gesdd) complete the basis: the bytes of
+    `scipy.linalg.null_space(u^H)`, whose rank rule keeps exactly those r.
     """
     a = symmetrized(as_matrix(s), "takagi")
     n = a.shape[0]
@@ -90,6 +93,6 @@ def takagi(s) -> TakagiFactorization:
     vecs = evecs[:, ::-1][:, :n]
     r = int(np.sum(vals > _SYM_TOL * vals[0]))
     u = vecs[:n, :r] + 1j * vecs[n:, :r]
-    q = np.hstack([u, scipy.linalg.null_space(u.conj().T)])
+    q = np.hstack([u, np.linalg.svd(u.conj().T)[2][r:].T.conj()])
     vals = np.concatenate([vals[:r], np.zeros(n - r)])
     return TakagiFactorization(unitary=q, values=vals)

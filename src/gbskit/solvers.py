@@ -28,9 +28,10 @@ Every stream since 2 keeps the searchers' stream above and changes only
 bench's draws; the README's "Determinism and cost guards" section has their
 history.
 
-`Objective.values` is the one valuation path; `value` is its one-row call,
-and `_table` values every k-subset for a noise sweep's table, an integer
-density table as one exact matrix product with `values`' bits.
+`Objective.values` is the one valuation path, the subset rule and then
+its unchecked core `_values`; `value` is its one-row call, and `_table`
+values every k-subset for a noise sweep's table through that core, an
+integer density table as one exact matrix product with `values`' bits.
 Random search does not adapt to the values it sees, so it values each chunk
 with one `values` call: |Hafnian|^2 of each distinct proposal
 once, through matfn's stacked hafnian kernel (a perfect-matching table for
@@ -126,9 +127,15 @@ class Objective:
             raise ValidationError(
                 f"expected an (N, {self.k}) subset array, got shape {rows.shape}"
             )
+        return self._values(*self.graph.checked_subsets(rows))
+
+    def _values(self, rows: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+        """`values` of (N, k) intp rows that the subset rule passed, given
+        with the same rows each sorted ascending, without running the rule
+        again."""
         if self.kind == "density":
             # one gathered sum per row, in the order given, as `density` sums
-            sums = self.graph.subgraphs(rows).reshape(len(rows), self.k**2).sum(axis=1)
+            sums = self.graph.gather(rows).reshape(len(rows), self.k**2).sum(axis=1)
             # Python's abs bits, by libm's hypot; abs again where it overflows, to raise
             with np.errstate(over="ignore"):
                 mods = np.hypot(sums.real, sums.imag)
@@ -136,7 +143,6 @@ class Objective:
                 abs(z)
             return mods
         # each distinct sorted subset once, with a row holding it, first seen first
-        ordered = self.graph.checked_subsets(rows)[1]
         keys = list(map(tuple, ordered.tolist()))
         row_of = dict(zip(keys, range(len(keys))))
         vals = {key: self._haf_cache.get(key) for key in row_of}
@@ -153,7 +159,8 @@ class Objective:
         the masks' 0/1 bit matrix, each row of (B A) * B sums to the
         subset's edge sum and every partial sum is an integer below 2^53, so
         exact in any order: `values`' sums, whose modulus hypot takes as
-        there. Other rows are decoded as a pool's and valued by `values`."""
+        there. Other rows are decoded as a pool's, ascending and distinct by
+        construction, and valued by `values`' core without the subset rule."""
         n, k = self.graph.n, self.k
         masks = gaussian._slice_masks(n, k)
         masks = masks[np.bitwise_count(masks) == k]
@@ -165,7 +172,8 @@ class Objective:
         def valued(chunk):
             bits = sampler._bits(chunk, n)
             if not exact:
-                return self.values(sampler._clicked_modes(bits, k))
+                modes = sampler._clicked_modes(bits, k)
+                return self._values(modes, modes)
             bits = bits.astype(float)
             sums = np.einsum("ijk,ik->ji", (bits @ parts).reshape(-1, 2, n), bits)
             return np.hypot(*sums)

@@ -342,7 +342,7 @@ class TestNoiseSweep:
         (row,) = bench.noise_sweep(g, 3, [1.0], [0.0], trials=7, seed=3,
                                    classical_budget=20, classical_trials=3)
         assert row.no_success
-        assert (row.trials, row.kept, row.p_hat, row.ci95) == (7, 5, None, None)
+        assert (row.trials, row.kept, row.p_hat, row.ci95) == (0, 5, None, None)
 
     def test_grid_of_1001_points_keeps_its_seeds_apart(self, monkeypatch):
         # point gi keys its pool [seed, gi, 2] and simulated run i [seed, i, 1],
@@ -549,19 +549,21 @@ class TestClassicalTarget:
 
     @staticmethod
     def table_calls(monkeypatch):
-        """The (rows, values) of every `Objective.values` call, in order."""
-        calls, values = [], Objective.values
+        """The (rows, values) of every call of `Objective._values`, the
+        unchecked core of `values` that values a table's decoded rows, in
+        order."""
+        calls, values = [], Objective._values
 
-        def recorded(self, subsets):
-            out = values(self, subsets)
-            calls.append((subsets.copy(), out))
+        def recorded(self, rows, ordered):
+            out = values(self, rows, ordered)
+            calls.append((rows.copy(), out))
             return out
 
-        monkeypatch.setattr(Objective, "values", recorded)
+        monkeypatch.setattr(Objective, "_values", recorded)
         return calls
 
     # one row a call, several calls a table, one call a table; complex
-    # weights, so the rows go through `Objective.values`
+    # weights, so the rows go through `Objective._values`
     @pytest.mark.parametrize("chunk", [1, 7, 1024])
     def test_table_rows_hold_every_subset_once(self, monkeypatch, chunk):
         monkeypatch.setattr(solvers, "_CHUNK", chunk)
@@ -611,7 +613,7 @@ class TestClassicalTarget:
         for k in sorted({1, 2, 5, n // 2, n - 1}):
             obj = Objective("density", graph, k)
             masks, table = bench._subset_table(obj, math.comb(n, k), 1)
-            assert not calls  # no row went through `values`
+            assert not calls  # no row went through `_values`
             want = obj.values(self.mask_rows(masks, n))
             calls.clear()
             assert table.tobytes() == want.tobytes()
@@ -626,6 +628,21 @@ class TestClassicalTarget:
         masks, table = bench._subset_table(Objective(kind, graph, 4), math.comb(10, 4), 1)
         assert len(calls) == 1 and calls[0][1].tobytes() == table.tobytes()
         assert calls[0][0].tolist() == self.mask_rows(masks, 10).tolist()
+
+    @pytest.mark.parametrize("kind, graph", [
+        ("maxhaf", planted_clique_graph(10, 4, 0.2, seed=1)),
+        ("density", random_complex_graph(10, seed=6)),
+    ], ids=["maxhaf", "complex-density"])
+    def test_table_rows_skip_the_subset_rule(self, monkeypatch, kind, graph):
+        # a table's decoded rows are ascending and distinct by construction
+        def refused(self, subsets):
+            raise AssertionError("the subset rule ran")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Graph, "checked_subsets", refused)
+            masks, table = Objective(kind, graph, 4)._table()
+        want = Objective(kind, graph, 4).values(self.mask_rows(masks, 10))
+        assert table.tobytes() == want.tobytes()
 
     def test_sums_past_two_to_the_53_are_valued_row_by_row(self, monkeypatch):
         # entries 2^50: k^2 2^50 is below 2^53 at k = 2, not at k = 3

@@ -2,13 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gbskit.encoding import Graph
+from gbskit.generators import planted_clique_graph, random_complex_graph
 from gbskit.errors import ValidationError
 from gbskit.linalg import as_matrix, inverse, symmetrized, takagi
 from gbskit.matfn import hafnian, hafnians
 
-from oracles import takagi_product
+from oracles import cycle_graph, star_graph, takagi_product
 
 
 def random_complex(n, seed):
@@ -108,6 +110,40 @@ class TestTakagi:
         f = takagi(np.zeros((3, 3)))
         assert np.allclose(f.values, 0)
         assert np.linalg.norm(f.unitary.conj().T @ f.unitary - np.eye(3)) < 1e-12
+
+
+def null_space_completion(f):
+    """`f`'s unitary with its zero-value columns replaced by
+    `scipy.linalg.null_space` of the adjoint of the others."""
+    u = f.unitary[:, :np.count_nonzero(f.values)]
+    return np.hstack([u, scipy.linalg.null_space(u.conj().T)])
+
+
+def real_rank_two(n):
+    v = np.random.default_rng(n).normal(size=(n, 2))
+    return v @ v.T
+
+
+# zero, repeated and generic Takagi values, real and complex
+COMPLETION_FAMILIES = {
+    "zero": lambda n: np.zeros((n, n)),
+    "all-ones": lambda n: np.ones((n, n)),
+    "identity": np.eye,
+    "star": lambda n: star_graph(n).adjacency,
+    "cycle": lambda n: cycle_graph(n).adjacency,
+    "real-rank-two": real_rank_two,
+    "planted-clique": lambda n: planted_clique_graph(n, (n + 1) // 2, 0.2, seed=n).adjacency,
+    "random-complex": lambda n: random_complex_graph(n, seed=n).adjacency,
+}
+
+
+@pytest.mark.parametrize("family", COMPLETION_FAMILIES)
+def test_svd_completion_is_the_null_space_bytes(family):
+    for n in range(1, 25):
+        f = takagi(COMPLETION_FAMILIES[family](n))
+        want = null_space_completion(f)
+        assert f.unitary.shape == want.shape == (n, n)
+        assert f.unitary.tobytes() == want.tobytes(), n
 
 
 # every caller of the one symmetry rule, on a 2-D matrix
