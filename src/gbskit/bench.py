@@ -4,11 +4,13 @@ step-count fits, and noise sweeps.
 All entry points are deterministic given their master seed; per-trial,
 per-pool and per-grid-point generators are derived from (seed, index) so
 results do not depend on evaluation order. A noise sweep's classical
-random-search target is the exact expected best of a run, and its pools are
-valued from one table (`Objective._table`), whenever valuing every k-subset
-once costs no more than simulating the runs. The sweep's grid points draw
-their pools from the capped click laws of one stacked recursion, and each
-point's p_hat and CI are the geometric fit of all its trials' step counts.
+random-search target is the exact expected best of a run whenever valuing
+every k-subset once costs no more than simulating the runs
+(`_classical_target` holds that rule), and every click mask, of that table
+and of each pool, is valued by `Objective._mask_values`. The sweep's grid
+points draw their pools from the capped click laws of one stacked recursion,
+and each point's p_hat and CI are the geometric fit of all its trials' step
+counts.
 """
 
 from __future__ import annotations
@@ -268,32 +270,28 @@ class NoisePoint:
     no_success: bool
 
 
-def _subset_table(obj: Objective, budget: int, trials: int) -> tuple | None:
-    """`obj._table()`, or None when C(n, k) > trials * budget, more
-    valuations than `trials` runs make."""
-    if math.comb(obj.graph.n, obj.k) > trials * budget:
-        return None
-    return obj._table()
-
-
-def _classical_target(obj: Objective, table: tuple | None, budget: int, trials: int,
-                      seed: int) -> float:
+def _classical_target(obj: Objective, budget: int, trials: int, seed: int) -> float:
     """Expected best value of a uniform random-search run of `budget` steps.
 
     A run proposes i.i.d. uniform k-subsets, so its best has the exact law
     P(best <= v) = F(v)^budget, F the objective's CDF over all C(n, k)
-    subsets. With the `table` of `_subset_table(obj, budget, trials)` it is
-    exact, one term v (F(v)^budget - F(v-)^budget) per distinct value v, and
-    reads no seed; without, the mean best of `trials` runs of
-    `random_search`, run i seeded from `default_rng([seed, i, 1])`."""
-    if table is None:
+    subsets. When C(n, k) <= trials * budget, valuing every k-subset once
+    costs no more than `trials` runs: the popcount-k masks of
+    `gaussian._slice_masks(n, k)` are valued by `obj._mask_values`, and the
+    target is exact, one term v (F(v)^budget - F(v-)^budget) per distinct
+    value v, and reads no seed. Above, it is the mean best of `trials` runs
+    of `random_search`, run i seeded from `default_rng([seed, i, 1])`."""
+    n, k = obj.graph.n, obj.k
+    if math.comb(n, k) > trials * budget:
         keys = (np.random.default_rng([seed, i, 1]) for i in range(trials))
         runs = (random_search(obj, ProposalSource(kind="uniform"), budget,
                               seed=int(key.integers(2**32))) for key in keys)
         return float(np.mean([run.value_at(budget) for run in runs]))
-    values, counts = np.unique(table[1], return_counts=True)
+    masks = gaussian._slice_masks(n, k)
+    table = obj._mask_values(masks[np.bitwise_count(masks) == k])
+    values, counts = np.unique(table, return_counts=True)
     # libm pow, not numpy's SIMD power, whose last bit varies by CPU
-    cdf = [(c / len(table[1])) ** budget for c in np.cumsum(counts).tolist()]
+    cdf = [(c / len(table)) ** budget for c in np.cumsum(counts).tolist()]
     return math.fsum(v * (f - g) for v, f, g in zip(values.tolist(), cdf, [0.0] + cdf))
 
 
@@ -330,12 +328,11 @@ def noise_sweep(
     The pool stays as its drawn click bitmasks (`sampler._k_click_masks`),
     and a mask whose popcount is not k is refused as `SamplePool.subsets`
     refuses its pattern. The target, on every row, is the expected best of
-    a uniform run of `classical_budget` steps (`_classical_target`): exact,
-    up to C(n, k) <= classical_trials * classical_budget, with q read from
-    the masks, each one's value found in `Objective._table`'s ascending masks
-    by binary search, and no pattern array built; above, the mean best of
-    `classical_trials` simulated runs, the masks decoded to subsets for
-    `Objective.values`.
+    a uniform run of `classical_budget` steps (`_classical_target`): exact
+    up to C(n, k) <= classical_trials * classical_budget, above that the
+    mean best of `classical_trials` simulated runs. Either way each pool is
+    valued from its masks by `Objective._mask_values`, and q read from
+    those values, with no pattern array built.
     """
     etas = list(eta_grid)
     epss = list(epsilon_grid)
@@ -350,8 +347,7 @@ def noise_sweep(
     obj = Objective(kind=objective, graph=graph, k=k)
     k = obj.k
     gaussian._check_size(graph.n, k)
-    table = _subset_table(obj, classical_budget, classical_trials)
-    target = _classical_target(obj, table, classical_budget, classical_trials, seed)
+    target = _classical_target(obj, classical_budget, classical_trials, seed)
     c = choose_scale(
         graph, target_mean_clicks=float(k) if mean_clicks is None else mean_clicks
     )
@@ -366,8 +362,7 @@ def noise_sweep(
         pool_seed = int(np.random.default_rng([seed, gi, 2]).integers(2**32))
         clicked = sampler._k_click_masks(law, pool_size, k, pool_seed)
         sampler._check_clicks(np.bitwise_count(clicked), k)
-        vals = (table[1][np.searchsorted(table[0], clicked)] if table is not None
-                else obj.values(sampler._clicked_modes(sampler._bits(clicked, graph.n), k)))
+        vals = obj._mask_values(clicked)
         # an empty pool has q = 0
         q = float(np.mean(vals >= target)) if clicked.size else 0.0
         fit = (geometric_fit(np.random.default_rng([seed, gi, 3]).geometric(q, trials))

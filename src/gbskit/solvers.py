@@ -28,12 +28,13 @@ Every stream since 2 keeps the searchers' stream above and changes only
 bench's draws; the README's "Determinism and cost guards" section has their
 history.
 
-`Objective.values` is the one valuation path, the subset rule and then
-its unchecked core `_values`; `value` is its one-row call, and `_table`
-values every k-subset for a noise sweep's table through that core, an
-integer density table as one exact matrix product with `values`' bits.
-Random search does not adapt to the values it sees, so it values each chunk
-with one `values` call: |Hafnian|^2 of each distinct proposal
+`Objective.values` is the checked valuation path, the subset rule and then
+its unchecked core `_values`; `value` is its one-row call. Rows the program
+builds skip the rule: `_mask_values` values click masks (a noise sweep's
+table and pools) through that core, integer density as one exact matrix
+product with `values`' bits. Random search does not adapt to the values it
+sees, and its uniform and pool rows are ascending and distinct, so it values
+each chunk with one `_values` call: |Hafnian|^2 of each distinct proposal
 once, through matfn's stacked hafnian kernel (a perfect-matching table for
 k <= 10, the division-free recursion above) without re-checking the
 graph's already checked submatrices. Its traces are bit-identical to
@@ -151,19 +152,17 @@ class Objective:
             vals.update(self._misses(miss, ordered[[row_of[key] for key in miss]]))
         return np.fromiter(map(vals.__getitem__, keys), float, len(keys))
 
-    def _table(self) -> tuple:
-        """Every k-subset's ascending click mask (from
-        `gaussian._slice_masks(n, k)`) and value, with `values`' bits,
+    def _mask_values(self, masks: np.ndarray) -> np.ndarray:
+        """Values of the k-subsets whose click masks (bit i for vertex i)
+        are given, in any order and with repeats, with `values`' bits,
         `_CHUNK` masks at a time. Density on entries with integer real and
         imaginary parts, k^2 max |a_ij| < 2^53, is a float64 product: with B
         the masks' 0/1 bit matrix, each row of (B A) * B sums to the
         subset's edge sum and every partial sum is an integer below 2^53, so
         exact in any order: `values`' sums, whose modulus hypot takes as
-        there. Other rows are decoded as a pool's, ascending and distinct by
+        there. Other masks are decoded as a pool's, ascending and distinct by
         construction, and valued by `values`' core without the subset rule."""
         n, k = self.graph.n, self.k
-        masks = gaussian._slice_masks(n, k)
-        masks = masks[np.bitwise_count(masks) == k]
         a = self.graph.adjacency
         parts = np.concatenate([a.real, a.imag], axis=1)  # [Re A, Im A]
         exact = (self.kind == "density" and np.all(parts == np.round(parts))
@@ -179,7 +178,7 @@ class Objective:
             return np.hypot(*sums)
 
         chunks = np.split(masks, range(_CHUNK, masks.size, _CHUNK))
-        return masks, np.concatenate([valued(chunk) for chunk in chunks])
+        return np.concatenate([valued(chunk) for chunk in chunks])
 
     def _misses(self, keys: list, rows: np.ndarray) -> list:
         """(key, |Hafnian|^2) of uncached sorted subsets, `rows` their checked
@@ -280,7 +279,7 @@ def random_search(
         count = min(_CHUNK, steps - lo)
         props = (_uniform_subsets(rng, count, n, k) if pool is None
                  else pool[np.arange(lo, lo + count) % len(pool)])
-        vals = obj.values(props)
+        vals = obj._values(props, props)  # ascending, distinct and in range
         # fmax skips NaN, as the comparison `v > best` of one step does
         run = np.fmax.accumulate(vals)
         if run[-1] > best_val:

@@ -24,12 +24,6 @@ from gbskit.solvers import Objective, RunTrace
 from oracles import rank_pair_spearman, state_with_sampling_matrix, uniform_best_law
 
 
-def classical_target(obj, budget, trials, seed):
-    """The sweep's target, from the table it builds or without one."""
-    table = bench._subset_table(obj, budget, trials)
-    return bench._classical_target(obj, table, budget, trials, seed)
-
-
 def click_masks(bits):
     """The click bitmask of each row of a 0/1 pattern array, bit i = column i."""
     return (bits.astype(np.int64) << np.arange(bits.shape[1])).sum(axis=1)
@@ -231,7 +225,7 @@ class TestNoiseSweep:
             pool_size=400, classical_budget=50, classical_trials=5,
         )
         assert [(r.eta, r.epsilon) for r in rows] == [(1.0, 0.0), (0.5, 0.0)]
-        target = classical_target(Objective("density", g, 3), 50, 5, 7)
+        target = bench._classical_target(Objective("density", g, 3), 50, 5, 7)
         assert [r.target for r in rows] == [target, target]
         for r in rows:
             if not r.no_success:
@@ -255,7 +249,8 @@ class TestNoiseSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("ran past the cost guard")
 
-        monkeypatch.setattr(Objective, "values", refuse)
+        for name in ("values", "_values", "_mask_values"):
+            monkeypatch.setattr(Objective, name, refuse)
         monkeypatch.setattr(bench, "random_search", refuse)
         monkeypatch.setattr(gaussian, "_capped_distributions", refuse)
         monkeypatch.setattr(sampler, "_k_click_masks", refuse)
@@ -305,7 +300,7 @@ class TestNoiseSweep:
 
         # the loop the geometric draws replace: each trial replays uniform
         # pool indices, 64 at a time, until its first hit
-        target = classical_target(obj, 20, 3, seed)
+        target = bench._classical_target(obj, 20, 3, seed)
         good = obj.values(pool.subsets(3)) >= target
         assert good.sum() == 1
         steps = []
@@ -459,20 +454,50 @@ class TestNoiseSweep:
 
     # C(8, 3) = 56: at most 3 * 20 = 60 the table, above 3 * 18 = 54 none
     @pytest.mark.parametrize("classical_budget, table", [(20, True), (18, False)])
-    def test_pools_are_valued_through_values_only_above_the_table(
-            self, monkeypatch, classical_budget, table):
-        pools, valued, values = self.recorded_pools(monkeypatch, 8), [], Objective.values
+    def test_every_pool_is_valued_through_mask_values(self, monkeypatch,
+                                                      classical_budget, table):
+        pools, valued = self.recorded_pools(monkeypatch, 8), []
+        mask_values = Objective._mask_values
 
-        def recorded(self, subsets):
-            valued.append(subsets.tobytes())
-            return values(self, subsets)
+        def recorded(self, masks):
+            valued.append(masks.tolist())
+            return mask_values(self, masks)
 
-        monkeypatch.setattr(Objective, "values", recorded)
+        def refused(self, subsets):
+            raise AssertionError("a sweep valued rows through the subset rule")
+
+        monkeypatch.setattr(Objective, "_mask_values", recorded)
+        monkeypatch.setattr(Objective, "values", refused)
         bench.noise_sweep(planted_clique_graph(8, 3, 0.2, seed=1), 3, [1.0, 0.5], [0.0],
                           trials=10, seed=7, pool_size=400,
                           classical_budget=classical_budget, classical_trials=3)
         assert len(pools) == 2 and min(map(len, pools)) > 0
-        assert [p.subsets(3).tobytes() in valued for p in pools] == [not table] * 2
+        # the table's call, if any, then one call for each pool, in order
+        assert len(valued) == 2 + table
+        assert valued[table:] == [click_masks(p.samples).tolist() for p in pools]
+
+    # C(8, 3) = 56 against 3 * 20 = 60 and 3 * 18 = 54, C(8, 4) = 70 against
+    # 3 * 24 = 72 and 3 * 23 = 69: each objective on both sides of the table
+    @pytest.mark.parametrize("objective, k, classical_budget", [
+        ("density", 3, 20), ("density", 3, 18), ("maxhaf", 4, 24), ("maxhaf", 4, 23),
+    ], ids=["density-table", "density-runs", "maxhaf-table", "maxhaf-runs"])
+    def test_sweep_rows_skip_the_subset_rule(self, monkeypatch, objective, k,
+                                             classical_budget):
+        # every row a sweep values is decoded from a mask or drawn uniformly,
+        # so its rows are those of a sweep whose subset rule refuses all
+        def sweep():
+            return bench.noise_sweep(
+                random_complex_graph(8, seed=3), k, [1.0, 0.5], [0.0, 0.25],
+                trials=10, seed=7, pool_size=400, classical_budget=classical_budget,
+                classical_trials=3, objective=objective)
+
+        def refused(self, subsets):
+            raise AssertionError("the subset rule ran")
+
+        want = sweep()
+        assert all(r.kept > 0 for r in want) and not all(r.no_success for r in want)
+        monkeypatch.setattr(Graph, "checked_subsets", refused)
+        assert sweep() == want
 
     def test_one_takagi_factorization_per_study(self, monkeypatch):
         calls, takagi = [], encoding.takagi
@@ -527,7 +552,7 @@ class TestClassicalTarget:
     def test_table_target_is_the_sequence_law_mean(self, kind, graph, budget):
         obj = Objective(kind=kind, graph=graph, k=2)
         # C(5, 2) = 10 <= 10 * budget: the table path, whatever the seed
-        (got,) = {classical_target(obj, budget, 10, seed=s) for s in range(5)}
+        (got,) = {bench._classical_target(obj, budget, 10, seed=s) for s in range(5)}
         want = self.exact_mean(uniform_best_law(obj, budget))
         # the quotients, pow, products and the sum each round
         assert abs(Fraction(got) - want) <= Fraction(4, 1 << 53) * want
@@ -539,7 +564,7 @@ class TestClassicalTarget:
         values, counts = np.unique(table, return_counts=True)
         law = {v: Fraction(int(c), len(table)) ** budget
                for v, c in zip(values.tolist(), np.cumsum(counts))}
-        got = classical_target(obj, budget, 40, seed=42)
+        got = bench._classical_target(obj, budget, 40, seed=42)
         want = self.exact_mean(law)
         # pow's rounding of F(v) is raised to the 1000th power
         assert abs(Fraction(got) - want) <= Fraction(budget, 1 << 52) * want
@@ -573,7 +598,7 @@ class TestClassicalTarget:
             for k in range(1, n):
                 calls.clear()
                 size = math.comb(n, k)
-                classical_target(Objective("density", g, k), size, 1, seed=0)
+                bench._classical_target(Objective("density", g, k), size, 1, seed=0)
                 assert all(len(rows) == chunk for rows, _ in calls[:-1])
                 assert 0 < len(calls[-1][0]) <= chunk
                 rows = np.concatenate([rows for rows, _ in calls])
@@ -587,7 +612,7 @@ class TestClassicalTarget:
         monkeypatch.setattr(solvers, "_CHUNK", 37)
         calls = self.table_calls(monkeypatch)
         obj = Objective(kind, random_complex_graph(10, seed=6), 4)
-        classical_target(obj, math.comb(10, 4), 1, seed=0)
+        bench._classical_target(obj, math.comb(10, 4), 1, seed=0)
         table = np.sort(np.concatenate([vals for _, vals in calls]))
         assert table.tobytes() == self.sorted_table(obj).tobytes()
 
@@ -595,6 +620,23 @@ class TestClassicalTarget:
     def mask_rows(masks, n):
         """The vertices of each mask, ascending, as an (N, k) array."""
         return np.array([[i for i in range(n) if mask >> i & 1] for mask in masks.tolist()])
+
+    @staticmethod
+    def target_table(monkeypatch, obj):
+        """The (masks, values) of the one `Objective._mask_values` call of
+        the exact target at C(n, k) = budget, one trial."""
+        calls, mask_values = [], Objective._mask_values
+
+        def recorded(self, masks):
+            out = mask_values(self, masks)
+            calls.append((masks, out))
+            return out
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Objective, "_mask_values", recorded)
+            bench._classical_target(obj, math.comb(obj.graph.n, obj.k), 1, seed=0)
+        (table,) = calls
+        return table
 
     @staticmethod
     def signed_integer_graph(n, seed):
@@ -612,7 +654,7 @@ class TestClassicalTarget:
         calls, n = self.table_calls(monkeypatch), graph.n
         for k in sorted({1, 2, 5, n // 2, n - 1}):
             obj = Objective("density", graph, k)
-            masks, table = bench._subset_table(obj, math.comb(n, k), 1)
+            masks, table = self.target_table(monkeypatch, obj)
             assert not calls  # no row went through `_values`
             want = obj.values(self.mask_rows(masks, n))
             calls.clear()
@@ -625,7 +667,7 @@ class TestClassicalTarget:
     ], ids=["complex", "half-integer", "maxhaf"])
     def test_other_tables_are_valued_row_by_row(self, monkeypatch, kind, graph):
         calls = self.table_calls(monkeypatch)
-        masks, table = bench._subset_table(Objective(kind, graph, 4), math.comb(10, 4), 1)
+        masks, table = self.target_table(monkeypatch, Objective(kind, graph, 4))
         assert len(calls) == 1 and calls[0][1].tobytes() == table.tobytes()
         assert calls[0][0].tolist() == self.mask_rows(masks, 10).tolist()
 
@@ -638,23 +680,60 @@ class TestClassicalTarget:
         def refused(self, subsets):
             raise AssertionError("the subset rule ran")
 
+        masks = gaussian._slice_masks(10, 4)
+        masks = masks[np.bitwise_count(masks) == 4]
         with monkeypatch.context() as patched:
             patched.setattr(Graph, "checked_subsets", refused)
-            masks, table = Objective(kind, graph, 4)._table()
+            table = Objective(kind, graph, 4)._mask_values(masks)
         want = Objective(kind, graph, 4).values(self.mask_rows(masks, 10))
         assert table.tobytes() == want.tobytes()
 
-    def test_sums_past_two_to_the_53_are_valued_row_by_row(self, monkeypatch):
+    @staticmethod
+    def past_two_to_the_53_graph():
         # entries 2^50: k^2 2^50 is below 2^53 at k = 2, not at k = 3
-        calls = self.table_calls(monkeypatch)
         a = 2.0**50 * zero_one_graph(8, 0.6, seed=2).adjacency
-        g = Graph(n=8, adjacency=a - 1j * a)
+        return Graph(n=8, adjacency=a - 1j * a)
+
+    def test_sums_past_two_to_the_53_are_valued_row_by_row(self, monkeypatch):
+        calls = self.table_calls(monkeypatch)
+        g = self.past_two_to_the_53_graph()
         for k, rows in [(2, False), (3, True)]:
             calls.clear()
             obj = Objective("density", g, k)
-            masks, table = bench._subset_table(obj, math.comb(8, k), 1)
+            masks, table = self.target_table(monkeypatch, obj)
             assert bool(calls) == rows
             assert table.tobytes() == obj.values(self.mask_rows(masks, 8)).tobytes()
+
+    @staticmethod
+    def drawn_masks(n, k, size, seed):
+        """`size` masks of k of n bits in draw order, uniform with replacement."""
+        masks = [sum(1 << i for i in s) for s in itertools.combinations(range(n), k)]
+        return np.random.default_rng(seed).choice(np.array(masks), size)
+
+    # product: whether the masks are valued as one exact product, no row decoded
+    @pytest.mark.parametrize("kind, graph, k, product", [
+        ("density", zero_one_graph(12, 0.5, seed=3), 5, True),
+        ("density", signed_integer_graph(11, seed=5), 4, True),
+        ("density", Graph(n=10, adjacency=0.5 * zero_one_graph(10, 0.5, seed=3).adjacency),
+         4, False),
+        ("density", random_complex_graph(10, seed=6), 4, False),
+        ("maxhaf", planted_clique_graph(10, 4, 0.2, seed=1), 4, False),
+        ("density", past_two_to_the_53_graph(), 2, True),
+        ("density", past_two_to_the_53_graph(), 3, False),
+    ], ids=["zero-one", "signed-integer", "half-integer", "complex", "maxhaf",
+            "below-2^53", "past-2^53"])
+    @pytest.mark.parametrize("size", [0, 2500])
+    def test_pool_masks_are_values_bits(self, monkeypatch, kind, graph, k, product,
+                                        size):
+        # a pool's masks: in draw order, with repeats, across chunks, or none
+        masks = self.drawn_masks(graph.n, k, size, seed=size + k)
+        assert size == 0 or len(np.unique(masks)) < size
+        rows = self.mask_rows(masks, graph.n).reshape(size, k)
+        want = Objective(kind, graph, k).values(rows)
+        calls = self.table_calls(monkeypatch)
+        got = Objective(kind, graph, k)._mask_values(masks)
+        assert got.dtype == float and got.tobytes() == want.tobytes()
+        assert sum(len(decoded) for decoded, _ in calls) == (0 if product else size)
 
     @pytest.mark.parametrize("trials, budget, runs, tables", [
         (7, 8, 0, 1),   # C(8, 3) = 56 = trials * budget: the drawn table
@@ -671,11 +750,11 @@ class TestClassicalTarget:
             return wrapper
 
         for name, module, attr in [("runs", bench, "random_search"),
-                                   ("tables", gaussian, "_slice_masks")]:
+                                   ("tables", Objective, "_mask_values")]:
             monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
         g = planted_clique_graph(8, 3, 0.2, seed=1)
         obj = Objective(kind="density", graph=g, k=3)
-        classical_target(obj, budget, trials, seed=4)
+        bench._classical_target(obj, budget, trials, seed=4)
         assert calls == {"runs": runs, "tables": tables}
 
     def test_simulated_run_seeds_are_no_pool_seeds(self, monkeypatch):
@@ -787,7 +866,8 @@ def test_studies_refuse_an_empty_grid_before_any_work(monkeypatch, study, kwargs
                          (gaussian, "_capped_distributions"), (gaussian, "_slice_masks"),
                          (bench, "choose_scale"), (bench, "random_search")]:
         monkeypatch.setattr(module, name, no_work)
-    monkeypatch.setattr(Objective, "values", no_work)
+    for name in ("values", "_values", "_mask_values"):
+        monkeypatch.setattr(Objective, name, no_work)
     g = planted_clique_graph(8, 3, 0.2, seed=1)
     base = {
         "noise_sweep": dict(graph=g, k=3, eta_grid=[1.0], epsilon_grid=[0.0],
@@ -821,7 +901,8 @@ def test_studies_refuse_degenerate_sizes_before_any_work(monkeypatch, study, kwa
     monkeypatch.setattr(bench, "torontonian", no_work)
     # the noise-sweep base case values every subset for its target
     monkeypatch.setattr(gaussian, "_slice_masks", no_work)
-    monkeypatch.setattr(Objective, "values", no_work)
+    for name in ("values", "_values", "_mask_values"):
+        monkeypatch.setattr(Objective, name, no_work)
     g = planted_clique_graph(8, 3, 0.2, seed=1)
     base = {
         "noise_sweep": dict(graph=g, k=3, eta_grid=[1.0], epsilon_grid=[0.0],

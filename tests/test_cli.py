@@ -262,7 +262,8 @@ class TestBench:
         def refuse(*args, **kwargs):
             raise AssertionError("ran past the cost guard")
 
-        monkeypatch.setattr(Objective, "values", refuse)
+        for name in ("values", "_values", "_mask_values"):
+            monkeypatch.setattr(Objective, name, refuse)
         monkeypatch.setattr(bench, "random_search", refuse)
         monkeypatch.setattr(gaussian, "_capped_distributions", refuse)
         monkeypatch.setattr(sampler, "_k_click_masks", refuse)

@@ -541,6 +541,30 @@ class TestObjectiveValues:
             obj.values([[0, None, 2, 3]])
 
 
+class TestBuiltRowsSkipTheSubsetRule:
+    """Random search's uniform and pool rows are ascending, distinct and in
+    range by construction, so it values them without `Graph.checked_subsets`."""
+
+    @pytest.mark.parametrize("kind, graph, k", [
+        ("maxhaf", planted_clique_graph(10, 4, 0.2, seed=1), 4),
+        ("density", random_complex_graph(10, seed=4), 4),
+    ], ids=["maxhaf", "complex-density"])
+    @pytest.mark.parametrize("source", ["uniform", "pool"])
+    def test_random_search_skips_the_subset_rule(self, monkeypatch, kind, graph, k,
+                                                 source):
+        src = stepwise_sources(graph.n, k, 3)[source]
+        steps = solvers._CHUNK + 300  # two chunks, the pool read many times
+        want = random_search(Objective(kind, graph, k), src, steps, seed=5)
+
+        def refused(self, subsets):
+            raise AssertionError("the subset rule ran")
+
+        monkeypatch.setattr(Graph, "checked_subsets", refused)
+        got = random_search(Objective(kind, graph, k), src, steps, seed=5)
+        assert got.best_values.tobytes() == want.best_values.tobytes()
+        assert got.best_subset == want.best_subset
+
+
 # every entry point that values a vertex subset, each given one k = 4 row
 SUBSET_ENTRY_POINTS = {
     "density": density,
