@@ -16,7 +16,6 @@ counts.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -311,16 +310,16 @@ def noise_sweep(
     """Pool-enhanced random search under a grid of loss/thermal noise levels.
 
     For each (eta, epsilon): encode the graph at a scale targeting k mean
-    clicks, apply input thermal mixing then output loss, and draw the k-click
-    part of a `pool_size` pool (`sampler.sample_k_clicks`). A resampled
-    Pool-RS trial's steps to reach the classical-RS target are the first of
-    its i.i.d. pool draws to land on a target-beating pattern, so they are
-    Geometric(q), q the pool's fraction of such patterns: each point draws
-    its `trials` step counts from one stream and fits p_hat and its CI to
-    all of them; a point with q = 0 (an empty pool, or none that beats the
-    target) draws none and reports `no_success`, 0 trials and no fit. The
-    graph has at most `gaussian.MAX_TABLE_MODES` vertices. Every point's
-    k-click law comes from one stacked recursion
+    clicks, apply thermal mixing and loss (the two channels commute), and
+    draw the k-click part of a `pool_size` pool (`sampler.sample_k_clicks`).
+    A resampled Pool-RS trial's steps to reach the classical-RS target are
+    the first of its i.i.d. pool draws to land on a target-beating pattern,
+    so they are Geometric(q), q the pool's fraction of such patterns: each
+    point draws its `trials` step counts from one stream and fits p_hat and
+    its CI to all of them; a point with q = 0 (an empty pool, or none that
+    beats the target) draws none and reports `no_success`, 0 trials and no
+    fit. The graph has at most `gaussian.MAX_TABLE_MODES` vertices. Every
+    point's k-click law comes from one stacked recursion
     (`gaussian._capped_distributions`), with the bytes of its own; point gi
     draws its pool from its law as `sample_k_clicks` would, seeded from
     `[seed, gi, 2]`, and its trial steps from `[seed, gi, 3]`.
@@ -336,8 +335,7 @@ def noise_sweep(
     """
     etas = list(eta_grid)
     epss = list(epsilon_grid)
-    if not (etas and epss) or any(isinstance(e, bool) or not isinstance(e, numbers.Real)
-                                  or not 0 <= e <= 1 for e in etas + epss):
+    if not (etas and epss and all(map(gaussian._is_noise_level, etas + epss))):
         raise ValidationError("noise grids must hold real numbers within [0, 1], "
                               "none empty")
     if min(trials, pool_size, classical_budget, classical_trials) < 1:

@@ -124,12 +124,9 @@ def _cmd_encode(args) -> None:
 
 def _cmd_sample(args) -> None:
     dev = files.load_device(args.device)
-    state = dev.build_state()
-    # a channel is skipped only at its identity value, so bad values reach its check
-    if args.epsilon != 0:
-        state = gaussian.apply_thermal(state, args.epsilon)
-    if args.eta != 1:
-        state = gaussian.apply_loss(state, args.eta)
+    # both channels are bit-exact identities at epsilon 0 and eta 1
+    state = gaussian.apply_loss(gaussian.apply_thermal(dev.build_state(), args.epsilon),
+                                args.eta)
     pool = dataclasses.replace(
         sampler.sample(state, args.count, args.seed),
         provenance={

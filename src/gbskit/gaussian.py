@@ -86,7 +86,6 @@ _SELECT_COST = 1.75
 _HERM_TOL = 1e-10
 _UNITARY_TOL = 1e-9
 _EIG_FLOOR_TOL = 1e-8
-_PURE_L_TOL = 1e-8
 _A_SYM_TOL = 1e-9
 _IMAG_TOL = 1e-8
 _PROB_TOL = 1e-8
@@ -186,7 +185,9 @@ def state_from_device(squeezing, interferometer) -> GaussianState:
 
 def sampling_matrix(state: GaussianState) -> SamplingMatrix:
     """Extract the sampling matrix [[A, L], [L^dagger, A*]] = X (I - sigma^-1),
-    X the block swap: A and L are the lower row blocks of I - sigma^-1."""
+    X the block swap: A and L are the lower row blocks of I - sigma^-1. No run
+    path calls it: from squeezing r ~ 9 the inverse is too inaccurate for a
+    symmetric A, and from r ~ 14 it refuses the state as singular."""
     m = state.modes
     o = np.eye(2 * m) - inverse(state.husimi)
     a_blk = o[m:, :m]
@@ -198,40 +199,41 @@ def sampling_matrix(state: GaussianState) -> SamplingMatrix:
     return SamplingMatrix(a=a_blk, l=l_blk)
 
 
+def _is_noise_level(value) -> bool:
+    """The one rule for a noise level (eta, epsilon, a sweep's grid value):
+    a real number, not a bool, within [0, 1], which NaN is not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 <= value <= 1)
+
+
 def apply_loss(state: GaussianState, eta) -> GaussianState:
-    """Pure-loss channel: sigma -> D sigma D + (I - D^2)/2 on sigma_Q - I/2."""
+    """Pure-loss channel: sigma -> D sigma D + (I - D^2)/2 on sigma_Q - I/2,
+    eta a noise level or one per mode."""
     m = state.modes
-    e = np.asarray(eta, dtype=float)
-    if e.ndim == 0:
-        e = np.full(m, float(e))
-    if e.shape != (m,):
+    if np.ndim(eta) == 0:
+        eta = [eta] * m
+    if np.shape(eta) != (m,):
         raise ValidationError("eta must be a scalar or one value per mode")
-    if not np.all((e >= 0) & (e <= 1)):  # NaN fails both
+    if not all(map(_is_noise_level, eta)):
         raise ValidationError("eta values must lie in [0, 1]")
+    e = np.array(eta, dtype=float)
     d = np.sqrt(np.concatenate([e, e]))
-    sq = d[:, None] * state.husimi * d[None, :]
-    sq = sq + np.diag(1.0 - d**2)
+    sq = d[:, None] * state.husimi * d[None, :] + np.diag(1.0 - d**2)
     return GaussianState(modes=m, husimi=sq)
 
 
-def apply_thermal(state: GaussianState, epsilon: float) -> GaussianState:
-    """Thermal-mixing channel on the input squeezers.
-
-    Model: each input squeezer's covariance is convexly interpolated with a
-    thermal state of equal mean photon number, which scales its anomalous
-    (squeezing) term by 1 - epsilon and keeps its diagonal; the result goes
-    through the same interferometer. Requires a pure (lossless) input state.
-    The interferometer acts on each Husimi block alone, so the output is the
-    input with both off-diagonal blocks scaled by 1 - epsilon, whatever
-    device produced it.
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon}")
-    sm = sampling_matrix(state)
-    if np.linalg.norm(sm.l) > _PURE_L_TOL * max(1.0, np.linalg.norm(sm.a)):
-        raise ValidationError(
-            "thermal mixing is defined on pure (lossless) device states"
-        )
+def apply_thermal(state: GaussianState, epsilon) -> GaussianState:
+    """Thermal mixing as global partial dephasing, epsilon a noise level:
+    sigma -> (1 - epsilon/2) sigma + (epsilon/2) sigma_R, sigma_R the state
+    after a quarter-period phase rotation of every mode (a -> i a), which
+    negates both anomalous blocks, so both are scaled by 1 - epsilon. The
+    covariance of a mixture of two physical states, it is valid on any
+    input. The rotation commutes with loss and any interferometer: on a
+    pure device each input squeezer's anomalous term is scaled and its
+    diagonal kept (a thermal mixture of equal mean photon number), and on a
+    lossy one the result is the thermal-then-loss state."""
+    if not _is_noise_level(epsilon):
+        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     m = state.modes
     sq = state.husimi.copy()
     sq[:m, m:] *= 1.0 - epsilon

@@ -851,6 +851,20 @@ def test_studies_refuse_a_non_integer_k_before_any_pool(monkeypatch, study, k):
         getattr(bench, study)(g, seed=0, **kw)
 
 
+def forbid_study_work(monkeypatch):
+    """Make every step a study takes after its up-front checks fail."""
+    def no_work(*args, **kw):
+        raise AssertionError("the study ran before checking its grid")
+
+    for module, name in [(sampler, "sample_k_clicks"), (sampler, "_k_click_masks"),
+                         (gaussian, "_capped_distributions"), (gaussian, "_slice_masks"),
+                         (gaussian, "apply_thermal"), (gaussian, "apply_loss"),
+                         (bench, "choose_scale"), (bench, "random_search")]:
+        monkeypatch.setattr(module, name, no_work)
+    for name in ("values", "_values", "_mask_values"):
+        monkeypatch.setattr(Objective, name, no_work)
+
+
 @pytest.mark.parametrize("study, kwargs, message", [
     ("noise_sweep", dict(eta_grid=[]), "noise grids"),
     ("noise_sweep", dict(epsilon_grid=[]), "noise grids"),
@@ -859,15 +873,7 @@ def test_studies_refuse_a_non_integer_k_before_any_pool(monkeypatch, study, k):
 ], ids=["eta_grid", "epsilon_grid", "both", "k_values"])
 def test_studies_refuse_an_empty_grid_before_any_work(monkeypatch, study, kwargs,
                                                       message):
-    def no_work(*args, **kw):
-        raise AssertionError("the study ran before checking its grid")
-
-    for module, name in [(sampler, "sample_k_clicks"), (sampler, "_k_click_masks"),
-                         (gaussian, "_capped_distributions"), (gaussian, "_slice_masks"),
-                         (bench, "choose_scale"), (bench, "random_search")]:
-        monkeypatch.setattr(module, name, no_work)
-    for name in ("values", "_values", "_mask_values"):
-        monkeypatch.setattr(Objective, name, no_work)
+    forbid_study_work(monkeypatch)
     g = planted_clique_graph(8, 3, 0.2, seed=1)
     base = {
         "noise_sweep": dict(graph=g, k=3, eta_grid=[1.0], epsilon_grid=[0.0],
@@ -878,6 +884,18 @@ def test_studies_refuse_an_empty_grid_before_any_work(monkeypatch, study, kwargs
     }[study]
     with pytest.raises(ValidationError, match=message):
         getattr(bench, study)(**dict(base, **kwargs))
+
+
+# the noise-level rule of `apply_loss` and `apply_thermal`, on every grid value
+@pytest.mark.parametrize("level", [True, "0.1", [0.1], np.nan, -0.1, 1.5], ids=repr)
+@pytest.mark.parametrize("grid", ["eta_grid", "epsilon_grid"])
+def test_noise_sweep_refuses_a_bad_level_before_any_work(monkeypatch, grid, level):
+    forbid_study_work(monkeypatch)
+    grids = {"eta_grid": [1.0], "epsilon_grid": [0.0], grid: [0.5, level]}
+    with pytest.raises(ValidationError, match="noise grids"):
+        bench.noise_sweep(planted_clique_graph(8, 3, 0.2, seed=1), 3, trials=5,
+                          seed=7, pool_size=100, classical_budget=20,
+                          classical_trials=3, **grids)
 
 
 @pytest.mark.parametrize("study, kwargs", [

@@ -99,16 +99,28 @@ class TestSample:
         assert pool.provenance["epsilon"] == 0.1
         assert pool.seed == 4
 
-    @pytest.mark.parametrize("r", [14, 20, 30])
-    def test_ill_conditioned_device_exits_2(self, tmp_path, capsys, r):
+    # thermal mixing reads no inverse of the Husimi matrix, so it takes
+    # devices squeezed far past where that inverse fails (r ~ 9 and 14)
+    @pytest.mark.parametrize("r", [10, 14, 20, 30])
+    def test_strongly_squeezed_thermal_device_samples(self, tmp_path, r):
         dev = tmp_path / "dev.json"
+        out = tmp_path / "pool.txt"
         u = unitary_group.rvs(4, random_state=np.random.default_rng(r))
         files.save_device(DeviceParams(np.full(4, float(r)), u, 1.0), dev)
         assert run("sample", dev, "--count", 10, "--epsilon", 0.1,
-                   "--seed", 0, "--out", tmp_path / "pool.txt") == 2
+                   "--seed", 0, "--out", out) == 0
+        assert load_pool(out).samples.shape == (10, 4)
+
+    @pytest.mark.parametrize("r", [20, 30])
+    def test_ill_conditioned_pure_device_exits_4(self, tmp_path, capsys, r):
+        dev = tmp_path / "dev.json"
+        u = unitary_group.rvs(4, random_state=np.random.default_rng(r))
+        files.save_device(DeviceParams(np.full(4, float(r)), u, 1.0), dev)
+        assert run("sample", dev, "--count", 10, "--seed", 0,
+                   "--out", tmp_path / "pool.txt") == 4
         err = capsys.readouterr().err
-        assert err.startswith("gbskit: error:") and "singular" in err
-        assert "Traceback" not in err
+        assert err.startswith("gbskit: error:") and err.count("\n") == 1
+        assert "not positive definite" in err and "Traceback" not in err
 
     def test_overflowing_covariance_exits_4(self, tmp_path, capsys):
         # cosh^2(300) is finite, but the covariance norm is not
@@ -127,6 +139,7 @@ class TestSample:
         ("--eta", "nan", "eta values must lie in [0, 1]"),
         ("--epsilon", -0.5, "epsilon must lie in [0, 1]"),
         ("--epsilon", 1.5, "epsilon must lie in [0, 1]"),
+        ("--epsilon", "nan", "epsilon must lie in [0, 1]"),
     ])
     def test_noise_out_of_range_exits_2(self, k6_graph, tmp_path, capsys, option,
                                         value, message):

@@ -37,6 +37,10 @@ from oracles import (
 )
 
 
+# a bool, a numeric string, NaN and values outside [0, 1]: none is a noise level
+NOT_NOISE_LEVELS = [True, "0.1", np.nan, -0.1, 1.5]
+
+
 def vacuum(m):
     return GaussianState(modes=m, husimi=np.eye(2 * m, dtype=complex))
 
@@ -134,8 +138,6 @@ class TestSamplingMatrix:
         state = state_from_device([r] * 4, u)
         with pytest.raises(ValidationError, match="singular"):
             sampling_matrix(state)
-        with pytest.raises(ValidationError, match="singular"):
-            apply_thermal(state, 0.1)
 
 
 class TestLoss:
@@ -186,6 +188,14 @@ class TestLoss:
         r, u = random_device(2, 4)
         with pytest.raises(ValidationError, match=r"eta values must lie in \[0, 1\]"):
             apply_loss(state_from_device(r, u), eta)
+
+    # the one noise-level rule, on the scalar and on each per-mode value
+    @pytest.mark.parametrize("per_mode", [False, True], ids=["scalar", "per-mode"])
+    @pytest.mark.parametrize("eta", NOT_NOISE_LEVELS, ids=repr)
+    def test_refuses_what_is_not_a_noise_level(self, eta, per_mode):
+        state = state_from_device(*random_device(2, 4))
+        with pytest.raises(ValidationError, match=r"eta values must lie in \[0, 1\]"):
+            apply_loss(state, [0.5, eta] if per_mode else eta)
 
 
 def encoded_device(name):
@@ -238,15 +248,38 @@ class TestThermal:
         state = apply_thermal(state_from_device(r, u), 0.5)
         assert np.linalg.norm(sampling_matrix(state).l) > 1e-6
 
-    def test_rejects_lossy_input(self):
-        r, u = random_device(2, 1)
-        state = apply_loss(state_from_device(r, u), 0.5)
-        with pytest.raises(ValidationError):
-            apply_thermal(state, 0.5)
+    # dephasing commutes with loss: thermal mixing of a lossy state is the
+    # squeezer-level thermal state sent through the same loss
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("eta", [0.5, "per-mode"])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_commutes_with_loss(self, m, eta, epsilon):
+        r, u = random_device(m, 60 + m)
+        if eta == "per-mode":
+            eta = np.random.default_rng(m).uniform(0.0, 1.0, m)
+        got = apply_thermal(apply_loss(state_from_device(r, u), eta), epsilon).husimi
+        thermal = GaussianState(modes=m, husimi=thermal_squeezer_husimi(r, u, epsilon))
+        want = apply_loss(thermal, eta).husimi
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    # from r ~ 9 `sampling_matrix` refuses these devices, which the channel
+    # never asks for: each output is checked as a state
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    @pytest.mark.parametrize("r", [9, 10, 12])
+    def test_strongly_squeezed_pure_devices(self, r, m):
+        u = unitary_group.rvs(m, random_state=np.random.default_rng(r + m))
+        got = apply_thermal(state_from_device([r] * m, u), 0.1).husimi
+        want = thermal_squeezer_husimi([r] * m, u, 0.1)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             apply_thermal(vacuum(1), -0.1)
+
+    @pytest.mark.parametrize("epsilon", [*NOT_NOISE_LEVELS, [0.1]], ids=repr)
+    def test_refuses_what_is_not_a_noise_level(self, epsilon):
+        with pytest.raises(ValidationError, match=r"epsilon must lie in \[0, 1\]"):
+            apply_thermal(state_from_device(*random_device(2, 4)), epsilon)
 
 
 class TestPatternProbability:
