@@ -1,16 +1,17 @@
-"""Benchmark analytics: correlation studies, score/speed advantage, geometric
+"""Benchmark analytics: correlation studies, the advantage study, geometric
 step-count fits, and noise sweeps.
 
 All entry points are deterministic given their master seed; per-trial,
 per-pool and per-grid-point generators are derived from (seed, index) so
-results do not depend on evaluation order. A noise sweep's classical
-random-search target is the exact expected best of a run whenever valuing
-every k-subset once costs no more than simulating the runs
-(`_classical_target` holds that rule), and every click mask, of that table
-and of each pool, is valued by `Objective._mask_values`. The sweep's grid
-points draw their pools from the capped click laws of one stacked recursion,
-and each point's p_hat and CI are the geometric fit of all its trials' step
-counts.
+results do not depend on evaluation order. One rule, `_expected_best`,
+gives the expected best of s i.i.d. draws from a table of values: an
+advantage study's Pool-RS side from its pool, and a noise sweep's classical
+target from every k-subset whenever valuing each once costs no more than
+simulating the runs (`_classical_target` holds that rule). Every click
+mask, of that table and of each sweep pool, is valued by
+`Objective._mask_values`. The sweep's grid points draw their pools from the
+capped click laws of one stacked recursion, and each point's p_hat and CI
+are the geometric fit of all its trials' step counts.
 """
 
 from __future__ import annotations
@@ -26,17 +27,14 @@ from .errors import ValidationError
 from .generators import random_complex_symmetric
 from .matfn import hafnian, torontonian
 from .sampler import SamplePool
-from .solvers import Objective, ProposalSource, RunTrace, random_search
+from .solvers import Objective, ProposalSource, _pool_subsets, random_search
 
 __all__ = [
     "CorrelationTable",
     "AdvantageReport",
-    "SpeedAdvantage",
     "GeometricFit",
     "NoisePoint",
     "correlation_study",
-    "score_advantage",
-    "speed_advantage",
     "advantage_study",
     "geometric_fit",
     "noise_sweep",
@@ -94,7 +92,7 @@ def correlation_study(
 
 
 # ---------------------------------------------------------------------------
-# score / speed advantage
+# advantage study
 # ---------------------------------------------------------------------------
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -103,56 +101,23 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return m, se
 
 
-def score_advantage(
-    enhanced: list[RunTrace], classical: list[RunTrace], at_step: int
-) -> tuple[float, float]:
-    """Ratio of mean best values at a fixed step; returns (ratio, std error)."""
-    if not enhanced or not classical:
-        raise ValidationError("trace sets must be nonempty")
-    ev = np.array([t.value_at(at_step) for t in enhanced])
-    cv = np.array([t.value_at(at_step) for t in classical])
-    me, se_e = _mean_se(ev)
-    mc, se_c = _mean_se(cv)
-    if mc == 0:
-        raise ValidationError("classical mean best value is zero")
-    ratio = me / mc
-    se = abs(ratio) * np.sqrt((se_e / me) ** 2 + (se_c / mc) ** 2) if me != 0 else 0.0
-    return ratio, float(se)
+def _expected_best(values: np.ndarray, s: int) -> float:
+    """Expected best of s i.i.d. draws from `values`, each entry equally
+    likely (repeats count): one term v (F(v)^s - F(v-)^s) per distinct
+    value v, F the entries' CDF."""
+    distinct, counts = np.unique(values, return_counts=True)
+    # libm pow, not numpy's SIMD power, whose last bit varies by CPU
+    cdf = [(c / len(values)) ** s for c in np.cumsum(counts).tolist()]
+    return math.fsum(v * (f - g) for v, f, g in zip(distinct.tolist(), cdf, [0.0] + cdf))
 
 
-@dataclass(frozen=True)
-class SpeedAdvantage:
-    ratio: float
-    standard_error: float
-    censored: int  # enhanced trials that never reached their target in budget
-
-
-def speed_advantage(
-    enhanced: list[RunTrace], classical: list[RunTrace], budget: int
-) -> SpeedAdvantage:
-    """Mean classical steps-to-target over mean enhanced steps-to-target.
-
-    Targets are paired per trial: trial i's target is the classical run i's
-    best value at the budget. Enhanced runs that never reach it are counted
-    at the budget and flagged via the censored count."""
-    if not enhanced or not classical:
-        raise ValidationError("trace sets must be nonempty")
-    if len(enhanced) != len(classical):
-        raise ValidationError("speed advantage requires paired trace sets")
-    c_steps, e_steps, censored = [], [], 0
-    for etr, ctr in zip(enhanced, classical):
-        target = ctr.value_at(budget)
-        c_steps.append(ctr.steps_to_reach(target))
-        hit = etr.steps_to_reach(target)
-        if hit is None or hit > budget:
-            hit = budget
-            censored += 1
-        e_steps.append(hit)
-    mc, se_c = _mean_se(np.array(c_steps, dtype=float))
-    me, se_e = _mean_se(np.array(e_steps, dtype=float))
-    ratio = mc / me
-    se = ratio * np.sqrt((se_c / mc) ** 2 + (se_e / me) ** 2)
-    return SpeedAdvantage(ratio=float(ratio), standard_error=float(se), censored=censored)
+def _first_hit_steps(q: float, s: int) -> float:
+    """E[min(G, s)], G ~ Geometric(q): the expected steps to the first of
+    i.i.d. draws that each hit with probability q, s if none of s hits: the
+    sum over j < s of (1 - q)^j, in log1p/expm1 form, exact for a tiny q."""
+    if q == 0:
+        return float(s)
+    return -math.expm1(s * math.log1p(-q)) / q if q < 1 else 1.0
 
 
 @dataclass(frozen=True)
@@ -161,7 +126,7 @@ class AdvantageReport:
     score_advantage: float
     speed_advantage: float
     trials: int
-    standard_error: float
+    standard_error: float  # of score_advantage, from the classical runs alone
 
 
 def advantage_study(
@@ -169,16 +134,22 @@ def advantage_study(
     objective: str = "density", pool: SamplePool | None = None,
     pool_size: int = 20000,
 ) -> list[AdvantageReport]:
-    """Resampled Pool-RS against uniform RS, `trials` paired runs of `steps`
-    steps at each subgraph size k. Each k post-selects `pool` to k clicks
-    or, without one, draws the k-click part of a `pool_size` pool from the
-    graph encoded at k clicks (`sampler.sample_k_clicks`)."""
+    """Pool-RS against `trials` uniform RS runs of `steps` steps at each
+    subgraph size k. Each k post-selects `pool` to k clicks or, without one,
+    draws the k-click part of a `pool_size` pool from the graph encoded at k
+    clicks (`sampler.sample_k_clicks`, seeded from `[seed, ki, 0, 1]`); run t
+    is seeded from `[seed, ki, t]`. Pool-RS draws i.i.d. from the kept pool,
+    so its side is exact and reads no seed. Score: E[best of `steps` pool
+    draws] over the runs' mean best. Speed: the runs' mean steps to reach
+    their own best C_t over Pool-RS's mean expected steps to reach C_t,
+    censored at `steps` (`_first_hit_steps`)."""
     if steps < 1 or trials < 1:
         raise ValidationError(f"steps ({steps}) and trials ({trials}) must be >= 1")
     # every k passes Objective's rules before any pool is drawn
     objs = [Objective(kind=objective, graph=graph, k=k) for k in k_values]
     if not objs:
         raise ValidationError("k_values must hold at least one subgraph size")
+    uniform = ProposalSource(kind="uniform")
     reports = []
     for ki, obj in enumerate(objs):
         k = obj.k
@@ -193,17 +164,21 @@ def advantage_study(
             raise ValidationError(
                 f"no pool samples left after post-selecting to {k} clicks"
             )
-        enhanced, classical = [], []
-        for t in range(trials):
-            tseed = int(np.random.default_rng([seed, ki, t]).integers(2**32))
-            src = resampled_pool_source(kept, steps, tseed)
-            enhanced.append(random_search(obj, src, steps, seed=tseed))
-            classical.append(
-                random_search(obj, ProposalSource(kind="uniform"), steps, seed=tseed)
-            )
-        score, score_se = score_advantage(enhanced, classical, steps)
-        speed = speed_advantage(enhanced, classical, steps).ratio
-        reports.append(AdvantageReport(k, score, speed, trials, score_se))
+        rows = _pool_subsets(obj, ProposalSource(kind="pool", pool=kept))
+        pool_values = obj._values(rows, rows)  # ascending, distinct and in range
+        keys = (np.random.default_rng([seed, ki, t]) for t in range(trials))
+        runs = [random_search(obj, uniform, steps, seed=int(key.integers(2**32)))
+                for key in keys]
+        best = [run.value_at(steps) for run in runs]
+        mean_best, se = _mean_se(np.array(best))
+        if mean_best == 0:
+            raise ValidationError("classical mean best value is zero")
+        score = _expected_best(pool_values, steps) / mean_best
+        pool_steps = [_first_hit_steps(np.count_nonzero(pool_values >= c) / len(rows),
+                                       steps) for c in best]
+        run_steps = sum(run.steps_to_reach(c) for run, c in zip(runs, best))
+        speed = run_steps / math.fsum(pool_steps)
+        reports.append(AdvantageReport(k, score, speed, len(runs), score * se / mean_best))
     return reports
 
 
@@ -287,11 +262,7 @@ def _classical_target(obj: Objective, budget: int, trials: int, seed: int) -> fl
                               seed=int(key.integers(2**32))) for key in keys)
         return float(np.mean([run.value_at(budget) for run in runs]))
     masks = gaussian._slice_masks(n, k)
-    table = obj._mask_values(masks[np.bitwise_count(masks) == k])
-    values, counts = np.unique(table, return_counts=True)
-    # libm pow, not numpy's SIMD power, whose last bit varies by CPU
-    cdf = [(c / len(table)) ** budget for c in np.cumsum(counts).tolist()]
-    return math.fsum(v * (f - g) for v, f, g in zip(values.tolist(), cdf, [0.0] + cdf))
+    return _expected_best(obj._mask_values(masks[np.bitwise_count(masks) == k]), budget)
 
 
 def noise_sweep(

@@ -210,9 +210,13 @@ def apply_loss(state: GaussianState, eta) -> GaussianState:
     """Pure-loss channel: sigma -> D sigma D + (I - D^2)/2 on sigma_Q - I/2,
     eta a noise level or one per mode."""
     m = state.modes
-    if np.ndim(eta) == 0:
-        eta = [eta] * m
-    if np.shape(eta) != (m,):
+    try:
+        if np.ndim(eta) == 0:
+            eta = [eta] * m
+        per_mode = np.shape(eta) == (m,)
+    except ValueError:  # numpy's refusal of a ragged nesting such as [0.5, [0.5]]
+        per_mode = False
+    if not per_mode:
         raise ValidationError("eta must be a scalar or one value per mode")
     if not all(map(_is_noise_level, eta)):
         raise ValidationError("eta values must lie in [0, 1]")

@@ -19,19 +19,19 @@ from gbskit.generators import (
 )
 from gbskit.matfn import hafnian, torontonian
 from gbskit.sampler import SamplePool
-from gbskit.solvers import Objective, RunTrace
+from gbskit.solvers import Objective, ProposalSource
 
-from oracles import rank_pair_spearman, state_with_sampling_matrix, uniform_best_law
+from oracles import (
+    rank_pair_spearman,
+    star_graph,
+    state_with_sampling_matrix,
+    uniform_best_law,
+)
 
 
 def click_masks(bits):
     """The click bitmask of each row of a 0/1 pattern array, bit i = column i."""
     return (bits.astype(np.int64) << np.arange(bits.shape[1])).sum(axis=1)
-
-
-def make_trace(values, seed=0):
-    arr = np.maximum.accumulate(np.asarray(values, dtype=float))
-    return RunTrace(best_values=arr, best_subset=(0, 1), steps_used=len(arr), seed=seed)
 
 
 class TestCorrelationStudy:
@@ -89,81 +89,6 @@ class TestCorrelationStudy:
         with pytest.raises(CostGuardError, match=f"2\\^M table of {mode_count} modes "
                            "exceeds the cap of 24 modes$"):
             bench.correlation_study(2, seed=0, mode_count=mode_count)
-
-
-class TestScoreAdvantage:
-    def test_identical_sets_give_one(self):
-        traces = [make_trace([1, 2, 3]), make_trace([2, 2, 4])]
-        ratio, se = bench.score_advantage(traces, traces, at_step=3)
-        assert ratio == pytest.approx(1.0)
-
-    def test_known_ratio(self):
-        ratio, _ = bench.score_advantage(
-            [make_trace([4.0])], [make_trace([2.0])], at_step=1
-        )
-        assert ratio == pytest.approx(2.0)
-
-    def test_hand_computed_means(self):
-        enhanced = [make_trace([3.0]), make_trace([5.0])]
-        classical = [make_trace([1.0]), make_trace([3.0])]
-        ratio, _ = bench.score_advantage(enhanced, classical, at_step=1)
-        assert ratio == pytest.approx(4.0 / 2.0, abs=1e-12)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            bench.score_advantage([], [make_trace([1.0])], at_step=1)
-
-    def test_rejects_zero_classical_mean(self):
-        with pytest.raises(ValidationError):
-            bench.score_advantage(
-                [make_trace([1.0])], [make_trace([0.0])], at_step=1
-            )
-
-
-class TestSpeedAdvantage:
-    def test_identical_traces_give_one(self):
-        traces = [make_trace([1, 2, 3])]
-        adv = bench.speed_advantage(traces, traces, budget=3)
-        assert adv.ratio == pytest.approx(1.0)
-        assert adv.censored == 0
-
-    def test_known_ratio(self):
-        enhanced = [make_trace([0.0] * 4 + [5.0] * 46)]
-        classical = [make_trace([0.0] * 49 + [5.0])]
-        adv = bench.speed_advantage(enhanced, classical, budget=50)
-        assert adv.ratio == pytest.approx(10.0)
-
-    def test_censoring_flagged(self):
-        enhanced = [make_trace([1.0, 1.0, 1.0])]
-        classical = [make_trace([1.0, 2.0, 3.0])]
-        adv = bench.speed_advantage(enhanced, classical, budget=3)
-        assert adv.censored == 1
-
-    def test_geometric_ratio_recovered(self):
-        rng = np.random.default_rng(0)
-        p_c, p_e = 0.01, 0.1
-        enhanced, classical = [], []
-        budget = 2000
-        for _ in range(500):
-            ce = min(int(rng.geometric(p_e)), budget)
-            cc = min(int(rng.geometric(p_c)), budget)
-            ev = np.zeros(budget)
-            ev[ce - 1:] = 1.0
-            cv = np.zeros(budget)
-            cv[cc - 1:] = 1.0
-            enhanced.append(make_trace(ev))
-            classical.append(make_trace(cv))
-        adv = bench.speed_advantage(enhanced, classical, budget=budget)
-        assert adv.ratio == pytest.approx(10.0, rel=0.2)
-
-    def test_rejects_unpaired(self):
-        with pytest.raises(ValidationError):
-            bench.speed_advantage([make_trace([1.0])], [], budget=1)
-
-    def test_rejects_unequal_lengths(self):
-        traces = [make_trace([1.0]), make_trace([2.0])]
-        with pytest.raises(ValidationError, match="requires paired trace sets"):
-            bench.speed_advantage(traces, traces[:1], budget=1)
 
 
 class TestGeometricFit:
@@ -781,6 +706,64 @@ class TestClassicalTarget:
         assert not set(pools) & set(runs)
 
 
+class TestExpectedBest:
+    """E[best of s i.i.d. draws] from a table of values, each entry equally
+    likely: the advantage study's Pool-RS side and the sweep's exact
+    classical target."""
+
+    # ties, repeats, a single value, a constant table, negatives and floats
+    # one ulp apart
+    LAWS = [[1.0, 1.0, 2.0, 3.0], [0.5], [0.5, 0.5, 0.5], [2.0, 7.0, 7.0, 1.5, 2.0],
+            [-1.0, 0.0, 4.25, 0.0, -1.0, 3.0], [0.1, 0.2, 0.30000000000000004, 0.3]]
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("values", LAWS, ids=repr)
+    def test_matches_every_draw_sequence(self, values, s):
+        runs = list(itertools.product(values, repeat=s))
+        want = sum(map(Fraction, map(max, runs))) / len(runs)
+        got = bench._expected_best(np.array(values), s)
+        # the quotients, pow, products and the sum each round
+        assert abs(Fraction(got) - want) <= Fraction(4, 1 << 53) * abs(want)
+
+    @pytest.mark.parametrize("kind, graph", [
+        ("density", zero_one_graph(5, 0.6, seed=2)),  # tied values
+        ("maxhaf", random_complex_graph(5, seed=4)),
+    ])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_the_uniform_search_law(self, kind, graph, s):
+        obj = Objective(kind=kind, graph=graph, k=2)
+        table = obj.values(np.array(list(itertools.combinations(range(5), 2))))
+        want = TestClassicalTarget.exact_mean(uniform_best_law(obj, s))
+        got = bench._expected_best(table, s)
+        assert abs(Fraction(got) - want) <= Fraction(4, 1 << 53) * want
+
+    def test_order_does_not_matter(self):
+        values = random_complex_graph(9, seed=1).adjacency.real.ravel()
+        want = bench._expected_best(values, 40)
+        assert bench._expected_best(values[::-1], 40) == want
+        assert bench._expected_best(np.sort(values), 40) == want
+
+
+class TestFirstHitSteps:
+    """E[min(G, s)], G ~ Geometric(q): Pool-RS's expected steps to a target
+    that a fraction q of its pool reaches, censored at s."""
+
+    @pytest.mark.parametrize("s", [1, 2, 7, 100, 1000])
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1e-12, 1e-5, 1 / 3, 0.5, 0.999])
+    def test_is_the_censored_geometric_sum(self, q, s):
+        miss, term, want = 1 - Fraction(q), Fraction(1), Fraction(0)
+        for _ in range(s):  # the sum over j = 1..s of (1 - q)^(j - 1)
+            want += term
+            term *= miss
+        got = bench._first_hit_steps(q, s)
+        assert type(got) is float
+        assert abs(Fraction(got) - want) <= Fraction(8, 1 << 53) * want
+
+    def test_edges(self):
+        assert bench._first_hit_steps(0.0, 50) == 50.0  # never hit: censored at s
+        assert bench._first_hit_steps(1.0, 50) == 1.0  # the first draw hits
+
+
 class TestAdvantageStudy:
     def test_rejects_pool_without_k_clicks(self):
         g = zero_one_graph(4, 0.6, seed=2)
@@ -809,7 +792,7 @@ class TestAdvantageStudy:
         # numpy pads seed keys with zeros, so a pool keyed [seed, ki] would
         # share trial 0's stream [seed, ki, 0]
         pools, trials = [], []
-        resampled = bench.resampled_pool_source
+        search = bench.random_search
 
         def pool_of(state, size, k, seed):
             pools.append(seed)
@@ -817,17 +800,94 @@ class TestAdvantageStudy:
             bits[:, :k] = 1
             return SamplePool(modes=8, samples=bits)
 
-        def source(pool, steps, seed):
+        def run(*args, seed, **kw):
             trials.append(seed)
-            return resampled(pool, steps, seed)
+            return search(*args, seed=seed, **kw)
 
         monkeypatch.setattr(sampler, "sample_k_clicks", pool_of)
-        monkeypatch.setattr(bench, "resampled_pool_source", source)
+        monkeypatch.setattr(bench, "random_search", run)
         g = random_complex_graph(8, seed=2)
         for seed in (0, 5, 42):
             bench.advantage_study(g, [2, 3, 2, 3], steps=2, trials=3, seed=seed)
         assert len(pools) == 12 and len(trials) == 36
         assert not set(pools) & set(trials)
+
+    def test_refuses_a_pool_of_another_mode_count(self):
+        g = zero_one_graph(8, 0.6, seed=2)
+        pool = SamplePool(modes=6, samples=((1, 1, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0)))
+        with pytest.raises(ValidationError,
+                           match="^pool mode count 6 does not match graph size 8$"):
+            bench.advantage_study(g, [2], steps=5, trials=2, seed=0, pool=pool)
+
+    @pytest.mark.parametrize("pool", [
+        None, SamplePool(modes=8, samples=[[1, 1, 1, 1, 0, 0, 0, 0]]),
+    ], ids=["drawn", "given"])
+    def test_refuses_a_zero_classical_mean(self, pool):
+        # no 4-subset of a star holds a perfect matching: every |Haf|^2 is 0
+        with pytest.raises(ValidationError, match="^classical mean best value is zero$"):
+            bench.advantage_study(star_graph(8), [4], steps=5, trials=3, seed=0,
+                                  objective="maxhaf", pool=pool, pool_size=200)
+
+    # a numpy count is an int too: the JSON writer refuses numpy scalars
+    @pytest.mark.parametrize("trials", [4, np.int64(4)], ids=["int", "np.int64"])
+    def test_report_fields_are_python_numbers(self, tmp_path, trials):
+        g = planted_clique_graph(10, 4, 0.3, seed=1)
+        reports = bench.advantage_study(g, [3, 4], steps=20, trials=trials, seed=1,
+                                        pool_size=300)
+        for report in reports:
+            assert [type(v) for v in vars(report).values()] == [int, float, float, int,
+                                                                float]
+        csv_path = tmp_path / "advantage.csv"
+        files.save_advantage_report(reports, csv_path, tmp_path / "advantage.json")
+        assert "np." not in csv_path.read_text()
+
+    # the old estimator: `trials` resampled Pool-RS runs, each paired with the
+    # uniform run of the same seed; the study keeps those uniform runs
+    @pytest.mark.parametrize("objective, graph, k_values, steps, given", [
+        ("density", planted_clique_graph(10, 4, 0.3, seed=1), [3, 4], 5, True),
+        ("density", random_complex_graph(10, seed=2), [4], 20, False),
+        ("maxhaf", random_complex_graph(10, seed=2), [4], 5, True),
+        ("maxhaf", planted_clique_graph(10, 4, 0.3, seed=1), [4], 20, False),
+    ], ids=["density-clique", "density-complex", "maxhaf-complex", "maxhaf-clique"])
+    def test_agrees_with_simulated_pool_runs(self, objective, graph, k_values, steps,
+                                             given):
+        trials, seed = 200, 9
+        pool = (sampler.sample(encode_graph(graph, choose_scale(graph, 4.0)).build_state(),
+                               2000, seed=5) if given else None)
+        reports = bench.advantage_study(graph, k_values, steps, trials, seed,
+                                        objective=objective, pool=pool, pool_size=2000)
+        for ki, (k, report) in enumerate(zip(k_values, reports)):
+            obj = Objective(objective, graph, k)
+            if given:
+                kept = sampler.postselect(pool, k)
+            else:
+                state = encode_graph(graph, choose_scale(graph, float(k))).build_state()
+                pool_seed = int(np.random.default_rng([seed, ki, 0, 1]).integers(2**32))
+                kept = sampler.sample_k_clicks(state, 2000, k, pool_seed)
+            enhanced, classical = [], []
+            for t in range(trials):
+                tseed = int(np.random.default_rng([seed, ki, t]).integers(2**32))
+                source = bench.resampled_pool_source(kept, steps, tseed)
+                enhanced.append(bench.random_search(obj, source, steps, seed=tseed))
+                classical.append(bench.random_search(obj, ProposalSource(), steps,
+                                                     seed=tseed))
+            best = np.array([run.value_at(steps) for run in classical])
+            pool_best = np.array([run.value_at(steps) for run in enhanced])
+            run_steps = [run.steps_to_reach(c) for run, c in zip(classical, best)]
+            pool_steps = np.array([min(run.steps_to_reach(c) or steps, steps)
+                                   for run, c in zip(enhanced, best)])
+            # only the Pool-RS side differs, so only its noise counts
+            score = pool_best.mean() / best.mean()
+            score_se = score * pool_best.std(ddof=1) / pool_best.mean() / trials**0.5
+            speed = np.mean(run_steps) / pool_steps.mean()
+            speed_se = speed * pool_steps.std(ddof=1) / pool_steps.mean() / trials**0.5
+            assert score_se > 0 and speed_se > 0
+            assert abs(report.score_advantage - score) <= 4 * score_se
+            assert abs(report.speed_advantage - speed) <= 4 * speed_se
+            # the classical side is the same runs'
+            assert report.standard_error == pytest.approx(
+                report.score_advantage * best.std(ddof=1) / best.mean() / trials**0.5,
+                rel=1e-12)
 
 
 @pytest.mark.parametrize("study, k", [

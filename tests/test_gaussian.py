@@ -152,6 +152,15 @@ class TestLoss:
         with pytest.raises(ValidationError, match="eta must be a scalar or one value"):
             apply_loss(state, eta)
 
+    # numpy refuses to shape a ragged nesting; the refusal is the shape rule's
+    @pytest.mark.parametrize("eta", [[0.5, [0.5]], [[0.5], [0.5, 0.5]], [[0.5], 0.5]],
+                             ids=repr)
+    def test_rejects_a_ragged_eta(self, eta):
+        state = state_from_device([0.5, 0.5], np.eye(2))
+        with pytest.raises(ValidationError,
+                           match="^eta must be a scalar or one value per mode$"):
+            apply_loss(state, eta)
+
     def test_eta_zero_gives_vacuum(self):
         r, u = random_device(3, 5)
         state = apply_loss(state_from_device(r, u), 0.0)
