@@ -27,7 +27,7 @@ from .errors import ValidationError
 from .generators import random_complex_symmetric
 from .matfn import hafnian, torontonian
 from .sampler import SamplePool
-from .solvers import Objective, ProposalSource, _pool_subsets, random_search
+from .solvers import Objective, ProposalSource, _check_pool_modes, random_search
 
 __all__ = [
     "CorrelationTable",
@@ -159,12 +159,13 @@ def advantage_study(
             pool_seed = int(np.random.default_rng([seed, ki, 0, 1]).integers(2**32))
             kept = sampler.sample_k_clicks(state, pool_size, k, pool_seed)
         else:
+            _check_pool_modes(pool, graph)
             kept = sampler.postselect(pool, k)
         if len(kept) == 0:
             raise ValidationError(
                 f"no pool samples left after post-selecting to {k} clicks"
             )
-        rows = _pool_subsets(obj, ProposalSource(kind="pool", pool=kept))
+        rows = kept.subsets(k)
         pool_values = obj._values(rows, rows)  # ascending, distinct and in range
         keys = (np.random.default_rng([seed, ki, t]) for t in range(trials))
         runs = [random_search(obj, uniform, steps, seed=int(key.integers(2**32)))

@@ -11,7 +11,6 @@ cost-guard refusal or a request too large to allocate, 4 numerical-physicality e
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -21,7 +20,7 @@ from . import __version__, bench, files, gaussian, generators, sampler
 from .encoding import choose_scale, encode_graph
 from .errors import CostGuardError, GbskitError, ValidationError
 from .solvers import (
-    Objective, ProposalSource, RunTrace, greedy_peel, random_search,
+    Objective, ProposalSource, RunTrace, _check_pool_modes, greedy_peel, random_search,
     simulated_annealing,
 )
 
@@ -127,16 +126,9 @@ def _cmd_sample(args) -> None:
     # both channels are bit-exact identities at epsilon 0 and eta 1
     state = gaussian.apply_loss(gaussian.apply_thermal(dev.build_state(), args.epsilon),
                                 args.eta)
-    pool = dataclasses.replace(
-        sampler.sample(state, args.count, args.seed),
-        provenance={
-            "kind": "simulated",
-            "device": os.path.basename(args.device),
-            "count": args.count,
-            "eta": args.eta,
-            "epsilon": args.epsilon,
-        },
-    )
+    pool = sampler.sample(state, args.count, args.seed)
+    pool.provenance.update(device=os.path.basename(args.device), eta=args.eta,
+                           epsilon=args.epsilon)
     sampler.save_pool(pool, args.out)
 
 
@@ -154,10 +146,7 @@ def _cmd_solve(args) -> None:
     source = ProposalSource(kind="uniform")
     if args.pool is not None and args.algo != "greedy":  # greedy takes no proposals
         pool = sampler.load_pool(args.pool)
-        if pool.modes != g.n:
-            raise ValidationError(
-                f"pool pattern length {pool.modes} does not match graph size {g.n}"
-            )
+        _check_pool_modes(pool, g)
         source = ProposalSource(kind="pool", pool=sampler.postselect(pool, args.k))
         params["pool"] = os.path.basename(args.pool)
     if args.algo == "greedy":

@@ -61,8 +61,14 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _json_text(payload, indent=None) -> str:
+    """`payload` as JSON, keys sorted, numpy scalars as the Python numbers
+    they hold (by json's `default`, which sees only what JSON cannot write)."""
+    return json.dumps(payload, indent=indent, sort_keys=True, default=np.generic.item)
+
+
 def _dump_json(path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, _json_text(payload, indent=2) + "\n")
 
 
 def load_json(path) -> dict:
@@ -159,10 +165,10 @@ def _numbers(path, data: dict, key: str) -> np.ndarray:
 # -- traces and reports -----------------------------------------------------
 
 def _save_table(csv_path, header: str, rows, json_path, payload: dict) -> None:
-    """CSV of `rows` under `header` (cells by repr, None as an empty cell),
-    then `payload` with the format version as its JSON mirror."""
-    lines = [header]
-    lines += [",".join("" if v is None else repr(v) for v in row) for row in rows]
+    """CSV of `rows` under `header` (cells by repr of their Python numbers,
+    None as an empty cell), then `payload` with the format version as its JSON mirror."""
+    plain = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
+    lines = [header] + [",".join("" if v is None else repr(v) for v in row) for row in plain]
     atomic_write_text(csv_path, "\n".join(lines) + "\n")
     _dump_json(json_path, dict(payload, format_version=FORMAT_VERSION))
 
@@ -172,11 +178,11 @@ def save_trace(trace: RunTrace, csv_path, summary_path, parameters: dict) -> Non
 
     _save_table(
         csv_path, "step,best_value",
-        [(step, float(v)) for step, v in enumerate(trace.best_values, start=1)],
+        enumerate(trace.best_values, start=1),
         summary_path,
         {
             "best_subset": list(trace.best_subset),
-            "best_value": float(trace.best_values[-1]),
+            "best_value": trace.best_values[-1],
             "steps_used": trace.steps_used,
             "seed": trace.seed,
             "pool_wrapped": trace.pool_wrapped,
@@ -187,8 +193,7 @@ def save_trace(trace: RunTrace, csv_path, summary_path, parameters: dict) -> Non
 
 
 def save_correlation_table(table: CorrelationTable, csv_path, json_path) -> None:
-    rows = [tuple(map(float, r)) for r in table.rows]
-    _save_table(csv_path, "tor,haf_sq,density", rows, json_path, asdict(table))
+    _save_table(csv_path, "tor,haf_sq,density", table.rows, json_path, asdict(table))
 
 
 def save_advantage_report(reports: list[AdvantageReport], csv_path, json_path) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import gaussian
 from .errors import ValidationError
-from .files import atomic_write_text
+from .files import _json_text, atomic_write_text
 
 __all__ = [
     "SamplePool", "sample", "sample_k_clicks", "postselect", "save_pool", "load_pool",
@@ -150,7 +150,10 @@ def sample_k_clicks(
     probabilities over P_k, one uniform per draw through the inverse of their
     cumulative sum. Only patterns of at most k clicks are computed, in
     ascending mask order (`gaussian._capped_distribution`), and the k-click
-    ones are read from them in that order (`_k_click_masks`).
+    ones are read from them in that order (`_k_click_masks`). That law fails
+    on strongly squeezed states that `sample` takes: on 4-mode devices it is
+    refused as unphysical (PhysicalityError) from squeezing r ≈ 7, and its
+    solve as singular (ValidationError) at r ≈ 14.
     """
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
@@ -201,7 +204,7 @@ def postselect(pool: SamplePool, k: int) -> SamplePool:
 
 def save_pool(pool: SamplePool, path) -> None:
     """Write the pool in the plain-text sample format."""
-    lines = [f"# provenance: {json.dumps(pool.provenance, sort_keys=True)}"]
+    lines = [f"# provenance: {_json_text(pool.provenance)}"]
     if pool.seed is not None:
         lines.append(f"# seed: {pool.seed}")
     lines.append(f"modes={pool.modes}")

@@ -230,15 +230,17 @@ class RunTrace:
         return int(hits[0]) + 1 if hits.size else None
 
 
+def _check_pool_modes(pool: sampler.SamplePool, g: Graph) -> None:
+    """The pool–graph rule: a pool has one mode per vertex of `g`."""
+    if pool.modes != g.n:
+        raise ValidationError(f"pool mode count {pool.modes} does not match graph size {g.n}")
+
+
 def _pool_subsets(obj: Objective, source: ProposalSource) -> np.ndarray | None:
     """The pool's (P, k) subset array, or None for uniform proposals."""
     if source.kind != "pool":
         return None
-    if source.pool.modes != obj.graph.n:
-        raise ValidationError(
-            f"pool mode count {source.pool.modes} does not match graph size "
-            f"{obj.graph.n}"
-        )
+    _check_pool_modes(source.pool, obj.graph)
     return source.pool.subsets(obj.k)
 
 

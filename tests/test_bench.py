@@ -812,12 +812,15 @@ class TestAdvantageStudy:
         assert len(pools) == 12 and len(trials) == 36
         assert not set(pools) & set(trials)
 
-    def test_refuses_a_pool_of_another_mode_count(self):
+    # before post-selection: the pool holds no 3-click pattern, and 7 clicks
+    # exceed its 6 modes
+    @pytest.mark.parametrize("k_values", [[2], [3], [7], [2, 3]], ids=["2", "3", "7", "2-3"])
+    def test_refuses_a_pool_of_another_mode_count(self, k_values):
         g = zero_one_graph(8, 0.6, seed=2)
         pool = SamplePool(modes=6, samples=((1, 1, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0)))
         with pytest.raises(ValidationError,
                            match="^pool mode count 6 does not match graph size 8$"):
-            bench.advantage_study(g, [2], steps=5, trials=2, seed=0, pool=pool)
+            bench.advantage_study(g, k_values, steps=5, trials=2, seed=0, pool=pool)
 
     @pytest.mark.parametrize("pool", [
         None, SamplePool(modes=8, samples=[[1, 1, 1, 1, 0, 0, 0, 0]]),
@@ -828,7 +831,7 @@ class TestAdvantageStudy:
             bench.advantage_study(star_graph(8), [4], steps=5, trials=3, seed=0,
                                   objective="maxhaf", pool=pool, pool_size=200)
 
-    # a numpy count is an int too: the JSON writer refuses numpy scalars
+    # a numpy count is an int too: the report holds Python numbers
     @pytest.mark.parametrize("trials", [4, np.int64(4)], ids=["int", "np.int64"])
     def test_report_fields_are_python_numbers(self, tmp_path, trials):
         g = planted_clique_graph(10, 4, 0.3, seed=1)

@@ -205,17 +205,21 @@ class TestSolve:
         first = out.read_text().splitlines()[1]
         assert first.startswith("1,") and float(first.split(",")[1]) == 12.0
 
-    def test_pool_of_other_size_exits_2(self, tmp_path, capsys):
+    # the mode rule runs before post-selection: the pool holds no 3-click
+    # pattern, and 7 clicks exceed its 6 modes
+    @pytest.mark.parametrize("algo", ["rs", "sa"])
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_pool_of_other_size_exits_2(self, tmp_path, capsys, k, algo):
         graph = tmp_path / "g.json"
         assert run("gen", "--kind", "zero-one", "--n", 8, "--seed", 0,
                    "--out", graph) == 0
         pool = tmp_path / "pool.txt"
         pool.write_text("modes=6\n110000\n")
         out = tmp_path / "trace.csv"
-        assert run("solve", graph, "--objective", "density", "--k", 2,
-                   "--algo", "rs", "--pool", pool, "--out", out) == 2
+        assert run("solve", graph, "--objective", "density", "--k", k,
+                   "--algo", algo, "--pool", pool, "--out", out) == 2
         assert capsys.readouterr().err == (
-            "gbskit: error: pool pattern length 6 does not match graph size 8\n"
+            "gbskit: error: pool mode count 6 does not match graph size 8\n"
         )
         assert not out.exists()
 

@@ -4,11 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from gbskit import files
+from gbskit import bench, files
 from gbskit.bench import AdvantageReport, NoisePoint
 from gbskit.encoding import encode_graph
 from gbskit.errors import ValidationError
-from gbskit.generators import random_complex_graph
+from gbskit.generators import planted_clique_graph, random_complex_graph
 from gbskit.solvers import RunTrace
 
 
@@ -141,6 +141,44 @@ class TestReports:
         files.save_advantage_report(reports, csv, js)
         assert "photon_click_k" in csv.read_text().splitlines()[0]
         assert json.loads(js.read_text())["reports"][0]["score_advantage"] == 1.5
+
+    # one number rule: a numpy scalar is written as the Python number it holds
+    def test_noise_sweep_on_numpy_grids_writes_the_bytes_of_lists(self, tmp_path):
+        g = planted_clique_graph(8, 4, 0.2, seed=1)
+        written = []
+        for etas, epss in [([1.0, 0.75], [0.0, 0.25]),
+                           (np.array([1.0, 0.75]), np.array([0.0, 0.25]))]:
+            rows = bench.noise_sweep(g, 4, etas, epss, trials=20, seed=3, pool_size=300)
+            csv, js = tmp_path / "n.csv", tmp_path / "n.json"
+            files.save_noise_table(rows, csv, js)
+            written.append((csv.read_bytes(), js.read_bytes()))
+        assert written[0] == written[1]
+        assert b"np." not in written[1][0]
+
+    def test_trace_of_numpy_counts_writes_the_bytes_of_ints(self, tmp_path):
+        written = []
+        for steps, seed in [(2, 9), (np.int64(2), np.int64(9))]:
+            trace = RunTrace(best_values=np.array([1.0, 2.0]), best_subset=(0, 3),
+                             steps_used=steps, seed=seed)
+            csv, summ = tmp_path / "t.csv", tmp_path / "t.json"
+            files.save_trace(trace, csv, summ, {"steps": steps, "seed": seed})
+            written.append((csv.read_bytes(), summ.read_bytes()))
+        assert written[0] == written[1]
+
+    def test_numpy_cells_write_the_bytes_of_python_numbers(self, tmp_path):
+        written = []
+        for report in [AdvantageReport(6, 1.5, 2.0, 10, 0.1),
+                       AdvantageReport(np.int64(6), np.float64(1.5), np.float32(2.0),
+                                       np.int32(10), np.float64(0.1))]:
+            csv, js = tmp_path / "a.csv", tmp_path / "a.json"
+            files.save_advantage_report([report], csv, js)
+            written.append((csv.read_bytes(), js.read_bytes()))
+        assert written[0] == written[1]
+
+    def test_json_refuses_what_is_no_number(self, tmp_path):
+        with pytest.raises(TypeError):
+            files.save_manifest(tmp_path / "m.json", "bench", {"k": {1, 2}})
+        assert list(tmp_path.iterdir()) == []
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "x.txt"

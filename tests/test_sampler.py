@@ -339,6 +339,16 @@ class TestPoolIO:
         assert loaded.seed == pool.seed
         assert loaded.provenance == pool.provenance
 
+    def test_numpy_count_writes_the_bytes_of_an_int(self, tmp_path):
+        state = random_state(4, 8)
+        written = []
+        for count in (5, np.int64(5)):
+            path = tmp_path / "pool.txt"
+            save_pool(sample(state, count, 7), path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        assert b'"count": 5' in written[1]
+
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "pool.txt"
         path.write_text("old")

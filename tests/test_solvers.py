@@ -161,12 +161,14 @@ class TestRandomSearch:
         with pytest.raises(ValidationError, match="pattern 1 is not a 0/1"):
             SamplePool(modes=4, samples=((1, 1, 0, 0), (2, 0, 0, 0)))
 
-    def test_rejects_pool_mode_mismatch(self):
+    @pytest.mark.parametrize("search", [random_search, simulated_annealing])
+    def test_rejects_pool_mode_mismatch(self, search):
         g = complete_graph(6)
         obj = Objective(kind="density", graph=g, k=3)
         src = ProposalSource(kind="pool", pool=pool_from_subsets(5, [{0, 1, 2}]))
-        with pytest.raises(ValidationError):
-            random_search(obj, src, 10, seed=0)
+        with pytest.raises(ValidationError,
+                           match="^pool mode count 5 does not match graph size 6$"):
+            search(obj, src, 10, seed=0)
 
     def test_rejects_zero_steps(self):
         obj = Objective(kind="density", graph=complete_graph(4), k=2)
